@@ -128,15 +128,14 @@ func BenchmarkDistributedACOSolve400(b *testing.B) {
 
 // BenchmarkPlacementsPerSecond measures end-to-end scheduling throughput of
 // the GL→GM→LC hierarchy: waves of VM submissions against settled 512-LC
-// fleets, timed wall-clock. sequential is the paper-faithful per-VM dispatch
-// (one probe chain per VM); batched coalesces each wave into one multi-VM
-// placement request per candidate GM (ManagerConfig.DispatchBatch).
+// fleets, timed wall-clock. Each wave is one submission, which the GL sends
+// to the GMs in multi-VM placement requests; the sub-benchmark keeps the name
+// the CI gate's baseline (BENCH_telemetry.json) compares against.
 func BenchmarkPlacementsPerSecond(b *testing.B) {
-	b.Run("sequential", func(b *testing.B) { benchPlacements(b, 1) })
-	b.Run("batched", func(b *testing.B) { benchPlacements(b, 32) })
+	b.Run("batched", benchPlacements)
 }
 
-func benchPlacements(b *testing.B, batch int) {
+func benchPlacements(b *testing.B) {
 	skipInShort(b)
 	const lcs, gms, wave = 512, 32, 256
 	b.ReportAllocs()
@@ -144,9 +143,7 @@ func benchPlacements(b *testing.B, batch int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := cluster.DefaultConfig(workload.Grid5000Topology(lcs, gms), int64(1300+i))
-		cfg.Manager.DispatchBatch = batch
-		c := cluster.New(cfg)
+		c := cluster.New(cluster.DefaultConfig(workload.Grid5000Topology(lcs, gms), int64(1300+i)))
 		c.Settle(30 * time.Second)
 		vms := workload.NewGenerator(int64(i), nil).Batch(wave)
 		b.StartTimer()
@@ -163,16 +160,15 @@ func benchPlacements(b *testing.B, batch int) {
 }
 
 // BenchmarkFleetRelocationScan measures the wall cost of periodic
-// reconfiguration scans over a populated fleet — with the group-wide view
-// epoch gate on (default) vs recomputing every scan (DisableScanGating).
-// The reconfiguration period deliberately outpaces monitor ingestion:
-// between report bursts nothing moves, which is exactly the condition the
-// epoch gate detects and skips. The solver runs dry (plan discarded) so the
-// fleet stays quiescent instead of churning on migrations, isolating the
-// scan overhead itself.
+// reconfiguration scans over a populated fleet behind the group-wide view
+// epoch gate. The reconfiguration period deliberately outpaces monitor
+// ingestion: between report bursts nothing moves, which is exactly the
+// condition the epoch gate detects and skips. The solver runs dry (plan
+// discarded) so the fleet stays quiescent instead of churning on migrations,
+// isolating the scan overhead itself. The sub-benchmark keeps the name the CI
+// gate's baseline compares against.
 func BenchmarkFleetRelocationScan(b *testing.B) {
-	b.Run("gated", func(b *testing.B) { benchRelocationScan(b, true) })
-	b.Run("ungated", func(b *testing.B) { benchRelocationScan(b, false) })
+	b.Run("gated", benchRelocationScan)
 }
 
 // dryRunReconfig pays the full consolidation-scan cost (problem build, demand
@@ -195,13 +191,11 @@ func (d dryRunReconfig) Solve(p consolidation.Problem) (consolidation.Result, er
 	return consolidation.Result{}, errDryRun
 }
 
-func benchRelocationScan(b *testing.B, gated bool) {
+func benchRelocationScan(b *testing.B) {
 	skipInShort(b)
 	cfg := cluster.DefaultConfig(workload.Grid5000Topology(256, 16), 77)
-	cfg.Manager.DispatchBatch = 32
 	cfg.Manager.Reconfig = dryRunReconfig{inner: consolidation.FFD{Key: consolidation.SortCPU}}
 	cfg.Manager.ReconfigPeriod = 250 * time.Millisecond
-	cfg.Manager.DisableScanGating = !gated
 	c := cluster.New(cfg)
 	c.Settle(30 * time.Second)
 	if _, err := c.SubmitAndWait(workload.NewGenerator(7, nil).Batch(512), time.Hour); err != nil {

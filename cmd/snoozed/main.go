@@ -87,10 +87,6 @@ func main() {
 	consolidationBudget := flag.Int("consolidation-budget", 0, "control role: migrations per consolidation round (0 = default 4; <0 unlimited)")
 	consolidationColonies := flag.Int("consolidation-colonies", 0, "control role: parallel ant colonies per consolidation round (0 = default 4)")
 	traceSample := flag.Int("trace-sample", 1, "control role: record every Nth decision trace (<=1 records all)")
-	dispatchBatch := flag.Int("dispatch-batch", 0, "control role: max VMs the GL coalesces into one placement request per GM (<=1 sequential dispatch)")
-	admissionOrder := flag.String("admission-order", "", "control role: batched-dispatch admission order (ffd = largest-first packing, arrival = submission order)")
-	exactReduce := flag.Bool("exact-reduce", false, "control role: answer telemetry quantiles by exact sort instead of mergeable sketches (reference mode)")
-	rollupInterval := flag.Duration("rollup-interval", 0, "control role: GM rollup series debounce (0 = heartbeat period; <0 disables rollups)")
 	stateSyncPeriod := flag.Duration("state-sync-period", 0, "control role: GM->GL telemetry state-sync period for warm failover (0 = auto: off on this process's shared hub; >0 forces; <0 disables)")
 	migrationRetries := flag.Int("migration-retries", 0, "control role: total migration attempts before abandoning (0 = default 3)")
 	migrationBackoff := flag.Duration("migration-backoff", 0, "control role: base backoff between migration retries (0 = default 500ms)")
@@ -134,7 +130,7 @@ func main() {
 		// raw ring per series backed by the downsampled retention tiers.
 		tel := telemetry.NewHub(telemetry.Options{
 			Metrics: reg,
-			Store:   telemetry.StoreConfig{SeriesCapacity: *seriesCapacity, Tiers: tiers, ExactReduce: *exactReduce},
+			Store:   telemetry.StoreConfig{SeriesCapacity: *seriesCapacity, Tiers: tiers},
 		})
 		svc := coord.NewService(rt)
 		// One decision tracer per control process: every manager records its
@@ -157,18 +153,10 @@ func main() {
 			cfg.Tracer = tracer
 			cfg.ViewHorizon = *viewHorizon
 			cfg.VMLivenessGrace = *vmLivenessGrace
-			cfg.DispatchBatch = *dispatchBatch
-			cfg.AdmissionOrder = *admissionOrder
-			cfg.RollupInterval = *rollupInterval
-			if *stateSyncPeriod != 0 {
-				cfg.StateSyncPeriod = *stateSyncPeriod
-			}
-			if *migrationRetries != 0 {
-				cfg.MigrationRetries = *migrationRetries
-			}
-			if *migrationBackoff != 0 {
-				cfg.MigrationBackoff = *migrationBackoff
-			}
+			// Zero-valued flags fall back to the defaults in NewManager.
+			cfg.StateSyncPeriod = *stateSyncPeriod
+			cfg.MigrationRetries = *migrationRetries
+			cfg.MigrationBackoff = *migrationBackoff
 			cfg.Consolidation = online.Config{
 				Enabled:         *consolidation,
 				Period:          *consolidationPeriod,

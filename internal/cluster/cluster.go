@@ -35,8 +35,9 @@ type Config struct {
 	Hypervisor hypervisor.Config
 	// LC configures local controllers.
 	LC hierarchy.LCConfig
-	// Manager is the template for all managers; ID/Addr are filled per
-	// manager. Leave zero-valued to use defaults.
+	// Manager is the template for all managers; ID/Addr, Metrics, Tracer and
+	// Telemetry are filled per manager. Zero-valued fields take the
+	// hierarchy.DefaultManagerConfig defaults.
 	Manager hierarchy.ManagerConfig
 	// Bus configures latency/jitter.
 	Bus transport.Config
@@ -175,9 +176,6 @@ func New(cfg Config) *Cluster {
 		mcfg := cfg.Manager
 		mcfg.ID = types.GroupManagerID(fmt.Sprintf("gm-%02d", i))
 		mcfg.Addr = transport.Address("mgr:" + string(mcfg.ID))
-		if mcfg.HeartbeatPeriod == 0 {
-			mcfg = mergeDefaults(mcfg)
-		}
 		mcfg.Metrics = cfg.Metrics
 		mcfg.Telemetry = cfg.Telemetry
 		mcfg.Tracer = cfg.Tracer
@@ -217,9 +215,6 @@ func New(cfg Config) *Cluster {
 			mcfg := cfg.Manager
 			mcfg.ID = id
 			mcfg.Addr = transport.Address("mgr:" + string(id))
-			if mcfg.HeartbeatPeriod == 0 {
-				mcfg = mergeDefaults(mcfg)
-			}
 			mcfg.Metrics = cfg.Metrics
 			mcfg.Telemetry = cfg.Telemetry
 			mcfg.Tracer = cfg.Tracer
@@ -248,73 +243,6 @@ func New(cfg Config) *Cluster {
 		c.meter.Start()
 	}
 	return c
-}
-
-// mergeDefaults fills zero fields of a manager config template with the
-// package defaults, preserving explicitly set policies.
-func mergeDefaults(mcfg hierarchy.ManagerConfig) hierarchy.ManagerConfig {
-	def := hierarchy.DefaultManagerConfig(mcfg.ID, mcfg.Addr)
-	if mcfg.Dispatch != nil {
-		def.Dispatch = mcfg.Dispatch
-	}
-	if mcfg.Placement != nil {
-		def.Placement = mcfg.Placement
-	}
-	if mcfg.Overload != nil {
-		def.Overload = mcfg.Overload
-	}
-	if mcfg.Underload != nil {
-		def.Underload = mcfg.Underload
-	}
-	if mcfg.Estimator != nil {
-		def.Estimator = mcfg.Estimator
-	}
-	if mcfg.ViewHorizon > 0 {
-		def.ViewHorizon = mcfg.ViewHorizon
-	}
-	if mcfg.ViewMinSamples > 0 {
-		def.ViewMinSamples = mcfg.ViewMinSamples
-	}
-	if mcfg.ViewMaxAge > 0 {
-		def.ViewMaxAge = mcfg.ViewMaxAge
-	}
-	def.EnergyEnabled = mcfg.EnergyEnabled
-	if mcfg.IdleThreshold > 0 {
-		def.IdleThreshold = mcfg.IdleThreshold
-	}
-	if mcfg.PendingTimeout > 0 {
-		def.PendingTimeout = mcfg.PendingTimeout
-	}
-	def.Reconfig = mcfg.Reconfig
-	if mcfg.ReconfigPeriod > 0 {
-		def.ReconfigPeriod = mcfg.ReconfigPeriod
-	}
-	def.RescheduleOnLCFailure = mcfg.RescheduleOnLCFailure
-	if mcfg.VMLivenessGrace != 0 {
-		def.VMLivenessGrace = mcfg.VMLivenessGrace
-	}
-	def.Retention = mcfg.Retention
-	def.Consolidation = mcfg.Consolidation
-	if mcfg.DispatchBatch != 0 {
-		def.DispatchBatch = mcfg.DispatchBatch
-	}
-	if mcfg.AdmissionOrder != "" {
-		def.AdmissionOrder = mcfg.AdmissionOrder
-	}
-	if mcfg.RollupInterval != 0 {
-		def.RollupInterval = mcfg.RollupInterval
-	}
-	def.DisableScanGating = mcfg.DisableScanGating
-	if mcfg.StateSyncPeriod != 0 {
-		def.StateSyncPeriod = mcfg.StateSyncPeriod
-	}
-	if mcfg.MigrationRetries != 0 {
-		def.MigrationRetries = mcfg.MigrationRetries
-	}
-	if mcfg.MigrationBackoff != 0 {
-		def.MigrationBackoff = mcfg.MigrationBackoff
-	}
-	return def
 }
 
 // Settle advances virtual time by d, letting the hierarchy self-organize

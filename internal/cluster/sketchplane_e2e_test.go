@@ -14,57 +14,6 @@ import (
 	"snooze/internal/workload"
 )
 
-// TestAdmissionOrderEquivalentResourceTotals pins the AdmissionOrder
-// contract: with capacity to spare, batched dispatch admits the same VMs —
-// hence identical placed resource totals — whether the batch is ranked
-// first-fit-decreasing (the default) or left in arrival order. Only the
-// admission order may differ, never the admitted capacity.
-func TestAdmissionOrderEquivalentResourceTotals(t *testing.T) {
-	run := func(t *testing.T, order string) (map[types.VMID]types.NodeID, types.ResourceVector, int64) {
-		t.Helper()
-		cfg := DefaultConfig(workload.Grid5000Topology(48, 4), 11)
-		cfg.Manager.DispatchBatch = 32
-		cfg.Manager.AdmissionOrder = order
-		c := New(cfg)
-		c.Settle(30 * time.Second)
-		gen := workload.NewGenerator(11, nil)
-		batch := gen.Batch(60)
-		specs := make(map[types.VMID]types.ResourceVector, len(batch))
-		for _, vm := range batch {
-			specs[vm.ID] = vm.Requested
-		}
-		resp, err := c.SubmitAndWait(batch, time.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Unplaced) > 0 {
-			t.Fatalf("order %q left %d VMs unplaced with spare capacity", order, len(resp.Unplaced))
-		}
-		var total types.ResourceVector
-		ids := make([]types.VMID, 0, len(resp.Placed))
-		for vm := range resp.Placed {
-			ids = append(ids, vm)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, vm := range ids {
-			total = total.Add(specs[vm])
-		}
-		return resp.Placed, total, c.Metrics.Count("gl.dispatch-batches")
-	}
-
-	ffdPlaced, ffdTotal, ffdBatches := run(t, hierarchy.AdmissionFFD)
-	arrPlaced, arrTotal, arrBatches := run(t, hierarchy.AdmissionArrival)
-	if ffdBatches == 0 || arrBatches == 0 {
-		t.Fatalf("fixture: batched dispatch not exercised (ffd %d, arrival %d batches)", ffdBatches, arrBatches)
-	}
-	if len(ffdPlaced) != len(arrPlaced) {
-		t.Fatalf("admitted VM count diverged: ffd %d, arrival %d", len(ffdPlaced), len(arrPlaced))
-	}
-	if ffdTotal != arrTotal {
-		t.Fatalf("placed resource totals diverged: ffd %+v, arrival %+v", ffdTotal, arrTotal)
-	}
-}
-
 // TestSummaryCarriesMergedUtilSketch pins the GM→GL sketch rollup: every
 // summary push carries the merged quantile sketch of the group's member
 // node-util series, and the GL adopts it onto the gm/<id> rollup series — so

@@ -160,23 +160,14 @@ func TestE9GrayFailuresShape(t *testing.T) {
 func TestF1FleetThroughputShape(t *testing.T) {
 	r := F1FleetThroughput(ScaleQuick)
 	txt := tableText(t, r)
-	// Every dispatch variant must place the full workload: batching may only
-	// change throughput, never the placement outcome (unplaced VMs fall back
-	// to the sequential probe).
+	// The fleet has capacity to spare: every wave must be placed in full.
 	lines := strings.Split(strings.TrimSpace(txt), "\n")
-	rows := 0
-	for _, line := range lines[2:] {
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		rows++
-		if placed, err := strconv.Atoi(fields[3]); err != nil || placed != 6*24 {
-			t.Fatalf("variant %s placed %s of %d VMs:\n%s", fields[0], fields[3], 6*24, txt)
-		}
+	if len(lines) != 3 {
+		t.Fatalf("expected one row:\n%s", txt)
 	}
-	if rows != 4 {
-		t.Fatalf("expected 4 variants, got %d:\n%s", rows, txt)
+	fields := strings.Fields(lines[2])
+	if placed, err := strconv.Atoi(fields[2]); err != nil || placed != 6*24 {
+		t.Fatalf("placed %s of %d VMs:\n%s", fields[2], 6*24, txt)
 	}
 }
 

@@ -1,7 +1,9 @@
 package hierarchy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -254,204 +256,66 @@ func (m *Manager) glOnLCAssign(req *transport.Request) {
 	req.Respond(resp)
 }
 
-// glOnSubmit dispatches a VM submission: per VM, the dispatch policy ranks
-// candidate GMs from the (inexact) summaries and the GL probes them linearly
-// with placement requests (Section II-C).
+// dispatchChunk caps the VMs one PlaceRequest carries.
+const dispatchChunk = 32
+
+// glOnSubmit serves a VM submission through the dispatcher (Section II-C).
 func (m *Manager) glOnSubmit(req *transport.Request) {
 	sub, ok := req.Payload.(protocol.SubmitRequest)
 	if !ok {
 		req.RespondErr(errBadPayload)
 		return
 	}
-	start := m.rt.Now()
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
-		req.Respond(protocol.SubmitResponse{Unplaced: vmIDs(sub.VMs)})
-		return
-	}
-	m.mu.Unlock()
-	m.mark("gl.submissions", int64(len(sub.VMs)))
-
-	resp := protocol.SubmitResponse{Placed: make(map[types.VMID]types.NodeID)}
-	if len(sub.VMs) == 0 {
-		req.Respond(resp)
-		return
-	}
-	if m.cfg.DispatchBatch > 1 && len(sub.VMs) > 1 {
-		m.dispatchBatch(sub.VMs, func(placed map[types.VMID]types.NodeID, unplaced []types.VMID) {
-			resp.Placed = placed
-			resp.Unplaced = unplaced
-			m.observe("gl.submit-latency", m.rt.Now()-start)
-			req.Respond(resp)
-		})
-		return
-	}
-	// VMs are dispatched one after another, as in the Snooze GL where a
-	// submission's VMs flow through the dispatching policy sequentially;
-	// this is what makes submission time scale with the batch size (E1).
-	var next func(i int)
-	next = func(i int) {
-		if i >= len(sub.VMs) {
-			m.observe("gl.submit-latency", m.rt.Now()-start)
-			req.Respond(resp)
-			return
-		}
-		spec := sub.VMs[i]
-		m.dispatchVM(spec, func(node types.NodeID, ok bool) {
-			if ok {
-				resp.Placed[spec.ID] = node
-			} else {
-				resp.Unplaced = append(resp.Unplaced, spec.ID)
-			}
-			next(i + 1)
-		})
-	}
-	next(0)
+	m.dispatch(sub.VMs, func(placed map[types.VMID]types.NodeID, unplaced []types.VMID) {
+		req.Respond(protocol.SubmitResponse{Placed: placed, Unplaced: unplaced})
+	})
 }
 
-// dispatchVM runs the GL's linear search over candidate GMs for one VM.
-func (m *Manager) dispatchVM(spec types.VMSpec, cb func(node types.NodeID, ok bool)) {
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
-		cb("", false)
-		return
-	}
-	summaries := make([]types.GroupSummary, 0, len(m.gms))
-	addrs := make(map[types.GroupManagerID]transport.Address, len(m.gms))
-	for _, gm := range m.gms {
-		summaries = append(summaries, gm.summary)
-		addrs[gm.id] = gm.addr
-	}
-	sort.Slice(summaries, func(i, j int) bool { return summaries[i].GM < summaries[j].GM })
-	// The dispatch decision opens the trace the rest of the chain joins:
-	// the chosen GM's placement span links back here via the PlaceRequest's
-	// trace attributes.
-	span := m.cfg.Tracer.StartTrace(obs.KindDispatch, telemetry.VMEntity(spec.ID))
-	span.SetPolicy(m.cfg.Dispatch.Name())
-	var ex *scheduling.Explain
-	if span.Enabled() {
-		ex = &scheduling.Explain{}
-	}
-	// Dispatch consumes capacity views: the summaries enriched with windowed
-	// statistics of each group's util series (fed by glOnSummary).
-	groups := m.views.Groups(m.rt.Now(), summaries)
-	candidates := m.cfg.Dispatch.Candidates(spec, groups, ex)
-	var groupStats map[types.GroupManagerID]view.Stats
-	if span.Enabled() {
-		groupStats = make(map[types.GroupManagerID]view.Stats, len(groups))
-		for _, g := range groups {
-			groupStats[g.GM] = g.Stats
-		}
-	}
-	// The policy only ranks; which shortlisted GM wins is decided by the
-	// probe loop below. Candidate evidence is therefore recorded at the end,
-	// once chosen = the GM whose placement succeeded (empty when none did)
-	// and probed = how deep the linear search got.
-	recordDispatchCandidates := func(chosen types.GroupManagerID, probed int) {
-		if ex == nil {
-			return
-		}
-		probeIndex := make(map[string]int, len(candidates))
-		for i, id := range candidates {
-			probeIndex[string(id)] = i
-		}
-		for _, c := range ex.Candidates {
-			reason := c.Reason
-			if c.ID == string(chosen) {
-				span.Candidate(c.ID, true, "")
-				continue
-			}
-			if reason == "" { // shortlisted, not chosen: why not?
-				if i, ok := probeIndex[c.ID]; ok && i < probed {
+// vmDispatch is one VM's progress through the dispatch rounds.
+type vmDispatch struct {
+	spec  types.VMSpec
+	cands []types.GroupManagerID // ranked by the dispatch policy, probed in order
+	span  obs.Span               // one-VM submissions only (see dispatch)
+	ex    *scheduling.Explain    // the policy's evidence for span; nil when span records nothing
+}
+
+// finish closes the VM's dispatch span. The policy only ranks and the rounds
+// decide, so candidate evidence is resolved here: chosen is the GM that placed
+// the VM (empty when none did), probed how many candidates rejected it first.
+func (vm *vmDispatch) finish(outcome string, chosen types.GroupManagerID, probed int) {
+	if vm.ex != nil {
+		for _, c := range vm.ex.Candidates {
+			id, reason := types.GroupManagerID(c.ID), c.Reason
+			if reason == "" && id != chosen { // shortlisted, not chosen: why not?
+				reason = "not-probed"
+				if slices.Contains(vm.cands[:probed], id) {
 					reason = "place-rejected"
-				} else {
-					reason = "not-probed"
 				}
 			}
-			span.Candidate(c.ID, false, reason)
+			vm.span.Candidate(c.ID, id == chosen, reason)
 		}
 	}
-	m.mu.Unlock()
-
-	if len(candidates) == 0 {
-		m.mark("gl.dispatch-no-candidates", 1)
-		recordDispatchCandidates("", 0)
-		span.Finish("no-candidates")
-		cb("", false)
-		return
-	}
-	sc := span.Context()
-	var probe func(i int)
-	probe = func(i int) {
-		if i >= len(candidates) {
-			m.mark("gl.dispatch-exhausted", 1)
-			recordDispatchCandidates("", len(candidates))
-			span.Finish("exhausted")
-			cb("", false)
-			return
-		}
-		addr := addrs[candidates[i]]
-		preq := protocol.PlaceRequest{VMs: []types.VMSpec{spec}, TraceID: sc.TraceID, ParentSpan: sc.SpanID}
-		m.bus.Call(m.cfg.Addr, addr, protocol.KindPlace, preq, m.cfg.CallTimeout, func(reply any, err error) {
-			if err == nil {
-				if pr, ok := reply.(protocol.PlaceResponse); ok {
-					if node, placed := pr.Placed[spec.ID]; placed {
-						m.observeValue("gl.probe-depth", float64(i+1))
-						// Optimistically shrink the GM's summary so
-						// subsequent dispatches in the same burst see the
-						// committed capacity.
-						m.mu.Lock()
-						if gm, ok := m.gms[candidates[i]]; ok {
-							gm.summary.Reserved = gm.summary.Reserved.Add(spec.Requested)
-							gm.summary.VMs++
-						}
-						m.mu.Unlock()
-						span.SetTarget(string(candidates[i]))
-						if st, ok := groupStats[candidates[i]]; ok {
-							span.SetView(st.Gen, st.Samples, st.Fresh, st.Truncated)
-						}
-						span.Annotate("node", string(node))
-						span.Annotate("probe-depth", strconv.Itoa(i+1))
-						recordDispatchCandidates(candidates[i], i)
-						span.Finish("placed")
-						cb(node, true)
-						return
-					}
-				}
-			}
-			probe(i + 1)
-		})
-	}
-	probe(0)
+	vm.span.Finish(outcome)
 }
 
-// dispatchBatch coalesces one submission into multi-VM placement requests:
-// the group views are built once, every VM is ranked through the dispatch
-// policy against that single snapshot, and the VMs are grouped by their
-// first-choice GM — one PlaceRequest per GM (chunked at DispatchBatch VMs)
-// instead of one probe chain per VM. VMs whose batch the GM rejected fall
-// back to the sequential per-VM probe, which walks the full candidate list
-// with refreshed views. Under AdmissionFFD (the default) the batch is ranked
-// largest-first before grouping, so under capacity pressure the placement
-// order packs at least as well as arrival order (first-fit-decreasing);
-// AdmissionArrival keeps the submission order.
-//
-// Under overcommit (aggregate demand exceeding fleet capacity) both orders
-// saturate the cluster and place identical resource totals, but the admitted
-// *set* differs: largest-first admits fewer, larger VMs where arrival order
-// admits more small ones. That is an admission-ordering property of FFD, not
-// a capacity loss — callers who care about admitted-VM count rather than
-// admitted resources under scarcity should set AdmissionOrder to "arrival"
-// or keep DispatchBatch at 1.
-func (m *Manager) dispatchBatch(specs []types.VMSpec, done func(placed map[types.VMID]types.NodeID, unplaced []types.VMID)) {
+// dispatch places a submission: the dispatch policy ranks candidate GMs per
+// VM from the (inexact) summaries and the GL walks each VM's list linearly
+// with placement requests (Section II-C), in rounds: in round r every still
+// unplaced VM goes to its r-th candidate, VMs bound for one GM share
+// PlaceRequests of up to dispatchChunk VMs, all requests of a round are in
+// flight together, and VMs a GM rejects (or whose request timed out) advance
+// to round r+1. done is invoked exactly once. A one-VM submission is thus the
+// paper's linear probe, traced as one dispatch span on vm/<id> covering every
+// round; a wave of N VMs is traced as one span per PlaceRequest on gm/<id>.
+// The GM's placement spans link back to either.
+func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID]types.NodeID, unplaced []types.VMID)) {
 	m.mu.Lock()
 	if m.role != RoleGL || m.stopped {
 		m.mu.Unlock()
 		done(nil, vmIDs(specs))
 		return
 	}
+	start := m.rt.Now()
 	summaries := make([]types.GroupSummary, 0, len(m.gms))
 	addrs := make(map[types.GroupManagerID]transport.Address, len(m.gms))
 	for _, gm := range m.gms {
@@ -459,148 +323,150 @@ func (m *Manager) dispatchBatch(specs []types.VMSpec, done func(placed map[types
 		addrs[gm.id] = gm.addr
 	}
 	sort.Slice(summaries, func(i, j int) bool { return summaries[i].GM < summaries[j].GM })
-	// One Groups build and one policy pass per VM against the same snapshot
-	// replace the sequential path's N rebuilds — the views are equally stale
-	// for every VM in the batch, which is exactly the summary inexactness the
-	// dispatch policy already tolerates.
-	groups := m.views.Groups(m.rt.Now(), summaries)
-	// Rank the batch largest-first (decreasing CPU, then memory, ID
-	// tie-break): under capacity pressure the placement order decides how
-	// well the bins pack, and first-fit-decreasing beats arrival order.
-	// AdmissionArrival skips the ranking and admits in submission order.
-	ranked := append([]types.VMSpec(nil), specs...)
-	if m.cfg.AdmissionOrder != AdmissionArrival {
-		sort.Slice(ranked, func(i, j int) bool {
-			a, b := ranked[i].Requested, ranked[j].Requested
-			if a.CPU != b.CPU {
-				return a.CPU > b.CPU
-			}
-			if a.Memory != b.Memory {
-				return a.Memory > b.Memory
-			}
-			return ranked[i].ID < ranked[j].ID
-		})
+	// Capacity views: the summaries enriched with windowed statistics of each
+	// group's util series (fed by glOnSummary). One build serves the whole
+	// submission: equally stale for every VM, which the policy tolerates.
+	groups := m.views.Groups(start, summaries)
+	group := func(gm types.GroupManagerID) *view.Group { // gm is in groups: the policy returned it
+		return &groups[sort.Search(len(groups), func(i int) bool { return groups[i].GM >= gm })]
 	}
-	byGM := make(map[types.GroupManagerID][]types.VMSpec)
-	var gmOrder []types.GroupManagerID
-	var noCandidates []types.VMID
-	for _, spec := range ranked {
-		cands := m.cfg.Dispatch.Candidates(spec, groups, nil)
-		if len(cands) == 0 {
-			noCandidates = append(noCandidates, spec.ID)
+	// First-fit-decreasing (CPU, then memory, ID tie-break): under capacity
+	// pressure the order decides how well the bins pack. Under overcommit it
+	// admits fewer, larger VMs than arrival order; the resource total is equal.
+	vms := make([]vmDispatch, len(specs))
+	for i, spec := range specs {
+		vms[i].spec = spec
+	}
+	slices.SortFunc(vms, func(a, b vmDispatch) int {
+		return cmp.Or(
+			cmp.Compare(b.spec.Requested.CPU, a.spec.Requested.CPU),
+			cmp.Compare(b.spec.Requested.Memory, a.spec.Requested.Memory),
+			cmp.Compare(a.spec.ID, b.spec.ID))
+	})
+	policy := m.cfg.Dispatch.Name()
+	single := len(vms) == 1
+	waiting := make([]*vmDispatch, 0, len(vms))
+	var unplaced []types.VMID
+	for i := range vms {
+		vm := &vms[i]
+		if single {
+			vm.span = m.cfg.Tracer.StartTrace(obs.KindDispatch, telemetry.VMEntity(vm.spec.ID))
+			vm.span.SetPolicy(policy)
+			if vm.span.Enabled() {
+				vm.ex = &scheduling.Explain{}
+			}
+		}
+		vm.cands = m.cfg.Dispatch.Candidates(vm.spec, groups, vm.ex)
+		if len(vm.cands) == 0 {
+			unplaced = append(unplaced, vm.spec.ID)
+			vm.finish("no-candidates", "", 0)
 			continue
 		}
-		if _, seen := byGM[cands[0]]; !seen {
-			gmOrder = append(gmOrder, cands[0])
-		}
-		byGM[cands[0]] = append(byGM[cands[0]], spec)
+		// Charge the first choice in the local snapshot, so a load-aware policy
+		// spreads the wave instead of herding it onto the emptiest-looking GM.
+		g := group(vm.cands[0])
+		g.Reserved = g.Reserved.Add(vm.spec.Requested)
+		g.VMs++
+		waiting = append(waiting, vm)
 	}
 	m.mu.Unlock()
-	if n := len(noCandidates); n > 0 {
-		m.mark("gl.dispatch-no-candidates", int64(n))
+	m.mark("gl.submissions", int64(len(specs)))
+	if len(unplaced) > 0 {
+		m.mark("gl.dispatch-no-candidates", int64(len(unplaced)))
 	}
 
-	placed := make(map[types.VMID]types.NodeID, len(specs))
-	unplaced := noCandidates
-	var fallback []types.VMSpec
-	// Fallback runs after every batch response arrived: the optimistic
-	// summary updates from the placed VMs are then visible, so the linear
-	// probes rank GMs against post-batch capacity.
-	runFallback := func() {
-		var next func(i int)
-		next = func(i int) {
-			if i >= len(fallback) {
-				done(placed, unplaced)
-				return
+	placed := make(map[types.VMID]types.NodeID, len(waiting))
+	var round func(r int, waiting []*vmDispatch)
+	round = func(r int, waiting []*vmDispatch) {
+		live := waiting[:0]
+		for _, vm := range waiting {
+			if r < len(vm.cands) {
+				live = append(live, vm)
+				continue
 			}
-			spec := fallback[i]
-			m.dispatchVM(spec, func(node types.NodeID, ok bool) {
-				if ok {
-					placed[spec.ID] = node
-				} else {
-					unplaced = append(unplaced, spec.ID)
+			m.mark("gl.dispatch-exhausted", 1)
+			unplaced = append(unplaced, vm.spec.ID)
+			vm.finish("exhausted", "", r)
+		}
+		// One chunk per PlaceRequest: VMs sharing an r-th candidate, in GM order.
+		slices.SortStableFunc(live, func(a, b *vmDispatch) int { return cmp.Compare(a.cands[r], b.cands[r]) })
+		var chunks [][]*vmDispatch
+		for len(live) > 0 {
+			n := 1
+			for n < len(live) && n < dispatchChunk && live[n].cands[r] == live[0].cands[r] {
+				n++
+			}
+			chunks, live = append(chunks, live[:n]), live[n:]
+		}
+		if len(chunks) == 0 {
+			m.observe("gl.submit-latency", m.rt.Now()-start)
+			done(placed, unplaced)
+			return
+		}
+		m.mark("gl.dispatch-batches", int64(len(chunks)))
+		inflight := len(chunks)
+		var rejected []*vmDispatch // with inflight and placed, under m.mu
+		for _, chunk := range chunks {
+			gm := chunk[0].cands[r]
+			span := chunk[0].span
+			if !single {
+				span = m.cfg.Tracer.StartTrace(obs.KindDispatch, telemetry.GMEntity(gm))
+				span.SetPolicy(policy)
+				span.SetTarget(string(gm))
+				span.Annotate("batch", strconv.Itoa(len(chunk)))
+			}
+			sc := span.Context()
+			preq := protocol.PlaceRequest{VMs: make([]types.VMSpec, len(chunk)), TraceID: sc.TraceID, ParentSpan: sc.SpanID}
+			for i, vm := range chunk {
+				preq.VMs[i] = vm.spec
+			}
+			m.bus.Call(m.cfg.Addr, addrs[gm], protocol.KindPlace, preq, m.cfg.CallTimeout, func(reply any, err error) {
+				pr, _ := reply.(protocol.PlaceResponse) // zero on error: every VM rejected
+				got := 0
+				m.mu.Lock()
+				for _, vm := range chunk {
+					node, ok := pr.Placed[vm.spec.ID]
+					if !ok {
+						rejected = append(rejected, vm)
+						continue
+					}
+					got++
+					placed[vm.spec.ID] = node
+					m.observeValue("gl.probe-depth", float64(r+1))
+					// Optimistic summary update: the next submissions of a
+					// burst see this capacity committed before the GM says so.
+					if rec, live := m.gms[gm]; live {
+						rec.summary.Reserved = rec.summary.Reserved.Add(vm.spec.Requested)
+						rec.summary.VMs++
+					}
 				}
-				next(i + 1)
+				inflight--
+				last, next := inflight == 0, rejected
+				m.mu.Unlock()
+				outcome := "partial"
+				if got == len(chunk) {
+					outcome = "placed"
+				} else if got == 0 {
+					outcome = "rejected"
+				}
+				if !single {
+					span.Annotate("placed", strconv.Itoa(got))
+					span.Finish(outcome)
+				} else if got == 1 { // a rejection leaves the VM's span open for the next round
+					st := group(gm).Stats
+					span.SetTarget(string(gm))
+					span.SetView(st.Gen, st.Samples, st.Fresh, st.Truncated)
+					span.Annotate("node", string(pr.Placed[chunk[0].spec.ID]))
+					span.Annotate("probe-depth", strconv.Itoa(r+1))
+					chunk[0].finish(outcome, gm, r)
+				}
+				if last {
+					round(r+1, next)
+				}
 			})
 		}
-		next(0)
 	}
-
-	// Chunk each GM's share at DispatchBatch VMs per request and issue all
-	// requests concurrently; a channel gate serializes the aggregation.
-	type chunk struct {
-		gm   types.GroupManagerID
-		addr transport.Address
-		vms  []types.VMSpec
-	}
-	var chunks []chunk
-	for _, id := range gmOrder {
-		vms := byGM[id]
-		for len(vms) > 0 {
-			n := m.cfg.DispatchBatch
-			if n > len(vms) {
-				n = len(vms)
-			}
-			chunks = append(chunks, chunk{gm: id, addr: addrs[id], vms: vms[:n]})
-			vms = vms[n:]
-		}
-	}
-	if len(chunks) == 0 {
-		runFallback()
-		return
-	}
-	m.mark("gl.dispatch-batches", int64(len(chunks)))
-	remaining := len(chunks)
-	gate := make(chan struct{}, 1)
-	gate <- struct{}{}
-	for _, c := range chunks {
-		c := c
-		// One dispatch trace covers the whole chunk; the GM's per-VM
-		// placement spans link back through the request's trace fields.
-		span := m.cfg.Tracer.StartTrace(obs.KindDispatch, telemetry.GMEntity(c.gm))
-		span.SetPolicy(m.cfg.Dispatch.Name())
-		span.SetTarget(string(c.gm))
-		span.Annotate("batch", strconv.Itoa(len(c.vms)))
-		sc := span.Context()
-		preq := protocol.PlaceRequest{VMs: c.vms, TraceID: sc.TraceID, ParentSpan: sc.SpanID}
-		m.bus.Call(m.cfg.Addr, c.addr, protocol.KindPlace, preq, m.cfg.CallTimeout, func(reply any, err error) {
-			pr, ok := protocol.PlaceResponse{}, false
-			if err == nil {
-				pr, ok = reply.(protocol.PlaceResponse)
-			}
-			<-gate
-			got := 0
-			for _, spec := range c.vms {
-				if node, hit := pr.Placed[spec.ID]; ok && hit {
-					placed[spec.ID] = node
-					got++
-					m.mu.Lock()
-					if gm, live := m.gms[c.gm]; live {
-						gm.summary.Reserved = gm.summary.Reserved.Add(spec.Requested)
-						gm.summary.VMs++
-					}
-					m.mu.Unlock()
-				} else {
-					fallback = append(fallback, spec)
-				}
-			}
-			remaining--
-			last := remaining == 0
-			gate <- struct{}{}
-			span.Annotate("placed", strconv.Itoa(got))
-			switch {
-			case got == len(c.vms):
-				span.Finish("placed")
-			case got > 0:
-				span.Finish("partial")
-			default:
-				span.Finish("rejected")
-			}
-			if last {
-				runFallback()
-			}
-		})
-	}
+	round(0, waiting)
 }
 
 // glOnTopology exports the hierarchy for CLI visualization (Section II-A).

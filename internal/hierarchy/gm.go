@@ -148,7 +148,7 @@ func (m *Manager) gmSummaryTick() {
 	up := protocol.SummaryUpdate{
 		Summary:    summary,
 		Addr:       string(m.cfg.Addr),
-		Rollup:     m.rollupEvery() > 0,
+		Rollup:     true,
 		Scheduling: &sched,
 	}
 	if enc, ok := m.mergedUtilSketch(nodes); ok {
@@ -302,18 +302,16 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	// appended below, so every consumer keyed on the epoch re-reads exactly
 	// once per report (the property the epoch test pins down).
 	m.bumpViewEpochLocked()
-	// Rollup: at most once per rollupEvery, aggregate the group and append
-	// the gm/<id> series right here on the monitoring flow — the GL's group
-	// views then track capacity at monitoring cadence, without the GL ever
-	// touching per-node state (the hierarchy's whole point).
+	// Rollup: at most once per heartbeat period, aggregate the group and
+	// append the gm/<id> series right here on the monitoring flow — the GL's
+	// group views then track capacity at monitoring cadence, without the GL
+	// ever touching per-node state (the hierarchy's whole point).
 	var rollup types.GroupSummary
 	doRollup := false
-	if every := m.rollupEvery(); every > 0 {
-		if now := m.rt.Now(); m.lastRollup == 0 || now-m.lastRollup >= every {
-			m.lastRollup = now
-			rollup = m.summaryLocked()
-			doRollup = true
-		}
+	if now := m.rt.Now(); m.lastRollup == 0 || now-m.lastRollup >= m.cfg.HeartbeatPeriod {
+		m.lastRollup = now
+		rollup = m.summaryLocked()
+		doRollup = true
 	}
 	m.mu.Unlock()
 
@@ -401,9 +399,6 @@ func (m *Manager) activeStatusesLocked() []types.NodeStatus {
 // reused build may carry.
 func (m *Manager) activeViewsLocked() []view.Node {
 	now := m.rt.Now()
-	if m.cfg.DisableScanGating {
-		return m.views.Nodes(now, m.activeStatusesLocked())
-	}
 	if nodes, ok := m.viewMemo.Get(m.viewEpoch, now, m.cfg.HeartbeatPeriod); ok {
 		return nodes
 	}
@@ -1246,7 +1241,7 @@ func (m *Manager) gmReconfigTick() {
 	// placement, migration, sleep/wake or membership change bumped the view
 	// epoch) means the same problem would be rebuilt and re-solved for the
 	// same answer — skip the whole scan.
-	if !m.cfg.DisableScanGating && m.lastReconfigEpoch == m.viewEpoch {
+	if m.lastReconfigEpoch == m.viewEpoch {
 		m.mu.Unlock()
 		m.mark("gm.reconfig-skipped-unchanged", 1)
 		return

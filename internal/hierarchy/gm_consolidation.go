@@ -128,10 +128,7 @@ func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
 		return online.Snapshot{}, false
 	}
 	now := m.rt.Now()
-	snap := online.Snapshot{Now: now}
-	if !m.cfg.DisableScanGating {
-		snap.Epoch = m.viewEpoch // zero disables the optimizer's epoch gate
-	}
+	snap := online.Snapshot{Now: now, Epoch: m.viewEpoch}
 	for _, lc := range m.lcs {
 		if lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
 			continue

@@ -2,11 +2,18 @@ package hierarchy
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"snooze/internal/consolidation"
+	"snooze/internal/consolidation/online"
 	"snooze/internal/metrics"
+	"snooze/internal/obs"
 	"snooze/internal/protocol"
+	"snooze/internal/resource"
+	"snooze/internal/scheduling"
+	"snooze/internal/telemetry"
 	"snooze/internal/transport"
 	"snooze/internal/types"
 )
@@ -250,50 +257,64 @@ func TestLinearSearchSkipsFragmentedGM(t *testing.T) {
 	// reports 4GB available it does not necessary mean that the VM can be
 	// finally placed on this GM as its available memory could be
 	// distributed among multiple LCs". The GL must fall through to the next
-	// candidate GM.
+	// candidate GM: a one-VM submission is a linear probe over the ranked
+	// GMs, one PlaceRequest at a time, traced as one dispatch span.
 	r := newRig(31)
 	reg := metricsRegistry()
+	tracer := obs.New(obs.Config{Now: r.k.Now})
+	var probed []transport.Address // KindPlace targets, in arrival order
 	mkManager := func(id string) *Manager {
 		cfg := DefaultManagerConfig(types.GroupManagerID(id), transport.Address("mgr:"+id))
 		cfg.Metrics = reg
+		cfg.Tracer = tracer
 		m := NewManager(r.k, r.bus, r.svc, cfg)
 		if err := m.Start(); err != nil {
 			panic(err)
 		}
+		r.bus.Register(m.Addr(), func(req *transport.Request) {
+			if req.Kind == protocol.KindPlace {
+				probed = append(probed, req.To)
+			}
+			m.handle(req)
+		})
 		return m
 	}
 	mkManager("m0") // becomes GL
 	r.settle(5 * time.Second)
-	m1 := mkManager("m1")
-	r.settle(10 * time.Second)
 
-	// m1 gets two LCs and each is half-filled: 4 CPU free per LC, 8 CPU
-	// free in the summary — fragmented.
-	lcA, lcB := r.lc("frag-a"), r.lc("frag-b")
-	r.settle(20 * time.Second)
-	if lcA.GM() != m1.Addr() || lcB.GM() != m1.Addr() {
-		t.Fatalf("fixture: LCs on %q/%q", lcA.GM(), lcB.GM())
-	}
-	for _, n := range []string{"frag-a", "frag-b"} {
-		if err := r.nodes[types.NodeID(n)].StartVM(types.VMSpec{
-			ID: types.VMID("filler-" + n), Requested: types.RV(4, 4096, 10, 10),
-		}); err != nil {
-			t.Fatal(err)
+	// m1 and m2 each get two LCs, each half-filled: 4 CPU free per LC, 8
+	// CPU free in the summary — fragmented. m3 joins last with one empty LC.
+	for _, g := range []struct {
+		gm  string
+		lcs []string
+	}{
+		{"m1", []string{"frag-a", "frag-b"}},
+		{"m2", []string{"frag-c", "frag-d"}},
+		{"m3", []string{"roomy"}},
+	} {
+		m := mkManager(g.gm)
+		r.settle(10 * time.Second)
+		for _, n := range g.lcs {
+			lc := r.lc(n)
+			r.settle(20 * time.Second)
+			if lc.GM() != m.Addr() {
+				t.Fatalf("fixture: LC %s on %q, want %q", n, lc.GM(), m.Addr())
+			}
+			if n == "roomy" {
+				continue
+			}
+			if err := r.nodes[types.NodeID(n)].StartVM(types.VMSpec{
+				ID: types.VMID("filler-" + n), Requested: types.RV(4, 4096, 10, 10),
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// m2 joins later with one empty LC.
-	m2 := mkManager("m2")
-	r.settle(10 * time.Second)
-	lcC := r.lc("roomy")
-	r.settle(20 * time.Second)
-	if lcC.GM() != m2.Addr() {
-		t.Fatalf("fixture: roomy LC on %q", lcC.GM())
 	}
 	r.settle(10 * time.Second) // summaries propagate
 
-	// Submit a 6-CPU VM via the GL: m1's summary shows 8 CPU free so it is
-	// a candidate, but no single LC fits; the linear search must place it
-	// on m2's empty LC.
+	// Submit a 6-CPU VM via the GL: the summaries of m1 and m2 show 8 CPU
+	// free so both are candidates, but no single LC fits; the linear search
+	// must place it on m3's empty LC.
 	ep := NewEP(r.k, r.bus, "ep:ls", 0)
 	ep.Start()
 	r.settle(10 * time.Second) // EP learns the GL from heartbeats
@@ -309,16 +330,71 @@ func TestLinearSearchSkipsFragmentedGM(t *testing.T) {
 	if resp.Placed["big"] != "roomy" {
 		t.Fatalf("placement: %+v", resp)
 	}
-	// The probe depth series must show a probe beyond the first candidate
-	// for at least one dispatch.
-	depths := reg.Series("gl.probe-depth")
-	max := 0.0
-	for _, d := range depths {
-		if d > max {
-			max = d
+	// Round-robin's first ranking is m1, m2, m3: three probes in that order,
+	// the third one placing.
+	if want := []transport.Address{"mgr:m1", "mgr:m2", "mgr:m3"}; !reflect.DeepEqual(probed, want) {
+		t.Fatalf("PlaceRequest targets %v, want %v", probed, want)
+	}
+	if depths := reg.Series("gl.probe-depth"); !reflect.DeepEqual(depths, []float64{3}) {
+		t.Fatalf("gl.probe-depth = %v, want [3]", depths)
+	}
+	// One dispatch span on vm/big covers all three rounds and resolves every
+	// candidate: the rejecting GMs, then the chosen one.
+	spans := tracer.Select(obs.Query{Kind: obs.KindDispatch})
+	if len(spans) != 1 || spans[0].Entity != "vm/big" || spans[0].Outcome != "placed" || spans[0].Target != "m3" {
+		t.Fatalf("dispatch spans: %+v", spans)
+	}
+	wantCands := []obs.Candidate{
+		{ID: "m1", Reason: "place-rejected"},
+		{ID: "m2", Reason: "place-rejected"},
+		{ID: "m3", Chosen: true},
+	}
+	if !reflect.DeepEqual(spans[0].Candidates, wantCands) {
+		t.Fatalf("dispatch candidates %+v, want %+v", spans[0].Candidates, wantCands)
+	}
+	if spans[0].Attrs["probe-depth"] != "3" || spans[0].Attrs["node"] != "roomy" {
+		t.Fatalf("dispatch attrs: %+v", spans[0].Attrs)
+	}
+}
+
+func TestManagerConfigWithDefaults(t *testing.T) {
+	// One normaliser: a zero config and the default config are the same
+	// configuration.
+	zero, def := ManagerConfig{}.withDefaults(), DefaultManagerConfig("", "").withDefaults()
+	if !reflect.DeepEqual(zero, def) {
+		t.Fatalf("zero config normalises to\n%+v\ndefault config to\n%+v", zero, def)
+	}
+	if zero.HeartbeatPeriod == 0 || zero.Dispatch == nil || zero.ViewHorizon == 0 || zero.VMLivenessGrace != 4*zero.LCTimeout {
+		t.Fatalf("defaults not filled: %+v", zero)
+	}
+
+	// Every explicitly set field survives. The reflection walk fails when a
+	// field is added to ManagerConfig without being set here.
+	set := ManagerConfig{
+		ID: "gm-x", Addr: "mgr:gm-x",
+		HeartbeatPeriod: time.Second, SummaryPeriod: 3 * time.Second, LCTimeout: 5 * time.Second,
+		GMTimeout: 7 * time.Second, CallTimeout: 11 * time.Second, SessionTTL: 13 * time.Second,
+		Dispatch: scheduling.LeastLoadedDispatch{}, Placement: scheduling.BestFit{},
+		Overload: scheduling.TrendAwareRelocation{}, Underload: scheduling.TrendAwareUnderload{},
+		Estimator:   resource.MaxWindow{},
+		ViewHorizon: time.Minute, ViewMinSamples: 9, ViewMaxAge: 2 * time.Minute,
+		EnergyEnabled: true, IdleThreshold: 17 * time.Second, PendingTimeout: 19 * time.Second,
+		Reconfig: consolidation.FFD{Key: consolidation.SortCPU}, ReconfigPeriod: 23 * time.Second,
+		Consolidation:         online.Config{Enabled: true},
+		RescheduleOnLCFailure: true,
+		StateSyncPeriod:       -1, MigrationRetries: 1, MigrationBackoff: time.Millisecond,
+		VMLivenessGrace: -1, ElectionBase: "/test/election",
+		Metrics: metricsRegistry(), Tracer: obs.New(obs.Config{}),
+		Telemetry: telemetry.NewHub(telemetry.Options{}),
+		Retention: telemetry.StoreConfig{SeriesCapacity: 7},
+	}
+	v := reflect.ValueOf(set)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("test does not set ManagerConfig.%s", v.Type().Field(i).Name)
 		}
 	}
-	if max < 2 {
-		t.Fatalf("linear search never probed past the first GM: %v", depths)
+	if got := set.withDefaults(); !reflect.DeepEqual(got, set) {
+		t.Fatalf("explicit fields overwritten:\n got %+v\nwant %+v", got, set)
 	}
 }

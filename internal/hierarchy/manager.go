@@ -48,7 +48,9 @@ func (r Role) String() string {
 	}
 }
 
-// ManagerConfig parameterizes a Manager (GM/GL process).
+// ManagerConfig parameterizes a Manager (GM/GL process). NewManager fills
+// every zero or nil field from DefaultManagerConfig (see withDefaults), so a
+// caller sets only what it wants to differ.
 type ManagerConfig struct {
 	ID   types.GroupManagerID
 	Addr transport.Address
@@ -66,42 +68,6 @@ type ManagerConfig struct {
 	Placement scheduling.PlacementPolicy
 	Overload  scheduling.RelocationPolicy
 	Underload scheduling.RelocationPolicy
-
-	// DispatchBatch is the largest number of a submission's VMs the GL
-	// coalesces into one PlaceRequest per candidate GM. Values above 1 enable
-	// batched dispatch: the GL ranks every queued VM against the group views
-	// once, groups the VMs by first-choice GM and probes each GM with a
-	// single multi-VM request, falling back to the per-VM linear probe only
-	// for the VMs a batch left unplaced. <=1 keeps the paper-faithful
-	// sequential dispatch, whose submission time scales with the batch size
-	// (experiment E1).
-	DispatchBatch int
-
-	// AdmissionOrder selects how batched dispatch orders a submission's VMs
-	// before grouping them by first-choice GM: AdmissionFFD (the default)
-	// ranks largest-first so the placement order packs first-fit-decreasing;
-	// AdmissionArrival preserves the submission order, reproducing the
-	// paper's arrival-order admission inside the batched fast path. Both
-	// orders place identical resource totals when capacity suffices; under
-	// overcommit they admit different VM sets (see dispatchBatch). Ignored
-	// when DispatchBatch <= 1.
-	AdmissionOrder string
-
-	// RollupInterval debounces the GM-level rollup series: on monitor
-	// ingestion, at most once per interval, the GM aggregates its LC records
-	// (summaryLocked) and appends the gm/<id> series itself — so the group
-	// capacity views the GL's dispatch consumes are fed at monitoring cadence
-	// instead of the slower GM→GL summary push. 0 selects HeartbeatPeriod;
-	// negative disables rollups and restores summary-fed group series only.
-	RollupInterval time.Duration
-
-	// DisableScanGating turns off the group-wide view-epoch gates: the
-	// memoized activeViews build, the reconfiguration tick's skip-unchanged
-	// check and the online optimizer's epoch gate all re-run from scratch on
-	// every invocation. The default (false) keeps the gates on; the knob
-	// exists for A/B measurement (BenchmarkFleetRelocationScan) and for
-	// operators who want every scan recomputed regardless of churn.
-	DisableScanGating bool
 
 	// Demand estimation (Section II-B). Estimates are computed over the
 	// telemetry store's retained per-VM series (see view.Builder.Demand);
@@ -203,7 +169,8 @@ type ManagerConfig struct {
 	Retention telemetry.StoreConfig
 }
 
-// DefaultManagerConfig returns the configuration used by the experiments.
+// DefaultManagerConfig returns the configuration used by the experiments; it
+// is the single statement of what each default is.
 func DefaultManagerConfig(id types.GroupManagerID, addr transport.Address) ManagerConfig {
 	return ManagerConfig{
 		ID:               id,
@@ -219,6 +186,9 @@ func DefaultManagerConfig(id types.GroupManagerID, addr transport.Address) Manag
 		Overload:         scheduling.OverloadRelocation{},
 		Underload:        scheduling.UnderloadRelocation{},
 		Estimator:        resource.LastValue{},
+		ViewHorizon:      view.DefaultHorizon,
+		ViewMinSamples:   view.DefaultMinSamples,
+		ViewMaxAge:       view.DefaultMaxAge,
 		EnergyEnabled:    false,
 		IdleThreshold:    30 * time.Second,
 		PendingTimeout:   60 * time.Second,
@@ -226,6 +196,49 @@ func DefaultManagerConfig(id types.GroupManagerID, addr transport.Address) Manag
 		ElectionBase:     "/snooze/election",
 		MigrationRetries: 3,
 		MigrationBackoff: 500 * time.Millisecond,
+	}
+}
+
+// withDefaults normalises a config: every zero or nil field that has a default
+// takes DefaultManagerConfig's value, the view gates also when negative.
+// Fields whose zero is meaningful (the bools, Reconfig, ReconfigPeriod,
+// Consolidation, StateSyncPeriod, Retention, the wiring) pass through.
+func (c ManagerConfig) withDefaults() ManagerConfig {
+	d := DefaultManagerConfig(c.ID, c.Addr)
+	orDefault(&c.HeartbeatPeriod, d.HeartbeatPeriod)
+	orDefault(&c.SummaryPeriod, d.SummaryPeriod)
+	orDefault(&c.LCTimeout, d.LCTimeout)
+	orDefault(&c.GMTimeout, d.GMTimeout)
+	orDefault(&c.CallTimeout, d.CallTimeout)
+	orDefault(&c.SessionTTL, d.SessionTTL)
+	orDefault(&c.Dispatch, d.Dispatch)
+	orDefault(&c.Placement, d.Placement)
+	orDefault(&c.Overload, d.Overload)
+	orDefault(&c.Underload, d.Underload)
+	orDefault(&c.Estimator, d.Estimator)
+	orDefault(&c.IdleThreshold, d.IdleThreshold)
+	orDefault(&c.PendingTimeout, d.PendingTimeout)
+	orDefault(&c.ElectionBase, d.ElectionBase)
+	orDefault(&c.MigrationRetries, d.MigrationRetries)
+	orDefault(&c.MigrationBackoff, d.MigrationBackoff)
+	if c.ViewHorizon <= 0 {
+		c.ViewHorizon = d.ViewHorizon
+	}
+	if c.ViewMinSamples <= 0 {
+		c.ViewMinSamples = d.ViewMinSamples
+	}
+	if c.ViewMaxAge <= 0 {
+		c.ViewMaxAge = d.ViewMaxAge
+	}
+	orDefault(&c.VMLivenessGrace, 4*c.LCTimeout)
+	return c
+}
+
+// orDefault sets *v to def when it holds its type's zero value.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
 	}
 }
 
@@ -246,14 +259,6 @@ type lcRecord struct {
 	// the event-driven energy manager sees each idle transition exactly once.
 	idleAnnounced bool
 }
-
-// AdmissionOrder values (ManagerConfig.AdmissionOrder).
-const (
-	// AdmissionFFD ranks a dispatch batch largest-first (first-fit-decreasing).
-	AdmissionFFD = "ffd"
-	// AdmissionArrival keeps the submission's arrival order.
-	AdmissionArrival = "arrival"
-)
 
 // gmRecord is the GL's view of one Group Manager. scheduling is the policy
 // configuration the GM itself reported in its summary pushes (nil until the
@@ -377,58 +382,10 @@ func (m *Manager) ViewMemoCounters() (hits, misses uint64) {
 	return m.viewMemo.Counters()
 }
 
-// rollupEvery resolves the effective rollup debounce interval (0 = rollups
-// disabled): RollupInterval, defaulting to HeartbeatPeriod.
-func (m *Manager) rollupEvery() time.Duration {
-	if m.cfg.RollupInterval < 0 {
-		return 0
-	}
-	if m.cfg.RollupInterval == 0 {
-		return m.cfg.HeartbeatPeriod
-	}
-	return m.cfg.RollupInterval
-}
-
 // NewManager creates a Manager. svc is the coordination service used for
 // leader election.
 func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cfg ManagerConfig) *Manager {
-	if cfg.Dispatch == nil {
-		cfg.Dispatch = &scheduling.RoundRobinDispatch{}
-	}
-	if cfg.Placement == nil {
-		cfg.Placement = scheduling.FirstFit{}
-	}
-	if cfg.Overload == nil {
-		cfg.Overload = scheduling.OverloadRelocation{}
-	}
-	if cfg.Underload == nil {
-		cfg.Underload = scheduling.UnderloadRelocation{}
-	}
-	if cfg.Estimator == nil {
-		cfg.Estimator = resource.LastValue{}
-	}
-	if cfg.ViewHorizon <= 0 {
-		cfg.ViewHorizon = view.DefaultHorizon
-	}
-	if cfg.ViewMinSamples <= 0 {
-		cfg.ViewMinSamples = view.DefaultMinSamples
-	}
-	if cfg.ViewMaxAge <= 0 {
-		cfg.ViewMaxAge = view.DefaultMaxAge
-	}
-	if cfg.ElectionBase == "" {
-		cfg.ElectionBase = "/snooze/election"
-	}
-	if cfg.AdmissionOrder != AdmissionArrival {
-		cfg.AdmissionOrder = AdmissionFFD
-	}
-	if cfg.VMLivenessGrace == 0 {
-		if cfg.LCTimeout > 0 {
-			cfg.VMLivenessGrace = 4 * cfg.LCTimeout
-		} else {
-			cfg.VMLivenessGrace = 48 * time.Second
-		}
-	}
+	cfg = cfg.withDefaults()
 	privateHub := cfg.Telemetry == nil
 	if privateHub {
 		cfg.Telemetry = telemetry.NewHub(telemetry.Options{Metrics: cfg.Metrics, Store: cfg.Retention})

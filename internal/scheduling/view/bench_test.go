@@ -13,17 +13,7 @@ import (
 // benchHub returns a hub whose store holds a full util history for n nodes,
 // plus the matching point-in-time statuses — the GM-side placement input.
 func benchHub(n, samples int) (*telemetry.Hub, []types.NodeStatus) {
-	return benchHubWith(telemetry.Options{}, n, samples)
-}
-
-// benchHubExact is benchHub with the store pinned to the exact sort-based
-// reference reduction instead of the sketch fast path.
-func benchHubExact(n, samples int) (*telemetry.Hub, []types.NodeStatus) {
-	return benchHubWith(telemetry.Options{Store: telemetry.StoreConfig{ExactReduce: true}}, n, samples)
-}
-
-func benchHubWith(opts telemetry.Options, n, samples int) (*telemetry.Hub, []types.NodeStatus) {
-	hub := telemetry.NewHub(opts)
+	hub := telemetry.NewHub(telemetry.Options{})
 	sts := make([]types.NodeStatus, n)
 	for i := 0; i < n; i++ {
 		id := types.NodeID(fmt.Sprintf("n%03d", i))
@@ -67,24 +57,6 @@ func BenchmarkCapacityViewBuild(b *testing.B) {
 // view pays one full store reduction (single pass, single sort) per node.
 func BenchmarkCapacityViewBuildUncached(b *testing.B) {
 	hub, sts := benchHub(64, 100)
-	builder := Builder{Hub: hub, Horizon: 10 * time.Minute, MaxAge: 24 * time.Hour}
-	now := 100 * 3 * time.Second
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		views := builder.Nodes(now, sts)
-		if len(views) != len(sts) {
-			b.Fatal("missing views")
-		}
-	}
-}
-
-// BenchmarkCapacityViewBuildUncachedExact is the uncached build against a
-// store in exact-reduce reference mode: every windowed quantile pays the
-// sort-based reduction instead of answering from the per-series sketch — the
-// before/after for the sketch-backed statistics plane.
-func BenchmarkCapacityViewBuildUncachedExact(b *testing.B) {
-	hub, sts := benchHubExact(64, 100)
 	builder := Builder{Hub: hub, Horizon: 10 * time.Minute, MaxAge: 24 * time.Hour}
 	now := 100 * 3 * time.Second
 	b.ReportAllocs()

@@ -21,9 +21,8 @@ type SummarySpec struct {
 	Trend bool
 	// Exact forces the sort-based reference reduction for this spec's calls:
 	// percentiles computed over the sorted window values instead of the
-	// sketch estimate, at O(n log n) per call. StoreConfig.ExactReduce is the
-	// store-wide equivalent. The exact path is the oracle the sketch property
-	// tests compare against.
+	// sketch estimate, at O(n log n) per call. The exact path is the oracle
+	// the sketch property tests compare against.
 	Exact bool
 
 	scratch []float64      // window values (exact mode), sorted once per Reduce
@@ -158,8 +157,8 @@ func weightedQuantile(vals []float64, ws []uint64, total uint64, q float64) floa
 // the per-series lifetime sketch and moments (no iteration at all — the path
 // uncached capacity-view builds ride); any other window streams its stitched
 // points into the spec's scratch sketch (no sort, no per-call allocation) and
-// reads quantiles at relative-error QuantileError. With SummarySpec.Exact or
-// StoreConfig.ExactReduce the sort-based reference reduction runs instead.
+// reads quantiles at relative-error QuantileError. With SummarySpec.Exact the
+// sort-based reference reduction runs instead.
 //
 // Both modes weight each stitched point by its absorbed raw-sample count, so
 // decimated history contributes to Avg, Trend and Percentiles in proportion
@@ -181,7 +180,7 @@ func (s *Store) Reduce(entity, metric string, from, to time.Duration, spec *Summ
 		return sum, false
 	}
 	wantPct := len(spec.Percentiles) > 0
-	exact := spec.Exact || s.exact
+	exact := spec.Exact
 
 	sh := s.shardFor(entity, metric)
 	sh.mu.RLock()

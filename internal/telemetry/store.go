@@ -53,11 +53,6 @@ type StoreConfig struct {
 	// SketchAlpha is the relative-error bound of the per-series quantile
 	// sketches maintained on Append (default sketch.DefaultAlpha, 1%).
 	SketchAlpha float64
-	// ExactReduce forces every Reduce onto the exact sort-based reference
-	// reduction instead of the sketch-backed default — the escape hatch (and
-	// property-test oracle) for consumers that need bit-exact percentiles.
-	// Per-call SummarySpec.Exact selects the same path for one reduction.
-	ExactReduce bool
 }
 
 // Moments are running least-squares accumulators over (time, value) samples:
@@ -202,7 +197,6 @@ type Store struct {
 	capacity   int
 	tiers      []TierConfig  // sanitized retention ladder for new series
 	alpha      float64       // relative-error bound of the per-series sketches
-	exact      bool          // force the exact reference reduction store-wide
 	samples    atomic.Uint64 // total samples ever appended
 	reductions atomic.Uint64 // total Reduce calls ever served
 }
@@ -222,7 +216,7 @@ func NewStore(cfg StoreConfig) *Store {
 		size <<= 1
 	}
 	alpha := sketch.New(cfg.SketchAlpha).Alpha() // normalized exactly as sketches will see it
-	s := &Store{shards: make([]shard, size), mask: uint64(size - 1), capacity: cfg.SeriesCapacity, tiers: sanitizeTiers(cfg.Tiers), alpha: alpha, exact: cfg.ExactReduce}
+	s := &Store{shards: make([]shard, size), mask: uint64(size - 1), capacity: cfg.SeriesCapacity, tiers: sanitizeTiers(cfg.Tiers), alpha: alpha}
 	for i := range s.shards {
 		s.shards[i].series = make(map[Key]*series)
 	}

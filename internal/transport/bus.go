@@ -360,20 +360,33 @@ func (b *Bus) Call(from, to Address, kind string, payload any, timeout time.Dura
 		_ = b.Send(from, to, kind, payload)
 		return
 	}
-	var mu sync.Mutex
-	done := false
+	// One captured struct, not three captured variables: Call is on every
+	// hot path and each captured variable is its own heap allocation.
+	var st struct {
+		mu    sync.Mutex
+		done  bool
+		timer simkernel.Canceler
+	}
 	finish := func(reply any, err error) {
-		mu.Lock()
-		if done {
-			mu.Unlock()
+		st.mu.Lock()
+		if st.done {
+			st.mu.Unlock()
 			return
 		}
-		done = true
-		mu.Unlock()
+		st.done = true
+		timer := st.timer
+		st.mu.Unlock()
+		// A pending timeout would pin cb and everything it captures for the
+		// full timeout after the call already completed.
+		if timer != nil {
+			timer.Cancel()
+		}
 		cb(reply, err)
 	}
 	if timeout > 0 {
-		b.rt.After(timeout, func() { finish(nil, ErrTimeout) })
+		st.mu.Lock()
+		st.timer = b.rt.After(timeout, func() { finish(nil, ErrTimeout) })
+		st.mu.Unlock()
 	}
 	err := b.dispatch(from, to, kind, payload, func(reply any, err error) {
 		// Response travels back over the network: apply latency and

@@ -301,3 +301,46 @@ func TestCallNilCallbackActsAsSend(t *testing.T) {
 		t.Fatal("nil-callback Call not delivered")
 	}
 }
+
+func TestCallCancelsTimeoutTimerOnCompletion(t *testing.T) {
+	b, k := newBus()
+	const timeout = 90 * time.Second
+	drop := false
+	b.Register("server", func(r *Request) {
+		if !drop {
+			r.Respond(r.Payload)
+		}
+	})
+	before := k.Pending()
+	answered, timeouts := 0, 0
+	cb := func(_ any, err error) {
+		if errors.Is(err, ErrTimeout) {
+			timeouts++
+		} else if err == nil {
+			answered++
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		b.Call("client", "server", "echo", i, timeout, cb)
+	}
+	k.Run(k.Now() + time.Second)
+	if answered != 1000 {
+		t.Fatalf("answered %d of 1000 calls", answered)
+	}
+	if got := k.Pending(); got != before {
+		t.Fatalf("pending events after 1000 answered calls: %d, want %d", got, before)
+	}
+	processed := k.Processed()
+	k.Run(k.Now() + 2*timeout)
+	if fired := k.Processed() - processed; fired != 0 || timeouts != 0 {
+		t.Fatalf("answered calls left %d events behind (%d timeouts)", fired, timeouts)
+	}
+
+	// A dropped reply still times out, exactly once.
+	drop = true
+	b.Call("client", "server", "echo", 0, timeout, cb)
+	k.Run(k.Now() + 2*timeout)
+	if timeouts != 1 || k.Pending() != before {
+		t.Fatalf("dropped reply: %d timeouts, %d pending", timeouts, k.Pending())
+	}
+}
