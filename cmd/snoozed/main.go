@@ -10,7 +10,7 @@
 //     RPC tunnel (internal/rest), and /v1/*, the versioned typed operator
 //     API (api/v1) that snoozectl and programmatic clients consume.
 //   - node: hosts one simulated physical node with its Local Controller
-//     (serves /deliver only; operators talk to a control process).
+//     (serves /deliver and /metrics; operators talk to a control process).
 //
 // Processes discover each other through a peers file (JSON), standing in
 // for the paper's UDP multicast groups:
@@ -34,14 +34,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
+	apiv1 "snooze/api/v1"
 	"snooze/api/v1/livebackend"
 	apiserver "snooze/api/v1/server"
 	"snooze/internal/consolidation/online"
@@ -58,6 +61,28 @@ import (
 	"snooze/internal/transport"
 	"snooze/internal/types"
 )
+
+// withTransportCounters brings the process's bus and gateway counters up to
+// date in reg before next renders it: transport.delivered/dropped (messages
+// handed to, or lost before, a local handler) and rest.forwards/
+// forward-errors/dials (messages sent to peer processes, those that reached
+// no remote handler, connections opened).
+func withTransportCounters(reg *metrics.Registry, bus *transport.Bus, gw *rest.Gateway, next http.Handler) http.Handler {
+	var mu sync.Mutex // one scrape at a time computes the increments
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		set := func(name string, total uint64) { reg.Inc(name, int64(total)-reg.Count(name)) }
+		delivered, dropped := bus.Stats()
+		set("transport.delivered", delivered)
+		set("transport.dropped", dropped)
+		stats := gw.Stats()
+		set("rest.forwards", stats.Forwards)
+		set("rest.forward-errors", stats.ForwardErrors)
+		set("rest.dials", stats.Dials)
+		mu.Unlock()
+		next.ServeHTTP(w, r)
+	})
+}
 
 // peer is one entry of the peers file.
 type peer struct {
@@ -96,6 +121,7 @@ func main() {
 	rt := simkernel.NewWallRuntime()
 	bus := transport.NewBus(rt, transport.Config{})
 	gw := rest.NewGateway(bus, 30*time.Second)
+	defer gw.Close()
 	if *peersFile != "" {
 		data, err := os.ReadFile(*peersFile)
 		if err != nil {
@@ -118,9 +144,9 @@ func main() {
 	defer stop()
 
 	mux := http.NewServeMux()
+	reg := metrics.NewRegistry()
 	switch *role {
 	case "control":
-		reg := metrics.NewRegistry()
 		tiers, err := telemetry.ParseTiers(*seriesTiers)
 		if err != nil {
 			log.Fatalf("-series-tiers: %v", err)
@@ -201,7 +227,7 @@ func main() {
 		api := apiserver.New(backend)
 		api.StreamContext = ctx
 		mux.Handle("/v1/", api.Handler())
-		mux.Handle("/metrics", api.PrometheusHandler())
+		mux.Handle("/metrics", withTransportCounters(reg, bus, gw, api.PrometheusHandler()))
 		log.Printf("api/v1 mounted at /v1 (Prometheus exposition at /metrics)")
 	case "node":
 		spec := types.NodeSpec{ID: types.NodeID(*nodeID), Capacity: types.RV(*cpu, *memMB, 1000, 1000)}
@@ -211,6 +237,12 @@ func main() {
 			return nil, false // cross-process migration needs a shared data plane
 		}, hierarchy.DefaultLCConfig())
 		lc.Start()
+		// A node has no operator API; /metrics carries its transport counters
+		// (every monitor report leaves through the gateway).
+		mux.Handle("/metrics", withTransportCounters(reg, bus, gw, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			_, _ = io.WriteString(w, apiserver.RenderPrometheus(apiv1.FromRegistry(reg)))
+		})))
 		log.Printf("node %s with LC at bus address %s (oob at %s)", *nodeID, lcAddr, hierarchy.OOBAddress(lcAddr))
 	default:
 		log.Fatalf("unknown role %q (want control|node)", *role)
