@@ -178,8 +178,10 @@ const (
 
 // ConsolidationRequest is the POST /v1/consolidations body: compute a
 // migration plan packing the currently running VMs onto fewer hosts
-// (Section III). The plan is a dry run — executing it stays with the GMs'
-// periodic reconfiguration policy and the online optimizer.
+// (Section III). The plan is a dry run built by the same problem builder as
+// the GMs' online optimizer (consolidation.BuildProblem: VMs sized at
+// max(reservation, demand), hosts offering only what resident VMs outside the
+// plan do not hold) — executing consolidation stays with that optimizer.
 type ConsolidationRequest struct {
 	// Algorithm selects the solver: "aco" (default), "ffd" or "optimal".
 	Algorithm string `json:"algorithm,omitempty"`

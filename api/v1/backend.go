@@ -61,7 +61,7 @@ type Backend interface {
 	// deployments) return ErrUnsupported.
 	FailNode(ctx context.Context, id string) error
 	// Experiment reproduces one table/figure of the paper's evaluation at
-	// quick scale ("e1".."e8", "a1", "a2" or a name); unknown IDs return
+	// quick scale ("e1".."e7", "e9", "a1", "a2", "f1" or a name); unknown IDs return
 	// ErrNotFound.
 	Experiment(ctx context.Context, id string) (Experiment, error)
 }

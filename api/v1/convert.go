@@ -218,9 +218,9 @@ type DemandFunc func(vm VM) types.ResourceVector
 
 // P95Demand builds a DemandFunc over a telemetry hub at the given
 // runtime-relative instant. It prices through view.ConsolidationDemand —
-// the identical chain (p95 windowed demand, snapshot fallback, reservation)
-// the online consolidation optimizer plans with, so both backends' dry runs
-// and the online service cannot drift.
+// the identical chain (p95 windowed demand, snapshot fallback, never below
+// the reservation) the online consolidation optimizer plans with, so both
+// backends' dry runs and the online service cannot drift.
 func P95Demand(hub *telemetry.Hub, now time.Duration) DemandFunc {
 	b := view.Builder{Hub: hub}
 	return func(vm VM) types.ResourceVector {
@@ -234,7 +234,8 @@ func P95Demand(hub *telemetry.Hub, now time.Duration) DemandFunc {
 // PlanConsolidation is the backend-neutral Consolidate implementation: pack
 // the running VMs of vms onto the powered-on hosts of nodes with the
 // requested algorithm and derive the capacity-feasible migration sequence.
-// demand prices VMs when req.Demand is "p95"; it may be nil otherwise.
+// demand prices VMs when req.Demand is "p95"; it may be nil otherwise. The
+// problem comes from consolidation.BuildProblem, as the optimizer's does.
 func PlanConsolidation(vms []VM, nodes []Node, req ConsolidationRequest, demand DemandFunc) (ConsolidationPlan, error) {
 	algoName := req.Algorithm
 	if algoName == "" {
@@ -262,34 +263,31 @@ func PlanConsolidation(vms []VM, nodes []Node, req ConsolidationRequest, demand 
 		return ConsolidationPlan{}, fmt.Errorf("%w: unknown algorithm %q (want aco|ffd|optimal)", ErrInvalid, algoName)
 	}
 
-	var problem consolidation.Problem
-	current := types.Placement{}
-	specs := map[types.VMID]types.VMSpec{}
+	var hosts []consolidation.LiveNode
 	for _, n := range nodes {
 		if n.Power != types.PowerOn.String() {
-			continue
+			continue // host mid-transition; its VMs are skipped rather than planned blind
 		}
-		problem.Nodes = append(problem.Nodes, types.NodeSpec{ID: types.NodeID(n.ID), Capacity: ToResourceVector(n.Capacity)})
+		hosts = append(hosts, consolidation.LiveNode{
+			Spec:     types.NodeSpec{ID: types.NodeID(n.ID), Capacity: ToResourceVector(n.Capacity)},
+			Reserved: ToResourceVector(n.Reserved),
+		})
 	}
-	hosts := make(map[types.NodeID]struct{}, len(problem.Nodes))
-	for _, n := range problem.Nodes {
-		hosts[n.ID] = struct{}{}
-	}
+	var running []consolidation.LiveVM
 	for _, vm := range vms {
 		if vm.State != types.VMRunning.String() {
 			continue
 		}
-		if _, ok := hosts[types.NodeID(vm.Node)]; !ok {
-			continue // host mid-transition; skip rather than plan blind
+		live := consolidation.LiveVM{
+			Spec: types.VMSpec{ID: types.VMID(vm.ID), Requested: ToResourceVector(vm.Requested)},
+			Node: types.NodeID(vm.Node),
 		}
-		spec := types.VMSpec{ID: types.VMID(vm.ID), Requested: ToResourceVector(vm.Requested)}
 		if demand != nil {
-			spec.Requested = demand(vm)
+			live.Demand = demand(vm)
 		}
-		problem.VMs = append(problem.VMs, spec)
-		specs[spec.ID] = spec
-		current[spec.ID] = types.NodeID(vm.Node)
+		running = append(running, live)
 	}
+	problem, current, specs := consolidation.BuildProblem(hosts, running)
 
 	plan := ConsolidationPlan{
 		Algorithm:   algoName,

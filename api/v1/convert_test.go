@@ -3,6 +3,7 @@ package apiv1
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -146,32 +147,78 @@ func TestPlanConsolidation(t *testing.T) {
 }
 
 func TestPlanConsolidationDemandModes(t *testing.T) {
+	host := Resources{CPU: 8, MemoryMB: 32768, NetRxMbps: 1000, NetTxMbps: 1000}
 	nodes := []Node{
-		{ID: "n1", Power: "on", Capacity: Resources{CPU: 8, MemoryMB: 32768, NetRxMbps: 1000, NetTxMbps: 1000}},
-		{ID: "n2", Power: "on", Capacity: Resources{CPU: 8, MemoryMB: 32768, NetRxMbps: 1000, NetTxMbps: 1000}},
+		{ID: "n1", Power: "on", Capacity: host, Reserved: Resources{CPU: 3, MemoryMB: 1024}},
+		{ID: "n2", Power: "on", Capacity: host, Reserved: Resources{CPU: 3, MemoryMB: 1024}},
 	}
-	// Each VM reserves more than half a host, so at reservation pricing the
-	// pair cannot share; their measured demand is tiny.
+	// At reservation pricing the pair shares a host.
 	vms := []VM{
-		{ID: "a", State: "running", Node: "n1", Requested: Resources{CPU: 5, MemoryMB: 1024}},
-		{ID: "b", State: "running", Node: "n2", Requested: Resources{CPU: 5, MemoryMB: 1024}},
+		{ID: "a", State: "running", Node: "n1", Requested: Resources{CPU: 3, MemoryMB: 1024}},
+		{ID: "b", State: "running", Node: "n2", Requested: Resources{CPU: 3, MemoryMB: 1024}},
 	}
-	demand := func(vm VM) types.ResourceVector {
-		return types.ResourceVector{CPU: 1, Memory: 512}
+	price := func(cpu float64) DemandFunc {
+		return func(VM) types.ResourceVector { return types.ResourceVector{CPU: cpu, Memory: 512} }
 	}
-	plan, err := PlanConsolidation(vms, nodes, ConsolidationRequest{Algorithm: AlgorithmFFD}, demand)
-	if err != nil || plan.HostsAfter != 2 {
-		t.Fatalf("requested pricing should keep 2 hosts: %+v %v", plan, err)
+	hostsAfter := func(req ConsolidationRequest, demand DemandFunc) int {
+		t.Helper()
+		plan, err := PlanConsolidation(vms, nodes, req, demand)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		return plan.HostsAfter
 	}
-	plan, err = PlanConsolidation(vms, nodes, ConsolidationRequest{Algorithm: AlgorithmFFD, Demand: DemandP95}, demand)
-	if err != nil || plan.HostsAfter != 1 {
-		t.Fatalf("p95 pricing should pack onto 1 host: %+v %v", plan, err)
+	ffd := ConsolidationRequest{Algorithm: AlgorithmFFD}
+	ffdP95 := ConsolidationRequest{Algorithm: AlgorithmFFD, Demand: DemandP95}
+	if n := hostsAfter(ffd, price(5)); n != 1 {
+		t.Fatalf("requested pricing ignores measured demand: %d hosts", n)
 	}
-	if _, err := PlanConsolidation(vms, nodes, ConsolidationRequest{Demand: "peak"}, demand); !errors.Is(err, ErrInvalid) {
+	// Measured demand above the reservation keeps hot VMs apart.
+	if n := hostsAfter(ffdP95, price(5)); n != 2 {
+		t.Fatalf("p95 pricing must not pack two 5-CPU demands onto 8 CPUs: %d hosts", n)
+	}
+	// Measured demand below the reservation does not shrink the VM: the
+	// destination admits on reservations, so a tighter plan would be refused.
+	vms[0].Requested.CPU, vms[1].Requested.CPU = 5, 5
+	nodes[0].Reserved.CPU, nodes[1].Reserved.CPU = 5, 5
+	if n := hostsAfter(ffdP95, price(1)); n != 2 {
+		t.Fatalf("p95 pricing sized VMs below their reservation: %d hosts", n)
+	}
+
+	if _, err := PlanConsolidation(vms, nodes, ConsolidationRequest{Demand: "peak"}, price(1)); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("unknown demand mode: %v", err)
 	}
 	if _, err := PlanConsolidation(vms, nodes, ConsolidationRequest{Demand: DemandP95}, nil); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("p95 without a pricing source: %v", err)
+	}
+}
+
+// A dry run never plans into the reservation of a VM it does not move: n1
+// runs nothing but hosts a suspended VM holding 6 of its 8 CPUs, so the two
+// idle 3-CPU VMs must not be packed onto it, whatever they are priced at.
+func TestPlanConsolidationSparesNonRunningReservations(t *testing.T) {
+	host := Resources{CPU: 8, MemoryMB: 32768, NetRxMbps: 1000, NetTxMbps: 1000}
+	nodes := []Node{
+		{ID: "n1", Power: "on", Capacity: host, Reserved: Resources{CPU: 6, MemoryMB: 2048}},
+		{ID: "n2", Power: "on", Capacity: host, Reserved: Resources{CPU: 3, MemoryMB: 1024}},
+		{ID: "n3", Power: "on", Capacity: host, Reserved: Resources{CPU: 3, MemoryMB: 1024}},
+	}
+	vms := []VM{
+		{ID: "parked", State: "suspended", Node: "n1", Requested: Resources{CPU: 6, MemoryMB: 2048}},
+		{ID: "a", State: "running", Node: "n2", Requested: Resources{CPU: 3, MemoryMB: 1024}},
+		{ID: "b", State: "running", Node: "n3", Requested: Resources{CPU: 3, MemoryMB: 1024}},
+	}
+	idle := func(VM) types.ResourceVector { return types.ResourceVector{CPU: 0.1, Memory: 64} }
+	want := []Migration{{VM: "b", From: "n3", To: "n2"}}
+	for _, req := range []ConsolidationRequest{
+		{Algorithm: AlgorithmFFD, Demand: DemandP95},
+		{Algorithm: AlgorithmACO, Demand: DemandP95},
+		{Algorithm: AlgorithmFFD},
+	} {
+		plan, err := PlanConsolidation(vms, nodes, req, idle)
+		if err != nil || plan.VMs != 2 || plan.HostsAfter != 1 || !reflect.DeepEqual(plan.Migrations, want) {
+			t.Fatalf("%+v: %+v %v", req, plan, err)
+		}
 	}
 }
 

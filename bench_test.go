@@ -13,6 +13,7 @@ import (
 
 	"snooze/internal/cluster"
 	"snooze/internal/consolidation"
+	"snooze/internal/consolidation/online"
 	"snooze/internal/coord"
 	"snooze/internal/election"
 	"snooze/internal/experiments"
@@ -89,12 +90,6 @@ func BenchmarkE7ACOAblation(b *testing.B) {
 	benchExperiment(b, experiments.E7ACOAblation)
 }
 
-// BenchmarkE8DistributedACO regenerates E8: the paper's future-work
-// distributed consolidation vs the centralized algorithm (Section V).
-func BenchmarkE8DistributedACO(b *testing.B) {
-	benchExperiment(b, experiments.E8DistributedACO)
-}
-
 // BenchmarkA1EstimatorAblation regenerates A1: the demand-estimator design
 // choice called out in DESIGN.md §5.
 func BenchmarkA1EstimatorAblation(b *testing.B) {
@@ -105,20 +100,6 @@ func BenchmarkA1EstimatorAblation(b *testing.B) {
 // choice called out in DESIGN.md §5.
 func BenchmarkA2DispatchAblation(b *testing.B) {
 	benchExperiment(b, experiments.A2DispatchAblation)
-}
-
-// BenchmarkDistributedACOSolve400 measures the distributed solver alone at a
-// size where the centralized algorithm becomes slow.
-func BenchmarkDistributedACOSolve400(b *testing.B) {
-	skipInShort(b)
-	p := benchProblem(400)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (consolidation.DistributedACO{GroupSize: 16}).Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -159,50 +140,26 @@ func benchPlacements(b *testing.B) {
 	b.ReportMetric(float64(placed)/b.Elapsed().Seconds(), "placements/s")
 }
 
-// BenchmarkFleetRelocationScan measures the wall cost of periodic
-// reconfiguration scans over a populated fleet behind the group-wide view
-// epoch gate. The reconfiguration period deliberately outpaces monitor
-// ingestion: between report bursts nothing moves, which is exactly the
-// condition the epoch gate detects and skips. The solver runs dry (plan
-// discarded) so the fleet stays quiescent instead of churning on migrations,
-// isolating the scan overhead itself. The sub-benchmark keeps the name the CI
-// gate's baseline compares against.
-func BenchmarkFleetRelocationScan(b *testing.B) {
-	b.Run("gated", benchRelocationScan)
-}
-
-// dryRunReconfig pays the full consolidation-scan cost (problem build, demand
-// estimates, FFD solve) and then reports no plan, keeping the benchmarked
-// fleet free of migration churn.
-type dryRunReconfig struct{ inner consolidation.FFD }
-
-var errDryRun = fmtError("bench: dry-run reconfiguration, plan discarded")
-
-type fmtError string
-
-func (e fmtError) Error() string { return string(e) }
-
-func (dryRunReconfig) Name() string { return "dry-run-ffd" }
-
-func (d dryRunReconfig) Solve(p consolidation.Problem) (consolidation.Result, error) {
-	if _, err := d.inner.Solve(p); err != nil {
-		return consolidation.Result{}, err
-	}
-	return consolidation.Result{}, errDryRun
-}
-
-func benchRelocationScan(b *testing.B) {
+// BenchmarkFleetConsolidationScan measures the wall cost of running the
+// consolidation optimizer over a populated fleet behind the group-wide view
+// epoch gate. The round period deliberately outpaces monitor ingestion:
+// between report bursts nothing moves, which is exactly the condition the
+// epoch gate detects and skips (skips/simsec, of 64 ticks per simulated second
+// over 16 GMs). The rounds that are not skipped pay in full — snapshot,
+// problem build, four-colony ACO solve and the few migrations the default
+// budget lets through.
+func BenchmarkFleetConsolidationScan(b *testing.B) {
 	skipInShort(b)
 	cfg := cluster.DefaultConfig(workload.Grid5000Topology(256, 16), 77)
-	cfg.Manager.Reconfig = dryRunReconfig{inner: consolidation.FFD{Key: consolidation.SortCPU}}
-	cfg.Manager.ReconfigPeriod = 250 * time.Millisecond
+	cfg.Manager.Consolidation = online.Config{Enabled: true, Period: 250 * time.Millisecond}
 	c := cluster.New(cfg)
 	c.Settle(30 * time.Second)
 	if _, err := c.SubmitAndWait(workload.NewGenerator(7, nil).Batch(512), time.Hour); err != nil {
 		b.Fatal(err)
 	}
 	c.Settle(time.Minute)
-	skips0 := c.Metrics.Count("gm.reconfig-skipped-unchanged")
+	const skipped = "gm.consolidation-skips-unchanged"
+	skips0 := c.Metrics.Count(skipped)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -210,7 +167,7 @@ func benchRelocationScan(b *testing.B) {
 	}
 	b.StopTimer()
 	simSecs := float64(b.N) * 10
-	b.ReportMetric(float64(c.Metrics.Count("gm.reconfig-skipped-unchanged")-skips0)/simSecs, "skips/simsec")
+	b.ReportMetric(float64(c.Metrics.Count(skipped)-skips0)/simSecs, "skips/simsec")
 }
 
 // ---------------------------------------------------------------------------
@@ -232,22 +189,6 @@ func benchACO(b *testing.B, n int) {
 	}
 	p := benchProblem(n)
 	cfg := consolidation.DefaultACOConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (consolidation.ACO{Config: cfg}).Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkACOSolveParallel measures the parallel ant construction path
-// ("the algorithm is well suited for parallelization", Section III-A).
-func BenchmarkACOSolveParallel(b *testing.B) {
-	skipInShort(b)
-	p := benchProblem(200)
-	cfg := consolidation.DefaultACOConfig()
-	cfg.Parallel = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

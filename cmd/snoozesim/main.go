@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: e1..e9, a name like gray-failures, or 'all'")
+	exp := flag.String("exp", "all", "experiment to run: e1..e7, e9, a1, a2, f1, a name like gray-failures, or 'all'")
 	scaleName := flag.String("scale", "quick", "experiment scale: quick | full")
 	flag.Parse()
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"snooze"
+	"snooze/internal/consolidation/online"
 	"snooze/internal/scheduling"
 	"snooze/internal/workload"
 )
@@ -30,8 +31,8 @@ func run(consolidate bool) (kwh float64, suspended int) {
 	cfg.Manager.EnergyEnabled = true
 	cfg.Manager.IdleThreshold = 2 * time.Minute
 	if consolidate {
-		cfg.Manager.Reconfig = snooze.NewACOAlgorithm(snooze.DefaultACOConfig())
-		cfg.Manager.ReconfigPeriod = 20 * time.Minute
+		// Periodic reconfiguration: every round executes its whole plan.
+		cfg.Manager.Consolidation = online.Config{Enabled: true, Period: 20 * time.Minute, MigrationBudget: -1}
 	}
 
 	c := snooze.NewCluster(cfg)

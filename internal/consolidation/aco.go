@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"snooze/internal/types"
 )
@@ -29,9 +30,6 @@ type ACOConfig struct {
 	Q float64
 	// Seed makes runs reproducible.
 	Seed int64
-	// Parallel evaluates the ants of each cycle on multiple goroutines
-	// ("the algorithm is well suited for parallelization", Section III-A).
-	Parallel bool
 }
 
 // DefaultACOConfig returns the parameter set used by the experiments.
@@ -51,9 +49,24 @@ func DefaultACOConfig() ACOConfig {
 // System over a pheromone matrix indexed by (VM, host) pairs (Section III-A:
 // ants "communicate indirectly by depositing ... pheromone on each VM-LC
 // pair within a pheromone matrix").
+//
+// The solver runs on goroutines either way ("the algorithm is well suited for
+// parallelization", Section III-A) and is deterministic under a seed either
+// way. A lone colony builds the ants of a cycle concurrently; several colonies
+// each run on their own goroutine over a private pheromone matrix and RNG and
+// exchange the best plan at barriers every exchangeEvery cycles.
 type ACO struct {
 	Config ACOConfig
+	// Colonies is the number of concurrent colonies; values below 2 mean
+	// one. Colony 0 uses Config.Seed and exports its best into the exchange
+	// but never imports, so its trajectory is the one-colony run bit for bit
+	// and the result — the best across colonies — is never worse than it.
+	Colonies int
 }
+
+// exchangeEvery is the number of cycles colonies run between best-plan
+// exchanges.
+const exchangeEvery = 5
 
 // Name implements Algorithm.
 func (ACO) Name() string { return "aco" }
@@ -69,27 +82,83 @@ func (ACO) Name() string { return "aco" }
 // where the heuristic information η favours VMs that lead to "better overall
 // LC utilization" — here the host's mean utilization after packing the VM.
 // When no unassigned VM fits the residual capacity, the ant opens the next
-// host. At cycle end the best solution (fewest hosts) updates the global
-// best; the pheromone matrix evaporates by ρ and the global best's pairs are
+// host. At cycle end the best solution (fewest hosts) updates the colony's
+// best; the pheromone matrix evaporates by ρ and the best's pairs are
 // reinforced, with Max-Min clamping to keep exploration alive.
 func (a ACO) Solve(p Problem) (Result, error) {
 	inst, res, err := newACOInstance(a.Config, p)
 	if inst == nil {
 		return res, err
 	}
-	col := newColony(inst, inst.cfg.Seed)
-	for c := 0; c < inst.cfg.Cycles; c++ {
-		if col.runCycle() {
-			break
+	cols := make([]*colony, max(1, a.Colonies))
+	for i := range cols {
+		cols[i] = newColony(inst, colonySeed(inst.cfg.Seed, i))
+	}
+	// Parallelism lives across colonies when there are several; per-ant
+	// goroutines inside each would only add scheduling overhead.
+	cols[0].concurrentAnts = len(cols) == 1
+	for remaining := inst.cfg.Cycles; remaining > 0; remaining -= exchangeEvery {
+		span := min(exchangeEvery, remaining)
+		var wg sync.WaitGroup
+		for _, c := range cols[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.runCycles(span)
+			}()
+		}
+		cols[0].runCycles(span)
+		wg.Wait()
+		// Deterministic reduction: fewest hosts wins, ties go to the lowest
+		// colony index.
+		best := globalBest(cols)
+		if best.assign == nil {
+			continue
+		}
+		if best.used == inst.lb {
+			break // provably optimal; stop early
+		}
+		// Exchange: colonies adopt the global best and reinforce it next
+		// epoch. Colony 0 only exports, preserving its one-colony identity.
+		for _, c := range cols[1:] {
+			c.adopt(best)
 		}
 	}
-	return inst.result(col.best, col.cycles)
+	cycles := 0
+	for _, c := range cols {
+		cycles = max(cycles, c.cycles)
+	}
+	return inst.result(globalBest(cols), cycles)
+}
+
+// colonySeed derives colony i's RNG seed. Colony 0 keeps the base seed so it
+// replays the one-colony run exactly; the golden-ratio multiplier decorrelates
+// the rest.
+func colonySeed(base int64, i int) int64 {
+	if i == 0 {
+		return base
+	}
+	return base ^ (int64(i) * -0x61c8864680b583eb) // 2^64/φ, signed
+}
+
+// globalBest reduces the colonies' bests deterministically: fewest hosts,
+// ties broken by colony order.
+func globalBest(cols []*colony) acoSolution {
+	best := acoSolution{}
+	for _, c := range cols {
+		if c.best.assign == nil {
+			continue
+		}
+		if best.assign == nil || c.best.used < best.used {
+			best = c.best
+		}
+	}
+	return best
 }
 
 // acoInstance is the shared, read-only part of one ACO run: the validated and
-// deterministically ordered problem plus the Max-Min pheromone bounds. One
-// instance backs a single serial colony (ACO) or several exchanging colonies
-// (ParallelACO).
+// deterministically ordered problem plus the Max-Min pheromone bounds, shared
+// by every colony of the run.
 type acoInstance struct {
 	cfg    ACOConfig
 	vms    []types.VMSpec
@@ -160,15 +229,16 @@ type acoSolution struct {
 	used   int
 }
 
-// colony is one pheromone matrix plus its ants: the unit both the serial ACO
-// and the parallel multi-colony variant iterate. All methods run on a single
-// goroutine; cross-colony exchange happens only at ParallelACO's barriers.
+// colony is one pheromone matrix plus its ants. Its methods run on a single
+// goroutine; cross-colony exchange happens only at Solve's barriers.
 type colony struct {
 	inst   *acoInstance
 	rng    *rand.Rand
 	tau    [][]float64
 	best   acoSolution
 	cycles int
+	// concurrentAnts builds the ants of a cycle on goroutines (lone colony).
+	concurrentAnts bool
 }
 
 func newColony(inst *acoInstance, seed int64) *colony {
@@ -246,34 +316,38 @@ func (c *colony) construct(rng *rand.Rand) acoSolution {
 	return acoSolution{assign: assign, used: used}
 }
 
+// runCycles runs up to n cycles, stopping early at a provably optimal best.
+func (c *colony) runCycles(n int) {
+	for k := 0; k < n; k++ {
+		if c.runCycle() {
+			return
+		}
+	}
+}
+
 // runCycle runs one cycle (ant construction, best update, pheromone update)
 // and reports whether the colony's best is provably optimal, i.e. further
 // cycles cannot improve it.
 func (c *colony) runCycle() bool {
 	inst := c.inst
-	cfg := inst.cfg
 	c.cycles++
-	sols := make([]acoSolution, cfg.Ants)
-	if cfg.Parallel {
-		done := make(chan int, cfg.Ants)
-		for a := 0; a < cfg.Ants; a++ {
-			a := a
-			// Ant seeds are drawn serially so the construction order cannot
-			// perturb determinism.
-			seed := c.rng.Int63()
-			go func() {
-				sols[a] = c.construct(rand.New(rand.NewSource(seed)))
-				done <- a
-			}()
+	sols := make([]acoSolution, inst.cfg.Ants)
+	var wg sync.WaitGroup
+	for a := range sols {
+		// Ant seeds are drawn serially, so goroutine scheduling cannot perturb
+		// the trajectory.
+		rng := rand.New(rand.NewSource(c.rng.Int63()))
+		if !c.concurrentAnts {
+			sols[a] = c.construct(rng)
+			continue
 		}
-		for a := 0; a < cfg.Ants; a++ {
-			<-done
-		}
-	} else {
-		for a := 0; a < cfg.Ants; a++ {
-			sols[a] = c.construct(rand.New(rand.NewSource(c.rng.Int63())))
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sols[a] = c.construct(rng)
+		}()
 	}
+	wg.Wait()
 	// "At the end of each cycle, local solutions are compared and the one
 	// requiring the least number of LCs is saved as the new globally optimal
 	// solution."

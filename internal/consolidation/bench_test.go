@@ -9,11 +9,10 @@ import (
 // benchSink keeps solver results live across iterations.
 var benchSink int
 
-// BenchmarkACOSolve compares the serial solver against the parallel-colony
-// solver at equal total work. ParallelACO with C colonies explores C
-// independent trajectories (plus the best-plan exchange); its serial
-// equivalent is C multi-start runs taking the best placement. The single-run
-// variant prices one raw trajectory for reference.
+// BenchmarkACOSolve compares one colony against several at equal total work.
+// ACO with C colonies explores C independent trajectories (plus the best-plan
+// exchange); its one-colony equivalent is C multi-start runs taking the best
+// placement. The single-run variant prices one raw trajectory for reference.
 func BenchmarkACOSolve(b *testing.B) {
 	p := uniformProblem(3, 48, workload.CorrelatedInstance)
 	cfg := DefaultACOConfig()
@@ -46,8 +45,8 @@ func BenchmarkACOSolve(b *testing.B) {
 			benchSink = best
 		}
 	})
-	b.Run("parallel-x4", func(b *testing.B) {
-		solver := ParallelACO{Colonies: colonies, Config: cfg}
+	b.Run("colonies-x4", func(b *testing.B) {
+		solver := ACO{Colonies: colonies, Config: cfg}
 		for i := 0; i < b.N; i++ {
 			r, err := solver.Solve(p)
 			if err != nil {

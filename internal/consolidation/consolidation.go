@@ -6,13 +6,18 @@
 // III-B):
 //
 //   - ACO: the novel Ant Colony Optimization consolidation algorithm
-//     (ref [10]), a Max-Min Ant System over a VM×host pheromone matrix.
+//     (ref [10]), a Max-Min Ant System over a VM×host pheromone matrix, run
+//     as one colony or several exchanging ones (ACO.Colonies).
 //   - FFD: the First-Fit Decreasing heuristic baseline, including the
 //     single-dimension presort the paper criticizes plus L1/L2 vector
 //     variants.
 //   - Exact: a branch-and-bound vector bin-packing solver standing in for
 //     the paper's CPLEX runs, yielding the optimal host count on the
 //     instance sizes the paper evaluated.
+//
+// BuildProblem is the one way a Problem is derived from a running system (the
+// GMs' online optimizer and the api/v1 dry run both call it); Plan orders the
+// migrations that take the system from its current placement to a solver's.
 package consolidation
 
 import (
@@ -28,8 +33,8 @@ import (
 type Problem struct {
 	// VMs carry their demand estimate in Requested.
 	VMs []types.VMSpec
-	// Nodes is the host inventory (assumed available and empty; callers
-	// consolidating a live system pass current VM demand estimates).
+	// Nodes is the host inventory, assumed available and empty (BuildProblem
+	// subtracts what a live system's plan cannot move).
 	Nodes []types.NodeSpec
 }
 

@@ -3,6 +3,8 @@ package consolidation
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"snooze/internal/types"
@@ -250,16 +252,27 @@ func TestACONearOptimal(t *testing.T) {
 	}
 }
 
-func TestACOParallelMatchesConfigBounds(t *testing.T) {
+// TestACOSingleColonyIdenticalAcrossGOMAXPROCS: a lone colony builds its ants
+// on goroutines, but their seeds are drawn serially, so the result cannot
+// depend on how many of them actually run at once.
+func TestACOSingleColonyIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	p := uniformProblem(2, 40, workload.UniformInstance)
-	cfg := DefaultACOConfig()
-	cfg.Parallel = true
-	r, err := (ACO{Config: cfg}).Solve(p)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one, err := (ACO{}).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(p, r.Placement); err != nil {
+	runtime.GOMAXPROCS(4)
+	four, err := (ACO{}).Solve(p)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := Validate(p, four.Placement); err != nil {
+		t.Fatal(err)
+	}
+	if one.Cycles != four.Cycles || !reflect.DeepEqual(one.Placement, four.Placement) {
+		t.Fatalf("GOMAXPROCS 1 vs 4: cycles %d vs %d, placements equal=%v",
+			one.Cycles, four.Cycles, reflect.DeepEqual(one.Placement, four.Placement))
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package online runs consolidation as a continuous control loop — the
 // paper's headline use of the ACO packer inside the autonomic GL/GM/LC
-// hierarchy (Feller & Morin, Sections II-C and III) — instead of the one-shot
-// dry run the api/v1 surface started with.
+// hierarchy (Feller & Morin, Sections II-C and III). It is the only engine
+// that executes consolidation: the paper's periodic reconfiguration policy
+// family is this optimizer with an unlimited budget (MigrationBudget: -1).
 //
 // Each round the Optimizer builds its packing problem from live capacity
-// views (scheduling/view): VM demand is the p95 of the windowed per-VM
-// series, falling back to the snapshot when history is thin, never raw
-// points. The problem is solved by parallel ant colonies
-// (consolidation.ParallelACO — independent colonies on goroutines sharing a
+// views (scheduling/view) through consolidation.BuildProblem: VM demand is
+// the p95 of the windowed per-VM series, falling back to the snapshot when
+// history is thin, never raw points and never below the reservation the
+// hypervisor admits on. The problem is solved by ant colonies
+// (consolidation.ACO — independent colonies on goroutines sharing a
 // deterministic best-plan exchange), and the resulting incremental plan is
 // capped by a per-round migration budget. Plan execution is a small state
 // machine: migrations are issued one at a time through the Host (the GM), and
@@ -41,7 +43,7 @@ const (
 	DefaultPeriod = 30 * time.Second
 	// DefaultMigrationBudget caps migrations per round.
 	DefaultMigrationBudget = 4
-	// DefaultColonies is the parallel ant-colony count.
+	// DefaultColonies is the ant-colony count.
 	DefaultColonies = 4
 	// DefaultReceiverHotP95 is the receiver-side cancellation gate: a
 	// migration is cancelled when its destination's fresh p95 utilization
@@ -67,7 +69,7 @@ type Config struct {
 	// MigrationBudget caps migrations per round
 	// (DefaultMigrationBudget when zero; negative means unlimited).
 	MigrationBudget int
-	// Colonies is the parallel ant-colony count (DefaultColonies when zero).
+	// Colonies is the ant-colony count (DefaultColonies when zero).
 	Colonies int
 	// ACO parameterizes every colony (consolidation.DefaultACOConfig when
 	// zero). The per-round solver seed is derived from ACO.Seed and the
@@ -113,18 +115,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// VMDemand prices one running VM for the packing problem: its spec, its
-// current node and the demand estimate the round plans against (p95 of the
-// windowed series, snapshot fallback — see Host.ConsolidationSnapshot).
-type VMDemand struct {
-	Spec   types.VMSpec
-	Node   types.NodeID
-	Demand types.ResourceVector
-}
-
 // NodeLoad is one schedulable node plus its current view statistics.
 type NodeLoad struct {
 	Spec types.NodeSpec
+	// Reserved sums every reservation held on the node, movable or not
+	// (consolidation.LiveNode).
+	Reserved types.ResourceVector
 	// P95 and Trend summarize the node's windowed "util" series; Fresh
 	// reports whether they are trustworthy (view.Stats semantics). Stale
 	// statistics never cancel a migration.
@@ -134,11 +130,13 @@ type NodeLoad struct {
 }
 
 // Snapshot is the optimizer's per-round input, assembled by the Host from
-// live capacity views.
+// live capacity views: the schedulable nodes and every running VM on them,
+// priced at the demand the round plans against (p95 of the windowed series,
+// snapshot fallback — see Host.ConsolidationSnapshot).
 type Snapshot struct {
 	Now   time.Duration
 	Nodes []NodeLoad
-	VMs   []VMDemand
+	VMs   []consolidation.LiveVM
 	// Epoch is the host's group-wide view epoch at assembly time (0 when the
 	// host does not track one): a counter bumped by every state change that
 	// can alter the views — monitor ingestion, reservations, migrations,
@@ -194,7 +192,7 @@ type Status struct {
 }
 
 // Optimizer is the continuous consolidation service: a Start/Stop lifecycle
-// around a periodic round of snapshot → parallel-ACO solve → budgeted,
+// around a periodic round of snapshot → ACO solve → budgeted,
 // trend-revalidated plan execution.
 type Optimizer struct {
 	rt   simkernel.Runtime
@@ -336,24 +334,16 @@ func (o *Optimizer) tick() {
 
 // runRound solves the packing problem and starts plan execution.
 func (o *Optimizer) runRound(gen uint64, snap Snapshot) {
-	problem := consolidation.Problem{}
-	current := types.Placement{}
-	specs := map[types.VMID]types.VMSpec{}
-	for _, n := range snap.Nodes {
-		problem.Nodes = append(problem.Nodes, n.Spec)
+	nodes := make([]consolidation.LiveNode, len(snap.Nodes))
+	for i, n := range snap.Nodes {
+		nodes[i] = consolidation.LiveNode{Spec: n.Spec, Reserved: n.Reserved}
 	}
-	for _, vm := range snap.VMs {
-		spec := vm.Spec
-		spec.Requested = vm.Demand
-		problem.VMs = append(problem.VMs, spec)
-		current[vm.Spec.ID] = vm.Node
-		specs[vm.Spec.ID] = spec
-	}
+	problem, current, specs := consolidation.BuildProblem(nodes, snap.VMs)
 
 	cfg := o.cfg.ACO
 	// Derive the round seed deterministically so rounds differ but replay.
 	cfg.Seed = cfg.Seed + int64(o.roundNumber())*1000003
-	solver := consolidation.ParallelACO{Colonies: o.cfg.Colonies, Config: cfg}
+	solver := consolidation.ACO{Colonies: o.cfg.Colonies, Config: cfg}
 	result, err := solver.Solve(problem)
 	if err != nil {
 		o.finishRound(gen, RoundInfo{At: snap.Now, HostsBefore: current.NodesUsed(), HostsAfter: current.NodesUsed()})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"snooze/internal/consolidation"
 	"snooze/internal/simkernel"
 	"snooze/internal/telemetry"
 	"snooze/internal/types"
@@ -16,7 +17,7 @@ import (
 type fakeHost struct {
 	rt    simkernel.Runtime
 	nodes map[types.NodeID]NodeLoad
-	vms   map[types.VMID]VMDemand
+	vms   map[types.VMID]consolidation.LiveVM
 
 	// loadOverride, when non-nil, answers NodeLoad instead of the node map —
 	// the hook tests use to shift trends between snapshot and re-validation.
@@ -41,7 +42,7 @@ func newFakeHost(rt simkernel.Runtime, nodes, vmsPerNode int) *fakeHost {
 	h := &fakeHost{
 		rt:    rt,
 		nodes: map[types.NodeID]NodeLoad{},
-		vms:   map[types.VMID]VMDemand{},
+		vms:   map[types.VMID]consolidation.LiveVM{},
 		marks: map[string]int64{},
 	}
 	capv := types.RV(8, 32768, 1000, 1000)
@@ -55,7 +56,7 @@ func newFakeHost(rt simkernel.Runtime, nodes, vmsPerNode int) *fakeHost {
 		}
 		for j := 0; j < vmsPerNode; j++ {
 			vmID := types.VMID(fmt.Sprintf("v%d-%d", i, j))
-			h.vms[vmID] = VMDemand{
+			h.vms[vmID] = consolidation.LiveVM{
 				Spec:   types.VMSpec{ID: vmID, Requested: types.RV(2, 4096, 50, 50)},
 				Node:   id,
 				Demand: types.RV(1, 1024, 10, 10),

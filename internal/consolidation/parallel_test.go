@@ -9,7 +9,7 @@ import (
 func TestParallelACOSolvesTinyOptimally(t *testing.T) {
 	cfg := DefaultACOConfig()
 	cfg.Seed = 7
-	r, err := (ParallelACO{Colonies: 4, Config: cfg}).Solve(tinyProblem())
+	r, err := (ACO{Colonies: 4, Config: cfg}).Solve(tinyProblem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestParallelACODeterministicPerSeed(t *testing.T) {
 	p := uniformProblem(21, 40, workload.UniformInstance)
 	cfg := DefaultACOConfig()
 	cfg.Seed = 99
-	solver := ParallelACO{Colonies: 4, ExchangeEvery: 3, Config: cfg}
+	solver := ACO{Colonies: 4, Config: cfg}
 	first, err := solver.Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestParallelACOSingleColonyMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (ParallelACO{Colonies: 1, Config: cfg}).Solve(p)
+	par, err := (ACO{Colonies: 1, Config: cfg}).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestParallelACOQualityNoWorseThanSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("kind %v seed %d serial: %v", kind, seed, err)
 			}
-			par, err := (ParallelACO{Colonies: 4, Config: cfg}).Solve(p)
+			par, err := (ACO{Colonies: 4, Config: cfg}).Solve(p)
 			if err != nil {
 				t.Fatalf("kind %v seed %d parallel: %v", kind, seed, err)
 			}
@@ -102,7 +102,7 @@ func TestParallelACOQualityNoWorseThanSerial(t *testing.T) {
 
 func TestParallelACOEdgeCases(t *testing.T) {
 	cfg := DefaultACOConfig()
-	solver := ParallelACO{Colonies: 3, Config: cfg}
+	solver := ACO{Colonies: 3, Config: cfg}
 	r, err := solver.Solve(Problem{Nodes: tinyProblem().Nodes})
 	if err != nil || r.HostsUsed != 0 {
 		t.Fatalf("empty VM set: %+v %v", r, err)

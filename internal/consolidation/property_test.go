@@ -28,7 +28,6 @@ func TestPropertyAllSolversValid(t *testing.T) {
 	algos := []Algorithm{
 		FFD{Key: SortCPU}, FFD{Key: SortL1}, FFD{Key: SortL2},
 		ACO{Config: ACOConfig{Ants: 4, Cycles: 5, Alpha: 1, Beta: 4, Rho: 0.3, Q: 2, Seed: 1}},
-		DistributedACO{GroupSize: 8},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -181,8 +181,10 @@ func TestByID(t *testing.T) {
 			t.Fatalf("ByID(%s): %v", id, err)
 		}
 	}
-	if _, err := ByID("bogus", ScaleQuick); err == nil {
-		t.Fatal("bogus experiment accepted")
+	for _, id := range []string{"bogus", "e8", "distributed-aco"} { // E8 went with DistributedACO
+		if _, err := ByID(id, ScaleQuick); err == nil {
+			t.Fatalf("unknown experiment %q accepted", id)
+		}
 	}
 }
 

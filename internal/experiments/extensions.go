@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"snooze/internal/cluster"
-	"snooze/internal/consolidation"
 	"snooze/internal/metrics"
 	"snooze/internal/resource"
 	"snooze/internal/scheduling"
@@ -13,52 +12,8 @@ import (
 	"snooze/internal/workload"
 )
 
-// This file holds the extension experiments: E8 implements the paper's
-// stated future work (Section V: "a distributed version of the algorithm
-// will be developed"), and A1/A2 are the design-choice ablations DESIGN.md
-// §5 calls out (demand estimator, dispatch policy).
-
-// E8DistributedACO compares the centralized ACO against the distributed
-// variant (per-GM colonies + exchange phase). Expected shape: distributed
-// runs much faster on large instances at a small host-count premium.
-func E8DistributedACO(scale Scale) Result {
-	sizes := []int{100, 200, 400}
-	groupSize := 16
-	if scale == ScaleQuick {
-		sizes = []int{60, 120}
-	}
-	tb := metrics.NewTable("n-VMs", "FFD-hosts", "ACO-hosts", "ACO-time", "dist-hosts", "dist-time", "groups", "premium%")
-	for _, n := range sizes {
-		inst := workload.NewInstance(workload.InstanceConfig{Seed: 13, VMs: n, Kind: workload.UniformInstance, Lo: 0.05, Hi: 0.45})
-		p := consolidation.Problem{VMs: inst.VMs, Nodes: inst.Nodes}
-		ffd, err := (consolidation.FFD{Key: consolidation.SortCPU}).Solve(p)
-		if err != nil {
-			tb.AddRow(n, "ERROR: "+err.Error(), "-", "-", "-", "-", "-", "-")
-			continue
-		}
-		start := time.Now()
-		central, err1 := (consolidation.ACO{}).Solve(p)
-		centralTime := time.Since(start)
-		start = time.Now()
-		dist, err2 := (consolidation.DistributedACO{GroupSize: groupSize}).Solve(p)
-		distTime := time.Since(start)
-		if err1 != nil || err2 != nil {
-			tb.AddRow(n, ffd.HostsUsed, "ERROR", "-", "-", "-", "-", "-")
-			continue
-		}
-		premium := 100 * float64(dist.HostsUsed-central.HostsUsed) / float64(central.HostsUsed)
-		tb.AddRow(n, ffd.HostsUsed, central.HostsUsed, centralTime.Round(time.Millisecond),
-			dist.HostsUsed, distTime.Round(time.Millisecond), dist.Cycles, premium)
-	}
-	return Result{
-		ID:    "E8",
-		Title: "Distributed ACO (paper future work): quality/time vs centralized",
-		Table: tb,
-		Notes: []string{
-			"expected shape: distributed wall time grows far slower with n; host premium stays single-digit %",
-		},
-	}
-}
+// This file holds the design-choice ablations DESIGN.md §5 calls out (demand
+// estimator, dispatch policy).
 
 // A1EstimatorAblation sweeps the GM's demand estimator under a bursty
 // workload and reports relocation activity — the estimator choice trades

@@ -3,15 +3,17 @@ package hierarchy
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
-	"snooze/internal/consolidation"
 	"snooze/internal/obs"
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling"
 	"snooze/internal/scheduling/view"
+	"snooze/internal/simkernel"
 	"snooze/internal/telemetry"
 	"snooze/internal/telemetry/sketch"
 	"snooze/internal/transport"
@@ -19,8 +21,10 @@ import (
 )
 
 // This file implements the Group Manager role: monitoring reception, demand
-// estimation, VM placement, overload/underload relocation, energy
-// management and periodic reconfiguration (Sections II-B, II-C, III).
+// estimation, VM placement, overload/underload relocation and energy
+// management (Sections II-B, II-C, III). The reconfiguration policy family of
+// Section II-C — periodic consolidation — is the online optimizer
+// (gm_consolidation.go) with an unlimited migration budget.
 
 // becomeGMLocked (re)activates the GM role against the given GL address.
 func (m *Manager) becomeGMLocked(gl transport.Address) {
@@ -49,11 +53,8 @@ func (m *Manager) becomeGMLocked(gl transport.Address) {
 		// node.idle / node.normal / vm.state / lc-join events, and each check
 		// re-arms itself at the exact moment the earliest idle node ripens.
 		// One bootstrap check covers LCs that linger from an earlier GM stint.
-		m.energyUnsub = m.tel.Journal().Observe(m.onEnergyEvent)
-		m.scheduleEnergyCheckLocked(m.rt.Now() + m.cfg.IdleThreshold)
-	}
-	if m.cfg.Reconfig != nil && m.cfg.ReconfigPeriod > 0 {
-		m.addTicker(m.cfg.ReconfigPeriod, m.gmReconfigTick)
+		m.energy.observeLocked()
+		m.energy.armLocked(m.rt.Now() + m.cfg.IdleThreshold)
 	}
 	if m.cfg.Consolidation.Enabled {
 		// The continuous consolidation service runs for the duration of the
@@ -66,8 +67,8 @@ func (m *Manager) becomeGMLocked(gl transport.Address) {
 		// gmOnMonitor) schedule exact-deadline reconciliations of the hub's
 		// vm/* series against this GM's inventory. One bootstrap sweep
 		// covers series that predate this GM stint.
-		m.sweepUnsub = m.tel.Journal().Observe(m.onSweepEvent)
-		m.scheduleVMSweepLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
+		m.sweep.observeLocked()
+		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
 	}
 	if period := m.stateSyncPeriod(); period > 0 {
 		// State replication: push owned-telemetry snapshots + journal
@@ -286,7 +287,7 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	// a migration race): arm the liveness sweep so its series is reconciled
 	// once the grace period proves it gone everywhere.
 	if m.cfg.VMLivenessGrace > 0 && vmsRemoved(rec.vms, rep.VMs) {
-		m.scheduleVMSweepLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
+		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
 	}
 	rec.vms = rep.VMs
 	becameIdle := false
@@ -503,7 +504,7 @@ func (m *Manager) placeVM(spec types.VMSpec, parent obs.SpanContext, cb func(nod
 			// placement needs a scheduled check to retry the wake and
 			// enforce its deadline (gmEnergyCheck keeps re-arming while the
 			// queue is non-empty).
-			m.scheduleEnergyCheckLocked(m.rt.Now() + m.cfg.IdleThreshold/2)
+			m.energy.armLocked(m.rt.Now() + m.cfg.IdleThreshold/2)
 			m.mu.Unlock()
 			m.mark("gm.place-queued", 1)
 			span.Finish("queued")
@@ -796,8 +797,7 @@ func (m *Manager) executeMovesLocked(moves []scheduling.Move, parent obs.SpanCon
 // migrateVMLocked issues one live migration, maintaining busy markers and the
 // optimistic reservation shift; done is invoked exactly once with the
 // outcome, never while m.mu is held. It is the single migration primitive —
-// relocation, reconfiguration and the online consolidation optimizer all
-// funnel through it.
+// relocation and the consolidation optimizer both funnel through it.
 func (m *Manager) migrateVMLocked(mv types.Migration, done func(ok bool)) {
 	m.migrateVMTracedLocked(mv, obs.SpanContext{}, done)
 }
@@ -969,55 +969,79 @@ func (m *Manager) gmSweepTick() {
 	}
 }
 
-// onEnergyEvent is the journal observer driving event-driven energy
-// management: any event that can change idleness (a node reporting idle, a
-// recovery, a VM lifecycle outcome, an LC joining) kicks one idle check.
-// It runs synchronously on the publishing goroutine — possibly while the
-// publisher holds m.mu — so it touches no manager state beyond the atomic
-// debounce and defers the real work to a runtime event.
-func (m *Manager) onEnergyEvent(ev telemetry.Event) {
-	switch ev.Type {
-	case telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin:
-	default:
-		return
-	}
-	if m.energyKick.CompareAndSwap(false, true) {
-		m.rt.After(0, func() {
-			m.energyKick.Store(false)
-			m.gmEnergyCheck()
-		})
-	}
+// deadline is the debounce-then-keep-earliest-deadline machine behind the two
+// journal-armed GM loops, the idle check (m.energy) and the VM liveness sweep
+// (m.sweep): journal events of the listed types kick it, a burst of kicks
+// collapses into one runtime event, and of the instants it is armed for only
+// the earliest stays scheduled.
+//
+// The observer runs synchronously on the publishing goroutine — possibly while
+// the publisher holds m.mu — so it touches nothing but the atomic and defers
+// the real work to a runtime event. Everything else is guarded by m.mu.
+type deadline struct {
+	m      *Manager
+	events []string // journal event types that kick
+	onKick func()   // debounced reaction to a kick; called without m.mu
+	fire   func()   // called without m.mu when the armed instant is reached
+
+	kicked atomic.Bool
+
+	unsub  func() // journal observer's cancel hook; nil when not observing
+	at     time.Duration
+	cancel simkernel.Canceler
 }
 
-// scheduleEnergyCheckLocked arms (or re-arms) the idle check at the absolute
-// runtime instant at, keeping only the earliest outstanding deadline.
-func (m *Manager) scheduleEnergyCheckLocked(at time.Duration) {
-	if m.energyCancel != nil && m.energyAt <= at {
-		return // an earlier (or equal) check is already scheduled
-	}
-	if m.energyCancel != nil {
-		m.energyCancel.Cancel()
-	}
-	m.energyAt = at
-	delay := at - m.rt.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	m.energyCancel = m.rt.After(delay, func() {
-		m.mu.Lock()
-		m.energyAt = 0
-		m.energyCancel = nil
-		m.mu.Unlock()
-		m.gmEnergyCheck()
+// observeLocked subscribes to the journal for the GM stint.
+func (d *deadline) observeLocked() {
+	d.unsub = d.m.tel.Journal().Observe(func(ev telemetry.Event) {
+		if !slices.Contains(d.events, ev.Type) || !d.kicked.CompareAndSwap(false, true) {
+			return
+		}
+		d.m.rt.After(0, func() {
+			d.kicked.Store(false)
+			d.onKick()
+		})
 	})
+}
+
+// armLocked schedules fire at the absolute runtime instant at, unless an
+// earlier (or equal) instant is already scheduled.
+func (d *deadline) armLocked(at time.Duration) {
+	if d.cancel != nil {
+		if d.at <= at {
+			return
+		}
+		d.cancel.Cancel()
+	}
+	d.at = at
+	d.cancel = d.m.rt.After(max(0, at-d.m.rt.Now()), func() {
+		d.m.mu.Lock()
+		d.at, d.cancel = 0, nil
+		d.m.mu.Unlock()
+		d.fire()
+	})
+}
+
+// stopLocked detaches the observer and cancels the scheduled instant.
+func (d *deadline) stopLocked() {
+	if d.unsub != nil {
+		d.unsub()
+		d.unsub = nil
+	}
+	if d.cancel != nil {
+		d.cancel.Cancel()
+		d.cancel = nil
+	}
+	d.at = 0
 }
 
 // gmEnergyCheck suspends LCs that have been idle past the administrator's
 // threshold (Section III) and wakes capacity when placements are queued. It
-// replaces the former polling tick: journal events (node.idle, node.normal,
-// vm.state, lc-join) trigger it, and when it finds idle-but-not-yet-ripe
-// nodes it re-arms itself for the exact moment the earliest one ripens — so
-// large idle groups cost no periodic tick work at all.
+// is event-driven: any journal event that can change idleness (a node
+// reporting idle, a recovery, a VM lifecycle outcome, an LC joining) triggers
+// it through m.energy, and when it finds idle-but-not-yet-ripe nodes it
+// re-arms itself for the exact moment the earliest one ripens — so large idle
+// groups cost no periodic tick work at all.
 func (m *Manager) gmEnergyCheck() {
 	m.mu.Lock()
 	if m.role != RoleGM || m.stopped || !m.cfg.EnergyEnabled {
@@ -1063,7 +1087,7 @@ func (m *Manager) gmEnergyCheck() {
 		}
 	}
 	if nextRipe > 0 {
-		m.scheduleEnergyCheckLocked(nextRipe)
+		m.energy.armLocked(nextRipe)
 	}
 	m.mu.Unlock()
 	sort.Slice(toSuspend, func(i, j int) bool { return toSuspend[i].id < toSuspend[j].id })
@@ -1087,7 +1111,7 @@ func (m *Manager) gmEnergyCheck() {
 						m.bumpViewEpochLocked()
 					}
 					if m.role == RoleGM && !m.stopped {
-						m.scheduleEnergyCheckLocked(m.rt.Now() + m.cfg.IdleThreshold/2)
+						m.energy.armLocked(m.rt.Now() + m.cfg.IdleThreshold/2)
 					}
 					m.mu.Unlock()
 					return
@@ -1103,51 +1127,15 @@ func (m *Manager) gmEnergyCheck() {
 	}
 }
 
-// onSweepEvent is the journal observer arming the VM liveness sweep: any
-// event that can orphan a vm/* series — a VM lifecycle outcome, an LC
-// failing or changing hands, a GM failing mid-handoff — schedules a
-// reconciliation one grace period out. Like onEnergyEvent it runs
-// synchronously on the publishing goroutine (possibly under m.mu), so it
-// only debounces and defers.
-func (m *Manager) onSweepEvent(ev telemetry.Event) {
-	switch ev.Type {
-	case telemetry.EventVMState, telemetry.EventLCFailed, telemetry.EventLCJoin, telemetry.EventGMFailed:
-	default:
-		return
+// armVMSweep is m.sweep's reaction to a journal event that can orphan a vm/*
+// series — a VM lifecycle outcome, an LC failing or changing hands, a GM
+// failing mid-handoff: reconcile one grace period out.
+func (m *Manager) armVMSweep() {
+	m.mu.Lock()
+	if m.role == RoleGM && !m.stopped {
+		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
 	}
-	if m.sweepKick.CompareAndSwap(false, true) {
-		m.rt.After(0, func() {
-			m.sweepKick.Store(false)
-			m.mu.Lock()
-			if m.role == RoleGM && !m.stopped {
-				m.scheduleVMSweepLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
-			}
-			m.mu.Unlock()
-		})
-	}
-}
-
-// scheduleVMSweepLocked arms (or re-arms) the liveness sweep at the absolute
-// runtime instant at, keeping only the earliest outstanding deadline.
-func (m *Manager) scheduleVMSweepLocked(at time.Duration) {
-	if m.sweepCancel != nil && m.sweepAt <= at {
-		return // an earlier (or equal) sweep is already scheduled
-	}
-	if m.sweepCancel != nil {
-		m.sweepCancel.Cancel()
-	}
-	m.sweepAt = at
-	delay := at - m.rt.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	m.sweepCancel = m.rt.After(delay, func() {
-		m.mu.Lock()
-		m.sweepAt = 0
-		m.sweepCancel = nil
-		m.mu.Unlock()
-		m.gmVMSweep()
-	})
+	m.mu.Unlock()
 }
 
 // gmVMSweep reconciles the hub's vm/* series against this GM's inventory:
@@ -1222,72 +1210,10 @@ func (m *Manager) gmVMSweep() {
 	if nextRipe > 0 {
 		m.mu.Lock()
 		if m.role == RoleGM && !m.stopped {
-			m.scheduleVMSweepLocked(nextRipe)
+			m.sweep.armLocked(nextRipe)
 		}
 		m.mu.Unlock()
 	}
-}
-
-// gmReconfigTick runs the configured consolidation algorithm over this GM's
-// moderately loaded LCs and executes the resulting migration plan —
-// the periodic "reconfiguration" policy family of Section II-C.
-func (m *Manager) gmReconfigTick() {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped || m.cfg.Reconfig == nil {
-		m.mu.Unlock()
-		return
-	}
-	// Epoch gate: nothing moved since the last solve (no monitor ingestion,
-	// placement, migration, sleep/wake or membership change bumped the view
-	// epoch) means the same problem would be rebuilt and re-solved for the
-	// same answer — skip the whole scan.
-	if m.lastReconfigEpoch == m.viewEpoch {
-		m.mu.Unlock()
-		m.mark("gm.reconfig-skipped-unchanged", 1)
-		return
-	}
-	m.lastReconfigEpoch = m.viewEpoch
-	// Build the consolidation problem: active, non-busy LCs and their VMs
-	// with estimated demand, against residual (not full) node capacity.
-	now := m.rt.Now()
-	inputs := make([]reconfigNodeInput, 0, len(m.lcs))
-	for _, lc := range m.lcs {
-		if lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
-			continue
-		}
-		inputs = append(inputs, reconfigNodeInput{Status: lc.status, VMs: lc.vms})
-	}
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Status.Spec.ID < inputs[j].Status.Spec.ID })
-	problem, current, specs := buildReconfigProblem(inputs, func(vm types.VMStatus) types.ResourceVector {
-		return m.estimateVM(now, vm)
-	})
-	if len(problem.VMs) == 0 || len(problem.Nodes) < 2 {
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-
-	result, err := m.cfg.Reconfig.Solve(problem)
-	if err != nil {
-		return
-	}
-	plan := consolidation.Plan(current, result.Placement, specs, problem.Nodes)
-	if len(plan) == 0 {
-		return
-	}
-	m.mark("gm.reconfig-rounds", 1)
-	m.mark("gm.reconfig-migrations", int64(len(plan)))
-	moves := make([]scheduling.Move, 0, len(plan))
-	for _, mg := range plan {
-		moves = append(moves, scheduling.Move{VM: mg.VM, From: mg.From, To: mg.To})
-	}
-	span := m.cfg.Tracer.StartTrace(obs.KindRelocation, telemetry.GMEntity(m.cfg.ID))
-	span.SetPolicy(m.cfg.Reconfig.Name())
-	span.Annotate("origin", "reconfig")
-	m.mu.Lock()
-	m.executeMovesLocked(moves, span.Context())
-	m.mu.Unlock()
-	span.Finish("executing")
 }
 
 // ---------------------------------------------------------------------------
@@ -1318,47 +1244,6 @@ func validMonitorReport(rep protocol.MonitorReport, now time.Duration) bool {
 		}
 	}
 	return true
-}
-
-// reconfigNodeInput is one schedulable LC's contribution to the periodic
-// consolidation problem.
-type reconfigNodeInput struct {
-	Status types.NodeStatus
-	VMs    []types.VMStatus
-}
-
-// buildReconfigProblem assembles the consolidation problem over schedulable
-// LCs. Only running VMs are re-packed; every other resident reservation —
-// VMs mid-start or suspended, and optimistic in-flight placements — is
-// subtracted from its node's capacity, so the solver plans against residual
-// room and never produces placements that conflict with residents the plan
-// cannot move (the failed-migration storms the full-capacity problem used
-// to cause). Each re-packed VM is sized at the componentwise max of its
-// reservation and its estimated demand: admission checks reservations,
-// while the estimate keeps hot VMs from being packed as if idle.
-func buildReconfigProblem(inputs []reconfigNodeInput, estimate func(types.VMStatus) types.ResourceVector) (consolidation.Problem, types.Placement, map[types.VMID]types.VMSpec) {
-	var problem consolidation.Problem
-	current := types.Placement{}
-	specs := map[types.VMID]types.VMSpec{}
-	for _, in := range inputs {
-		node := in.Status.Spec
-		var included types.ResourceVector
-		for _, vm := range in.VMs {
-			if vm.State != types.VMRunning {
-				continue
-			}
-			spec := vm.Spec
-			spec.Requested = vm.Spec.Requested.Max(estimate(vm))
-			included = included.Add(vm.Spec.Requested)
-			problem.VMs = append(problem.VMs, spec)
-			current[vm.Spec.ID] = node.ID
-			specs[vm.Spec.ID] = spec
-		}
-		foreign := in.Status.Reserved.Sub(included).Max(types.ResourceVector{})
-		node.Capacity = node.Capacity.Sub(foreign).Max(types.ResourceVector{})
-		problem.Nodes = append(problem.Nodes, node)
-	}
-	return problem, current, specs
 }
 
 func vmIDs(specs []types.VMSpec) []types.VMID {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"snooze/internal/consolidation"
 	"snooze/internal/consolidation/online"
 	"snooze/internal/protocol"
 	"snooze/internal/telemetry"
@@ -118,8 +119,9 @@ func (m *Manager) gmOnConsolidation(req *transport.Request) {
 type gmHost struct{ m *Manager }
 
 // ConsolidationSnapshot implements online.Host: the schedulable LCs with
-// their view statistics, and every running VM priced at its p95 windowed
-// demand (snapshot fallback).
+// their reservations and view statistics, and every running VM priced through
+// the shared view helper (p95 windowed demand, snapshot fallback) — the same
+// chain the demand=p95 API dry run uses.
 func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
 	m := h.m
 	m.mu.Lock()
@@ -133,21 +135,15 @@ func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
 		if lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
 			continue
 		}
-		v := m.views.Node(now, lc.status)
-		snap.Nodes = append(snap.Nodes, online.NodeLoad{
-			Spec:  lc.status.Spec,
-			P95:   v.Stats.P95,
-			Trend: v.Stats.Trend,
-			Fresh: v.Stats.Fresh,
-		})
+		snap.Nodes = append(snap.Nodes, m.nodeLoadLocked(now, lc))
 		for _, vm := range lc.vms {
 			if vm.State != types.VMRunning {
 				continue
 			}
-			snap.VMs = append(snap.VMs, online.VMDemand{
+			snap.VMs = append(snap.VMs, consolidation.LiveVM{
 				Spec:   vm.Spec,
 				Node:   lc.id,
-				Demand: m.consolidationDemandLocked(now, vm),
+				Demand: m.views.ConsolidationDemand(now, vm),
 			})
 		}
 	}
@@ -155,13 +151,6 @@ func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
 	sort.Slice(snap.Nodes, func(i, j int) bool { return snap.Nodes[i].Spec.ID < snap.Nodes[j].Spec.ID })
 	sort.Slice(snap.VMs, func(i, j int) bool { return snap.VMs[i].Spec.ID < snap.VMs[j].Spec.ID })
 	return snap, true
-}
-
-// consolidationDemandLocked prices one VM for consolidation through the
-// shared view helper (p95 windowed demand, snapshot fallback, then the
-// reservation) — the same chain the demand=p95 API dry run uses.
-func (m *Manager) consolidationDemandLocked(now time.Duration, vm types.VMStatus) types.ResourceVector {
-	return m.views.ConsolidationDemand(now, vm)
 }
 
 // NodeLoad implements online.Host: a fresh view of one node for
@@ -174,13 +163,19 @@ func (h gmHost) NodeLoad(id types.NodeID) (online.NodeLoad, bool) {
 	if !ok || lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
 		return online.NodeLoad{}, false
 	}
-	v := m.views.Node(m.rt.Now(), lc.status)
+	return m.nodeLoadLocked(m.rt.Now(), lc), true
+}
+
+// nodeLoadLocked is one LC as the optimizer sees it; m.mu must be held.
+func (m *Manager) nodeLoadLocked(now time.Duration, lc *lcRecord) online.NodeLoad {
+	v := m.views.Node(now, lc.status)
 	return online.NodeLoad{
-		Spec:  lc.status.Spec,
-		P95:   v.Stats.P95,
-		Trend: v.Stats.Trend,
-		Fresh: v.Stats.Fresh,
-	}, true
+		Spec:     lc.status.Spec,
+		Reserved: lc.status.Reserved,
+		P95:      v.Stats.P95,
+		Trend:    v.Stats.Trend,
+		Fresh:    v.Stats.Fresh,
+	}
 }
 
 // Migrate implements online.Host via the Manager's migration primitive.

@@ -3,10 +3,8 @@ package hierarchy
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"snooze/internal/consolidation"
 	"snooze/internal/consolidation/online"
 	"snooze/internal/coord"
 	"snooze/internal/election"
@@ -75,28 +73,25 @@ type ManagerConfig struct {
 	Estimator resource.Estimator
 
 	// Capacity views: every scheduling decision consumes views built from
-	// the Telemetry hub over this window. Thin or stale histories fall back
-	// to the point-in-time snapshot inside the policies.
-	ViewHorizon    time.Duration // statistics window (default view.DefaultHorizon)
-	ViewMinSamples int           // freshness gate (default view.DefaultMinSamples)
-	ViewMaxAge     time.Duration // freshness gate (default view.DefaultMaxAge)
+	// the Telemetry hub over this window (default view.DefaultHorizon). Thin
+	// or stale histories (view.DefaultMinSamples, view.DefaultMaxAge) fall
+	// back to the point-in-time snapshot inside the policies.
+	ViewHorizon time.Duration
 
 	// Energy management (Section III).
 	EnergyEnabled  bool
 	IdleThreshold  time.Duration // idle time before suspend
 	PendingTimeout time.Duration // how long a placement may wait for a wake
 
-	// Reconfiguration (periodic consolidation, Section II-C). Nil disables.
-	Reconfig       consolidation.Algorithm
-	ReconfigPeriod time.Duration
-
-	// Consolidation configures the continuous online consolidation service
-	// (internal/consolidation/online): with Enabled set, every GM stint runs
-	// an Optimizer that periodically re-packs the group's VMs from p95
-	// capacity views within a per-round migration budget. Whether or not
-	// Enabled is set, the optimizer can be started and stopped at runtime
-	// via the gm.consolidation control message (api/v1 consolidation
-	// routes).
+	// Consolidation configures the consolidation service
+	// (internal/consolidation/online), the one engine behind the
+	// reconfiguration policy family of Section II-C: with Enabled set, every
+	// GM stint runs an Optimizer that periodically re-packs the group's VMs
+	// from p95 capacity views within a per-round migration budget
+	// (MigrationBudget -1: every round executes its whole plan — periodic
+	// reconfiguration). Whether or not Enabled is set, the optimizer can be
+	// started and stopped at runtime via the gm.consolidation control
+	// message (api/v1 consolidation routes).
 	Consolidation online.Config
 
 	// RescheduleOnLCFailure re-places the VMs of a failed LC on the
@@ -118,10 +113,9 @@ type ManagerConfig struct {
 
 	// MigrationRetries bounds how many times one migration is attempted
 	// before the GM gives up (journaling gm.migration-abandoned). The retry
-	// loop is shared by relocation, reconfiguration and the online
-	// consolidation optimizer — everything funnelling through the migration
-	// primitive. <=0 means a single attempt (no retries); the default is 3
-	// attempts total.
+	// loop is shared by relocation and the consolidation optimizer —
+	// everything funnelling through the migration primitive. <=0 means a
+	// single attempt (no retries); the default is 3 attempts total.
 	MigrationRetries int
 
 	// MigrationBackoff is the base delay before a migration retry; attempt n
@@ -143,9 +137,6 @@ type ManagerConfig struct {
 	// is never stale, while a VM on a deliberately suspended LC stays in
 	// its GM's inventory.
 	VMLivenessGrace time.Duration
-
-	// ElectionBase is the coordination path of the GL election.
-	ElectionBase string
 
 	// Metrics receives counters and latency series (may be nil).
 	Metrics *metrics.Registry
@@ -169,6 +160,9 @@ type ManagerConfig struct {
 	Retention telemetry.StoreConfig
 }
 
+// electionBase is the coordination path of the GL election.
+const electionBase = "/snooze/election"
+
 // DefaultManagerConfig returns the configuration used by the experiments; it
 // is the single statement of what each default is.
 func DefaultManagerConfig(id types.GroupManagerID, addr transport.Address) ManagerConfig {
@@ -187,22 +181,18 @@ func DefaultManagerConfig(id types.GroupManagerID, addr transport.Address) Manag
 		Underload:        scheduling.UnderloadRelocation{},
 		Estimator:        resource.LastValue{},
 		ViewHorizon:      view.DefaultHorizon,
-		ViewMinSamples:   view.DefaultMinSamples,
-		ViewMaxAge:       view.DefaultMaxAge,
 		EnergyEnabled:    false,
 		IdleThreshold:    30 * time.Second,
 		PendingTimeout:   60 * time.Second,
-		ReconfigPeriod:   0,
-		ElectionBase:     "/snooze/election",
 		MigrationRetries: 3,
 		MigrationBackoff: 500 * time.Millisecond,
 	}
 }
 
 // withDefaults normalises a config: every zero or nil field that has a default
-// takes DefaultManagerConfig's value, the view gates also when negative.
-// Fields whose zero is meaningful (the bools, Reconfig, ReconfigPeriod,
-// Consolidation, StateSyncPeriod, Retention, the wiring) pass through.
+// takes DefaultManagerConfig's value, the view horizon also when negative.
+// Fields whose zero is meaningful (the bools, Consolidation, StateSyncPeriod,
+// Retention, the wiring) pass through.
 func (c ManagerConfig) withDefaults() ManagerConfig {
 	d := DefaultManagerConfig(c.ID, c.Addr)
 	orDefault(&c.HeartbeatPeriod, d.HeartbeatPeriod)
@@ -218,17 +208,10 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	orDefault(&c.Estimator, d.Estimator)
 	orDefault(&c.IdleThreshold, d.IdleThreshold)
 	orDefault(&c.PendingTimeout, d.PendingTimeout)
-	orDefault(&c.ElectionBase, d.ElectionBase)
 	orDefault(&c.MigrationRetries, d.MigrationRetries)
 	orDefault(&c.MigrationBackoff, d.MigrationBackoff)
 	if c.ViewHorizon <= 0 {
 		c.ViewHorizon = d.ViewHorizon
-	}
-	if c.ViewMinSamples <= 0 {
-		c.ViewMinSamples = d.ViewMinSamples
-	}
-	if c.ViewMaxAge <= 0 {
-		c.ViewMaxAge = d.ViewMaxAge
 	}
 	orDefault(&c.VMLivenessGrace, 4*c.LCTimeout)
 	return c
@@ -298,17 +281,10 @@ type Manager struct {
 	joined  bool
 	lcs     map[types.NodeID]*lcRecord
 	pending []pendingPlacement
-	// Event-driven energy management (GM role): the journal observer's
-	// cancel hook, the target time of the earliest scheduled idle check and
-	// its canceler.
-	energyUnsub  func()
-	energyAt     time.Duration
-	energyCancel simkernel.Canceler
-	// VM liveness sweep (GM role): same shape as the energy machinery — a
-	// journal observer arms exact-deadline sweeps.
-	sweepUnsub  func()
-	sweepAt     time.Duration
-	sweepCancel simkernel.Canceler
+	// The two journal-armed loops of the GM role: event-driven energy
+	// management (idle checks) and the VM liveness sweep.
+	energy deadline
+	sweep  deadline
 	// optimizer is the online consolidation service (GM role), created
 	// lazily and reused across GM stints. The optimizer never holds its own
 	// lock while calling back into the Manager, so m.mu → optimizer-lock is
@@ -320,14 +296,6 @@ type Manager struct {
 
 	tickers []*simkernel.Ticker
 	stopped bool
-
-	// energyKick debounces observer-triggered idle checks. It lives outside
-	// mu because journal observers run synchronously on the publishing
-	// goroutine, which may hold mu.
-	energyKick atomic.Bool
-	// sweepKick debounces observer-triggered liveness-sweep arming, for the
-	// same reason.
-	sweepKick atomic.Bool
 
 	// lastRollup is the virtual time of the last GM rollup append (GM role,
 	// under mu); 0 means none yet this stint.
@@ -359,9 +327,6 @@ type Manager struct {
 	// consolidation scans skip outright when it has not moved.
 	viewEpoch uint64
 	viewMemo  view.Memo
-	// lastReconfigEpoch fences gmReconfigTick: a tick finding the epoch
-	// unchanged since the last solve skips the whole consolidation scan.
-	lastReconfigEpoch uint64
 }
 
 // bumpViewEpochLocked advances the GM-wide view epoch; m.mu must be held.
@@ -397,10 +362,8 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 		tel:        cfg.Telemetry,
 		privateHub: privateHub,
 		views: view.Builder{
-			Hub:        cfg.Telemetry,
-			Horizon:    cfg.ViewHorizon,
-			MinSamples: cfg.ViewMinSamples,
-			MaxAge:     cfg.ViewMaxAge,
+			Hub:     cfg.Telemetry,
+			Horizon: cfg.ViewHorizon,
 			// The builder lives as long as the manager, so generation-keyed
 			// caching makes repeated builds between monitoring reports (GL
 			// dispatch fan-out, GM relocation scans) map lookups.
@@ -410,11 +373,15 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 		gms:      make(map[types.GroupManagerID]*gmRecord),
 		archives: make(map[types.GroupManagerID]*gmArchive),
 	}
+	m.energy = deadline{m: m, fire: m.gmEnergyCheck, onKick: m.gmEnergyCheck,
+		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}
+	m.sweep = deadline{m: m, fire: m.gmVMSweep, onKick: m.armVMSweep,
+		events: []string{telemetry.EventVMState, telemetry.EventLCFailed, telemetry.EventLCJoin, telemetry.EventGMFailed}}
 	if cfg.Metrics != nil {
 		cfg.Metrics.SetGauge("scheduler.view-horizon-ns", float64(cfg.ViewHorizon))
 	}
 	m.cand = election.NewCandidate(svc, rt, election.Config{
-		Base:       cfg.ElectionBase,
+		Base:       electionBase,
 		ID:         string(cfg.Addr),
 		SessionTTL: cfg.SessionTTL,
 		Listener:   m.onElection,
@@ -586,24 +553,8 @@ func (m *Manager) stopTickersLocked() {
 // stopEnergyLocked detaches the journal observers and cancels any scheduled
 // idle check or liveness sweep.
 func (m *Manager) stopEnergyLocked() {
-	if m.energyUnsub != nil {
-		m.energyUnsub()
-		m.energyUnsub = nil
-	}
-	if m.energyCancel != nil {
-		m.energyCancel.Cancel()
-		m.energyCancel = nil
-	}
-	m.energyAt = 0
-	if m.sweepUnsub != nil {
-		m.sweepUnsub()
-		m.sweepUnsub = nil
-	}
-	if m.sweepCancel != nil {
-		m.sweepCancel.Cancel()
-		m.sweepCancel = nil
-	}
-	m.sweepAt = 0
+	m.energy.stopLocked()
+	m.sweep.stopLocked()
 }
 
 func (m *Manager) addTicker(period time.Duration, fn func()) {

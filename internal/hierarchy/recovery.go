@@ -273,8 +273,8 @@ func (m *Manager) restoreState(source string, snap telemetry.HubSnapshot, tail [
 		// vm/* series are reconciled against inventory after the grace.
 		m.bumpViewEpochLocked()
 		m.viewMemo.Invalidate()
-		if m.cfg.VMLivenessGrace > 0 && m.sweepUnsub != nil {
-			m.scheduleVMSweepLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
+		if m.cfg.VMLivenessGrace > 0 && m.sweep.unsub != nil {
+			m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
 		}
 	}
 	m.mu.Unlock()

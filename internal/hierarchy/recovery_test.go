@@ -5,11 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"snooze/internal/consolidation"
 	"snooze/internal/protocol"
 	"snooze/internal/types"
 )
 
-// Reconfiguration must pack against residual capacity: reservations held by
+// Consolidation must pack against residual capacity: reservations held by
 // VMs that are NOT part of the re-packed set (suspended, starting, failed —
 // anything non-running) stay subtracted from their node's capacity, so a
 // plan can never double-book a slot a resident VM still owns.
@@ -25,16 +26,14 @@ func TestBuildReconfigProblemResidualCapacity(t *testing.T) {
 		State: types.VMSuspended,
 		Node:  "n1",
 	}
-	inputs := []reconfigNodeInput{{
-		Status: types.NodeStatus{
+	// The suspended VM is not listed: only running VMs are re-packed.
+	problem, current, specs := consolidation.BuildProblem(
+		[]consolidation.LiveNode{{
 			Spec: types.NodeSpec{ID: "n1", Capacity: cap},
 			// Reserved covers BOTH resident VMs.
 			Reserved: running.Spec.Requested.Add(suspended.Spec.Requested),
-		},
-		VMs: []types.VMStatus{running, suspended},
-	}}
-	estimate := func(vm types.VMStatus) types.ResourceVector { return vm.Spec.Requested }
-	problem, current, specs := buildReconfigProblem(inputs, estimate)
+		}},
+		[]consolidation.LiveVM{{Spec: running.Spec, Node: "n1", Demand: running.Spec.Requested}})
 
 	// Only the running VM is re-packed.
 	if len(problem.VMs) != 1 || problem.VMs[0].ID != "run" {
@@ -68,11 +67,9 @@ func TestBuildReconfigProblemUsesDemandEstimate(t *testing.T) {
 		Node:  "n1",
 	}
 	est := types.RV(3, 1024, 10, 10) // CPU demand outgrew the reservation
-	inputs := []reconfigNodeInput{{
-		Status: types.NodeStatus{Spec: types.NodeSpec{ID: "n1", Capacity: cap}, Reserved: vm.Spec.Requested},
-		VMs:    []types.VMStatus{vm},
-	}}
-	problem, _, specs := buildReconfigProblem(inputs, func(types.VMStatus) types.ResourceVector { return est })
+	problem, _, specs := consolidation.BuildProblem(
+		[]consolidation.LiveNode{{Spec: types.NodeSpec{ID: "n1", Capacity: cap}, Reserved: vm.Spec.Requested}},
+		[]consolidation.LiveVM{{Spec: vm.Spec, Node: "n1", Demand: est}})
 	want := vm.Spec.Requested.Max(est) // component-wise: cpu from est, mem from reservation
 	if got := problem.VMs[0].Requested; got != want {
 		t.Fatalf("sizing: got %v want %v", got, want)

@@ -298,18 +298,17 @@ func (b Builder) DemandP95(now time.Duration, entity string) (types.ResourceVect
 
 // ConsolidationDemand prices one VM for consolidation packing: the p95 of
 // its windowed demand series when history exists, else the most recent
-// snapshot measurement, else the reservation — never raw points, and never
-// zero for a running VM with a reservation. The online optimizer and the
+// snapshot measurement — never raw points, and never less than the
+// reservation, because that is what a destination admits the VM on
+// (consolidation.BuildProblem). The online optimizer and the
 // ConsolidationRequest demand=p95 dry run both price through this chain, so
 // a dry-run plan predicts what the online service would execute.
 func (b Builder) ConsolidationDemand(now time.Duration, vm types.VMStatus) types.ResourceVector {
-	if d, ok := b.DemandP95(now, telemetry.VMEntity(vm.Spec.ID)); ok && !d.Zero() {
-		return d
+	d := vm.Used
+	if p95, ok := b.DemandP95(now, telemetry.VMEntity(vm.Spec.ID)); ok && !p95.Zero() {
+		d = p95
 	}
-	if !vm.Used.Zero() {
-		return vm.Used
-	}
-	return vm.Spec.Requested
+	return vm.Spec.Requested.Max(d)
 }
 
 // alignWindow zips per-dimension sample windows into resource vectors. The

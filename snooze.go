@@ -9,10 +9,12 @@
 //     multicast heartbeats and self-healing (internal/hierarchy,
 //     internal/election, internal/coord)
 //   - two-level VM scheduling: GL dispatching + GM placement, overload /
-//     underload relocation and periodic reconfiguration
-//     (internal/scheduling)
+//     underload relocation (internal/scheduling)
 //   - consolidation algorithms: ACO, First-Fit-Decreasing baselines and an
-//     exact branch-and-bound solver (internal/consolidation)
+//     exact branch-and-bound solver (internal/consolidation), executed on a
+//     live hierarchy by one engine, the GMs' online optimizer
+//     (internal/consolidation/online, ClusterConfig.Manager.Consolidation;
+//     MigrationBudget -1 is the paper's periodic reconfiguration)
 //   - energy management: idle-server suspend, wake-on-demand and energy
 //     accounting (internal/energy semantics live in the GM + internal/power)
 //   - a deterministic discrete-event simulation of the physical substrate
@@ -136,13 +138,9 @@ type (
 	ConsolidationResult = consolidation.Result
 	// ACOConfig holds the ant colony parameters.
 	ACOConfig = consolidation.ACOConfig
-	// Algorithm is a consolidation solver, usable as the periodic
-	// reconfiguration policy in ClusterConfig.Manager.Reconfig.
+	// Algorithm is a consolidation solver.
 	Algorithm = consolidation.Algorithm
 )
-
-// NewACOAlgorithm returns the ACO solver as a reusable Algorithm value.
-func NewACOAlgorithm(cfg ACOConfig) Algorithm { return consolidation.ACO{Config: cfg} }
 
 // DefaultACOConfig returns the calibrated ACO parameters.
 func DefaultACOConfig() ACOConfig { return consolidation.DefaultACOConfig() }
@@ -242,7 +240,8 @@ func RunAllExperiments(scale ExperimentScale) []ExperimentResult {
 	return experiments.All(scale)
 }
 
-// RunExperiment reproduces one experiment by ID ("e1".."e7" or its name).
+// RunExperiment reproduces one experiment by ID ("e1".."e7", "e9", "a1",
+// "a2", "f1" or its name).
 func RunExperiment(id string, scale ExperimentScale) (ExperimentResult, error) {
 	return experiments.ByID(id, scale)
 }

@@ -56,8 +56,10 @@ func TestFacadeEnergyManagement(t *testing.T) {
 	cfg := snooze.DefaultClusterConfig(snooze.Grid5000Topology(4, 1), 7)
 	cfg.Manager.EnergyEnabled = true
 	cfg.Manager.IdleThreshold = 20 * time.Second
-	cfg.Manager.Reconfig = snooze.NewACOAlgorithm(snooze.DefaultACOConfig())
-	cfg.Manager.ReconfigPeriod = time.Minute
+	// Periodic reconfiguration: the consolidation optimizer, whole plan per round.
+	cfg.Manager.Consolidation.Enabled = true
+	cfg.Manager.Consolidation.Period = time.Minute
+	cfg.Manager.Consolidation.MigrationBudget = -1
 	c := snooze.NewCluster(cfg)
 	c.Settle(2 * time.Minute)
 	if got := c.PowerStates()[snooze.PowerSuspendedState]; got == 0 {
