@@ -34,6 +34,13 @@
 // same counters, gauges and histograms in Prometheus text format, rendered
 // by api/v1/server.PrometheusHandler.
 //
+// Every body is what encoding/json writes for its DTO, byte for byte. The two
+// list bodies that grow with the deployment, GET /v1/vms and GET /v1/nodes,
+// are also written and read by reflection-free codecs (AppendBody, DecodeBody
+// in codec.go) that fall back to encoding/json on any other shape, so servers
+// and clients of any version, or written against the JSON shape with another
+// library, interoperate.
+//
 // Errors travel as an ErrorBody envelope with a machine-readable code; the
 // client converts codes back into the sentinel errors of this package, so
 // `errors.Is(err, apiv1.ErrNotFound)` works across the HTTP boundary.

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Backend is the control-plane surface every deployment flavour implements:
@@ -118,12 +119,12 @@ func ValidateSubmit(specs []VMSpec) error {
 
 // SortVMs orders VMs by ID (the canonical list order of the API).
 func SortVMs(vms []VM) {
-	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+	slices.SortFunc(vms, func(a, b VM) int { return strings.Compare(a.ID, b.ID) })
 }
 
 // SortNodes orders nodes by ID.
 func SortNodes(nodes []Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	slices.SortFunc(nodes, func(a, b Node) int { return strings.Compare(a.ID, b.ID) })
 }
 
 // Page applies limit/offset pagination to a collection of n items and

@@ -16,6 +16,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	apiv1 "snooze/api/v1"
@@ -89,8 +90,27 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	if dst == nil || resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}()
+	if n := resp.ContentLength; 0 < n && n <= maxPresizedBody {
+		buf.Grow(int(n))
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("apiv1: read %s %s response: %w", method, path, err)
+	}
+	return apiv1.DecodeBody(buf.Bytes(), dst)
 }
+
+// Response bodies are read into pooled buffers and decoded from there
+// (apiv1.DecodeBody copies what it keeps). A declared Content-Length sizes
+// the buffer up front, up to maxPresizedBody: beyond it the peer's word is
+// not taken and the buffer grows with what actually arrives.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPresizedBody = 16 << 20
 
 // decodeError rebuilds a typed error from the envelope, so errors.Is against
 // the apiv1 sentinels works across the wire.

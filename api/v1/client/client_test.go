@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	apiv1 "snooze/api/v1"
 	apiclient "snooze/api/v1/client"
 )
 
@@ -148,5 +150,58 @@ func TestWatchResumeEndsOnContextCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stream did not close after context cancel")
+	}
+}
+
+// TestListsDecodeFromForeignShapes: the client reads list bodies its own
+// encoder would not write — indented, keys in another order, escapes, an
+// unknown field, chunked without a Content-Length — as encoding/json reads
+// them, and reports a body encoding/json rejects.
+func TestListsDecodeFromForeignShapes(t *testing.T) {
+	bodies := map[string]string{
+		"/v1/vms": `{
+  "total": 2,
+  "items": [
+    {"used": {"netTxMbps": 1, "cpu": 0.25}, "node": "n1", "state": "running", "id": "vm-a", "zone": "a"},
+    {"id": "vm-b", "state": "pending", "requested": {"cpu": 2, "memoryMb": 2048, "netRxMbps": 0, "netTxMbps": 0}}
+  ]
+}`,
+		"/v1/nodes": `{"nextOffset":0,"total":1,"items":[{"idle":true,"vms":["vm-a"],"power":"on","id":"n1","capacity":{"cpu":8,"memoryMb":16384,"netRxMbps":1000,"netTxMbps":1000}}]}`,
+	}
+	const trailingGarbage = `{"items":[{"id":"vm-a"}],"total":1}}`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := bodies[r.URL.Path]
+		if r.URL.Query().Get("offset") == "1" { // the page ListVMsPage(1, 1) asks for below
+			body = trailingGarbage
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		for len(body) > 0 { // flushed in pieces: chunked
+			n := min(len(body), 64)
+			_, _ = w.Write([]byte(body[:n]))
+			w.(http.Flusher).Flush()
+			body = body[n:]
+		}
+	}))
+	defer srv.Close()
+	cli := apiclient.New(srv.URL, apiclient.WithTimeout(5*time.Second))
+	ctx := context.Background()
+
+	vms, err := cli.ListVMs(ctx)
+	wantVMs := []apiv1.VM{
+		{ID: "vm-a", State: "running", Node: "n1", Used: apiv1.Resources{CPU: 0.25, NetTxMbps: 1}},
+		{ID: "vm-b", State: "pending", Requested: apiv1.Resources{CPU: 2, MemoryMB: 2048}},
+	}
+	if err != nil || !reflect.DeepEqual(vms, wantVMs) {
+		t.Errorf("ListVMs: %+v (err %v), want %+v", vms, err, wantVMs)
+	}
+	nodes, err := cli.ListNodes(ctx)
+	wantNodes := []apiv1.Node{{ID: "n1", Power: "on", Idle: true, VMs: []string{"vm-a"},
+		Capacity: apiv1.Resources{CPU: 8, MemoryMB: 16384, NetRxMbps: 1000, NetTxMbps: 1000}}}
+	if err != nil || !reflect.DeepEqual(nodes, wantNodes) {
+		t.Errorf("ListNodes: %+v (err %v), want %+v", nodes, err, wantNodes)
+	}
+	if page, err := cli.ListVMsPage(ctx, 1, 1); err == nil {
+		t.Errorf("a body with trailing garbage decoded to %+v", page)
 	}
 }

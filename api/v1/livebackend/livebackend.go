@@ -7,6 +7,18 @@
 // through a rest.Gateway are transparently included: their bus addresses
 // proxy over HTTP.
 //
+// Each read asks the GMs (protocol.InventoryRequest) only for what it
+// returns: ListVMs and Consolidate for the full inventories, ListNodes and
+// GetNode for the node records alone, GetVM for that one VM and the nodes
+// hosting it. Wherever two GMs answer for the same LC — one record is stale
+// after a rejoin, until that GM's sweep expires it — the claim with the
+// younger monitor report speaks for the node. A by-ID answer is weaker than
+// a listing in one respect: a GM whose fresher record of the node no longer
+// lists the VM answers with nothing, so it cannot veto the stale GM's answer.
+// GetVM therefore serves a VM from a stale claim when no GM with a fresher
+// report, of that node or of another one, still lists it; ListVMs would
+// already have dropped it.
+//
 // The backend requires a wall-clock runtime (simkernel.NewWallRuntime):
 // calls block the requesting goroutine until the bus responds. Simulated
 // clusters use api/v1/simbackend instead, which drives the virtual clock.
@@ -16,7 +28,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	apiv1 "snooze/api/v1"
@@ -25,6 +38,7 @@ import (
 	"snooze/internal/protocol"
 	"snooze/internal/telemetry"
 	"snooze/internal/transport"
+	"snooze/internal/types"
 )
 
 // Config parameterizes a live backend.
@@ -184,107 +198,158 @@ func (b *Backend) topology(ctx context.Context, deep bool) (protocol.TopologyRes
 	return resp, nil
 }
 
-// inventory aggregates every GM's LC/VM inventory. GMs that fail mid-listing
-// are skipped: a partial listing mirrors what the GL itself knows during a
-// membership change. When two GMs claim the same LC (one record is stale
-// after a rejoin), the claim with the freshest monitor report wins — its
-// node status and VM set are the ones listed.
-func (b *Backend) inventory(ctx context.Context) ([]apiv1.Node, []apiv1.VM, error) {
+// gather asks every GM of the topology for the part of its inventory want
+// describes and returns the replies in topology order. GMs that fail
+// mid-listing are skipped: a partial listing mirrors what the GL itself knows
+// during a membership change.
+func (b *Backend) gather(ctx context.Context, want protocol.InventoryRequest) ([]protocol.InventoryResponse, error) {
 	topo, err := b.topology(ctx, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	type claim struct {
-		node apiv1.Node
-		age  int64
-		vms  []apiv1.VM
-	}
-	best := make(map[string]claim)
+	replies := make([]protocol.InventoryResponse, 0, len(topo.GMs))
 	for _, gm := range topo.GMs {
-		reply, err := b.call(ctx, transport.Address(gm.Addr), protocol.KindInventory, struct{}{})
+		reply, err := b.call(ctx, transport.Address(gm.Addr), protocol.KindInventory, want)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
+				return nil, ctx.Err()
 			}
 			continue
 		}
-		inv, ok := reply.(protocol.InventoryResponse)
-		if !ok {
-			continue
-		}
-		vmsByNode := make(map[string][]apiv1.VM)
-		for _, vm := range inv.VMs {
-			dto := apiv1.FromVMStatus(vm, vm.Node)
-			vmsByNode[dto.Node] = append(vmsByNode[dto.Node], dto)
-		}
-		for _, n := range inv.Nodes {
-			c := claim{node: apiv1.FromNodeStatus(n.Status), age: n.AgeNs}
-			c.vms = vmsByNode[c.node.ID]
-			if cur, seen := best[c.node.ID]; !seen || c.age < cur.age {
-				best[c.node.ID] = c
-			}
+		if inv, ok := reply.(protocol.InventoryResponse); ok {
+			replies = append(replies, inv)
 		}
 	}
-	var nodes []apiv1.Node
-	var vms []apiv1.VM
-	for _, c := range best {
-		nodes = append(nodes, c.node)
-		vms = append(vms, c.vms...)
-	}
-	apiv1.SortNodes(nodes)
-	apiv1.SortVMs(vms)
-	return nodes, vms, nil
+	return replies, nil
 }
 
-// ListVMs implements Backend.
+// claim locates one GM's record of a node: replies[reply].Nodes[node].
+type claim struct {
+	reply, node int
+	age         int64
+}
+
+// freshest resolves who speaks for each node. When two GMs claim the same LC
+// (one record is stale after a rejoin), the claim with the freshest monitor
+// report wins — its node status and VM set are the ones served.
+func freshest(replies []protocol.InventoryResponse) map[types.NodeID]claim {
+	n := 0
+	for i := range replies {
+		n += len(replies[i].Nodes)
+	}
+	owner := make(map[types.NodeID]claim, n)
+	for ri := range replies {
+		for ni := range replies[ri].Nodes {
+			node := &replies[ri].Nodes[ni]
+			if cur, seen := owner[node.Status.Spec.ID]; !seen || node.AgeNs < cur.age {
+				owner[node.Status.Spec.ID] = claim{reply: ri, node: ni, age: node.AgeNs}
+			}
+		}
+	}
+	return owner
+}
+
+// nodes lists the winning node records, by ID.
+func nodes(replies []protocol.InventoryResponse, owner map[types.NodeID]claim) []apiv1.Node {
+	out := make([]apiv1.Node, 0, len(owner))
+	for _, c := range owner {
+		out = append(out, apiv1.FromNodeStatus(replies[c.reply].Nodes[c.node].Status))
+	}
+	apiv1.SortNodes(out)
+	return out
+}
+
+// vms lists the VMs of the winning node records, by ID: one conversion pass
+// over the replies, and one sort unless a single GM answered (its reply is
+// ordered already).
+func vms(replies []protocol.InventoryResponse, owner map[types.NodeID]claim) []apiv1.VM {
+	n := 0
+	for i := range replies {
+		n += len(replies[i].VMs)
+	}
+	out := make([]apiv1.VM, 0, n)
+	for ri := range replies {
+		for vi := range replies[ri].VMs {
+			vm := &replies[ri].VMs[vi]
+			if c, ok := owner[vm.Node]; ok && c.reply == ri {
+				out = append(out, apiv1.FromVMStatus(*vm, ""))
+			}
+		}
+	}
+	if len(replies) > 1 {
+		apiv1.SortVMs(out)
+	}
+	return out
+}
+
+// ListVMs implements Backend from every GM's full inventory.
 func (b *Backend) ListVMs(ctx context.Context) ([]apiv1.VM, error) {
-	_, vms, err := b.inventory(ctx)
-	return vms, err
+	replies, err := b.gather(ctx, protocol.InventoryRequest{})
+	if err != nil {
+		return nil, err
+	}
+	return vms(replies, freshest(replies)), nil
 }
 
-// GetVM implements Backend.
+// GetVM implements Backend by asking every GM for that VM alone. Among the
+// answers the one whose node reported most recently is served.
 func (b *Backend) GetVM(ctx context.Context, id string) (apiv1.VM, error) {
-	_, vms, err := b.inventory(ctx)
+	replies, err := b.gather(ctx, protocol.InventoryRequest{VM: types.VMID(id)})
 	if err != nil {
 		return apiv1.VM{}, err
 	}
-	for _, vm := range vms {
-		if vm.ID == id {
-			return vm, nil
+	owner := freshest(replies)
+	var best *types.VMStatus
+	var bestAge int64
+	for ri := range replies {
+		for vi := range replies[ri].VMs {
+			vm := &replies[ri].VMs[vi]
+			if string(vm.Spec.ID) != id { // a GM that predates by-ID requests answers in full
+				continue
+			}
+			if c, ok := owner[vm.Node]; ok && c.reply == ri && (best == nil || c.age < bestAge) {
+				best, bestAge = vm, c.age
+			}
 		}
 	}
-	return apiv1.VM{}, fmt.Errorf("%w: vm %q", apiv1.ErrNotFound, id)
+	if best == nil {
+		return apiv1.VM{}, fmt.Errorf("%w: vm %q", apiv1.ErrNotFound, id)
+	}
+	return apiv1.FromVMStatus(*best, ""), nil
 }
 
-// ListNodes implements Backend.
+// ListNodes implements Backend from every GM's node records.
 func (b *Backend) ListNodes(ctx context.Context) ([]apiv1.Node, error) {
-	nodes, _, err := b.inventory(ctx)
-	return nodes, err
+	replies, err := b.gather(ctx, protocol.InventoryRequest{NodesOnly: true})
+	if err != nil {
+		return nil, err
+	}
+	return nodes(replies, freshest(replies)), nil
 }
 
-// GetNode implements Backend.
+// GetNode implements Backend from every GM's node records.
 func (b *Backend) GetNode(ctx context.Context, id string) (apiv1.Node, error) {
-	nodes, _, err := b.inventory(ctx)
+	replies, err := b.gather(ctx, protocol.InventoryRequest{NodesOnly: true})
 	if err != nil {
 		return apiv1.Node{}, err
 	}
-	for _, n := range nodes {
-		if n.ID == id {
-			return n, nil
-		}
+	c, ok := freshest(replies)[types.NodeID(id)]
+	if !ok {
+		return apiv1.Node{}, fmt.Errorf("%w: node %q", apiv1.ErrNotFound, id)
 	}
-	return apiv1.Node{}, fmt.Errorf("%w: node %q", apiv1.ErrNotFound, id)
+	return apiv1.FromNodeStatus(replies[c.reply].Nodes[c.node].Status), nil
 }
 
 // Consolidate implements Backend over the GM-reported state. demand=p95
 // prices from the process telemetry hub at the runtime's current instant.
 func (b *Backend) Consolidate(ctx context.Context, req apiv1.ConsolidationRequest) (apiv1.ConsolidationPlan, error) {
-	nodes, vms, err := b.inventory(ctx)
+	replies, err := b.gather(ctx, protocol.InventoryRequest{})
 	if err != nil {
 		return apiv1.ConsolidationPlan{}, err
 	}
+	owner := freshest(replies)
 	demand := apiv1.P95Demand(b.cfg.Telemetry, b.cfg.Now())
-	return apiv1.PlanConsolidation(vms, nodes, req, demand)
+	return apiv1.PlanConsolidation(vms(replies, owner), nodes(replies, owner), req, demand)
 }
 
 // consolidationCtl fans one online-optimizer control action out to every GM
@@ -314,7 +379,7 @@ func (b *Backend) consolidationCtl(ctx context.Context, action string) (apiv1.Co
 		seen[string(resp.GM)] = true
 		list.Items = append(list.Items, apiv1.FromConsolidationCtl(resp))
 	}
-	sort.Slice(list.Items, func(i, j int) bool { return list.Items[i].GM < list.Items[j].GM })
+	slices.SortFunc(list.Items, func(a, b apiv1.ConsolidationStatus) int { return strings.Compare(a.GM, b.GM) })
 	return list, nil
 }
 

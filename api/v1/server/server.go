@@ -1,8 +1,9 @@
 // Package server mounts the api/v1 resource routes on net/http. It is
 // backend-agnostic: hand it any apiv1.Backend (simulated cluster, live
 // hierarchy, or even a remote client for chaining) and it serves the same
-// /v1 contract — method-routed resource paths, JSON bodies, pagination on
-// collections, a machine-readable error envelope and capped request bodies.
+// /v1 contract — method-routed resource paths, JSON bodies (encoded by
+// apiv1.AppendBody, sent with their Content-Length in one write), pagination
+// on collections, a machine-readable error envelope and capped request bodies.
 package server
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	apiv1 "snooze/api/v1"
@@ -430,10 +432,26 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	}
 }
 
+// Bodies are encoded into pooled buffers before the status line is sent, so
+// a body that cannot be encoded becomes an error the client can read.
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	buf := bodyPool.Get().(*[]byte)
+	defer func() {
+		*buf = (*buf)[:0]
+		bodyPool.Put(buf)
+	}()
+	var err error
+	if *buf, err = apiv1.AppendBody(*buf, body); err != nil {
+		// The envelope itself always encodes: no recursion past this call.
+		writeError(w, http.StatusInternalServerError, apiv1.CodeInternal, "encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(*buf) // a client that has gone away is its own problem
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -361,5 +363,86 @@ func TestUnsupportedMapsTo501(t *testing.T) {
 	}
 	if err := apiclient.New(srv.URL).FailNode(context.Background(), "n1"); !errors.Is(err, apiv1.ErrUnsupported) {
 		t.Fatalf("client mapping: %v", err)
+	}
+}
+
+// nanBackend lists one VM whose measured usage cannot be encoded as JSON.
+type nanBackend struct{ apiv1.Backend }
+
+func (nanBackend) ListVMs(context.Context) ([]apiv1.VM, error) {
+	return []apiv1.VM{{ID: "vm-1", State: "running", Used: apiv1.Resources{CPU: math.NaN()}}}, nil
+}
+
+func (nanBackend) GetVM(context.Context, string) (apiv1.VM, error) {
+	return apiv1.VM{ID: "vm-1", State: "running", Used: apiv1.Resources{CPU: math.NaN()}}, nil
+}
+
+// TestUnencodableBodyIs500: a body that cannot be encoded is answered with
+// the 500 error envelope — on a list route and on a route without a list
+// codec — not with a 200 status line and no body.
+func TestUnencodableBodyIs500(t *testing.T) {
+	srv := httptest.NewServer(New(nanBackend{}).Handler())
+	defer srv.Close()
+	for _, path := range []string{"/v1/vms", "/v1/vms/vm-1"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var envelope apiv1.ErrorBody
+		if err := json.Unmarshal(data, &envelope); resp.StatusCode != http.StatusInternalServerError ||
+			err != nil || envelope.Error.Code != apiv1.CodeInternal || envelope.Error.Message == "" {
+			t.Errorf("GET %s: status %d body %q, want 500 with the error envelope", path, resp.StatusCode, data)
+		}
+	}
+	cli := apiclient.New(srv.URL)
+	if _, err := cli.ListVMs(context.Background()); err == nil || errors.Is(err, io.EOF) || !strings.Contains(err.Error(), "500") {
+		t.Errorf("client ListVMs: %v, want the server's 500", err)
+	}
+}
+
+// TestListBodiesAreEncoderBytes: what GET /v1/vms and GET /v1/nodes put on
+// the wire is what json.Encoder writes for the list — so a client that
+// predates the list codecs reads it — sent whole, with its length.
+func TestListBodiesAreEncoderBytes(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.cli.SubmitVMs(context.Background(), []apiv1.VMSpec{
+		{ID: "vm-a", Requested: apiv1.Resources{CPU: 1, MemoryMB: 1024, NetRxMbps: 10, NetTxMbps: 10}},
+		{ID: "vm-b", Requested: apiv1.Resources{CPU: 0.3, MemoryMB: 333.3, NetRxMbps: 1, NetTxMbps: 1}, TraceID: "diurnal"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.backend.Cluster().Settle(30 * time.Second) // boot, then a monitor report with measured usage
+	check := func(path string, list any) {
+		t.Helper()
+		resp, err := http.Get(f.srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("GET %s: status %d, Content-Length %d for %d bytes, transfer encoding %v",
+				path, resp.StatusCode, resp.ContentLength, len(data), resp.TransferEncoding)
+		}
+		// The parent commit's client: json.Decoder over the body.
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(list); err != nil {
+			t.Fatalf("GET %s: %v in %s", path, err, data)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(list); err != nil || !bytes.Equal(data, want.Bytes()) {
+			t.Errorf("GET %s:\n got %s\nwant %s (err %v)", path, data, want.Bytes(), err)
+		}
+	}
+	var vms apiv1.VMList
+	check("/v1/vms", &vms)
+	if len(vms.Items) != 2 || vms.Total != 2 {
+		t.Errorf("GET /v1/vms: %+v, want the two submitted VMs", vms)
+	}
+	var nodes apiv1.NodeList
+	check("/v1/nodes?limit=3&offset=3", &nodes)
+	if len(nodes.Items) != 3 || nodes.Total != 8 || nodes.NextOffset != 6 {
+		t.Errorf("GET /v1/nodes page: %d items, total %d, next %d; want 3, 8, 6", len(nodes.Items), nodes.Total, nodes.NextOffset)
 	}
 }

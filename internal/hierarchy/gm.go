@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -1357,7 +1358,7 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 // gmOnLCList serves the deep-topology export: this GM's LC inventory.
 func (m *Manager) gmOnLCList(req *transport.Request) {
 	m.mu.Lock()
-	resp := protocol.LCListResponse{}
+	resp := protocol.LCListResponse{LCs: make([]protocol.TopologyLC, 0, len(m.lcs))}
 	for _, lc := range m.lcs {
 		resp.LCs = append(resp.LCs, protocol.TopologyLC{
 			ID:       lc.id,
@@ -1368,32 +1369,58 @@ func (m *Manager) gmOnLCList(req *transport.Request) {
 		})
 	}
 	m.mu.Unlock()
-	sort.Slice(resp.LCs, func(i, j int) bool { return resp.LCs[i].ID < resp.LCs[j].ID })
+	slices.SortFunc(resp.LCs, func(a, b protocol.TopologyLC) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	req.Respond(resp)
 }
 
-// gmOnInventory serves the api/v1 control-plane listing: every managed LC's
-// monitored status plus the VMs it hosts, with the hosting node filled in.
-// Each LC carries the age of its last monitor report so aggregators can
-// discard a stale claim when another GM reports the same LC more freshly.
+// gmOnInventory serves the api/v1 control-plane reads: the monitored status
+// of the managed LCs plus the VMs they host, with the hosting node filled in,
+// both ordered by ID. Each LC carries the age of its last monitor report so
+// aggregators can discard a stale claim when another GM reports the same LC
+// more freshly. An InventoryRequest narrows the reply (and the copying done
+// under the manager lock) to one VM and its hosts, or to the nodes alone; any
+// other payload — a sender that predates the request type — gets everything.
 func (m *Manager) gmOnInventory(req *transport.Request) {
+	want, _ := req.Payload.(protocol.InventoryRequest)
+	byID := want.VM != ""
+	withVMs := byID || !want.NodesOnly
 	m.mu.Lock()
 	now := m.rt.Now()
-	resp := protocol.InventoryResponse{}
+	var resp protocol.InventoryResponse
+	if !byID { // sized once; Grow leaves an empty list nil, as appending to it did
+		resp.Nodes = slices.Grow(resp.Nodes, len(m.lcs))
+		if withVMs {
+			n := 0
+			for _, lc := range m.lcs {
+				n += len(lc.vms)
+			}
+			resp.VMs = slices.Grow(resp.VMs, n)
+		}
+	}
 	for _, lc := range m.lcs {
-		resp.Nodes = append(resp.Nodes, protocol.InventoryNode{
-			Status: lc.status,
-			AgeNs:  int64(now - lc.lastSeen),
-		})
-		for _, vm := range lc.vms {
-			vm.Node = lc.id
-			resp.VMs = append(resp.VMs, vm)
+		listed := !byID // a by-ID reply lists only the nodes hosting the VM
+		if withVMs {
+			for _, vm := range lc.vms {
+				if !byID || vm.Spec.ID == want.VM {
+					vm.Node = lc.id
+					resp.VMs = append(resp.VMs, vm)
+					listed = true
+				}
+			}
+		}
+		if listed {
+			resp.Nodes = append(resp.Nodes, protocol.InventoryNode{
+				Status: lc.status,
+				AgeNs:  int64(now - lc.lastSeen),
+			})
 		}
 	}
 	m.mu.Unlock()
 	resp.Scheduling = m.schedulingInfo()
-	sort.Slice(resp.Nodes, func(i, j int) bool { return resp.Nodes[i].Status.Spec.ID < resp.Nodes[j].Status.Spec.ID })
-	sort.Slice(resp.VMs, func(i, j int) bool { return resp.VMs[i].Spec.ID < resp.VMs[j].Spec.ID })
+	slices.SortFunc(resp.Nodes, func(a, b protocol.InventoryNode) int {
+		return strings.Compare(string(a.Status.Spec.ID), string(b.Status.Spec.ID))
+	})
+	slices.SortFunc(resp.VMs, func(a, b types.VMStatus) int { return strings.Compare(string(a.Spec.ID), string(b.Spec.ID)) })
 	req.Respond(resp)
 }
 

@@ -16,8 +16,8 @@ import (
 // exchange at rest — gm.monitor (every LC, every monitoring period),
 // gm.heartbeat and gl.heartbeat (every manager to every LC) and lc.start-vm
 // with its reply (every placement) — and those have hand-written codecs
-// (codec_append.go, codec_scan.go) that produce and accept the same bytes
-// without reflection. Which path runs is decided by the message kind and the
+// (codec_append.go, codec_scan.go, built from internal/wirejson's primitives)
+// that produce and accept the same bytes without reflection. Which path runs is decided by the message kind and the
 // shape of the input, never by an option: an encoder meets a value it does
 // not cover (a NaN) or a decoder meets input that is not exactly what the
 // encoders emit (other key order, whitespace, escapes, unknown fields, a
@@ -27,25 +27,25 @@ import (
 // AppendRequest appends the JSON encoding of a request payload of the given
 // kind to dst: the bytes json.Marshal(payload) returns, and its error.
 func AppendRequest(dst []byte, kind string, payload any) ([]byte, error) {
-	e := encoder{buf: dst}
+	e := appendTo(dst)
 	switch kind {
 	case KindMonitor:
 		if v, ok := payload.(MonitorReport); ok && e.monitorReport(&v) {
-			return e.buf, nil
+			return e.Buf, nil
 		}
 	case KindGMHeartbeat:
 		if v, ok := payload.(GMHeartbeat); ok {
 			e.gmHeartbeat(&v)
-			return e.buf, nil
+			return e.Buf, nil
 		}
 	case KindGLHeartbeat:
 		if v, ok := payload.(GLHeartbeat); ok {
 			e.glHeartbeat(&v)
-			return e.buf, nil
+			return e.Buf, nil
 		}
 	case KindStartVM:
 		if v, ok := payload.(StartVMRequest); ok && e.startVMRequest(&v) {
-			return e.buf, nil
+			return e.Buf, nil
 		}
 	}
 	return appendGeneric(dst, payload)
@@ -54,9 +54,9 @@ func AppendRequest(dst []byte, kind string, payload any) ([]byte, error) {
 // AppendReply is AppendRequest for a response payload.
 func AppendReply(dst []byte, kind string, payload any) ([]byte, error) {
 	if v, ok := payload.(StartVMResponse); ok && kind == KindStartVM {
-		e := encoder{buf: dst}
+		e := appendTo(dst)
 		e.startVMResponse(&v)
-		return e.buf, nil
+		return e.Buf, nil
 	}
 	return appendGeneric(dst, payload)
 }
@@ -122,7 +122,9 @@ func DecodeRequest(kind string, data json.RawMessage) (any, error) {
 		return decode[RecoveryFetchRequest](data)
 	case KindStateRestore:
 		return decode[StateRestore](data)
-	case KindSuspendHost, KindWakeHost, KindGLQuery, KindRejoin, KindLCList, KindInventory:
+	case KindInventory:
+		return decode[InventoryRequest](data)
+	case KindSuspendHost, KindWakeHost, KindGLQuery, KindRejoin, KindLCList:
 		return noPayload(kind, data)
 	default:
 		return nil, fmt.Errorf("protocol: unknown request kind %q", kind)

@@ -192,7 +192,8 @@ func TestAppendMatchesMarshal(t *testing.T) {
 		{"start-vm-reply/refused", KindStartVM, true, StartVMResponse{Error: "insufficient capacity"}, true},
 		{"start-vm-reply/odd", KindStartVM, true, StartVMResponse{Error: "node <n1> said \"no\""}, false},
 		{"other-kind", KindPlace, false, PlaceRequest{VMs: []types.VMSpec{{ID: "vm-1"}}}, false},
-		{"no-payload", KindInventory, false, struct{}{}, false},
+		{"no-payload", KindLCList, false, struct{}{}, false},
+		{"inventory-request", KindInventory, false, InventoryRequest{VM: "vm-1", NodesOnly: true}, false},
 		{"nil", KindRejoin, false, nil, false},
 	}
 	for _, c := range cases {
@@ -403,9 +404,10 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// TestMonitorDecodeAllocations pins the sharing of IDs within a report: one
-// allocation per distinct string, one per slice, one for the boxed result
-// (encoding/json: 69).
+// TestMonitorDecodeAllocations pins the sharing of strings within a report:
+// the node's VM IDs share one copy of their text, the VM statuses reuse those
+// IDs and the node's, so decoding costs one allocation per slice, one for the
+// node ID and one for the boxed result (encoding/json: 69).
 func TestMonitorDecodeAllocations(t *testing.T) {
 	data, _ := json.Marshal(report16())
 	allocs := testing.AllocsPerRun(100, func() {
@@ -413,8 +415,8 @@ func TestMonitorDecodeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 22 {
-		t.Fatalf("decoding a 16-VM report: %v allocations, want <= 22", allocs)
+	if allocs > 6 {
+		t.Fatalf("decoding a 16-VM report: %v allocations, want <= 6", allocs)
 	}
 	var buf []byte
 	allocs = testing.AllocsPerRun(100, func() {
@@ -431,7 +433,7 @@ var report16Value any = report16()
 // value and refuse text that is not JSON, as a whole-envelope decode did.
 func TestNoPayloadKindsRefuseNonJSON(t *testing.T) {
 	for _, data := range []string{"", "{}", "null", `{"x":1}`, " 7 "} {
-		if _, err := DecodeRequest(KindInventory, []byte(data)); err != nil {
+		if _, err := DecodeRequest(KindLCList, []byte(data)); err != nil {
 			t.Errorf("request %q: %v", data, err)
 		}
 		if _, err := DecodeReply(KindMonitor, []byte(data)); err != nil {
@@ -439,11 +441,37 @@ func TestNoPayloadKindsRefuseNonJSON(t *testing.T) {
 		}
 	}
 	for _, data := range []string{"{", `{}{}`, "nul", `1,"x":2`} {
-		if _, err := DecodeRequest(KindInventory, []byte(data)); err == nil {
+		if _, err := DecodeRequest(KindLCList, []byte(data)); err == nil {
 			t.Errorf("request %q accepted", data)
 		}
 		if _, err := DecodeReply(KindMonitor, []byte(data)); err == nil {
 			t.Errorf("reply %q accepted", data)
+		}
+	}
+}
+
+// TestInventoryRequestCodec: gm.inventory carries a request since it can be
+// narrowed. Whatever a sender that predates InventoryRequest puts there — no
+// payload, {} for its struct{}{}, null — is the zero request, which asks for
+// everything; a payload of another JSON type is now a decode error.
+func TestInventoryRequestCodec(t *testing.T) {
+	for _, want := range []InventoryRequest{{}, {VM: "vm-1"}, {NodesOnly: true}} {
+		data, err := AppendRequest(nil, KindInventory, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeRequest(KindInventory, data); err != nil || got != want {
+			t.Errorf("round trip of %+v through %s: %+v (err %v)", want, data, got, err)
+		}
+	}
+	for _, data := range []string{"", "{}", "null", `{"x":1}`} {
+		if got, err := DecodeRequest(KindInventory, []byte(data)); err != nil || got != (InventoryRequest{}) {
+			t.Errorf("%q: %+v (err %v), want the zero request", data, got, err)
+		}
+	}
+	for _, data := range []string{" 7 ", `"vm-1"`, `{"vm":7}`, "{", `{}{}`, "nul"} {
+		if got, err := DecodeRequest(KindInventory, []byte(data)); err == nil {
+			t.Errorf("%q accepted as %+v", data, got)
 		}
 	}
 }

@@ -311,11 +311,25 @@ type LCListResponse struct {
 	LCs []TopologyLC `json:"lcs"`
 }
 
-// KindInventory asks a GM for its full resource inventory: the monitored
-// status of every managed LC and every VM it hosts. The api/v1 control-plane
-// backends aggregate these per-GM inventories into the GET /v1/vms and
-// GET /v1/nodes collections.
+// KindInventory asks a GM for its resource inventory: the monitored status
+// of its managed LCs and the VMs they host, narrowed by an InventoryRequest
+// to what the caller will return. The api/v1 live backend aggregates the
+// per-GM replies into the /v1/vms and /v1/nodes resources.
 const KindInventory = "gm.inventory"
+
+// InventoryRequest narrows a gm.inventory reply. The zero value asks for
+// everything, and it is what a sender that predates this type produces: its
+// empty, {} or null payload decodes to it, and its in-process struct{}{} is
+// read as it. A receiver that predates the type ignores the payload and
+// answers in full, so callers filter the reply by what they asked for.
+type InventoryRequest struct {
+	// VM asks for that VM alone: the reply holds its status and the nodes
+	// hosting it, or nothing when this GM does not know the VM.
+	VM types.VMID `json:"vm,omitempty"`
+	// NodesOnly leaves the VM statuses out of the reply (a node's status
+	// still lists its VM IDs).
+	NodesOnly bool `json:"nodesOnly,omitempty"`
+}
 
 // InventoryNode is one LC's monitored status plus the age of its last
 // monitor report. During hierarchy churn (a rejoin after a GL change) two

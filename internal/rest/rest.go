@@ -39,6 +39,7 @@ import (
 
 	"snooze/internal/protocol"
 	"snooze/internal/transport"
+	"snooze/internal/wirejson"
 )
 
 // Envelope is the on-wire message frame.
@@ -81,11 +82,11 @@ func putBuffer(b *[]byte) {
 // json.Marshal returns for the Envelope holding payload's encoding.
 func appendEnvelope(dst []byte, from, to, kind string, oneWay bool, payload any) ([]byte, error) {
 	dst = append(dst, `{"from":`...)
-	dst = protocol.AppendString(dst, from)
+	dst = wirejson.AppendString(dst, from)
 	dst = append(dst, `,"to":`...)
-	dst = protocol.AppendString(dst, to)
+	dst = wirejson.AppendString(dst, to)
 	dst = append(dst, `,"kind":`...)
-	dst = protocol.AppendString(dst, kind)
+	dst = wirejson.AppendString(dst, kind)
 	if oneWay {
 		dst = append(dst, `,"oneWay":true`...)
 	}
