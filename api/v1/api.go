@@ -270,12 +270,11 @@ type SeriesSummary struct {
 }
 
 // MetricsSnapshot is the GET /v1/metrics body: control-plane counters (VM
-// placements, relocations, failovers, and the state-recovery flow —
-// gm.state-syncs, gl.state-restores, gm.recoveries, gm.monitor-rejects,
-// gm.migration-retries, gm.migration-abandoned), point-in-time gauges
-// (telemetry volume), duration series summaries (including
-// gm.recovery-latency, the failure-declared→state-restored handoff time in
-// milliseconds) and fixed-bucket histograms.
+// placements, relocations, failovers — gl.gm-failures — and the robustness
+// counters gm.monitor-rejects, gm.migration-retries,
+// gm.migration-abandoned), point-in-time gauges (telemetry volume), duration
+// series summaries (including gl.submit-latency, in milliseconds) and
+// fixed-bucket histograms.
 type MetricsSnapshot struct {
 	Counters map[string]int64         `json:"counters,omitempty"`
 	Gauges   map[string]float64       `json:"gauges,omitempty"`

@@ -164,26 +164,19 @@ func main() {
 		}
 
 	case "recovery":
-		// The failover state-recovery dashboard: the counters and latency
-		// series of the GM->GL state-sync / restore flow, plus the
-		// robustness counters (rejected reports, migration retry budget).
+		// The failover and robustness dashboard: GMs the GL declared failed,
+		// rejected monitor reports and the migration retry budget.
 		snap, err := cli.Metrics(ctx)
 		fatalIf(err)
 		shown := 0
 		for _, name := range []string{
-			"gm.state-syncs", "gl.state-syncs", "gl.recovery-fetches",
-			"gl.state-restores", "gm.recoveries", "gm.monitor-rejects",
-			"gm.migration-retries", "gm.migration-abandoned",
+			"gm.monitor-rejects", "gm.migration-retries",
+			"gm.migration-abandoned", "gl.gm-failures",
 		} {
 			if v, ok := snap.Counters[name]; ok {
 				fmt.Printf("%-24s %d\n", name, v)
 				shown++
 			}
-		}
-		if s, ok := snap.Series["gm.recovery-latency"]; ok {
-			fmt.Printf("%-24s n=%d mean=%.2fms p95=%.2fms p99=%.2fms\n",
-				"gm.recovery-latency", s.N, s.Mean, s.P95, s.P99)
-			shown++
 		}
 		if shown == 0 {
 			fmt.Println("no recovery activity recorded")
@@ -494,7 +487,7 @@ commands:
   consolidate status|start|stop
                           control the online consolidation optimizer (per GM)
   metrics                 control-plane counters, gauges and latency series
-  recovery                failover state-recovery counters and latency
+  recovery                failover and robustness counters
   series [-entity -metric -from -to -agg -step]
                           list telemetry series, or dump one as a table
   watch [-from SEQ] [-n N]

@@ -112,9 +112,6 @@ func main() {
 	consolidationBudget := flag.Int("consolidation-budget", 0, "control role: migrations per consolidation round (0 = default 4; <0 unlimited)")
 	consolidationColonies := flag.Int("consolidation-colonies", 0, "control role: parallel ant colonies per consolidation round (0 = default 4)")
 	traceSample := flag.Int("trace-sample", 1, "control role: record every Nth decision trace (<=1 records all)")
-	stateSyncPeriod := flag.Duration("state-sync-period", 0, "control role: GM->GL telemetry state-sync period for warm failover (0 = auto: off on this process's shared hub; >0 forces; <0 disables)")
-	migrationRetries := flag.Int("migration-retries", 0, "control role: total migration attempts before abandoning (0 = default 3)")
-	migrationBackoff := flag.Duration("migration-backoff", 0, "control role: base backoff between migration retries (0 = default 500ms)")
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling is opt-in)")
 	flag.Parse()
 
@@ -152,8 +149,10 @@ func main() {
 			log.Fatalf("-series-tiers: %v", err)
 		}
 		// One telemetry hub per control process: every manager feeds it and
-		// the /v1/series + /v1/watch routes read from it. The store keeps a
-		// raw ring per series backed by the downsampled retention tiers.
+		// the /v1/series + /v1/watch routes read from it, and a GM that adopts
+		// a failed GM's LCs reads their history from it directly. The store
+		// keeps a raw ring per series backed by the downsampled retention
+		// tiers.
 		tel := telemetry.NewHub(telemetry.Options{
 			Metrics: reg,
 			Store:   telemetry.StoreConfig{SeriesCapacity: *seriesCapacity, Tiers: tiers},
@@ -179,10 +178,6 @@ func main() {
 			cfg.Tracer = tracer
 			cfg.ViewHorizon = *viewHorizon
 			cfg.VMLivenessGrace = *vmLivenessGrace
-			// Zero-valued flags fall back to the defaults in NewManager.
-			cfg.StateSyncPeriod = *stateSyncPeriod
-			cfg.MigrationRetries = *migrationRetries
-			cfg.MigrationBackoff = *migrationBackoff
 			cfg.Consolidation = online.Config{
 				Enabled:         *consolidation,
 				Period:          *consolidationPeriod,

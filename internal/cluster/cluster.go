@@ -57,12 +57,6 @@ type Config struct {
 	// the downsampled tier ladder (see telemetry.StoreConfig). Ignored when
 	// Telemetry is provided.
 	Retention telemetry.StoreConfig
-	// PerGMHubs gives every manager its own private telemetry hub instead of
-	// the deployment-shared one — the live-deployment topology, where a GM
-	// crash actually loses its windowed telemetry. The state-recovery e2e
-	// tests use it to exercise snapshot + journal-replay failover; the
-	// shared hub (default) keeps the single-process simulation cheap.
-	PerGMHubs bool
 	// AutoRole, when non-nil, enables autonomic manager-population control
 	// (the paper's Section V future work: the framework, not the
 	// administrator, decides which nodes act as GMs).
@@ -179,13 +173,6 @@ func New(cfg Config) *Cluster {
 		mcfg.Metrics = cfg.Metrics
 		mcfg.Telemetry = cfg.Telemetry
 		mcfg.Tracer = cfg.Tracer
-		if cfg.PerGMHubs {
-			// Nil makes NewManager create a private hub per process (sized
-			// by Retention); GM failover then really loses state unless the
-			// snapshot + journal-replay recovery restores it.
-			mcfg.Telemetry = nil
-			mcfg.Retention = cfg.Retention
-		}
 		m := hierarchy.NewManager(k, bus, svc, mcfg)
 		c.Managers = append(c.Managers, m)
 		if err := m.Start(); err != nil {
@@ -218,10 +205,6 @@ func New(cfg Config) *Cluster {
 			mcfg.Metrics = cfg.Metrics
 			mcfg.Telemetry = cfg.Telemetry
 			mcfg.Tracer = cfg.Tracer
-			if cfg.PerGMHubs {
-				mcfg.Telemetry = nil
-				mcfg.Retention = cfg.Retention
-			}
 			m := hierarchy.NewManager(k, bus, svc, mcfg)
 			if err := m.Start(); err != nil {
 				return nil, err

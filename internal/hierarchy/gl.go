@@ -119,13 +119,12 @@ func (m *Manager) glSweepTick() {
 	m.mu.Unlock()
 	sort.Slice(failedGMs, func(i, j int) bool { return failedGMs[i] < failedGMs[j] })
 	for _, id := range failedGMs {
+		// A dead GM never sweeps again: drop its owner stamps before the
+		// gm.failed event arms the survivors' liveness sweeps, so VMs that
+		// vanished with it are reaped once their grace runs out. Series of
+		// LCs that rejoin a survivor are re-claimed by its monitoring flow.
+		m.tel.Release(string(id))
 		m.emit(telemetry.EventGMFailed, telemetry.GMEntity(id), telemetry.Attrs{})
-	}
-	if len(failedGMs) > 0 {
-		// State-recovering failover: hand each dead GM's archived telemetry
-		// to the survivors, which adopt the history of the LCs about to
-		// rejoin them (see recovery.go).
-		m.glPushArchives(failedGMs)
 	}
 	if shed > 0 {
 		m.mark("gl.rebalances", 1)
@@ -203,10 +202,11 @@ func (m *Manager) glOnSummary(req *transport.Request) {
 	// gm/<id> series from its own monitoring flow (gmOnMonitor) at heartbeat
 	// cadence; re-recording the coarser summary here would double-feed the
 	// series. The GM's claim stamp plus an O(1) freshness probe distinguishes
-	// that case from a live deployment with per-process hubs, where this
-	// record is the series' only feed. The staleness bound keeps the GL
-	// recording when a claimed rollup went quiet (a GM whose LCs all left
-	// stops ingesting monitor reports, hence stops rolling up).
+	// that case from a GM that feeds a hub of its own (a manager built
+	// without one), where this record is the series' only feed. The
+	// staleness bound keeps the GL recording when a claimed rollup went quiet
+	// (a GM whose LCs all left stops ingesting monitor reports, hence stops
+	// rolling up).
 	if up.Rollup {
 		entity := telemetry.GMEntity(up.Summary.GM)
 		if owner, ok := m.tel.Owner(entity); ok && owner == string(up.Summary.GM) {

@@ -71,17 +71,6 @@ func (m *Manager) becomeGMLocked(gl transport.Address) {
 		m.sweep.observeLocked()
 		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
 	}
-	if period := m.stateSyncPeriod(); period > 0 {
-		// State replication: push owned-telemetry snapshots + journal
-		// segments to the GL so a successor can rebuild this GM's hub after
-		// a failure. The bootstrap fetch below is the receiving end: a
-		// restarted/re-elected GM recovers what a previous incarnation
-		// replicated, restoring Fresh capacity views across the handoff.
-		m.addTicker(period, m.gmStateSyncTick)
-		m.lastSyncSeq = 0
-		started := m.rt.Now()
-		m.rt.After(0, func() { m.gmRecoverState(started) })
-	}
 	// Join the GL immediately (heartbeat-paced retries cover failures).
 	m.rt.After(0, m.gmJoinGL)
 }
@@ -320,22 +309,18 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	now := m.rt.Now()
 	if doRollup {
 		m.tel.RecordGroup(now, rollup)
-		// Stamp the rollup series like the per-VM series: on a shared hub the
-		// claim tells the GL that this GM's monitoring flow feeds gm/<id>
-		// directly, so glOnSummary skips its own (coarser) re-record.
+		// Stamp the rollup series like the per-VM series: the claim tells the
+		// GL that this GM's monitoring flow feeds gm/<id> directly, so
+		// glOnSummary skips its own (coarser) re-record.
 		m.tel.Claim(telemetry.GMEntity(m.cfg.ID), string(m.cfg.ID))
 		m.mark("gm.rollups", 1)
 	}
 	m.tel.RecordNode(now, rep.Status)
-	// Stamp the node series too: besides fencing shared-hub sweeps, the
-	// claim scopes this entity into the GM's state-sync snapshot, so a
-	// successor inherits the node's utilization history on failover.
-	m.tel.Claim(telemetry.NodeEntity(id), string(m.cfg.ID))
 	for _, vm := range rep.VMs {
 		entity := telemetry.VMEntity(vm.Spec.ID)
 		m.tel.RecordVM(now, vm)
-		// Stamp the series with this GM: on a shared hub the stamp fences
-		// other GMs' liveness sweeps away from entities we are feeding.
+		// Stamp the series with this GM: the stamp fences other GMs' liveness
+		// sweeps away from entities we are feeding.
 		m.tel.Claim(entity, string(m.cfg.ID))
 	}
 	if becameIdle {
@@ -806,34 +791,31 @@ func (m *Manager) migrateVMLocked(mv types.Migration, done func(ok bool)) {
 // migrateVMTracedLocked is migrateVMLocked with the issuing decision span's
 // context, carried to the LC on the MigrateVMRequest and tagged onto the
 // vm.state journal event. Failures are retried with exponential backoff up
-// to the configured attempt budget; an exhausted budget journals
-// gm.migration-abandoned and reports failure once.
+// to migrationAttempts; an exhausted budget journals gm.migration-abandoned
+// and reports failure once.
 func (m *Manager) migrateVMTracedLocked(mv types.Migration, sc obs.SpanContext, done func(ok bool)) {
 	m.migrateAttemptLocked(mv, sc, 1, done)
 }
 
-// migrationAttempts resolves the bounded retry budget (total attempts,
-// minimum one).
-func (m *Manager) migrationAttempts() int {
-	if m.cfg.MigrationRetries < 1 {
-		return 1
-	}
-	return m.cfg.MigrationRetries
-}
+// The bounded migration retry shared by relocation and the consolidation
+// optimizer — everything funnelling through the migration primitive: one
+// migration is attempted at most migrationAttempts times in total, and retry
+// attempt n waits migrationBackoff<<(n-2) plus a jitter (migrationDelay).
+const (
+	migrationAttempts = 3
+	migrationBackoff  = 500 * time.Millisecond
+)
 
 // migrationDelay computes the backoff before retry attempt next (2, 3, …):
-// exponential in the base plus a deterministic jitter hashed from the VM ID
-// and the attempt number — concurrent retries spread without shared random
-// state, so schedules are reproducible in simulation.
-func migrationDelay(base time.Duration, vm types.VMID, next int) time.Duration {
-	if base <= 0 {
-		base = 500 * time.Millisecond
-	}
-	d := base << uint(next-2)
+// exponential in migrationBackoff plus a deterministic jitter hashed from the
+// VM ID and the attempt number — concurrent retries spread without shared
+// random state, so schedules are reproducible in simulation.
+func migrationDelay(vm types.VMID, next int) time.Duration {
+	d := migrationBackoff << uint(next-2)
 	h := fnv.New64a()
 	h.Write([]byte(vm))
 	h.Write([]byte{byte(next)})
-	return d + time.Duration(h.Sum64()%uint64(base))
+	return d + time.Duration(h.Sum64()%uint64(migrationBackoff))
 }
 
 // migrateAttemptLocked issues one attempt of a migration; m.mu must be held.
@@ -876,12 +858,12 @@ func (m *Manager) migrateAttemptLocked(mv types.Migration, sc obs.SpanContext, a
 				ack, isAck := reply.(protocol.MigrateVMResponse)
 				if err != nil || !isAck || !ack.OK {
 					m.mark("gm.migrations-failed", 1)
-					if attempt < m.migrationAttempts() {
+					if attempt < migrationAttempts {
 						// Bounded retry: back off and re-issue. The endpoint
 						// records are re-resolved under the lock, so an LC
 						// that failed or was shed meanwhile aborts the retry.
 						m.mark("gm.migration-retries", 1)
-						m.rt.After(migrationDelay(m.cfg.MigrationBackoff, mv.VM, attempt+1), func() {
+						m.rt.After(migrationDelay(mv.VM, attempt+1), func() {
 							m.mu.Lock()
 							if m.role != RoleGM || m.stopped {
 								m.mu.Unlock()
@@ -1144,8 +1126,9 @@ func (m *Manager) armVMSweep() {
 // grace period is declared vanished — a synthetic terminal vm.state event is
 // journaled (which also drops the series, see telemetry.TerminalVMStates)
 // and the leak is closed. Series stamped with another GM's owner claim
-// (Hub.Claim, set by that GM's monitoring flow) are skipped outright — on a
-// shared hub they are that GM's to reconcile. Remaining unknown-but-fresh
+// (Hub.Claim, set by that GM's monitoring flow) are skipped outright — they
+// are that GM's to reconcile, until the GL declares it failed and releases
+// its stamps (Hub.Release). Remaining unknown-but-fresh
 // series (typically a handoff still in flight) re-arm the sweep for the
 // exact instant the earliest of them could ripen.
 func (m *Manager) gmVMSweep() {
@@ -1180,9 +1163,9 @@ func (m *Manager) gmVMSweep() {
 		if !ok || known[id] {
 			continue
 		}
-		// GM fencing: on a shared hub, a series stamped with another GM's
-		// identity is that GM's to reconcile — skip it outright rather than
-		// waiting out its staleness.
+		// GM fencing: a series stamped with another GM's identity is that
+		// GM's to reconcile — skip it outright rather than waiting out its
+		// staleness.
 		if owner, ok := m.tel.Owner(entity); ok && owner != string(m.cfg.ID) {
 			continue
 		}

@@ -378,15 +378,13 @@ func TestManagerConfigWithDefaults(t *testing.T) {
 		Estimator: resource.MaxWindow{}, ViewHorizon: time.Minute,
 		EnergyEnabled: true, IdleThreshold: 17 * time.Second, PendingTimeout: 19 * time.Second,
 		Consolidation:         online.Config{Enabled: true},
-		RescheduleOnLCFailure: true,
-		StateSyncPeriod:       -1, MigrationRetries: 1, MigrationBackoff: time.Millisecond, VMLivenessGrace: -1,
+		RescheduleOnLCFailure: true, VMLivenessGrace: -1,
 		Metrics: metricsRegistry(), Tracer: obs.New(obs.Config{}),
 		Telemetry: telemetry.NewHub(telemetry.Options{}),
-		Retention: telemetry.StoreConfig{SeriesCapacity: 7},
 	}
 	v := reflect.ValueOf(set)
-	if n := v.NumField(); n > 27 {
-		t.Fatalf("ManagerConfig has %d fields; ROADMAP tracks the count (27) and it only goes down", n)
+	if n := v.NumField(); n > 23 {
+		t.Fatalf("ManagerConfig has %d fields; ROADMAP tracks the count (23) and it only goes down", n)
 	}
 	for i := 0; i < v.NumField(); i++ {
 		if v.Field(i).IsZero() {

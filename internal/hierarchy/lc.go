@@ -5,6 +5,12 @@
 // protocol messages over an injected transport.Bus and schedule their
 // periodic work on a simkernel.Runtime, so identical code runs deterministic
 // simulations and real wall-clock deployments.
+//
+// Failures heal by membership (Section II-E): LCs orphaned by a GM crash
+// rejoin surviving GMs through the GL, and a crashed GL is replaced by
+// re-election. The managers of one deployment share one telemetry hub, so a
+// GM that adopts orphaned LCs schedules them on their pre-crash history
+// (warm failover) without any state being copied between managers.
 package hierarchy
 
 import (

@@ -98,32 +98,6 @@ type ManagerConfig struct {
 	// surviving LCs (the hypervisor-snapshot recovery of Section II-E).
 	RescheduleOnLCFailure bool
 
-	// StateSyncPeriod paces the GM's state replication push to the GL
-	// (KindStateSync): a snapshot of the GM's owned telemetry plus the
-	// journal segment since the previous push. The GL archives the state so
-	// a successor GM can rebuild its hub after a failure (snapshot + journal
-	// replay) instead of starting from empty, stale capacity views.
-	// 0 is automatic: defaultStateSyncPeriod when this manager owns a
-	// private hub (no ManagerConfig.Telemetry supplied — the topology where
-	// a GM crash actually loses state), disabled on a shared hub where the
-	// successor reads the same store and replication would be pure
-	// overhead. Positive forces that period regardless of hub topology;
-	// negative disables replication.
-	StateSyncPeriod time.Duration
-
-	// MigrationRetries bounds how many times one migration is attempted
-	// before the GM gives up (journaling gm.migration-abandoned). The retry
-	// loop is shared by relocation and the consolidation optimizer —
-	// everything funnelling through the migration primitive. <=0 means a
-	// single attempt (no retries); the default is 3 attempts total.
-	MigrationRetries int
-
-	// MigrationBackoff is the base delay before a migration retry; attempt n
-	// waits base<<(n-1) plus a deterministic jitter hashed from the VM ID and
-	// attempt number (no shared random state, so retry schedules are
-	// reproducible in simulation). Default 500ms.
-	MigrationBackoff time.Duration
-
 	// VMLivenessGrace drives the GM's deployment-level VM liveness sweep:
 	// a vm/* series whose VM is absent from this GM's inventory AND has not
 	// recorded a sample for this long is declared vanished — the GM journals
@@ -146,18 +120,15 @@ type ManagerConfig struct {
 	// every instrumentation site is a no-op then).
 	Tracer *obs.Tracer
 
-	// Telemetry is the deployment-wide telemetry hub: monitoring reports and
-	// group summaries feed its time-series store, membership changes and the
-	// anomaly detector feed its event journal, and the GM runs relocation off
-	// the detector's node.overload / node.underload events. Nil creates a
-	// private hub with default thresholds, so Manager behaviour does not
-	// depend on wiring.
+	// Telemetry is the deployment-wide telemetry hub that every manager of
+	// the deployment shares: monitoring reports and group summaries feed its
+	// time-series store, membership changes and the anomaly detector feed its
+	// event journal, and the GM runs relocation off the detector's
+	// node.overload / node.underload events. Because the managers share it, a
+	// GM that takes over a failed GM's LCs reads their history directly — warm
+	// failover needs no state copy. Nil creates a hub with default settings
+	// for this manager alone (standalone use and unit-test rigs).
 	Telemetry *telemetry.Hub
-
-	// Retention sizes the private hub's series store (raw ring capacity and
-	// downsampled tier ladder) when Telemetry is nil; a wired hub carries
-	// its own store configuration.
-	Retention telemetry.StoreConfig
 }
 
 // electionBase is the coordination path of the GL election.
@@ -167,32 +138,30 @@ const electionBase = "/snooze/election"
 // is the single statement of what each default is.
 func DefaultManagerConfig(id types.GroupManagerID, addr transport.Address) ManagerConfig {
 	return ManagerConfig{
-		ID:               id,
-		Addr:             addr,
-		HeartbeatPeriod:  2 * time.Second,
-		SummaryPeriod:    4 * time.Second,
-		LCTimeout:        12 * time.Second,
-		GMTimeout:        12 * time.Second,
-		CallTimeout:      90 * time.Second,
-		SessionTTL:       6 * time.Second,
-		Dispatch:         &scheduling.RoundRobinDispatch{},
-		Placement:        scheduling.FirstFit{},
-		Overload:         scheduling.OverloadRelocation{},
-		Underload:        scheduling.UnderloadRelocation{},
-		Estimator:        resource.LastValue{},
-		ViewHorizon:      view.DefaultHorizon,
-		EnergyEnabled:    false,
-		IdleThreshold:    30 * time.Second,
-		PendingTimeout:   60 * time.Second,
-		MigrationRetries: 3,
-		MigrationBackoff: 500 * time.Millisecond,
+		ID:              id,
+		Addr:            addr,
+		HeartbeatPeriod: 2 * time.Second,
+		SummaryPeriod:   4 * time.Second,
+		LCTimeout:       12 * time.Second,
+		GMTimeout:       12 * time.Second,
+		CallTimeout:     90 * time.Second,
+		SessionTTL:      6 * time.Second,
+		Dispatch:        &scheduling.RoundRobinDispatch{},
+		Placement:       scheduling.FirstFit{},
+		Overload:        scheduling.OverloadRelocation{},
+		Underload:       scheduling.UnderloadRelocation{},
+		Estimator:       resource.LastValue{},
+		ViewHorizon:     view.DefaultHorizon,
+		EnergyEnabled:   false,
+		IdleThreshold:   30 * time.Second,
+		PendingTimeout:  60 * time.Second,
 	}
 }
 
 // withDefaults normalises a config: every zero or nil field that has a default
 // takes DefaultManagerConfig's value, the view horizon also when negative.
-// Fields whose zero is meaningful (the bools, Consolidation, StateSyncPeriod,
-// Retention, the wiring) pass through.
+// Fields whose zero is meaningful (the bools, Consolidation, the wiring) pass
+// through.
 func (c ManagerConfig) withDefaults() ManagerConfig {
 	d := DefaultManagerConfig(c.ID, c.Addr)
 	orDefault(&c.HeartbeatPeriod, d.HeartbeatPeriod)
@@ -208,8 +177,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	orDefault(&c.Estimator, d.Estimator)
 	orDefault(&c.IdleThreshold, d.IdleThreshold)
 	orDefault(&c.PendingTimeout, d.PendingTimeout)
-	orDefault(&c.MigrationRetries, d.MigrationRetries)
-	orDefault(&c.MigrationBackoff, d.MigrationBackoff)
 	if c.ViewHorizon <= 0 {
 		c.ViewHorizon = d.ViewHorizon
 	}
@@ -301,23 +268,6 @@ type Manager struct {
 	// under mu); 0 means none yet this stint.
 	lastRollup time.Duration
 
-	// privateHub records that this manager created its own telemetry hub
-	// (no ManagerConfig.Telemetry supplied): the topology where a crash
-	// loses the hub, which is what turns automatic state sync on.
-	privateHub bool
-
-	// lastSyncSeq is the journal sequence through which state-sync pushes
-	// have already shipped events to the GL (GM role, under mu); reset at
-	// each stint start so a new GL receives the full retained tail.
-	lastSyncSeq uint64
-
-	// archMu guards archives, the GL-side per-GM telemetry archive fed by
-	// KindStateSync pushes; it is served to a rejoining GM (RecoveryFetch)
-	// and pushed to the survivors when the sweep declares a GM dead
-	// (StateRestore). A separate lock keeps the archive copies off m.mu.
-	archMu   sync.Mutex
-	archives map[types.GroupManagerID]*gmArchive
-
 	// viewEpoch is the GM-wide cache epoch (under mu): the O(1) group-level
 	// stand-in for "max of the member series' Store.Generations", bumped by
 	// every state change that can alter the capacity views the GM schedules
@@ -351,16 +301,14 @@ func (m *Manager) ViewMemoCounters() (hits, misses uint64) {
 // leader election.
 func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cfg ManagerConfig) *Manager {
 	cfg = cfg.withDefaults()
-	privateHub := cfg.Telemetry == nil
-	if privateHub {
-		cfg.Telemetry = telemetry.NewHub(telemetry.Options{Metrics: cfg.Metrics, Store: cfg.Retention})
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewHub(telemetry.Options{Metrics: cfg.Metrics})
 	}
 	m := &Manager{
-		rt:         rt,
-		bus:        bus,
-		cfg:        cfg,
-		tel:        cfg.Telemetry,
-		privateHub: privateHub,
+		rt:  rt,
+		bus: bus,
+		cfg: cfg,
+		tel: cfg.Telemetry,
 		views: view.Builder{
 			Hub:     cfg.Telemetry,
 			Horizon: cfg.ViewHorizon,
@@ -369,9 +317,8 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 			// dispatch fan-out, GM relocation scans) map lookups.
 			Cache: view.NewCache(),
 		},
-		lcs:      make(map[types.NodeID]*lcRecord),
-		gms:      make(map[types.GroupManagerID]*gmRecord),
-		archives: make(map[types.GroupManagerID]*gmArchive),
+		lcs: make(map[types.NodeID]*lcRecord),
+		gms: make(map[types.GroupManagerID]*gmRecord),
 	}
 	m.energy = deadline{m: m, fire: m.gmEnergyCheck, onKick: m.gmEnergyCheck,
 		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}
@@ -446,10 +393,9 @@ func (m *Manager) Crash() {
 
 // Restart revives a crashed manager: the bus address comes back up, the
 // handler is re-registered and the process re-enters the GL election as a
-// fresh candidate. State recovery happens in the GM bootstrap phase (the
-// manager fetches its previous incarnation's archived telemetry from the GL
-// via KindRecoveryFetch). Restart fails while the crashed incarnation's
-// election session has not expired yet; callers retry after the session TTL.
+// fresh candidate. Its telemetry history is still on the deployment's shared
+// hub. Restart fails while the crashed incarnation's election session has not
+// expired yet; callers retry after the session TTL.
 func (m *Manager) Restart() error {
 	m.mu.Lock()
 	m.stopped = false
@@ -480,7 +426,8 @@ func (m *Manager) observeValue(name string, v float64) {
 }
 
 // Telemetry returns the manager's telemetry hub (shared across the
-// deployment when wired through cluster.Config / snoozed, private otherwise).
+// deployment when wired through cluster.Config / snoozed, this manager's own
+// otherwise).
 func (m *Manager) Telemetry() *telemetry.Hub { return m.tel }
 
 // schedulingInfo reports this manager's active scheduling configuration. It
@@ -594,13 +541,6 @@ func (m *Manager) handle(req *transport.Request) {
 		m.gmOnInventory(req)
 	case protocol.KindConsolidation:
 		m.gmOnConsolidation(req)
-	case protocol.KindStateRestore:
-		m.gmOnStateRestore(req)
-	// State replication messages handled in the GL role.
-	case protocol.KindStateSync:
-		m.glOnStateSync(req)
-	case protocol.KindRecoveryFetch:
-		m.glOnRecoveryFetch(req)
 	default:
 		req.RespondErr(fmt.Errorf("manager %s: unknown message kind %q", m.cfg.ID, req.Kind))
 	}

@@ -116,10 +116,10 @@ func TestValidMonitorReport(t *testing.T) {
 // jitter, so the schedule is reproducible in the simulator and never
 // degenerates into a synchronized thundering herd across VMs.
 func TestMigrationDelayDeterministicAndBounded(t *testing.T) {
-	base := 500 * time.Millisecond
+	base := migrationBackoff
 	for attempt := 2; attempt <= 4; attempt++ {
-		d1 := migrationDelay(base, "vm-a", attempt)
-		d2 := migrationDelay(base, "vm-a", attempt)
+		d1 := migrationDelay("vm-a", attempt)
+		d2 := migrationDelay("vm-a", attempt)
 		if d1 != d2 {
 			t.Fatalf("attempt %d not deterministic: %v vs %v", attempt, d1, d2)
 		}
@@ -128,7 +128,7 @@ func TestMigrationDelayDeterministicAndBounded(t *testing.T) {
 			t.Fatalf("attempt %d delay %v outside [%v, %v)", attempt, d1, lo, lo+base)
 		}
 	}
-	if migrationDelay(base, "vm-a", 2) == migrationDelay(base, "vm-b", 2) {
+	if migrationDelay("vm-a", 2) == migrationDelay("vm-b", 2) {
 		t.Fatal("jitter does not separate VMs (hash collision in fixture is astronomically unlikely)")
 	}
 }

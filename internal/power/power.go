@@ -12,6 +12,7 @@ package power
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"snooze/internal/types"
@@ -215,14 +216,16 @@ func (c *ClusterMeter) AddJoules(j float64) {
 // linear model at their aggregate CPU utilization, hosts without VMs draw
 // SuspendWatts (the consolidation objective assumes freed hosts are
 // suspended, per Section III). Demands of VMs missing from the placement are
-// ignored.
+// ignored. Both sums run in ID order, so equal inputs give bit-identical
+// watts; map order would change the last bits from call to call.
 func PlacementPower(m Model, placement types.Placement, demand map[types.VMID]types.ResourceVector, nodes map[types.NodeID]types.NodeSpec) float64 {
 	usedCPU := make(map[types.NodeID]float64, len(nodes))
-	for vm, node := range placement {
-		usedCPU[node] += demand[vm].CPU // hosting any VM marks the node active
+	for _, vm := range sortedKeys(placement) {
+		usedCPU[placement[vm]] += demand[vm].CPU // hosting any VM marks the node active
 	}
 	var watts float64
-	for id, spec := range nodes {
+	for _, id := range sortedKeys(nodes) {
+		spec := nodes[id]
 		cpu, active := usedCPU[id]
 		if !active {
 			watts += m.SuspendWatts
@@ -235,4 +238,14 @@ func PlacementPower(m Model, placement types.Placement, demand map[types.VMID]ty
 		watts += m.Draw(types.PowerOn, util)
 	}
 	return watts
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -185,5 +186,40 @@ func TestPlacementPower(t *testing.T) {
 	// n1 at 50% = 150, n2 suspended = 10, n3 active but 0 util = 100.
 	if math.Abs(got-260) > 1e-6 {
 		t.Fatalf("partial: %v", got)
+	}
+}
+
+// PlacementPower must not depend on map iteration order: summing floats in a
+// different order changes the last bits, which made experiment tables print
+// -0.00 on some runs and 0.00 on others.
+func TestPlacementPowerDeterministic(t *testing.T) {
+	m := DefaultModel()
+	nodes := make(map[types.NodeID]types.NodeSpec)
+	demand := make(map[types.VMID]types.ResourceVector)
+	placement := make(types.Placement)
+	var ids []types.VMID
+	for n := 0; n < 64; n++ {
+		node := types.NodeID(fmt.Sprintf("n%02d", n))
+		nodes[node] = types.NodeSpec{ID: node, Capacity: types.RV(97.3, 32768, 0, 0)}
+		for v := 0; v < 8; v++ {
+			vm := types.VMID(fmt.Sprintf("%s-v%d", node, v))
+			demand[vm] = types.RV(0.1+float64(v)/3+float64(n)/7, 1024, 0, 0)
+			placement[vm] = node
+			ids = append(ids, vm)
+		}
+	}
+	want := PlacementPower(m, placement, demand, nodes)
+	for i := 0; i < 200; i++ {
+		if got := PlacementPower(m, placement, demand, nodes); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: %v, first call %v", i, got, want)
+		}
+	}
+	// The same per-node VM sets, inserted in reverse order.
+	reversed := make(types.Placement, len(placement))
+	for i := len(ids) - 1; i >= 0; i-- {
+		reversed[ids[i]] = placement[ids[i]]
+	}
+	if got := PlacementPower(m, reversed, demand, nodes); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("reordered placement: %v, want %v", got, want)
 	}
 }

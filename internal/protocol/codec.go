@@ -116,12 +116,6 @@ func DecodeRequest(kind string, data json.RawMessage) (any, error) {
 		return decode[TopologyRequest](data)
 	case KindConsolidation:
 		return decode[ConsolidationCtlRequest](data)
-	case KindStateSync:
-		return decode[StateSync](data)
-	case KindRecoveryFetch:
-		return decode[RecoveryFetchRequest](data)
-	case KindStateRestore:
-		return decode[StateRestore](data)
 	case KindInventory:
 		return decode[InventoryRequest](data)
 	case KindSuspendHost, KindWakeHost, KindGLQuery, KindRejoin, KindLCList:
@@ -163,10 +157,8 @@ func DecodeReply(kind string, data json.RawMessage) (any, error) {
 		return decode[InventoryResponse](data)
 	case KindConsolidation:
 		return decode[ConsolidationCtlResponse](data)
-	case KindRecoveryFetch:
-		return decode[RecoveryFetchResponse](data)
 	case KindGLHeartbeat, KindGMHeartbeat, KindSummary, KindMonitor, KindAnomaly,
-		KindStopVM, KindSuspendHost, KindWakeHost, KindRejoin, KindStateSync, KindStateRestore:
+		KindStopVM, KindSuspendHost, KindWakeHost, KindRejoin:
 		return noPayload(kind, data)
 	default:
 		return nil, fmt.Errorf("protocol: unknown reply kind %q", kind)

@@ -6,7 +6,6 @@
 package protocol
 
 import (
-	"snooze/internal/telemetry"
 	"snooze/internal/telemetry/sketch"
 	"snooze/internal/types"
 )
@@ -379,65 +378,6 @@ type ConsolidationRound struct {
 	Executed    int    `json:"executed"`
 	Failed      int    `json:"failed"`
 	Cancelled   int    `json:"cancelled"`
-}
-
-// ---------------------------------------------------------------------------
-// GM state replication and failover recovery
-// ---------------------------------------------------------------------------
-
-// KindStateSync is a GM's periodic one-way state replication push to the GL:
-// a snapshot of the GM's owned telemetry (series, owner stamps, detector
-// state) plus the journal events published since the previous push. The GL
-// archives the latest snapshot and accumulates the incremental segments, so
-// a successor can rebuild the GM's hub as snapshot + journal tail after a
-// failure (the paper's self-healing, Section II, extended from membership
-// recovery to state recovery).
-const KindStateSync = "gl.state-sync"
-
-// KindRecoveryFetch asks the GL for one GM's archived state. A manager
-// entering the GM role sends it during its bootstrap phase to recover the
-// windowed telemetry a previous incarnation pushed.
-const KindRecoveryFetch = "gl.recovery-fetch"
-
-// KindStateRestore is the GL's push of a FAILED GM's archived state to a
-// surviving GM: when the GL's sweep declares a GM dead, the orphaned LCs
-// rejoin other GMs, and those successors adopt the dead GM's history so
-// their first policy decisions run on restored windowed statistics instead
-// of snapshot fallback.
-const KindStateRestore = "gm.state-restore"
-
-// StateSync is the GM→GL replication push. Events carries the journal
-// segment with Seq > SinceSeq at the time of the push; Snapshot is the full
-// owned-state snapshot cut at the same instant.
-type StateSync struct {
-	GM       types.GroupManagerID  `json:"gm"`
-	Addr     string                `json:"addr"`
-	Snapshot telemetry.HubSnapshot `json:"snapshot"`
-	SinceSeq uint64                `json:"sinceSeq"`
-	Events   []telemetry.Event     `json:"events,omitempty"`
-}
-
-// RecoveryFetchRequest asks for the archived state of one GM.
-type RecoveryFetchRequest struct {
-	GM types.GroupManagerID `json:"gm"`
-}
-
-// RecoveryFetchResponse carries the archive (Found false when the GL has
-// never seen a push from that GM).
-type RecoveryFetchResponse struct {
-	Found    bool                  `json:"found"`
-	Snapshot telemetry.HubSnapshot `json:"snapshot"`
-	Events   []telemetry.Event     `json:"events,omitempty"`
-}
-
-// StateRestore is the GL→GM push of a failed GM's archive. FailedAtNs is the
-// runtime instant the GL declared the failure, so the adopting GM can journal
-// the failure-to-recovery latency.
-type StateRestore struct {
-	FailedGM   types.GroupManagerID  `json:"failedGm"`
-	Snapshot   telemetry.HubSnapshot `json:"snapshot"`
-	Events     []telemetry.Event     `json:"events,omitempty"`
-	FailedAtNs int64                 `json:"failedAtNs"`
 }
 
 // ConsolidationCtlResponse reports one GM's optimizer state after the

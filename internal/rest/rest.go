@@ -62,7 +62,7 @@ type replyFrame struct {
 const maxEnvelopeBytes = 1 << 20
 
 // Frames are built in and read into pooled buffers. maxPooledBuffer keeps the
-// rare large frame (an inventory, a state-sync snapshot) from pinning its
+// rare large frame (an inventory, a large VM batch) from pinning its
 // buffer in the pool for the monitor reports that follow.
 const maxPooledBuffer = 64 << 10
 

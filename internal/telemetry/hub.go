@@ -107,9 +107,10 @@ type Hub struct {
 	reg      *metrics.Registry
 
 	// owners stamps entities with the identity of the GM whose monitoring
-	// flow feeds their series (see Claim). On a hub shared by several GMs it
-	// fences cross-GM reconciliation: the VM liveness sweep skips entities
-	// owned by another GM outright instead of relying on staleness alone.
+	// flow feeds their series (see Claim). The GMs of a deployment share the
+	// hub, so it fences cross-GM reconciliation: the VM liveness sweep skips
+	// entities owned by another GM outright instead of relying on staleness
+	// alone.
 	ownerMu sync.RWMutex
 	owners  map[string]string
 }
@@ -230,9 +231,12 @@ func (h *Hub) DetectNode(at time.Duration, st types.NodeStatus) (Event, bool) {
 }
 
 // Claim stamps entity as owned by owner — the GM whose monitoring flow feeds
-// its series. Ownership follows the monitoring flow: when an LC rejoins
-// another GM, the new GM's next report re-claims its entities. The fast path
-// (unchanged owner) is a read-lock and a map hit.
+// its series. The hierarchy stamps vm/* series, which keeps each GM's
+// liveness sweep off VMs another GM is feeding, and each GM's gm/<id> rollup
+// series, which tells the GL that the GM feeds it directly. Ownership follows
+// the monitoring flow: when an LC rejoins another GM, the new GM's next
+// report re-claims its entities. The fast path (unchanged owner) is a
+// read-lock and a map hit.
 func (h *Hub) Claim(entity, owner string) {
 	h.ownerMu.RLock()
 	cur, ok := h.owners[entity]
@@ -245,12 +249,27 @@ func (h *Hub) Claim(entity, owner string) {
 	h.ownerMu.Unlock()
 }
 
-// Owner returns the owning-GM identity stamped on entity, if any.
+// Owner returns the owning-GM identity stamped on entity, if any (see Claim).
 func (h *Hub) Owner(entity string) (string, bool) {
 	h.ownerMu.RLock()
 	defer h.ownerMu.RUnlock()
 	owner, ok := h.owners[entity]
 	return owner, ok
+}
+
+// Release drops every stamp owner still holds. The GL calls it when it
+// declares a GM failed: a dead GM never sweeps its own series again, so its
+// stamps would otherwise fence its vanished VMs off every survivor's
+// liveness sweep for good. Stamps a survivor has already re-claimed carry
+// the survivor's identity and are left alone.
+func (h *Hub) Release(owner string) {
+	h.ownerMu.Lock()
+	for entity, o := range h.owners {
+		if o == owner {
+			delete(h.owners, entity)
+		}
+	}
+	h.ownerMu.Unlock()
 }
 
 // ForgetEntity drops an entity's series, detector state and owner stamp when

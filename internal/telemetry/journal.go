@@ -30,10 +30,6 @@ const (
 	// the trace/span IDs in its attributes, so watch streams correlate with
 	// GET /v1/traces.
 	EventDecisionTrace = "decision.trace"
-	// EventGMRecovered is journaled by a GM that rebuilt telemetry state from
-	// a replicated snapshot + journal tail (failover recovery); its attributes
-	// carry the source GM and the measured recovery latency.
-	EventGMRecovered = "gm.failover-recovered"
 	// EventMigrationAbandoned is journaled when a migration exhausted its
 	// bounded retry budget and the GM gave up on the move.
 	EventMigrationAbandoned = "gm.migration-abandoned"

@@ -109,54 +109,6 @@ func TestAdoptSketch(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesSketches pins the failover contract: a SnapshotSince-
-// trimmed snapshot (no tiers, recent raw only) restored into a fresh store
-// still answers lifetime quantiles identical to the source, because the
-// sketches and moments ride the snapshot.
-func TestSnapshotCarriesSketches(t *testing.T) {
-	src := NewStore(StoreConfig{SeriesCapacity: 64})
-	at := time.Duration(0)
-	for i := 0; i < 500; i++ {
-		at += time.Second
-		src.Append("node/n1", "util", at, float64(i%100))
-	}
-	spec := &SummarySpec{Percentiles: []float64{50, 95}, Trend: true}
-	want, ok := src.Reduce("node/n1", "util", 0, 0, spec)
-	if !ok {
-		t.Fatal("source reduce failed")
-	}
-	wantP50, wantP95 := want.Percentiles[0], want.Percentiles[1]
-
-	snap := src.SnapshotSince(nil, at-30*time.Second)
-	if len(snap.Series) != 1 || snap.Series[0].Life == nil || snap.Series[0].Evict == nil {
-		t.Fatalf("trimmed snapshot lost the sketches: %+v", snap.Series)
-	}
-	if len(snap.Series[0].Tiers) != 0 {
-		t.Fatal("trimmed snapshot carried tiers")
-	}
-
-	dst := NewStore(StoreConfig{SeriesCapacity: 64})
-	if got := dst.Restore(snap); got != 1 {
-		t.Fatalf("restored %d series, want 1", got)
-	}
-	got, ok := dst.Reduce("node/n1", "util", 0, 0, spec)
-	if !ok {
-		t.Fatal("restored reduce failed")
-	}
-	if got.Percentiles[0] != wantP50 || got.Percentiles[1] != wantP95 {
-		t.Fatalf("restored quantiles %v, want [%v %v]", got.Percentiles, wantP50, wantP95)
-	}
-	if got.Avg != want.Avg || got.Trend != want.Trend || got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("restored moments diverged: got %+v want %+v", got, want)
-	}
-	// The restored series keeps accumulating.
-	dst.Append("node/n1", "util", at+time.Second, 1000)
-	after, _ := dst.Reduce("node/n1", "util", 0, 0, spec)
-	if after.Max != 1000 || after.Weight != want.Weight+1 {
-		t.Fatalf("restored series did not keep sketching: %+v", after)
-	}
-}
-
 // TestConcurrentAppendReduce exercises the sketch read/write paths under the
 // race detector: appends and adoptions mutate per-series sketches under
 // shard write-locks while reductions (fast path, windowed sketch path and
@@ -191,7 +143,6 @@ func TestConcurrentAppendReduce(t *testing.T) {
 				s.Reduce("e", "m", time.Duration(i)*time.Second, sec(i+1000), spec) // windowed sketch path
 				s.Reduce("e", "m", 0, 0, exact)
 				s.SeriesSketch("e", "m")
-				s.Snapshot(nil)
 			}
 		}()
 	}

@@ -36,6 +36,14 @@ type Sample struct {
 	Value float64
 }
 
+// ValidSample reports whether a measurement is ingestible: finite and
+// non-negative. Monitoring flows use it to reject corrupted reports (NaN,
+// Inf, negative utilization) before they poison windowed statistics — a NaN
+// sample would silently disable every threshold comparison downstream.
+func ValidSample(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
+}
+
 // StoreConfig parameterizes a Store.
 type StoreConfig struct {
 	// SeriesCapacity is the fixed raw ring-buffer length of every series

@@ -416,6 +416,53 @@ func TestHubEndToEnd(t *testing.T) {
 	}
 }
 
+func TestHubClaimOwnerRelease(t *testing.T) {
+	h := NewHub(Options{})
+	if _, ok := h.Owner("vm/v1"); ok {
+		t.Fatal("unclaimed entity has an owner")
+	}
+	h.Claim("vm/v1", "gm-a")
+	h.Claim("vm/v2", "gm-a")
+	h.Claim("gm/gm-a", "gm-a")
+	h.Claim("vm/v3", "gm-b")
+	// Ownership follows the monitoring flow: a re-claim moves the stamp.
+	h.Claim("vm/v2", "gm-b")
+	if owner, ok := h.Owner("vm/v2"); !ok || owner != "gm-b" {
+		t.Fatalf("re-claimed owner = %q, %v; want gm-b, true", owner, ok)
+	}
+
+	h.Release("gm-a")
+	for _, entity := range []string{"vm/v1", "gm/gm-a"} {
+		if owner, ok := h.Owner(entity); ok {
+			t.Fatalf("%s still owned by %q after Release(gm-a)", entity, owner)
+		}
+	}
+	for _, entity := range []string{"vm/v2", "vm/v3"} {
+		if owner, ok := h.Owner(entity); !ok || owner != "gm-b" {
+			t.Fatalf("%s owner = %q, %v after Release(gm-a); want gm-b, true", entity, owner, ok)
+		}
+	}
+	// ForgetEntity drops the stamp with the series.
+	h.ForgetEntity("vm/v3")
+	if _, ok := h.Owner("vm/v3"); ok {
+		t.Fatal("forgotten entity kept its owner stamp")
+	}
+}
+
+func TestValidSample(t *testing.T) {
+	for _, tc := range []struct {
+		v  float64
+		ok bool
+	}{
+		{0, true}, {0.5, true}, {1e9, true},
+		{-0.001, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		if got := ValidSample(tc.v); got != tc.ok {
+			t.Errorf("ValidSample(%v) = %v, want %v", tc.v, got, tc.ok)
+		}
+	}
+}
+
 func TestJournalObservers(t *testing.T) {
 	j := NewJournal(16)
 	var seen []uint64
