@@ -1,12 +1,13 @@
 // Package apiv1 is the versioned, typed control-plane API of the Snooze
 // reproduction — the stable surface operators and programs use to manage a
-// deployment, whether it is the discrete-event simulation
-// (api/v1/simbackend) or a live wall-clock snoozed process
-// (api/v1/livebackend). The paper exposes its control plane as "Java RESTful
-// web services" with a CLI on top (Section II-A); this package is that idea
-// made versionable: JSON DTOs, a Backend interface implemented by every
-// deployment flavour, an HTTP server mounting the /v1 resource routes
-// (api/v1/server) and a typed Go client (api/v1/client).
+// deployment, whether it is a live wall-clock snoozed process or the
+// discrete-event simulation. Both serve it through one backend
+// (api/v1/livebackend), which asks the hierarchy itself, so /v1 shows the
+// hierarchy's view in either. The paper exposes its control plane as "Java
+// RESTful web services" with a CLI on top (Section II-A); this package is
+// that idea made versionable: JSON DTOs, the Backend interface, an HTTP
+// server mounting the /v1 resource routes (api/v1/server) and a typed Go
+// client (api/v1/client).
 //
 // The wire contract is resource-oriented:
 //
@@ -15,7 +16,7 @@
 //	GET  /v1/vms/{id}         one VM
 //	GET  /v1/nodes            list nodes (paginated)
 //	GET  /v1/nodes/{id}       one node
-//	POST /v1/nodes/{id}/fail  crash-stop a node (simulation backends)
+//	POST /v1/nodes/{id}/fail  crash-stop a node (backends with a FaultInjector)
 //	GET  /v1/topology         hierarchy export (?deep=true for per-LC detail)
 //	POST /v1/consolidations   compute a consolidation plan (dry run)
 //	GET  /v1/consolidations/status  online consolidation optimizer state, per GM
@@ -27,7 +28,8 @@
 //	GET  /v1/series           telemetry: list series keys, or windowed queries
 //	                          (?entity=&metric=&fromNs=&toNs=&agg=&stepNs=)
 //	GET  /v1/watch            telemetry: SSE event stream (?from=seq replay)
-//	GET  /v1/experiments/{id} run one reproduced experiment (quick scale)
+//	GET  /v1/experiments/{id} run one reproduced experiment (quick scale; the
+//	                          server runs it on a private simulated cluster)
 //	GET  /v1/healthz          liveness
 //
 // Deployments additionally expose GET /metrics (no version segment): the
@@ -369,7 +371,7 @@ type TraceList struct {
 // ---------------------------------------------------------------------------
 
 // Telemetry timestamps are runtime-relative nanoseconds: virtual time for a
-// simulated backend, process uptime for a live one. They order and window
+// simulated cluster, process uptime for a live one. They order and window
 // samples; they are not wall-clock instants.
 
 // SeriesKey names one telemetry series: an entity ("node/<id>", "vm/<id>",

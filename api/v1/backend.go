@@ -8,10 +8,12 @@ import (
 	"strings"
 )
 
-// Backend is the control-plane surface every deployment flavour implements:
-// the simulated cluster (api/v1/simbackend), a live snoozed hierarchy
-// (api/v1/livebackend) and the HTTP client (api/v1/client), which makes any
-// remote /v1 server usable wherever a Backend is expected.
+// Backend is the control-plane surface of a deployment. Two implementations
+// exist: the hierarchy's own (api/v1/livebackend), which a snoozed control
+// process and a simulated cluster (internal/cluster) both serve, and the HTTP
+// client (api/v1/client), which makes any remote /v1 server usable wherever a
+// Backend is expected. Fault injection is the optional FaultInjector; the
+// experiments route needs no backend at all (api/v1/server runs it).
 type Backend interface {
 	// SubmitVMs submits a VM batch to the hierarchy and reports per-VM
 	// placement outcomes. Specs with empty or duplicate IDs are rejected
@@ -58,13 +60,14 @@ type Backend interface {
 	// Seq >= from, then following live. The stream ends when ctx is
 	// cancelled, Close is called, or the consumer falls too far behind.
 	Watch(ctx context.Context, from uint64) (EventStream, error)
-	// FailNode crash-stops a node. Backends without fault injection (live
-	// deployments) return ErrUnsupported.
+}
+
+// FaultInjector is the optional fault-injection capability of a Backend. A
+// simulated cluster has it; a live deployment does not, and the server
+// answers POST /v1/nodes/{id}/fail for it with ErrUnsupported (501).
+type FaultInjector interface {
+	// FailNode crash-stops a node; an unknown ID returns ErrNotFound.
 	FailNode(ctx context.Context, id string) error
-	// Experiment reproduces one table/figure of the paper's evaluation at
-	// quick scale ("e1".."e7", "e9", "a1", "a2", "f1" or a name); unknown IDs return
-	// ErrNotFound.
-	Experiment(ctx context.Context, id string) (Experiment, error)
 }
 
 // EventStream is a live telemetry event feed returned by Backend.Watch.

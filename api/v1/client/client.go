@@ -28,7 +28,10 @@ type Client struct {
 	http *http.Client
 }
 
-var _ apiv1.Backend = (*Client)(nil)
+var (
+	_ apiv1.Backend       = (*Client)(nil)
+	_ apiv1.FaultInjector = (*Client)(nil)
+)
 
 // Option customizes a Client.
 type Option func(*Client)
@@ -222,7 +225,8 @@ func (c *Client) GetNode(ctx context.Context, id string) (apiv1.Node, error) {
 	return out, err
 }
 
-// FailNode implements apiv1.Backend.
+// FailNode implements apiv1.FaultInjector; a server whose backend has no
+// fault injector answers ErrUnsupported.
 func (c *Client) FailNode(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, "/v1/nodes/"+url.PathEscape(id)+"/fail", nil, nil, nil)
 }
@@ -479,7 +483,8 @@ func (c *Client) WatchResume(ctx context.Context, from uint64) apiv1.EventStream
 	return s
 }
 
-// Experiment implements apiv1.Backend.
+// Experiment reproduces one evaluation table on the server (quick scale);
+// unknown IDs return ErrNotFound.
 func (c *Client) Experiment(ctx context.Context, id string) (apiv1.Experiment, error) {
 	var out apiv1.Experiment
 	err := c.do(ctx, http.MethodGet, "/v1/experiments/"+url.PathEscape(id), nil, nil, &out)

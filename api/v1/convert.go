@@ -1,18 +1,14 @@
 package apiv1
 
 // Conversions between the internal domain types and the versioned DTOs,
-// plus the backend-neutral implementations of Consolidate and Experiment.
-// Both backends (simulated and live) reduce their state to []VM/[]Node and
-// share the planning code here, so the two deployment flavours cannot drift.
+// plus the dry-run consolidation planner the backend runs over the []VM/[]Node
+// it gathered.
 
 import (
-	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"snooze/internal/consolidation"
-	"snooze/internal/experiments"
 	"snooze/internal/metrics"
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling/view"
@@ -309,18 +305,4 @@ func PlanConsolidation(vms []VM, nodes []Node, req ConsolidationRequest, demand 
 		plan.Migrations = append(plan.Migrations, Migration{VM: string(m.VM), From: string(m.From), To: string(m.To)})
 	}
 	return plan, nil
-}
-
-// RunExperiment is the backend-neutral Experiment implementation: reproduce
-// one evaluation table at quick scale. Experiments build their own simulated
-// clusters, so any backend can serve them.
-func RunExperiment(ctx context.Context, id string) (Experiment, error) {
-	if err := ctx.Err(); err != nil {
-		return Experiment{}, err
-	}
-	res, err := experiments.ByID(strings.ToLower(id), experiments.ScaleQuick)
-	if err != nil {
-		return Experiment{}, fmt.Errorf("%w: %v", ErrNotFound, err)
-	}
-	return Experiment{ID: res.ID, Title: res.Title, Table: res.Table.String(), Notes: res.Notes}, nil
 }

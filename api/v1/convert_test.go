@@ -222,17 +222,6 @@ func TestPlanConsolidationSparesNonRunningReservations(t *testing.T) {
 	}
 }
 
-func TestRunExperimentErrors(t *testing.T) {
-	if _, err := RunExperiment(context.Background(), "nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("unknown id: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunExperiment(ctx, "e1"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx: %v", err)
-	}
-}
-
 func TestQueryHubSeries(t *testing.T) {
 	h := telemetry.NewHub(telemetry.Options{})
 	for i := 0; i < 60; i++ {

@@ -1,11 +1,11 @@
-// Package livebackend adapts a live, wall-clock Snooze hierarchy to the
-// api/v1 Backend interface. It speaks the same control-plane protocol the
-// hierarchy components use among themselves — GL discovery through the entry
-// points, submission and topology export against the GL, inventory fan-out
-// to the GMs — over the process-local bus, so a snoozed control process can
-// serve /v1 next to its /deliver RPC tunnel. Remote components reached
-// through a rest.Gateway are transparently included: their bus addresses
-// proxy over HTTP.
+// Package livebackend adapts a Snooze hierarchy to the api/v1 Backend
+// interface; it is the one /v1 backend. It speaks the same control-plane
+// protocol the hierarchy components use among themselves — GL discovery
+// through the entry points, submission and topology export against the GL,
+// inventory fan-out to the GMs — over the process-local bus, so a snoozed
+// control process can serve /v1 next to its /deliver RPC tunnel. Remote
+// components reached through a rest.Gateway are transparently included: their
+// bus addresses proxy over HTTP.
 //
 // Each read asks the GMs (protocol.InventoryRequest) only for what it
 // returns: ListVMs and Consolidate for the full inventories, ListNodes and
@@ -19,9 +19,11 @@
 // report, of that node or of another one, still lists it; ListVMs would
 // already have dropped it.
 //
-// The backend requires a wall-clock runtime (simkernel.NewWallRuntime):
-// calls block the requesting goroutine until the bus responds. Simulated
-// clusters use api/v1/simbackend instead, which drives the virtual clock.
+// Every bus call waits in one place. On a wall-clock runtime
+// (simkernel.NewWallRuntime) the requesting goroutine blocks until the bus
+// responds. A simulated cluster (internal/cluster) sets Config.Wait instead:
+// the requesting goroutine then drives the virtual clock itself until the
+// reply arrives, so /v1 over the simulator is this same backend.
 package livebackend
 
 import (
@@ -56,19 +58,25 @@ type Config struct {
 	// nil: the snapshot is then empty).
 	Metrics *metrics.Registry
 	// Telemetry is the process-wide telemetry hub — pass the hub the manager
-	// processes feed (cmd/snoozed wires this) so /v1/series and /v1/watch
-	// see the hierarchy's monitoring flow. Nil creates an empty private hub:
-	// the routes work but stay silent.
+	// processes feed (cluster.NewControl wires this) so /v1/series and
+	// /v1/watch see the hierarchy's monitoring flow. Nil creates an empty
+	// private hub: the routes work but stay silent.
 	Telemetry *telemetry.Hub
 	// Now reports the runtime-relative clock telemetry samples are stamped
-	// with — pass the hierarchy runtime's Now (cmd/snoozed wires this) so
-	// demand=p95 consolidation dry runs window the hub correctly. Nil falls
-	// back to this backend's own uptime.
+	// with — pass the hierarchy runtime's Now (cluster.NewControl wires this)
+	// so demand=p95 consolidation dry runs window the hub correctly. Nil
+	// falls back to this backend's own uptime.
 	Now func() time.Duration
 	// Tracer is the process-wide decision tracer served by GET /v1/traces —
-	// pass the tracer the manager processes record into (cmd/snoozed wires
-	// this). Nil keeps the route working with an empty list.
+	// pass the tracer the manager processes record into (cluster.NewControl
+	// wires this). Nil keeps the route working with an empty list.
 	Tracer *obs.Tracer
+	// Wait, when non-nil, runs every bus call on a runtime that no other
+	// goroutine drives: it issues the call with send and returns once
+	// replied reports true, or with ctx's error if ctx ends before it could
+	// send. Nil, as on a wall-clock runtime, sends and blocks until the
+	// reply or ctx's end.
+	Wait func(ctx context.Context, send func(), replied func() bool) error
 }
 
 // Backend serves the api/v1 control plane from a live hierarchy.
@@ -103,6 +111,14 @@ func New(cfg Config) *Backend {
 	return b
 }
 
+// WithCallTimeout returns a backend on b's bus address and sources whose
+// calls are bounded by d instead.
+func (b *Backend) WithCallTimeout(d time.Duration) *Backend {
+	cfg := b.cfg
+	cfg.CallTimeout = d
+	return &Backend{cfg: cfg}
+}
+
 // call performs one request/response over the bus, honouring ctx.
 func (b *Backend) call(ctx context.Context, to transport.Address, kind string, payload any) (any, error) {
 	type outcome struct {
@@ -110,9 +126,15 @@ func (b *Backend) call(ctx context.Context, to transport.Address, kind string, p
 		err   error
 	}
 	ch := make(chan outcome, 1)
-	b.cfg.Bus.Call(b.cfg.Addr, to, kind, payload, b.cfg.CallTimeout, func(reply any, err error) {
-		ch <- outcome{reply, err}
-	})
+	done := func(reply any, err error) { ch <- outcome{reply, err} }
+	if b.cfg.Wait != nil {
+		send := func() { b.cfg.Bus.Call(b.cfg.Addr, to, kind, payload, b.cfg.CallTimeout, done) }
+		if err := b.cfg.Wait(ctx, send, func() bool { return len(ch) > 0 }); err != nil {
+			return nil, err
+		}
+	} else {
+		b.cfg.Bus.Call(b.cfg.Addr, to, kind, payload, b.cfg.CallTimeout, done)
+	}
 	select {
 	case out := <-ch:
 		return out.reply, mapBusErr(out.err)
@@ -422,15 +444,4 @@ func (b *Backend) ListTraces(ctx context.Context, q apiv1.TraceQuery) (apiv1.Tra
 // Watch implements Backend over the process telemetry hub.
 func (b *Backend) Watch(ctx context.Context, from uint64) (apiv1.EventStream, error) {
 	return apiv1.WatchHub(ctx, b.cfg.Telemetry, from), nil
-}
-
-// FailNode implements Backend: live deployments have no fault injector.
-func (b *Backend) FailNode(ctx context.Context, id string) error {
-	return fmt.Errorf("%w: fault injection requires a simulated backend", apiv1.ErrUnsupported)
-}
-
-// Experiment implements Backend (experiments run self-contained simulated
-// clusters, so a live deployment can still reproduce the paper's tables).
-func (b *Backend) Experiment(ctx context.Context, id string) (apiv1.Experiment, error) {
-	return apiv1.RunExperiment(ctx, id)
 }

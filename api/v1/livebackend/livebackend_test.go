@@ -1,4 +1,4 @@
-package livebackend
+package livebackend_test
 
 import (
 	"context"
@@ -10,50 +10,43 @@ import (
 	apiv1 "snooze/api/v1"
 	apiclient "snooze/api/v1/client"
 	apiserver "snooze/api/v1/server"
-	"snooze/internal/coord"
+	"snooze/internal/cluster"
 	"snooze/internal/hierarchy"
 	"snooze/internal/hypervisor"
-	"snooze/internal/metrics"
 	"snooze/internal/simkernel"
 	"snooze/internal/transport"
 	"snooze/internal/types"
 )
 
 // TestLiveHierarchyServesV1 boots a miniature wall-clock deployment — the
-// cmd/snoozed control wiring in miniature, with the node co-hosted on the
-// same bus — and exercises the /v1 routes through the HTTP server and typed
-// client: the same contract the simulated backend serves.
+// control plane cmd/snoozed builds, with the node co-hosted on the same bus —
+// and exercises the /v1 routes through the HTTP server and typed client.
 func TestLiveHierarchyServesV1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
 	}
 	rt := simkernel.NewWallRuntime()
 	bus := transport.NewBus(rt, transport.Config{})
-	svc := coord.NewService(rt)
-	reg := metrics.NewRegistry()
 
-	mcfg := hierarchy.DefaultManagerConfig("gm-00", "mgr:gm-00")
+	mcfg := hierarchy.DefaultManagerConfig("", "")
 	mcfg.HeartbeatPeriod = 200 * time.Millisecond
 	mcfg.SummaryPeriod = 300 * time.Millisecond
 	mcfg.SessionTTL = 2 * time.Second
 	mcfg.LCTimeout = 5 * time.Second
-	mcfg.Metrics = reg
-	m0 := hierarchy.NewManager(rt, bus, svc, mcfg)
-	mcfg1 := mcfg
-	mcfg1.ID, mcfg1.Addr = "gm-01", "mgr:gm-01"
-	m1 := hierarchy.NewManager(rt, bus, svc, mcfg1)
-	if err := m0.Start(); err != nil {
+	ctl, err := cluster.NewControl(rt, bus, cluster.ControlConfig{
+		Managers:    2,
+		Manager:     mcfg,
+		CallTimeout: 10 * time.Second,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	if err := m1.Start(); err != nil {
-		t.Fatal(err)
+	for _, m := range ctl.Managers {
+		defer m.Stop()
 	}
-	defer m0.Stop()
-	defer m1.Stop()
-	ep := hierarchy.NewEP(rt, bus, "ep:0", 5*time.Second)
-	ep.Start()
-	defer ep.Stop()
+	for _, ep := range ctl.EPs {
+		defer ep.Stop()
+	}
 
 	node := hypervisor.NewNode(rt, types.NodeSpec{ID: "n1", Capacity: types.RV(8, 16384, 1000, 1000)}, hypervisor.DefaultConfig())
 	lcCfg := hierarchy.DefaultLCConfig()
@@ -63,8 +56,7 @@ func TestLiveHierarchyServesV1(t *testing.T) {
 	lc.Start()
 	defer lc.Stop()
 
-	backend := New(Config{Bus: bus, EPs: []transport.Address{"ep:0"}, Metrics: reg, CallTimeout: 10 * time.Second})
-	srv := httptest.NewServer(apiserver.New(backend).Handler())
+	srv := httptest.NewServer(apiserver.New(ctl.Backend).Handler())
 	defer srv.Close()
 	cli := apiclient.New(srv.URL)
 	ctx := context.Background()

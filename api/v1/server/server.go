@@ -1,9 +1,11 @@
 // Package server mounts the api/v1 resource routes on net/http. It is
-// backend-agnostic: hand it any apiv1.Backend (simulated cluster, live
-// hierarchy, or even a remote client for chaining) and it serves the same
-// /v1 contract — method-routed resource paths, JSON bodies (encoded by
-// apiv1.AppendBody, sent with their Content-Length in one write), pagination
-// on collections, a machine-readable error envelope and capped request bodies.
+// backend-agnostic: hand it any apiv1.Backend (a live or simulated hierarchy,
+// or even a remote client for chaining) and it serves the same /v1 contract —
+// method-routed resource paths, JSON bodies (encoded by apiv1.AppendBody,
+// sent with their Content-Length in one write), pagination on collections, a
+// machine-readable error envelope and capped request bodies. Node fault
+// injection is served when the backend is also an apiv1.FaultInjector (501
+// otherwise); the experiments route is served by the server itself.
 package server
 
 import (
@@ -13,10 +15,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	apiv1 "snooze/api/v1"
+	"snooze/internal/experiments"
 )
 
 // DefaultMaxBodyBytes caps POST bodies (a submission of thousands of VM
@@ -156,7 +160,12 @@ func (s *Server) handleGetNode(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFailNode(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.ctx(r)
 	defer cancel()
-	if err := s.backend.FailNode(ctx, r.PathValue("id")); err != nil {
+	fi, ok := s.backend.(apiv1.FaultInjector)
+	if !ok {
+		s.fail(w, fmt.Errorf("%w: fault injection requires a simulated backend", apiv1.ErrUnsupported))
+		return
+	}
+	if err := fi.FailNode(ctx, r.PathValue("id")); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -380,12 +389,27 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.ctx(r)
 	defer cancel()
-	exp, err := s.backend.Experiment(ctx, r.PathValue("id"))
+	exp, err := RunExperiment(ctx, r.PathValue("id"))
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, exp)
+}
+
+// RunExperiment reproduces one evaluation table at quick scale ("e1".."e7",
+// "e9", "a1", "a2", "f1" or a name); unknown IDs return ErrNotFound.
+// Experiments build their own simulated clusters, so the server runs them
+// whatever its backend.
+func RunExperiment(ctx context.Context, id string) (apiv1.Experiment, error) {
+	if err := ctx.Err(); err != nil {
+		return apiv1.Experiment{}, err
+	}
+	res, err := experiments.ByID(strings.ToLower(id), experiments.ScaleQuick)
+	if err != nil {
+		return apiv1.Experiment{}, fmt.Errorf("%w: %v", apiv1.ErrNotFound, err)
+	}
+	return apiv1.Experiment{ID: res.ID, Title: res.Title, Table: res.Table.String(), Notes: res.Notes}, nil
 }
 
 // ---------------------------------------------------------------------------

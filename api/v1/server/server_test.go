@@ -16,16 +16,17 @@ import (
 
 	apiv1 "snooze/api/v1"
 	apiclient "snooze/api/v1/client"
-	"snooze/api/v1/simbackend"
 	"snooze/internal/cluster"
 	"snooze/internal/types"
 	"snooze/internal/workload"
 )
 
 // fixture wires a settled simulated cluster behind an httptest /v1 server
-// with a typed client — the end-to-end client → server → cluster path.
+// with a typed client — the end-to-end client → server → livebackend →
+// hierarchy path.
 type fixture struct {
-	backend *simbackend.Backend
+	c       *cluster.Cluster
+	backend apiv1.Backend
 	srv     *httptest.Server
 	cli     *apiclient.Client
 }
@@ -37,10 +38,10 @@ func newFixture(t *testing.T) *fixture {
 	if c.Leader() == nil {
 		t.Fatal("hierarchy did not form")
 	}
-	backend := simbackend.New(c, 0)
+	backend := c.API(0)
 	srv := httptest.NewServer(New(backend).Handler())
 	t.Cleanup(srv.Close)
-	return &fixture{backend: backend, srv: srv, cli: apiclient.New(srv.URL)}
+	return &fixture{c: c, backend: backend, srv: srv, cli: apiclient.New(srv.URL)}
 }
 
 func TestSubmitAndWaitEndToEnd(t *testing.T) {
@@ -66,7 +67,7 @@ func TestSubmitAndWaitEndToEnd(t *testing.T) {
 	}
 
 	// Let the VMs boot into the running state.
-	f.backend.Cluster().Settle(30 * time.Second)
+	f.c.Settle(30 * time.Second)
 
 	vms, err := f.cli.ListVMs(ctx)
 	if err != nil {
@@ -158,7 +159,7 @@ func TestConsolidateMetricsAndFail(t *testing.T) {
 	if _, err := f.cli.SubmitVMs(ctx, specs); err != nil {
 		t.Fatal(err)
 	}
-	f.backend.Cluster().Settle(30 * time.Second)
+	f.c.Settle(30 * time.Second)
 
 	plan, err := f.cli.Consolidate(ctx, apiv1.ConsolidationRequest{Algorithm: apiv1.AlgorithmFFD})
 	if err != nil {
@@ -183,17 +184,16 @@ func TestConsolidateMetricsAndFail(t *testing.T) {
 		t.Fatalf("metrics missing gl.submissions: %+v", snap.Counters)
 	}
 
-	// Fault injection works on the simulated backend.
+	// Fault injection works on the simulated backend. /v1 shows the
+	// hierarchy's view: the node's GM drops it once LCTimeout passes without
+	// a heartbeat.
 	victim := "lc-0000"
 	if err := f.cli.FailNode(ctx, victim); err != nil {
 		t.Fatal(err)
 	}
-	node, err := f.cli.GetNode(ctx, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node.Power != types.PowerFailed.String() {
-		t.Fatalf("node power after fail: %q", node.Power)
+	f.c.Settle(30 * time.Second)
+	if node, err := f.cli.GetNode(ctx, victim); !errors.Is(err, apiv1.ErrNotFound) {
+		t.Fatalf("failed node still listed after LCTimeout: %+v %v", node, err)
 	}
 	if err := f.cli.FailNode(ctx, "no-such-node"); !errors.Is(err, apiv1.ErrNotFound) {
 		t.Fatalf("fail unknown node: %v", err)
@@ -326,10 +326,13 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestExperimentRoute(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.cli.Experiment(context.Background(), "nope"); !errors.Is(err, apiv1.ErrNotFound) {
+		t.Fatalf("unknown experiment: %v", err)
+	}
 	if testing.Short() {
 		t.Skip("runs a full (quick-scale) experiment")
 	}
-	f := newFixture(t)
 	exp, err := f.cli.Experiment(context.Background(), "e4")
 	if err != nil {
 		t.Fatal(err)
@@ -342,12 +345,20 @@ func TestExperimentRoute(t *testing.T) {
 	}
 }
 
-// unsupportedBackend exercises the 501 mapping without a real backend.
-type unsupportedBackend struct{ apiv1.Backend }
-
-func (unsupportedBackend) FailNode(context.Context, string) error {
-	return apiv1.ErrUnsupported
+func TestRunExperimentErrors(t *testing.T) {
+	if _, err := RunExperiment(context.Background(), "nope"); !errors.Is(err, apiv1.ErrNotFound) {
+		t.Fatalf("unknown id: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunExperiment(ctx, "e1"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx: %v", err)
+	}
 }
+
+// unsupportedBackend is a backend without a FaultInjector, as a live
+// deployment's is.
+type unsupportedBackend struct{ apiv1.Backend }
 
 func TestUnsupportedMapsTo501(t *testing.T) {
 	srv := httptest.NewServer(New(unsupportedBackend{}).Handler())
@@ -362,6 +373,26 @@ func TestUnsupportedMapsTo501(t *testing.T) {
 		t.Fatalf("status %d body %s", resp.StatusCode, data)
 	}
 	if err := apiclient.New(srv.URL).FailNode(context.Background(), "n1"); !errors.Is(err, apiv1.ErrUnsupported) {
+		t.Fatalf("client mapping: %v", err)
+	}
+}
+
+// TestExperimentRouteOnAnyBackend: experiments build their own simulated
+// clusters, so the route answers on a backend with no simulation behind it,
+// and an unknown ID is a 404 that the client maps to ErrNotFound.
+func TestExperimentRouteOnAnyBackend(t *testing.T) {
+	srv := httptest.NewServer(New(unsupportedBackend{}).Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/experiments/nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status %d body %s", resp.StatusCode, data)
+	}
+	if _, err := apiclient.New(srv.URL).Experiment(context.Background(), "nope"); !errors.Is(err, apiv1.ErrNotFound) {
 		t.Fatalf("client mapping: %v", err)
 	}
 }
@@ -413,7 +444,7 @@ func TestListBodiesAreEncoderBytes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.backend.Cluster().Settle(30 * time.Second) // boot, then a monitor report with measured usage
+	f.c.Settle(30 * time.Second) // boot, then a monitor report with measured usage
 	check := func(path string, list any) {
 		t.Helper()
 		resp, err := http.Get(f.srv.URL + path)

@@ -9,7 +9,6 @@ import (
 
 	apiv1 "snooze/api/v1"
 	apiclient "snooze/api/v1/client"
-	"snooze/api/v1/simbackend"
 	"snooze/internal/cluster"
 	"snooze/internal/scheduling"
 	"snooze/internal/workload"
@@ -38,8 +37,7 @@ func TestBurstyOverloadObservableViaWatch(t *testing.T) {
 		t.Fatal("hierarchy did not form")
 	}
 
-	backend := simbackend.New(c, 0)
-	srv := httptest.NewServer(New(backend).Handler())
+	srv := httptest.NewServer(New(c.API(0)).Handler())
 	defer srv.Close()
 	cli := apiclient.New(srv.URL)
 	ctx := context.Background()

@@ -1,9 +1,7 @@
 package apiv1
 
-// Backend-neutral telemetry implementations: both in-process backends
-// (simbackend, livebackend) reduce /v1/series and /v1/watch to the shared
-// telemetry hub through the helpers here, so the wire semantics cannot drift
-// between deployment flavours.
+// Telemetry implementations: the backend reduces /v1/series and /v1/watch to
+// the deployment's shared telemetry hub through the helpers here.
 
 import (
 	"context"

@@ -1,8 +1,7 @@
 package apiv1
 
-// Backend-neutral decision-trace implementation: both in-process backends
-// reduce /v1/traces to the shared tracer through QueryTraces, so the wire
-// semantics cannot drift between deployment flavours.
+// Decision-trace implementation: the backend reduces /v1/traces to the
+// deployment's shared tracer through QueryTraces.
 
 import (
 	"snooze/internal/obs"

@@ -110,13 +110,8 @@ func BenchmarkA2DispatchAblation(b *testing.B) {
 // BenchmarkPlacementsPerSecond measures end-to-end scheduling throughput of
 // the GL→GM→LC hierarchy: waves of VM submissions against settled 512-LC
 // fleets, timed wall-clock. Each wave is one submission, which the GL sends
-// to the GMs in multi-VM placement requests; the sub-benchmark keeps the name
-// the CI gate's baseline (BENCH_telemetry.json) compares against.
+// to the GMs in multi-VM placement requests.
 func BenchmarkPlacementsPerSecond(b *testing.B) {
-	b.Run("batched", benchPlacements)
-}
-
-func benchPlacements(b *testing.B) {
 	skipInShort(b)
 	const lcs, gms, wave = 512, 32, 256
 	b.ReportAllocs()

@@ -45,14 +45,12 @@ import (
 	"time"
 
 	apiv1 "snooze/api/v1"
-	"snooze/api/v1/livebackend"
 	apiserver "snooze/api/v1/server"
+	"snooze/internal/cluster"
 	"snooze/internal/consolidation/online"
-	"snooze/internal/coord"
 	"snooze/internal/hierarchy"
 	"snooze/internal/hypervisor"
 	"snooze/internal/metrics"
-	"snooze/internal/obs"
 	"snooze/internal/protocol"
 	"snooze/internal/rest"
 	"snooze/internal/scheduling"
@@ -148,78 +146,52 @@ func main() {
 		if err != nil {
 			log.Fatalf("-series-tiers: %v", err)
 		}
-		// One telemetry hub per control process: every manager feeds it and
-		// the /v1/series + /v1/watch routes read from it, and a GM that adopts
-		// a failed GM's LCs reads their history from it directly. The store
-		// keeps a raw ring per series backed by the downsampled retention
-		// tiers.
-		tel := telemetry.NewHub(telemetry.Options{
-			Metrics: reg,
-			Store:   telemetry.StoreConfig{SeriesCapacity: *seriesCapacity, Tiers: tiers},
-		})
-		svc := coord.NewService(rt)
-		// One decision tracer per control process: every manager records its
-		// dispatch/placement/relocation spans into it and GET /v1/traces reads
-		// them back. Span completions also land in the journal as
-		// decision.trace events, so /v1/watch streams them.
-		tracer := obs.New(obs.Config{
-			Sample:  *traceSample,
-			Now:     rt.Now,
-			Metrics: reg,
-			Emit: func(entity string, attrs map[string]string) {
-				tel.Emit(telemetry.EventDecisionTrace, entity, rt.Now(), telemetry.AttrsFromMap(attrs))
-			},
-		})
-		for i := 0; i < *managers; i++ {
-			id := types.GroupManagerID(fmt.Sprintf("gm-%02d", i))
-			cfg := hierarchy.DefaultManagerConfig(id, transport.Address("mgr:"+string(id)))
-			cfg.Metrics = reg
-			cfg.Telemetry = tel
-			cfg.Tracer = tracer
-			cfg.ViewHorizon = *viewHorizon
-			cfg.VMLivenessGrace = *vmLivenessGrace
-			cfg.Consolidation = online.Config{
-				Enabled:         *consolidation,
-				Period:          *consolidationPeriod,
-				MigrationBudget: *consolidationBudget,
-				Colonies:        *consolidationColonies,
-			}
-			// Policy instances are per manager: the round-robin policies keep
-			// cursor state that must not be shared across processes.
-			var perr error
-			if cfg.Dispatch, perr = scheduling.NewDispatchPolicy(*dispatch); perr != nil {
-				log.Fatalf("-dispatch: %v", perr)
-			}
-			if cfg.Placement, perr = scheduling.NewPlacementPolicy(*placement); perr != nil {
-				log.Fatalf("-placement: %v", perr)
-			}
-			if cfg.Overload, perr = scheduling.NewRelocationPolicy(*overload); perr != nil {
-				log.Fatalf("-overload: %v", perr)
-			}
-			if cfg.Underload, perr = scheduling.NewRelocationPolicy(*underload); perr != nil {
-				log.Fatalf("-underload: %v", perr)
-			}
-			m := hierarchy.NewManager(rt, bus, svc, cfg)
-			if err := m.Start(); err != nil {
-				log.Fatalf("manager %s: %v", id, err)
-			}
-			log.Printf("manager %s started at bus address %s", id, cfg.Addr)
+		mcfg := hierarchy.DefaultManagerConfig("", "")
+		mcfg.ViewHorizon = *viewHorizon
+		mcfg.VMLivenessGrace = *vmLivenessGrace
+		mcfg.Consolidation = online.Config{
+			Enabled:         *consolidation,
+			Period:          *consolidationPeriod,
+			MigrationBudget: *consolidationBudget,
+			Colonies:        *consolidationColonies,
 		}
-		ep := hierarchy.NewEP(rt, bus, "ep:0", 0)
-		ep.Start()
+		// One control plane per process: one telemetry hub (the store keeps a
+		// raw ring per series backed by the downsampled retention tiers) and
+		// one decision tracer, both fed by every manager and read by /v1.
+		ctl, err := cluster.NewControl(rt, bus, cluster.ControlConfig{
+			Managers: *managers,
+			Manager:  mcfg,
+			PerManager: func(cfg *hierarchy.ManagerConfig) error {
+				var err error
+				if cfg.Dispatch, err = scheduling.NewDispatchPolicy(*dispatch); err != nil {
+					return fmt.Errorf("-dispatch: %v", err)
+				}
+				if cfg.Placement, err = scheduling.NewPlacementPolicy(*placement); err != nil {
+					return fmt.Errorf("-placement: %v", err)
+				}
+				if cfg.Overload, err = scheduling.NewRelocationPolicy(*overload); err != nil {
+					return fmt.Errorf("-overload: %v", err)
+				}
+				if cfg.Underload, err = scheduling.NewRelocationPolicy(*underload); err != nil {
+					return fmt.Errorf("-underload: %v", err)
+				}
+				return nil
+			},
+			Metrics:     reg,
+			Hub:         telemetry.Options{Store: telemetry.StoreConfig{SeriesCapacity: *seriesCapacity, Tiers: tiers}},
+			TraceSample: *traceSample,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, m := range ctl.Managers {
+			log.Printf("manager %s started at bus address mgr:%s", m.ID(), m.ID())
+		}
 		log.Printf("entry point at bus address ep:0")
 
-		// The operator API: the same /v1 contract the simulated backend
-		// serves, here backed by the live hierarchy on this process's bus.
-		backend := livebackend.New(livebackend.Config{
-			Bus:       bus,
-			EPs:       []transport.Address{"ep:0"},
-			Metrics:   reg,
-			Telemetry: tel,
-			Now:       rt.Now,
-			Tracer:    tracer,
-		})
-		api := apiserver.New(backend)
+		// The operator API: the /v1 contract served from the hierarchy on this
+		// process's bus.
+		api := apiserver.New(ctl.Backend)
 		api.StreamContext = ctx
 		mux.Handle("/v1/", api.Handler())
 		mux.Handle("/metrics", withTransportCounters(reg, bus, gw, api.PrometheusHandler()))

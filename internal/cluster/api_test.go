@@ -1,29 +1,37 @@
-package simbackend
+package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	apiv1 "snooze/api/v1"
-	"snooze/internal/cluster"
+	"snooze/internal/hierarchy"
+	"snooze/internal/simkernel"
 	"snooze/internal/telemetry"
 	"snooze/internal/workload"
 )
 
-func newBackend(t *testing.T) *Backend {
+// The /v1 backend of a simulated cluster is the live backend: reads show
+// what the GMs know, so a test that reads right after a change settles one
+// monitor period first.
+var monitorPeriod = hierarchy.DefaultLCConfig().MonitorPeriod
+
+func newAPI(t *testing.T) (*Cluster, apiv1.Backend) {
 	t.Helper()
-	c := cluster.New(cluster.DefaultConfig(workload.Grid5000Topology(6, 2), 11))
+	c := New(DefaultConfig(workload.Grid5000Topology(6, 2), 11))
 	c.Settle(30 * time.Second)
 	if c.Leader() == nil {
 		t.Fatal("hierarchy did not form")
 	}
-	return New(c, 0)
+	return c, c.API(0)
 }
 
-func submit(t *testing.T, b *Backend, n int) apiv1.SubmitResult {
+func submit(t *testing.T, b apiv1.Backend, n int) apiv1.SubmitResult {
 	t.Helper()
 	specs := make([]apiv1.VMSpec, n)
 	for i := range specs {
@@ -40,12 +48,13 @@ func submit(t *testing.T, b *Backend, n int) apiv1.SubmitResult {
 }
 
 func TestSubmitListGet(t *testing.T) {
-	b := newBackend(t)
+	c, b := newAPI(t)
 	ctx := context.Background()
 	result := submit(t, b, 5)
 	if len(result.Placed) != 5 {
 		t.Fatalf("placed: %+v", result)
 	}
+	c.Settle(monitorPeriod)
 
 	vms, err := b.ListVMs(ctx)
 	if err != nil || len(vms) != 5 {
@@ -78,7 +87,7 @@ func TestSubmitListGet(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	b := newBackend(t)
+	_, b := newAPI(t)
 	ctx := context.Background()
 	if _, err := b.SubmitVMs(ctx, nil); !errors.Is(err, apiv1.ErrInvalid) {
 		t.Fatalf("empty batch: %v", err)
@@ -90,7 +99,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestTopologyAndConsolidate(t *testing.T) {
-	b := newBackend(t)
+	c, b := newAPI(t)
 	ctx := context.Background()
 	submit(t, b, 6)
 
@@ -107,7 +116,7 @@ func TestTopologyAndConsolidate(t *testing.T) {
 	}
 
 	// Let VMs reach running, then plan (dry run: no cluster mutation).
-	b.Cluster().Settle(30 * time.Second)
+	c.Settle(30 * time.Second)
 	plan, err := b.Consolidate(ctx, apiv1.ConsolidationRequest{Algorithm: apiv1.AlgorithmFFD})
 	if err != nil || plan.VMs != 6 {
 		t.Fatalf("consolidate: %+v %v", plan, err)
@@ -117,28 +126,33 @@ func TestTopologyAndConsolidate(t *testing.T) {
 	}
 }
 
+// TestFailNode: fault injection crash-stops the node; the hierarchy then
+// drops it once its GM's LCTimeout passes without a heartbeat.
 func TestFailNode(t *testing.T) {
-	b := newBackend(t)
+	c, b := newAPI(t)
 	ctx := context.Background()
-	if err := b.FailNode(ctx, "nope"); !errors.Is(err, apiv1.ErrNotFound) {
+	fi := b.(apiv1.FaultInjector)
+	if err := fi.FailNode(ctx, "nope"); !errors.Is(err, apiv1.ErrNotFound) {
 		t.Fatalf("fail unknown: %v", err)
 	}
 	nodes, _ := b.ListNodes(ctx)
-	if err := b.FailNode(ctx, nodes[0].ID); err != nil {
+	if err := fi.FailNode(ctx, nodes[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	b.Cluster().Settle(5 * time.Second)
-	got, err := b.GetNode(ctx, nodes[0].ID)
-	if err != nil || got.Power != "failed" {
+	c.Settle(hierarchy.DefaultManagerConfig("", "").LCTimeout + 2*monitorPeriod)
+	if got, err := b.GetNode(ctx, nodes[0].ID); !errors.Is(err, apiv1.ErrNotFound) {
 		t.Fatalf("after fail: %+v %v", got, err)
+	}
+	if after, err := b.ListNodes(ctx); err != nil || len(after) != len(nodes)-1 {
+		t.Fatalf("ListNodes after fail: %d of %d, %v", len(after), len(nodes), err)
 	}
 }
 
 func TestMetricsAndTelemetry(t *testing.T) {
-	b := newBackend(t)
+	c, b := newAPI(t)
 	ctx := context.Background()
 	submit(t, b, 3)
-	b.Cluster().Settle(time.Minute)
+	c.Settle(time.Minute)
 
 	snap, err := b.Metrics(ctx)
 	if err != nil {
@@ -183,39 +197,16 @@ func TestMetricsAndTelemetry(t *testing.T) {
 	}
 }
 
-func TestContextCancellationUnblocksCaller(t *testing.T) {
-	b := newBackend(t)
-	// Occupy the op slot so the next caller must wait; its context deadline
-	// has to unblock it with the context error.
-	<-b.ops
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := b.ListVMs(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked list: %v", err)
-	}
-	b.ops <- struct{}{}
-	if _, err := b.ListVMs(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExperimentRoute(t *testing.T) {
-	b := newBackend(t)
-	if _, err := b.Experiment(context.Background(), "nope"); !errors.Is(err, apiv1.ErrNotFound) {
-		t.Fatalf("unknown experiment: %v", err)
-	}
-}
-
 // TestSeriesRetentionMetadata pins the /v1/series retention contract: a tiny
 // raw ring that a long simulation outlives must report its tier ladder, the
 // retained range, and — for windows reaching before full-resolution
 // coverage — the Truncated watermark.
 func TestSeriesRetentionMetadata(t *testing.T) {
-	cfg := cluster.DefaultConfig(workload.Grid5000Topology(3, 1), 11)
+	cfg := DefaultConfig(workload.Grid5000Topology(3, 1), 11)
 	cfg.Retention = telemetry.StoreConfig{SeriesCapacity: 32} // default tiers
-	c := cluster.New(cfg)
+	c := New(cfg)
 	c.Settle(30 * time.Second)
-	b := New(c, 0)
+	b := c.API(0)
 	ctx := context.Background()
 	// 10 minutes of 3s monitoring = ~200 samples per node series: the
 	// 32-sample raw ring wraps many times over.
@@ -254,5 +245,78 @@ func TestSeriesRetentionMetadata(t *testing.T) {
 	recent, err := b.QuerySeries(ctx, apiv1.SeriesQuery{Entity: entity, Metric: "util", FromNs: full.RawFromNs})
 	if err != nil || recent.Truncated {
 		t.Fatalf("raw-covered window flagged truncated: %+v %v", recent, err)
+	}
+}
+
+// TestContextCancellationUnblocksCaller: a caller that waits for the kernel
+// slot gives up with its context's error.
+func TestContextCancellationUnblocksCaller(t *testing.T) {
+	c, b := newAPI(t)
+	if err := c.hold(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := b.ListVMs(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked list: %v", err)
+	}
+	if err := b.(apiv1.FaultInjector).FailNode(ctx, "lc-0000"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked fail: %v", err)
+	}
+	c.release()
+	if _, err := b.ListVMs(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentRequestsShareTheKernel: /v1 handlers run on their own
+// goroutines and each drives the single-threaded kernel. Concurrent requests
+// all complete, and every kernel event runs with the slot held, so no two
+// run at once (under -race the kernel's own state is checked too).
+func TestConcurrentRequestsShareTheKernel(t *testing.T) {
+	c, b := newAPI(t)
+	var ticks, unheld atomic.Int64
+	probe := simkernel.NewTicker(c.Kernel, time.Millisecond, func() {
+		ticks.Add(1)
+		if len(c.slot) != 0 {
+			unheld.Add(1)
+		}
+	})
+	probe.Start()
+
+	const n = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx := context.Background()
+			id := fmt.Sprintf("cc-%02d", i)
+			res, err := b.SubmitVMs(ctx, []apiv1.VMSpec{{ID: id, Requested: apiv1.Resources{CPU: 1, MemoryMB: 1024}}})
+			if err == nil && res.Placed[id] == "" {
+				err = fmt.Errorf("%s not placed: %+v", id, res)
+			}
+			errs <- err
+			_, err = b.Topology(ctx, i%2 == 0)
+			errs <- err
+			_, err = b.ListNodes(ctx)
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	c.Settle(monitorPeriod)
+	probe.Stop()
+	if ticks.Load() == 0 || unheld.Load() != 0 {
+		t.Fatalf("%d of %d kernel events ran without the slot held", unheld.Load(), ticks.Load())
+	}
+	if vms, err := b.ListVMs(context.Background()); err != nil || len(vms) != n {
+		t.Fatalf("ListVMs after %d concurrent submits: %d %v", n, len(vms), err)
 	}
 }

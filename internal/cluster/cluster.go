@@ -1,18 +1,23 @@
-// Package cluster assembles complete simulated Snooze deployments: a
-// discrete-event kernel, an in-process message bus, the coordination
-// service, one hypervisor node + Local Controller per topology entry, a set
-// of Manager processes (GM/GL via election) and replicated Entry Points.
-// Experiments and tests drive the returned Cluster's virtual clock and
-// inject faults through it.
+// Package cluster assembles Snooze deployments. NewControl builds the control
+// plane every deployment runs — coordination service, managers (GM/GL via
+// election), entry points and the /v1 backend — and cmd/snoozed calls it for
+// a control process. New builds a complete simulated deployment around it: a
+// discrete-event kernel, an in-process message bus and one hypervisor node +
+// Local Controller per topology entry. Experiments and tests drive the
+// returned Cluster's virtual clock and inject faults through it; its API
+// serves /v1 from the same backend a snoozed process serves, and each call
+// runs the kernel until the hierarchy answers.
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
-	"snooze/internal/coord"
+	apiv1 "snooze/api/v1"
+	"snooze/api/v1/livebackend"
 	"snooze/internal/hierarchy"
 	"snooze/internal/hypervisor"
 	"snooze/internal/metrics"
@@ -77,74 +82,37 @@ func DefaultConfig(top workload.Topology, seed int64) Config {
 	}
 }
 
-// Cluster is a fully wired simulated deployment.
+// Cluster is a fully wired simulated deployment: the control plane
+// (managers, entry points, /v1 backend) plus the nodes and LCs under it, on
+// one kernel and bus.
 type Cluster struct {
-	Kernel    *simkernel.Kernel
-	Bus       *transport.Bus
-	Coord     *coord.Service
-	Nodes     map[types.NodeID]*hypervisor.Node
-	LCs       map[types.NodeID]*hierarchy.LC
-	Managers  []*hierarchy.Manager
-	EPs       []*hierarchy.EP
-	Client    *hierarchy.Client
-	Metrics   *metrics.Registry
-	Telemetry *telemetry.Hub
-	Tracer    *obs.Tracer
-	AutoRole  *hierarchy.AutoRole
+	*Control
+	Kernel   *simkernel.Kernel
+	Bus      *transport.Bus
+	Nodes    map[types.NodeID]*hypervisor.Node
+	LCs      map[types.NodeID]*hierarchy.LC
+	Client   *hierarchy.Client
+	AutoRole *hierarchy.AutoRole
 
-	cfg   Config
 	meter *simkernel.Ticker
+	// slot is held by whoever runs the kernel (Settle, the AndWait helpers,
+	// /v1 calls): the kernel is single-threaded, HTTP goroutines are not.
+	slot chan struct{}
 }
 
 // New builds and starts a cluster. The hierarchy self-organizes once the
 // kernel runs (call Settle).
 func New(cfg Config) *Cluster {
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	if cfg.Telemetry == nil {
-		lcTh := cfg.LC.Thresholds
-		if lcTh.Overload == 0 {
-			lcTh = hierarchy.DefaultLCConfig().Thresholds
-		}
-		cooldown := cfg.LC.AnomalyCooldown
-		if cooldown == 0 {
-			cooldown = hierarchy.DefaultLCConfig().AnomalyCooldown
-		}
-		cfg.Telemetry = telemetry.NewHub(telemetry.Options{
-			Metrics: cfg.Metrics,
-			Store:   cfg.Retention,
-			Thresholds: telemetry.Thresholds{
-				Overload:  lcTh.Overload,
-				Underload: lcTh.Underload,
-				Repeat:    cooldown,
-			},
-		})
-	}
 	k := simkernel.New(cfg.Seed)
-	if cfg.Tracer == nil {
-		hub := cfg.Telemetry
-		cfg.Tracer = obs.New(obs.Config{
-			Now:     k.Now,
-			Metrics: cfg.Metrics,
-			Emit: func(entity string, attrs map[string]string) {
-				hub.Emit(telemetry.EventDecisionTrace, entity, k.Now(), telemetry.AttrsFromMap(attrs))
-			},
-		})
-	}
 	bus := transport.NewBus(k, cfg.Bus)
-	svc := coord.NewService(k)
 	c := &Cluster{
-		Kernel:    k,
-		Bus:       bus,
-		Coord:     svc,
-		Nodes:     make(map[types.NodeID]*hypervisor.Node),
-		LCs:       make(map[types.NodeID]*hierarchy.LC),
-		Metrics:   cfg.Metrics,
-		Telemetry: cfg.Telemetry,
-		Tracer:    cfg.Tracer,
-		cfg:       cfg,
+		Kernel: k,
+		Bus:    bus,
+		Nodes:  make(map[types.NodeID]*hypervisor.Node),
+		LCs:    make(map[types.NodeID]*hierarchy.LC),
+		slot:   make(chan struct{}, 1),
 	}
+	c.slot <- struct{}{}
 
 	// Nodes + LCs.
 	resolve := func(id types.NodeID) (*hypervisor.Node, bool) {
@@ -159,58 +127,47 @@ func New(cfg Config) *Cluster {
 		lc.Start()
 	}
 
-	// Managers: Topology.GMs counts group managers; one extra process is
-	// spawned because the election promotes one manager to GL and "GL and
-	// GMs do not host VMs" — the promoted one sheds its LC group.
-	gms := cfg.Topology.GMs
-	if gms < 1 {
-		gms = 1
+	// The control plane. Topology.GMs counts group managers; one extra
+	// process is spawned because the election promotes one manager to GL and
+	// "GL and GMs do not host VMs" — the promoted one sheds its LC group. The
+	// hub's detector thresholds mirror LC.Thresholds so the GM-side detector
+	// and the LC-side classifier agree.
+	lcTh := cfg.LC.Thresholds
+	if lcTh.Overload == 0 {
+		lcTh = hierarchy.DefaultLCConfig().Thresholds
 	}
-	for i := 0; i < gms+1; i++ {
-		mcfg := cfg.Manager
-		mcfg.ID = types.GroupManagerID(fmt.Sprintf("gm-%02d", i))
-		mcfg.Addr = transport.Address("mgr:" + string(mcfg.ID))
-		mcfg.Metrics = cfg.Metrics
-		mcfg.Telemetry = cfg.Telemetry
-		mcfg.Tracer = cfg.Tracer
-		m := hierarchy.NewManager(k, bus, svc, mcfg)
-		c.Managers = append(c.Managers, m)
-		if err := m.Start(); err != nil {
-			panic(fmt.Sprintf("cluster: manager start: %v", err))
-		}
-	}
-
-	// Entry points + client.
-	eps := cfg.Topology.EPs
-	if eps < 1 {
-		eps = 1
+	cooldown := cfg.LC.AnomalyCooldown
+	if cooldown == 0 {
+		cooldown = hierarchy.DefaultLCConfig().AnomalyCooldown
 	}
 	var epAddrs []transport.Address
-	for i := 0; i < eps; i++ {
-		addr := transport.Address(fmt.Sprintf("ep:%02d", i))
-		ep := hierarchy.NewEP(k, bus, addr, 0)
-		ep.Start()
-		c.EPs = append(c.EPs, ep)
-		epAddrs = append(epAddrs, addr)
+	for i := 0; i < max(cfg.Topology.EPs, 1); i++ {
+		epAddrs = append(epAddrs, transport.Address(fmt.Sprintf("ep:%02d", i)))
 	}
+	ctl, err := NewControl(k, bus, ControlConfig{
+		Managers:  max(cfg.Topology.GMs, 1) + 1,
+		Manager:   cfg.Manager,
+		EPs:       epAddrs,
+		Metrics:   cfg.Metrics,
+		Telemetry: cfg.Telemetry,
+		Hub: telemetry.Options{
+			Store:      cfg.Retention,
+			Thresholds: telemetry.Thresholds{Overload: lcTh.Overload, Underload: lcTh.Underload, Repeat: cooldown},
+		},
+		Tracer:      cfg.Tracer,
+		CallTimeout: time.Hour,
+		Wait:        c.drive,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("cluster: %v", err))
+	}
+	c.Control = ctl
 	c.Client = hierarchy.NewClient(k, bus, "client:0", epAddrs, 0)
 
 	// Autonomic role assignment (optional).
 	if cfg.AutoRole != nil {
 		factory := func(index int) (*hierarchy.Manager, error) {
-			id := types.GroupManagerID(hierarchy.AutoManagerID(index))
-			mcfg := cfg.Manager
-			mcfg.ID = id
-			mcfg.Addr = transport.Address("mgr:" + string(id))
-			mcfg.Metrics = cfg.Metrics
-			mcfg.Telemetry = cfg.Telemetry
-			mcfg.Tracer = cfg.Tracer
-			m := hierarchy.NewManager(k, bus, svc, mcfg)
-			if err := m.Start(); err != nil {
-				return nil, err
-			}
-			c.Managers = append(c.Managers, m)
-			return m, nil
+			return c.addManager(types.GroupManagerID(hierarchy.AutoManagerID(index)))
 		}
 		c.AutoRole = hierarchy.NewAutoRole(k, bus, "autorole:0", factory, *cfg.AutoRole)
 		c.AutoRole.Start()
@@ -231,6 +188,8 @@ func New(cfg Config) *Cluster {
 // Settle advances virtual time by d, letting the hierarchy self-organize
 // (election, joins, first heartbeats).
 func (c *Cluster) Settle(d time.Duration) {
+	_ = c.hold(context.Background())
+	defer c.release()
 	c.Kernel.Run(c.Kernel.Now() + d)
 }
 
@@ -255,6 +214,72 @@ func (c *Cluster) GroupManagers() []*hierarchy.Manager {
 	return out
 }
 
+// hold takes the kernel slot, or returns ctx's error if ctx ends first.
+func (c *Cluster) hold(ctx context.Context) error {
+	select {
+	case <-c.slot:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (c *Cluster) release() { c.slot <- struct{}{} }
+
+// run holds the kernel slot while it calls start and then steps the kernel
+// until done reports true, the queue runs dry or, for maxSim > 0, maxSim of
+// virtual time has passed.
+func (c *Cluster) run(ctx context.Context, maxSim time.Duration, start func(), done func() bool) error {
+	if err := c.hold(ctx); err != nil {
+		return err
+	}
+	defer c.release()
+	start()
+	deadline := c.Kernel.Now() + maxSim
+	for !done() && (maxSim <= 0 || c.Kernel.Now() < deadline) && c.Kernel.Step() {
+	}
+	return nil
+}
+
+// drive is the /v1 backend's wait hook: one call runs the kernel until its
+// reply is in. The bus's CallTimeout, itself a kernel event, bounds the wait.
+func (c *Cluster) drive(ctx context.Context, send func(), replied func() bool) error {
+	return c.run(ctx, 0, send, replied)
+}
+
+// API returns the cluster's /v1 backend: the control plane's livebackend,
+// whose calls each take the kernel slot and run the simulation until the
+// hierarchy answers, plus fault injection (apiv1.FaultInjector). Reads show
+// the hierarchy's view: a VM is listed once a monitor report has carried it
+// to its GM, and a failed node until its GM's LCTimeout expires.
+// callTimeout bounds each call in virtual time (<= 0: one virtual hour).
+// While the backend serves, drive the kernel only through the Cluster.
+func (c *Cluster) API(callTimeout time.Duration) apiv1.Backend {
+	b := c.Backend
+	if callTimeout > 0 {
+		b = b.WithCallTimeout(callTimeout)
+	}
+	return simAPI{b, c}
+}
+
+type simAPI struct {
+	*livebackend.Backend
+	c *Cluster
+}
+
+// FailNode implements apiv1.FaultInjector: crash-stop a simulated node.
+func (a simAPI) FailNode(ctx context.Context, id string) error {
+	if err := a.c.hold(ctx); err != nil {
+		return err
+	}
+	defer a.c.release()
+	if _, ok := a.c.Nodes[types.NodeID(id)]; !ok {
+		return fmt.Errorf("%w: node %q", apiv1.ErrNotFound, id)
+	}
+	a.c.FailNode(types.NodeID(id))
+	return nil
+}
+
 // ErrTimeout is returned by the *AndWait helpers.
 var ErrTimeout = errors.New("cluster: operation did not complete in simulated time")
 
@@ -264,15 +289,11 @@ func (c *Cluster) SubmitAndWait(vms []types.VMSpec, maxSim time.Duration) (proto
 	var resp protocol.SubmitResponse
 	var rerr error
 	done := false
-	c.Client.Submit(vms, func(r protocol.SubmitResponse, err error) {
-		resp, rerr, done = r, err, true
-	})
-	deadline := c.Kernel.Now() + maxSim
-	for !done && c.Kernel.Now() < deadline {
-		if !c.Kernel.Step() {
-			break
-		}
-	}
+	_ = c.run(context.Background(), maxSim, func() {
+		c.Client.Submit(vms, func(r protocol.SubmitResponse, err error) {
+			resp, rerr, done = r, err, true
+		})
+	}, func() bool { return done })
 	if !done {
 		return resp, ErrTimeout
 	}
@@ -281,33 +302,14 @@ func (c *Cluster) SubmitAndWait(vms []types.VMSpec, maxSim time.Duration) (proto
 
 // TopologyAndWait fetches the hierarchy export through the client.
 func (c *Cluster) TopologyAndWait(maxSim time.Duration) (protocol.TopologyResponse, error) {
-	return c.topologyAndWait(maxSim, false)
-}
-
-// TopologyDeepAndWait fetches the hierarchy export including per-LC detail
-// (the GL fans out to every GM).
-func (c *Cluster) TopologyDeepAndWait(maxSim time.Duration) (protocol.TopologyResponse, error) {
-	return c.topologyAndWait(maxSim, true)
-}
-
-func (c *Cluster) topologyAndWait(maxSim time.Duration, deep bool) (protocol.TopologyResponse, error) {
 	var resp protocol.TopologyResponse
 	var rerr error
 	done := false
-	cb := func(r protocol.TopologyResponse, err error) {
-		resp, rerr, done = r, err, true
-	}
-	if deep {
-		c.Client.TopologyDeep(cb)
-	} else {
-		c.Client.Topology(cb)
-	}
-	deadline := c.Kernel.Now() + maxSim
-	for !done && c.Kernel.Now() < deadline {
-		if !c.Kernel.Step() {
-			break
-		}
-	}
+	_ = c.run(context.Background(), maxSim, func() {
+		c.Client.Topology(func(r protocol.TopologyResponse, err error) {
+			resp, rerr, done = r, err, true
+		})
+	}, func() bool { return done })
 	if !done {
 		return resp, ErrTimeout
 	}

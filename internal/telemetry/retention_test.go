@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -461,6 +462,28 @@ func TestParseTiers(t *testing.T) {
 			t.Fatalf("%q parsed", bad)
 		}
 	}
+}
+
+// FuzzParseTiers feeds ParseTiers what an operator types into snoozed's
+// -series-tiers flag. An accepted ladder is already what the store would run
+// (sanitizeTiers leaves it as it is); a rejected one is an error, not a
+// panic. "" (nil) is exempt: it selects the default ladder.
+func FuzzParseTiers(f *testing.F) {
+	for _, s := range []string{"", "none", " none ", "1m:512,10m:512", "30s:64, 5m:32", "5m:8,1m:8", "1m:0", "1h:1,", "-1s:4"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tiers, err := ParseTiers(s)
+		if err != nil {
+			if tiers != nil {
+				t.Fatalf("%q: error %v with a ladder %v", s, err, tiers)
+			}
+			return
+		}
+		if tiers != nil && !reflect.DeepEqual(sanitizeTiers(tiers), tiers) {
+			t.Fatalf("%q: accepted %v, the store would run %v", s, tiers, sanitizeTiers(tiers))
+		}
+	})
 }
 
 func TestEntityNewest(t *testing.T) {

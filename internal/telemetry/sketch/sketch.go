@@ -320,16 +320,18 @@ func (s *Sketch) Encode() Encoded {
 	return e
 }
 
-// Decode rebuilds a sketch from its encoded form. A malformed encoding
-// (count mismatch) yields an empty sketch at the encoded alpha rather than a
+// Decode rebuilds a sketch from its encoded form. A malformed encoding — a
+// count mismatch, counts whose sum overflows, or a bucket window past the
+// int range — yields an empty sketch at the encoded alpha rather than a
 // corrupt one.
 func Decode(e Encoded) *Sketch {
 	s := New(e.Alpha)
-	var sum uint64
+	sum, ok := e.Zero, e.Offset <= math.MaxInt-len(e.Counts)
 	for _, c := range e.Counts {
 		sum += c
+		ok = ok && sum >= c // a smaller sum wrapped
 	}
-	if sum+e.Zero != e.Total {
+	if !ok || sum != e.Total {
 		return s
 	}
 	s.offset = e.Offset

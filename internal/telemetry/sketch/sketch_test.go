@@ -1,8 +1,11 @@
 package sketch
 
 import (
+	"encoding/json"
 	"math"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -321,4 +324,61 @@ func BenchmarkSketchReduce(b *testing.B) {
 		_ = s.Quantile(50)
 		_ = s.Quantile(95)
 	}
+}
+
+// FuzzSketchDecode feeds Decode what a GM's summary delivers from the wire
+// (SummaryUpdate.UtilSketch, adopted by Store.AdoptSketch): an Encoded
+// parsed from JSON bytes. Whatever arrives, querying, re-encoding and merging
+// the result never panic; Decode(s.Encode()) reproduces s; and Decode accepts
+// only an encoding whose counts really add up to its total.
+func FuzzSketchDecode(f *testing.F) {
+	s := New(DefaultAlpha)
+	for _, v := range []float64{0, 0.2, 0.5, 0.5, 0.93, 3} {
+		s.Insert(v)
+	}
+	for _, e := range []Encoded{s.Encode(), New(0.05).Encode(), {Alpha: 0.01, Offset: -3, Counts: []uint64{0, 2, 0}, Total: 2}} {
+		data, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e Encoded
+		if json.Unmarshal(data, &e) != nil {
+			return
+		}
+		d := Decode(e)
+		if d.Count() != 0 {
+			sum, carry := e.Zero, uint64(0)
+			for _, c := range e.Counts {
+				var cc uint64
+				sum, cc = bits.Add64(sum, c, 0)
+				carry += cc
+			}
+			if carry != 0 || sum != e.Total {
+				t.Fatalf("accepted counts %v + zero %d that do not add up to total %d", e.Counts, e.Zero, e.Total)
+			}
+		}
+		qs := []float64{0, 50, 95, 100}
+		for _, q := range qs {
+			_ = d.Quantile(q)
+		}
+		enc := d.Encode()
+		again := Decode(enc)
+		if got := again.Encode(); !reflect.DeepEqual(got, enc) {
+			t.Fatalf("Decode(Encode) drifted:\n got %+v\nwant %+v", got, enc)
+		}
+		for _, q := range qs {
+			if a, b := again.Quantile(q), d.Quantile(q); a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
+				t.Fatalf("p%v: %v after the round trip, %v before", q, a, b)
+			}
+		}
+		same := New(d.Alpha())
+		same.Merge(d)
+		if same.Count() != d.Count() {
+			t.Fatalf("merged count %d, want %d", same.Count(), d.Count())
+		}
+		New(DefaultAlpha / 2).Merge(d)
+	})
 }

@@ -22,10 +22,10 @@
 //     REST transport for real deployments (internal/rest)
 //   - a versioned, typed control-plane API (api/v1): JSON DTOs, a Backend
 //     interface, /v1 HTTP resource routes (api/v1/server) and a typed Go
-//     client (api/v1/client). The same routes are served by the simulated
-//     cluster (api/v1/simbackend) and by a live snoozed control process
-//     (api/v1/livebackend), so operator tooling such as cmd/snoozectl works
-//     identically against both.
+//     client (api/v1/client). One backend (api/v1/livebackend) serves the
+//     routes from the hierarchy itself, in a live snoozed control process
+//     and in a simulated cluster alike, so operator tooling such as
+//     cmd/snoozectl works identically against both.
 //
 // Quick start (simulated cluster):
 //
@@ -52,7 +52,6 @@ import (
 	apiv1 "snooze/api/v1"
 	apiclient "snooze/api/v1/client"
 	apiserver "snooze/api/v1/server"
-	"snooze/api/v1/simbackend"
 	"snooze/internal/cluster"
 	"snooze/internal/consolidation"
 	"snooze/internal/experiments"
@@ -163,24 +162,22 @@ func SolveOptimal(p Problem) (ConsolidationResult, error) {
 
 // Versioned control-plane API (api/v1).
 type (
-	// APIBackend is the control-plane surface every deployment flavour
-	// implements (api/v1.Backend): the simulated cluster, a live snoozed
-	// hierarchy and the typed HTTP client.
+	// APIBackend is the control-plane surface (api/v1.Backend): served by
+	// the hierarchy, live or simulated, and by the typed HTTP client.
 	APIBackend = apiv1.Backend
 	// APIClient is the typed /v1 HTTP client (api/v1/client.Client).
 	APIClient = apiclient.Client
-	// SimBackend adapts a simulated Cluster to the APIBackend interface.
-	SimBackend = simbackend.Backend
 	// APIServer is the configurable /v1 HTTP server (api/v1/server.Server);
 	// set StreamContext to bound /v1/watch streams for graceful shutdown.
 	APIServer = apiserver.Server
 )
 
-// NewSimBackend wraps a simulated cluster as an api/v1 Backend; maxSim
-// bounds the virtual time one control-plane call may consume (0 = one
+// NewSimBackend returns a simulated cluster's /v1 backend (Cluster.API): the
+// live backend over the cluster's hierarchy, plus node fault injection.
+// maxSim bounds the virtual time one hierarchy call may consume (0 = one
 // virtual hour).
-func NewSimBackend(c *Cluster, maxSim time.Duration) *SimBackend {
-	return simbackend.New(c, maxSim)
+func NewSimBackend(c *Cluster, maxSim time.Duration) APIBackend {
+	return c.API(maxSim)
 }
 
 // NewAPIHandler mounts the /v1 control-plane routes for any backend.
