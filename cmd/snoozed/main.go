@@ -102,7 +102,7 @@ func main() {
 	overload := flag.String("overload", "", "control role: overload relocation policy (overload-relocation | trend-relocation)")
 	underload := flag.String("underload", "underload-relocation", "control role: underload relocation policy (underload-relocation | trend-underload)")
 	viewHorizon := flag.Duration("view-horizon", 0, "control role: capacity-view history window (0 = default 5m)")
-	seriesCapacity := flag.Int("series-capacity", 0, "control role: raw telemetry ring length per series (0 = 512)")
+	seriesCapacity := flag.Int("series-capacity", 0, "control role: maximum raw telemetry ring length per series (0 = 512)")
 	seriesTiers := flag.String("series-tiers", "", `control role: downsampled retention tiers as "step:capacity,..." (default "1m:512,10m:512"; "none" disables)`)
 	vmLivenessGrace := flag.Duration("vm-liveness-grace", 0, "control role: reap vm/* series silent+unknown for this long (0 = 4×LC timeout; <0 disables)")
 	consolidation := flag.Bool("consolidation", false, "control role: run the online consolidation optimizer on the elected GM")

@@ -17,7 +17,7 @@ import (
 //     next build misses, every build after that (same epoch) hits again.
 //
 // The builds are driven through the public placement path with an oversized
-// VM: placeVM constructs the active views before discovering nothing fits,
+// VM: placeLocked builds the active views before discovering nothing fits,
 // and the no-fit reply leaves no reservation behind, so probing never moves
 // the epoch itself.
 func TestViewEpochGatesStoreReductions(t *testing.T) {

@@ -1,12 +1,14 @@
 package hierarchy
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -365,7 +367,8 @@ func (m *Manager) estimateVM(now time.Duration, vm types.VMStatus) types.Resourc
 	return vm.Used
 }
 
-// activeStatusesLocked snapshots the schedulable LC statuses.
+// activeStatusesLocked snapshots the schedulable LC statuses in ID order, the
+// order placement policies iterate in.
 func (m *Manager) activeStatusesLocked() []types.NodeStatus {
 	out := make([]types.NodeStatus, 0, len(m.lcs))
 	for _, lc := range m.lcs {
@@ -374,16 +377,17 @@ func (m *Manager) activeStatusesLocked() []types.NodeStatus {
 		}
 		out = append(out, lc.status)
 	}
+	slices.SortFunc(out, func(a, b types.NodeStatus) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
 	return out
 }
 
-// activeViewsLocked builds capacity views over the schedulable LCs — the
-// input every placement decision consumes. Builds are memoized on the GM-wide
-// view epoch: while nothing moved (no monitor ingestion, reservation,
-// migration, sleep/wake or membership change bumped the epoch), a burst of
-// placements reuses the previous build outright — zero per-entity cache
-// probes, zero store reductions. The heartbeat period bounds the Age drift a
-// reused build may carry.
+// activeViewsLocked builds capacity views over the schedulable LCs in ID
+// order — the input every placement decision consumes. Builds are memoized on
+// the GM-wide view epoch: while nothing moved (no monitor ingestion,
+// reservation, migration, sleep/wake or membership change bumped the epoch),
+// the next batch reuses the previous build outright (callers must not modify
+// it) — zero per-entity cache probes, zero store reductions. The heartbeat
+// period bounds the Age drift a reused build may carry.
 func (m *Manager) activeViewsLocked() []view.Node {
 	now := m.rt.Now()
 	if nodes, ok := m.viewMemo.Get(m.viewEpoch, now, m.cfg.HeartbeatPeriod); ok {
@@ -394,8 +398,18 @@ func (m *Manager) activeViewsLocked() []view.Node {
 	return nodes
 }
 
-// gmOnPlace serves the GL's placement probe: run the placement policy per VM
-// against current LC statuses, issue StartVM commands, and respond with the
+// placement is one VM of a placement batch, from the decision under m.mu to
+// its outcome: the decision span and the chosen node, or why it has none.
+type placement struct {
+	pendingPlacement
+	span    obs.Span
+	node    types.NodeID
+	addr    transport.Address
+	outcome string // span outcome of a VM not started: no-fit, queued, requeued or expired
+}
+
+// gmOnPlace serves the GL's placement probe: place the request's VMs as one
+// batch, issue the StartVM commands, and respond once every VM has an
 // outcome. VMs that fit no active LC wait for a wake when energy management
 // is on (Section III: LCs "are woken up by the GM in case ... not enough
 // capacity is available").
@@ -405,135 +419,180 @@ func (m *Manager) gmOnPlace(req *transport.Request) {
 		req.RespondErr(errBadPayload)
 		return
 	}
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
-		req.Respond(protocol.PlaceResponse{Unplaced: vmIDs(pr.VMs)})
-		return
-	}
-	m.mu.Unlock()
-
-	resp := protocol.PlaceResponse{Placed: make(map[types.VMID]types.NodeID)}
+	resp := protocol.PlaceResponse{Placed: make(map[types.VMID]types.NodeID, len(pr.VMs))}
+	var mu sync.Mutex
 	remaining := len(pr.VMs)
-	if remaining == 0 {
-		req.Respond(resp)
-		return
-	}
-	var respMu = make(chan struct{}, 1)
-	respMu <- struct{}{}
-	finishOne := func(id types.VMID, node types.NodeID, ok bool) {
-		<-respMu
-		if ok {
-			resp.Placed[id] = node
-		} else {
-			resp.Unplaced = append(resp.Unplaced, id)
-		}
-		remaining--
-		done := remaining == 0
-		respMu <- struct{}{}
-		if done {
-			req.Respond(resp)
-		}
-	}
 	parent := obs.SpanContext{TraceID: pr.TraceID, SpanID: pr.ParentSpan}
-	for _, spec := range pr.VMs {
-		spec := spec
-		m.placeVM(spec, parent, func(node types.NodeID, ok bool) { finishOne(spec.ID, node, ok) })
+	batch := make([]placement, len(pr.VMs))
+	for i, spec := range pr.VMs {
+		id := spec.ID
+		batch[i].spec, batch[i].trace = spec, parent
+		batch[i].respond = func(node types.NodeID, ok bool) {
+			mu.Lock()
+			if ok {
+				resp.Placed[id] = node
+			} else {
+				resp.Unplaced = append(resp.Unplaced, id)
+			}
+			remaining--
+			done := remaining == 0
+			mu.Unlock()
+			if done {
+				req.Respond(resp)
+			}
+		}
+	}
+	switch {
+	case !m.place(batch):
+		req.Respond(protocol.PlaceResponse{Unplaced: vmIDs(pr.VMs)})
+	case len(batch) == 0:
+		req.Respond(resp)
 	}
 }
 
-// placeVM runs one VM through the placement policy; cb is invoked exactly
-// once with the outcome. parent is the dispatch span that probed this GM
-// (invalid when the submission was untraced).
-func (m *Manager) placeVM(spec types.VMSpec, parent obs.SpanContext, cb func(node types.NodeID, ok bool)) {
+// place places a batch of fresh VMs: placeLocked under one m.mu hold, then
+// finishPlacements. It reports false, having touched nothing, when this
+// manager is not an active GM.
+func (m *Manager) place(batch []placement) bool {
 	m.mu.Lock()
-	if m.stopped || m.role != RoleGM {
+	if m.role != RoleGM || m.stopped {
 		m.mu.Unlock()
-		cb("", false)
-		return
+		return false
 	}
-	span := m.cfg.Tracer.StartSpan(obs.KindPlacement, telemetry.VMEntity(spec.ID), parent)
-	span.SetPolicy(m.cfg.Placement.Name())
-	var ex *scheduling.Explain
-	if span.Enabled() {
-		ex = &scheduling.Explain{}
-	}
+	m.placeLocked(batch, false)
+	m.mu.Unlock()
+	m.finishPlacements(batch)
+	return true
+}
+
+// placeLocked runs a batch of VMs through the placement policy against one
+// build of the active views. Each placement charges the VM's reservation to
+// the chosen node, on its LC record and in a local copy of the build, so the
+// next VM of the batch sees what a rebuild would show: Stats are keyed by
+// series generation, and a reservation appends no sample. This is the
+// charge-the-snapshot rule the GL's dispatch applies to group views. A VM
+// that fits no active LC goes to noFitLocked; with retry (the pending queue
+// itself) a VM past its deadline expires first. Nothing is sent or answered
+// here: finishPlacements does that once m.mu is released.
+func (m *Manager) placeLocked(batch []placement, retry bool) {
+	now := m.rt.Now()
 	nodes := m.activeViewsLocked()
-	nodeID, ok := m.cfg.Placement.Place(spec, nodes, ex)
-	if span.Enabled() {
-		for _, c := range ex.Candidates {
-			span.Candidate(c.ID, c.Chosen, c.Reason)
+	shared := true // nodes is the memoized build until the first charge
+	for i := range batch {
+		p := &batch[i]
+		if retry && now > p.deadline {
+			p.outcome = "expired"
+			continue
 		}
-		if ok {
-			span.SetTarget(string(nodeID))
-			for _, n := range nodes {
-				if n.Spec.ID == nodeID {
-					span.SetView(n.Stats.Gen, n.Stats.Samples, n.Stats.Fresh, n.Stats.Truncated)
-					break
-				}
+		p.span = m.cfg.Tracer.StartSpan(obs.KindPlacement, telemetry.VMEntity(p.spec.ID), p.trace)
+		p.span.SetPolicy(m.cfg.Placement.Name())
+		if retry {
+			p.span.Annotate("retry", "pending-queue")
+		}
+		var ex *scheduling.Explain
+		if p.span.Enabled() {
+			ex = &scheduling.Explain{}
+		}
+		id, ok := m.cfg.Placement.Place(p.spec, nodes, ex)
+		if p.span.Enabled() {
+			for _, c := range ex.Candidates {
+				p.span.Candidate(c.ID, c.Chosen, c.Reason)
 			}
 		}
+		if !ok {
+			p.outcome = m.noFitLocked(p, retry, now)
+			continue
+		}
+		k, _ := slices.BinarySearchFunc(nodes, id, func(n view.Node, id types.NodeID) int { return cmp.Compare(n.Spec.ID, id) })
+		if p.span.Enabled() {
+			st := nodes[k].Stats
+			p.span.SetTarget(string(id))
+			p.span.SetView(st.Gen, st.Samples, st.Fresh, st.Truncated)
+		}
+		rec := m.lcs[id]
+		// Optimistic reservation so concurrent placements see the load.
+		rec.status.Reserved = rec.status.Reserved.Add(p.spec.Requested)
+		rec.status.VMs = append(rec.status.VMs, p.spec.ID)
+		m.bumpViewEpochLocked()
+		if i+1 < len(batch) { // charge the build for the VMs still to place
+			if shared {
+				nodes, shared = slices.Clone(nodes), false
+			}
+			nodes[k].NodeStatus = rec.status
+		}
+		p.node, p.addr = id, rec.addr
 	}
-	if !ok {
-		// No active LC fits. Queue for a wake if energy management can
-		// create capacity, else fail fast.
-		if m.cfg.EnergyEnabled && m.sleepingLocked() > 0 {
-			m.pending = append(m.pending, pendingPlacement{
-				spec:     spec,
-				deadline: m.rt.Now() + m.cfg.PendingTimeout,
-				respond:  cb,
-				trace:    parent,
-			})
-			m.wakeOneLocked()
-			// Arm the retry heartbeat: if the wake call is lost, no journal
-			// event will follow to drive the energy check, so the queued
-			// placement needs a scheduled check to retry the wake and
-			// enforce its deadline (gmEnergyCheck keeps re-arming while the
-			// queue is non-empty).
-			m.energy.armLocked(m.rt.Now() + m.cfg.IdleThreshold/2)
-			m.mu.Unlock()
+}
+
+// noFitLocked disposes of a VM that fits no active LC and returns its span
+// outcome. A pending retry goes back to the queue. A fresh VM waits for a
+// wake when energy management can create capacity, and fails otherwise.
+func (m *Manager) noFitLocked(p *placement, retry bool, now time.Duration) string {
+	if retry {
+		m.pending = append(m.pending, p.pendingPlacement)
+		return "requeued"
+	}
+	if !m.cfg.EnergyEnabled || m.sleepingLocked() == 0 {
+		return "no-fit"
+	}
+	p.deadline = now + m.cfg.PendingTimeout
+	m.pending = append(m.pending, p.pendingPlacement)
+	m.wakeOneLocked()
+	// Arm the retry heartbeat: if the wake call is lost, no journal event will
+	// drive the energy check, which retries the wake, enforces the deadline
+	// and keeps re-arming while the queue is non-empty.
+	m.energy.armLocked(now + m.cfg.IdleThreshold/2)
+	return "queued"
+}
+
+// finishPlacements carries out a placed batch, in VM order and without
+// m.mu: a StartVM command for each VM placeLocked reserved a node for, the
+// outcome of each VM it did not start.
+func (m *Manager) finishPlacements(batch []placement) {
+	for i := range batch {
+		p := &batch[i]
+		switch p.outcome {
+		case "":
+			m.startVM(p)
+			continue
+		case "expired":
+			m.mark("gm.place-expired", 1)
+		case "queued":
 			m.mark("gm.place-queued", 1)
-			span.Finish("queued")
+		}
+		p.span.Finish(p.outcome) // a no-op on an expired VM's zero span
+		if p.outcome == "expired" || p.outcome == "no-fit" {
+			p.respond("", false)
+		}
+	}
+}
+
+// startVM commands the chosen LC to boot a placed VM. A refused or failed
+// call rolls back the reservation placeLocked charged. The span and respond
+// see the outcome exactly once.
+func (m *Manager) startVM(p *placement) {
+	sc := p.span.Context()
+	sreq := protocol.StartVMRequest{Spec: p.spec, TraceID: sc.TraceID, ParentSpan: sc.SpanID}
+	m.bus.Call(m.cfg.Addr, p.addr, protocol.KindStartVM, sreq, m.cfg.CallTimeout, func(reply any, err error) {
+		if ack, isAck := reply.(protocol.StartVMResponse); err != nil || !isAck || !ack.OK {
+			m.mu.Lock()
+			if rec, ok := m.lcs[p.node]; ok {
+				rec.status.Reserved = rec.status.Reserved.Sub(p.spec.Requested).Max(types.ResourceVector{})
+				rec.status.VMs = removeVMID(rec.status.VMs, p.spec.ID)
+				m.bumpViewEpochLocked()
+			}
+			m.mu.Unlock()
+			m.mark("gm.place-failed", 1)
+			p.span.Finish("start-failed")
+			p.respond("", false)
 			return
 		}
-		m.mu.Unlock()
-		span.Finish("no-fit")
-		cb("", false)
-		return
-	}
-	rec := m.lcs[nodeID]
-	// Optimistic reservation so concurrent placements see the load.
-	rec.status.Reserved = rec.status.Reserved.Add(spec.Requested)
-	rec.status.VMs = append(rec.status.VMs, spec.ID)
-	m.bumpViewEpochLocked()
-	addr := rec.addr
-	m.mu.Unlock()
-
-	sc := span.Context()
-	sreq := protocol.StartVMRequest{Spec: spec, TraceID: sc.TraceID, ParentSpan: sc.SpanID}
-	m.bus.Call(m.cfg.Addr, addr, protocol.KindStartVM, sreq, m.cfg.CallTimeout,
-		func(reply any, err error) {
-			ack, isAck := reply.(protocol.StartVMResponse)
-			if err != nil || !isAck || !ack.OK {
-				// Roll back the optimistic reservation and report failure.
-				m.mu.Lock()
-				if rec, ok := m.lcs[nodeID]; ok {
-					rec.status.Reserved = rec.status.Reserved.Sub(spec.Requested).Max(types.ResourceVector{})
-					rec.status.VMs = removeVMID(rec.status.VMs, spec.ID)
-					m.bumpViewEpochLocked()
-				}
-				m.mu.Unlock()
-				m.mark("gm.place-failed", 1)
-				span.Finish("start-failed")
-				cb("", false)
-				return
-			}
-			m.mark("gm.place-ok", 1)
-			m.emit(telemetry.EventVMState, telemetry.VMEntity(spec.ID),
-				vmStateAttrs(sc, "state", "placed", "node", string(nodeID)))
-			span.Finish("placed")
-			cb(nodeID, true)
-		})
+		m.mark("gm.place-ok", 1)
+		m.emit(telemetry.EventVMState, telemetry.VMEntity(p.spec.ID),
+			vmStateAttrs(sc, "state", "placed", "node", string(p.node)))
+		p.span.Finish("placed")
+		p.respond(p.node, true)
+	})
 }
 
 func (m *Manager) sleepingLocked() int {
@@ -576,86 +635,22 @@ func (m *Manager) wakeOneLocked() {
 	})
 }
 
-// drainPending retries queued placements (after a join, monitor report or
-// wake) and expires entries past their deadline.
+// drainPending retries the queued placements (after a join, monitor report
+// or wake) as one batch, expiring entries past their deadline.
 func (m *Manager) drainPending() {
 	m.mu.Lock()
 	if len(m.pending) == 0 || m.stopped {
 		m.mu.Unlock()
 		return
 	}
-	queue := m.pending
-	m.pending = nil
-	now := m.rt.Now()
-	m.mu.Unlock()
-
-	for _, p := range queue {
-		p := p
-		if now > p.deadline {
-			m.mark("gm.place-expired", 1)
-			p.respond("", false)
-			continue
-		}
-		m.mu.Lock()
-		span := m.cfg.Tracer.StartSpan(obs.KindPlacement, telemetry.VMEntity(p.spec.ID), p.trace)
-		span.SetPolicy(m.cfg.Placement.Name())
-		span.Annotate("retry", "pending-queue")
-		var ex *scheduling.Explain
-		if span.Enabled() {
-			ex = &scheduling.Explain{}
-		}
-		nodes := m.activeViewsLocked()
-		nodeID, ok := m.cfg.Placement.Place(p.spec, nodes, ex)
-		if span.Enabled() {
-			for _, c := range ex.Candidates {
-				span.Candidate(c.ID, c.Chosen, c.Reason)
-			}
-		}
-		if !ok {
-			// Still no room: requeue.
-			m.pending = append(m.pending, p)
-			m.mu.Unlock()
-			span.Finish("requeued")
-			continue
-		}
-		if span.Enabled() {
-			span.SetTarget(string(nodeID))
-			for _, n := range nodes {
-				if n.Spec.ID == nodeID {
-					span.SetView(n.Stats.Gen, n.Stats.Samples, n.Stats.Fresh, n.Stats.Truncated)
-					break
-				}
-			}
-		}
-		rec := m.lcs[nodeID]
-		rec.status.Reserved = rec.status.Reserved.Add(p.spec.Requested)
-		rec.status.VMs = append(rec.status.VMs, p.spec.ID)
-		m.bumpViewEpochLocked()
-		addr := rec.addr
-		m.mu.Unlock()
-		sc := span.Context()
-		sreq := protocol.StartVMRequest{Spec: p.spec, TraceID: sc.TraceID, ParentSpan: sc.SpanID}
-		m.bus.Call(m.cfg.Addr, addr, protocol.KindStartVM, sreq, m.cfg.CallTimeout,
-			func(reply any, err error) {
-				ack, isAck := reply.(protocol.StartVMResponse)
-				if err != nil || !isAck || !ack.OK {
-					m.mu.Lock()
-					if rec, ok := m.lcs[nodeID]; ok {
-						rec.status.Reserved = rec.status.Reserved.Sub(p.spec.Requested).Max(types.ResourceVector{})
-						rec.status.VMs = removeVMID(rec.status.VMs, p.spec.ID)
-						m.bumpViewEpochLocked()
-					}
-					m.mu.Unlock()
-					span.Finish("start-failed")
-					p.respond("", false)
-					return
-				}
-				m.emit(telemetry.EventVMState, telemetry.VMEntity(p.spec.ID),
-					vmStateAttrs(sc, "state", "placed", "node", string(nodeID)))
-				span.Finish("placed")
-				p.respond(nodeID, true)
-			})
+	batch := make([]placement, len(m.pending))
+	for i, p := range m.pending {
+		batch[i].pendingPlacement = p
 	}
+	m.pending = nil
+	m.placeLocked(batch, true)
+	m.mu.Unlock()
+	m.finishPlacements(batch)
 }
 
 // gmOnAnomaly handles an LC overload/underload report. The LC's local
@@ -944,12 +939,16 @@ func (m *Manager) gmSweepTick() {
 		}
 		m.tel.EmitBatch(evs)
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
-	for _, spec := range lost {
-		spec := spec
-		m.mark("gm.vm-reschedules", 1)
-		m.placeVM(spec, obs.SpanContext{}, func(types.NodeID, bool) {})
+	if len(lost) == 0 {
+		return
 	}
+	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
+	m.mark("gm.vm-reschedules", int64(len(lost)))
+	batch := make([]placement, len(lost))
+	for i, spec := range lost {
+		batch[i].spec, batch[i].respond = spec, func(types.NodeID, bool) {}
+	}
+	m.place(batch)
 }
 
 // deadline is the debounce-then-keep-earliest-deadline machine behind the two

@@ -14,7 +14,9 @@
 package scheduling
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"snooze/internal/scheduling/view"
@@ -147,7 +149,9 @@ func (MostLoadedDispatch) Name() string { return "most-loaded" }
 // ---------------------------------------------------------------------------
 
 // PlacementPolicy chooses an LC for one VM. Nodes are offered with their
-// current reservations; only PowerOn nodes are offered.
+// current reservations; only PowerOn nodes are offered. The GM offers them in
+// ID order, which spares the policies a copy and a sort; any other order
+// gives the same choices, at that cost.
 type PlacementPolicy interface {
 	// Place returns the chosen node ID, or false if no active node fits. A
 	// non-nil ex collects per-node rejection evidence (nil disables).
@@ -167,11 +171,17 @@ func unfitReason(n view.Node) string {
 	return ReasonNoFit
 }
 
-// sortedByID returns nodes sorted by ID for deterministic iteration.
+// sortedByID returns nodes in ID order for deterministic iteration: nodes
+// itself when already sorted (as the GM offers them), else a sorted copy.
 func sortedByID(nodes []view.Node) []view.Node {
-	out := append([]view.Node(nil), nodes...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.ID < out[j].Spec.ID })
-	return out
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i].Spec.ID < nodes[i-1].Spec.ID {
+			out := slices.Clone(nodes)
+			slices.SortFunc(out, func(a, b view.Node) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
+			return out
+		}
+	}
+	return nodes
 }
 
 // FirstFit places on the first node (by ID) with room — Eucalyptus-style

@@ -318,3 +318,26 @@ func TestPolicyNames(t *testing.T) {
 		t.Fatalf("names not distinct enough: %v", names)
 	}
 }
+
+// TestSortedByIDSharesSortedInput pins the placement fast path: nodes the GM
+// offers in ID order are iterated in place, with no copy and no allocation;
+// any other order is sorted into a copy and the caller's slice is untouched.
+func TestSortedByIDSharesSortedInput(t *testing.T) {
+	sorted := []view.Node{node("n1", 0, 8), node("n2", 0, 8), node("n3", 0, 8)}
+	if allocs := testing.AllocsPerRun(100, func() { sortedByID(sorted) }); allocs != 0 {
+		t.Fatalf("sorted input: %v allocs, want 0", allocs)
+	}
+	if got := sortedByID(sorted); &got[0] != &sorted[0] {
+		t.Fatal("sorted input was copied")
+	}
+	shuffled := []view.Node{node("n3", 0, 8), node("n1", 0, 8), node("n2", 0, 8)}
+	got := sortedByID(shuffled)
+	for i, want := range []types.NodeID{"n1", "n2", "n3"} {
+		if got[i].Spec.ID != want {
+			t.Fatalf("sorted copy %d: %s, want %s", i, got[i].Spec.ID, want)
+		}
+	}
+	if shuffled[0].Spec.ID != "n3" {
+		t.Fatal("unsorted input was reordered in place")
+	}
+}

@@ -85,6 +85,30 @@ func BenchmarkStoreReduce(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreNewSeries measures a series' first append, which every new
+// VM pays once per reported metric: the series header, its lifetime sketch,
+// the initial raw ring and a share of the shard maps' growth. bytes/op is the
+// footprint of a short-lived series. The store is replaced every 4096
+// series, outside the timer, so the maps stay at a deployment's size.
+func BenchmarkStoreNewSeries(b *testing.B) {
+	const batch = 4096
+	names := make([]string, batch)
+	for i := range names {
+		names[i] = fmt.Sprintf("vm/v%05d", i)
+	}
+	var s *Store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%batch == 0 {
+			b.StopTimer()
+			s = NewStore(StoreConfig{SeriesCapacity: 512})
+			b.StartTimer()
+		}
+		s.Append(names[i%batch], "cpu.used", time.Duration(i)*time.Millisecond, 0.5)
+	}
+}
+
 // BenchmarkTelemetryJournalFanout measures Publish with a handful of live
 // subscribers draining concurrently — the /v1/watch fan-out path.
 func BenchmarkTelemetryJournalFanout(b *testing.B) {

@@ -199,8 +199,8 @@ func (s *Store) Reduce(entity, metric string, from, to time.Duration, spec *Summ
 		// Covers-everything fast path: the window admits every retained
 		// point, so the lifetime sketch and moments — maintained O(1) on
 		// Append — already hold the answer. No iteration, no sort. A series
-		// carrying an adopted replica (GM rollup, failover restore) answers
-		// quantiles from the replicated member distribution.
+		// carrying an adopted replica (a GM rollup) answers quantiles from
+		// the replicated member distribution.
 		if !exact && ser.life != nil && from <= sum.OldestAt && to >= sum.NewestAt {
 			qs := ser.life
 			if ser.adopted != nil && ser.adopted.Count() > 0 {

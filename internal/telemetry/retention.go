@@ -7,12 +7,13 @@ import (
 	"time"
 )
 
-// Tiered series retention. A series is a raw fixed-capacity ring plus zero or
-// more downsampled tiers (default: 1m- and 10m-resolution bucket rings). When
-// the raw ring evicts its oldest sample, the sample is not lost: it is folded
-// into the finest tier's pending bucket; completed buckets are pushed into
-// that tier's ring, whose own evictions cascade into the next coarser tier.
-// Only data evicted from the coarsest tier is gone for good.
+// Tiered series retention. A series is a raw ring (growing on demand up to
+// SeriesCapacity) plus zero or more downsampled tiers (default: 1m- and
+// 10m-resolution bucket rings). When the raw ring, at full length, evicts its
+// oldest sample, the sample is not lost: it is folded into the finest tier's
+// pending bucket; completed buckets are pushed into that tier's ring, whose
+// own evictions cascade into the next coarser tier. Only data evicted from
+// the coarsest tier is gone for good.
 //
 // Compaction is incremental — every Append does O(1) amortized folding work
 // under the shard lock it already holds — and tier rings are allocated lazily
@@ -239,19 +240,23 @@ func bucketPoint(b bucket) point {
 	return point{at: b.at, value: b.avg(), min: b.min, max: b.max, count: b.count}
 }
 
-// evictRaw routes one sample evicted from the raw ring into the tiers (or
-// drops it when retention is raw-only) and folds it into the eviction sketch
-// and moments, so history that the tier ladder decimates — or, with NoTiers,
-// drops outright — keeps its full value distribution at sketch resolution.
-func (s *series) evictRaw(sm Sample) {
+// evictRaw routes one sample evicted from the raw ring into the tiers of the
+// store's ladder, or drops it when retention is raw-only. The lifetime sketch
+// and moments already hold it, so history that the ladder decimates or drops
+// keeps its full value distribution at sketch resolution. The tier headers
+// are built here, on the first eviction.
+func (s *series) evictRaw(sm Sample, ladder []TierConfig) {
 	s.evicted++
-	if s.evict != nil {
-		s.evict.Insert(sm.Value)
-		s.evictM.add(sm.At.Seconds(), sm.Value)
+	if len(ladder) == 0 {
+		return
 	}
-	if len(s.tiers) > 0 {
-		absorb(s.tiers, 0, bucket{at: sm.At, min: sm.Value, max: sm.Value, sum: sm.Value, count: 1})
+	if s.tiers == nil {
+		s.tiers = make([]tier, len(ladder))
+		for i, tc := range ladder {
+			s.tiers[i] = tier{step: tc.Step, cap: tc.Capacity}
+		}
 	}
+	absorb(s.tiers, 0, bucket{at: sm.At, min: sm.Value, max: sm.Value, sum: sm.Value, count: 1})
 }
 
 // oldestAt returns the oldest retained timestamp across every tier (the
@@ -412,7 +417,7 @@ func (s *Store) Info(entity, metric string) (SeriesInfo, bool) {
 		return SeriesInfo{}, false
 	}
 	info := SeriesInfo{
-		RawCapacity: len(ser.buf),
+		RawCapacity: s.capacity,
 		RawPoints:   ser.n,
 		Points:      ser.n,
 		OldestAt:    ser.oldestAt(),
@@ -421,12 +426,15 @@ func (s *Store) Info(entity, metric string) (SeriesInfo, bool) {
 		Evicted:     ser.evicted,
 		Gen:         ser.gen,
 	}
-	if len(ser.tiers) > 0 {
-		info.Tiers = make([]TierInfo, len(ser.tiers))
-		for i := range ser.tiers {
-			t := &ser.tiers[i]
-			info.Tiers[i] = TierInfo{Step: t.step, Capacity: t.cap, Points: t.points(), Evicted: t.evicted}
-			info.Points += t.points()
+	if len(s.tiers) > 0 {
+		info.Tiers = make([]TierInfo, len(s.tiers))
+		for i, tc := range s.tiers {
+			info.Tiers[i] = TierInfo{Step: tc.Step, Capacity: tc.Capacity}
+			if ser.tiers != nil { // nil until the first eviction: empty tiers
+				t := &ser.tiers[i]
+				info.Tiers[i].Points, info.Tiers[i].Evicted = t.points(), t.evicted
+				info.Points += t.points()
+			}
 		}
 	}
 	return info, true

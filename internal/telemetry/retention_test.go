@@ -1,11 +1,16 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+
+	"snooze/internal/types"
 )
 
 // ---------------------------------------------------------------------------
@@ -23,6 +28,7 @@ type refTier struct {
 	cap     int
 	buckets []bucket
 	pending bucket
+	evicted uint64
 }
 
 type refSeries struct {
@@ -67,6 +73,7 @@ func (r *refSeries) absorb(i int, b bucket) {
 	for len(t.buckets) > t.cap {
 		old := t.buckets[0]
 		t.buckets = t.buckets[1:]
+		t.evicted++
 		r.absorb(i+1, old)
 	}
 }
@@ -284,14 +291,14 @@ func TestTieredReduceMatchesReference(t *testing.T) {
 	spec := &SummarySpec{Percentiles: []float64{50, 95}, Trend: true, Exact: true}
 	skSpec := &SummarySpec{Percentiles: []float64{50, 95}, Trend: true}
 	for trial := 0; trial < 150; trial++ {
-		capacity := 2 + rng.Intn(20)
+		capacity := 1 + rng.Intn(600) // from below the initial ring to several doublings
 		tiers := []TierConfig{
 			{Step: time.Duration(5+rng.Intn(10)) * time.Second, Capacity: 2 + rng.Intn(8)},
 			{Step: time.Duration(60+rng.Intn(60)) * time.Second, Capacity: 2 + rng.Intn(6)},
 		}
 		s := NewStore(StoreConfig{SeriesCapacity: capacity, Tiers: tiers})
 		ref := newRefSeries(capacity, tiers)
-		n := 1 + rng.Intn(300) // from under-filled raw to deep tier churn
+		n := 1 + rng.Intn(3*capacity+300) // from under-filled raw to deep tier churn
 		at := time.Duration(0)
 		var allValues []float64
 		for i := 0; i < n; i++ {
@@ -387,13 +394,147 @@ func TestTieredReduceMatchesReference(t *testing.T) {
 }
 
 func sortedCopy(v []float64) []float64 {
-	out := append([]float64(nil), v...)
-	for i := 1; i < len(out); i++ { // insertion sort: tiny test inputs
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	out := slices.Clone(v)
+	slices.Sort(out)
+	return out
+}
+
+// TestGrowingRingMatchesReference replays random streams into series whose
+// SeriesCapacity ranges from 1 to 600, so the raw ring crosses up to seven
+// doublings before its first eviction and then churns the tiers. After every
+// append, each read path must agree with the reference model: Query and
+// Reduce over a random window, Window over the raw ring, Info (RawCapacity
+// stays SeriesCapacity while the ring is shorter) and EntityNewest.
+func TestGrowingRingMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	spec := &SummarySpec{Percentiles: []float64{50, 95}, Trend: true, Exact: true}
+	for trial, capacity := range []int{1, 2, initialRing, initialRing + 1, 600, 0, 0, 0, 0, 0, 0, 0, 0} {
+		if capacity == 0 {
+			capacity = 1 + rng.Intn(600)
+		}
+		tiers := tiersSmall(2+rng.Intn(8), 2+rng.Intn(6))
+		s := NewStore(StoreConfig{SeriesCapacity: capacity, Tiers: tiers})
+		ref := newRefSeries(capacity, tiers)
+		n := capacity + 1 + rng.Intn(capacity+100) // always past the first eviction
+		at := time.Duration(0)
+		for i := 1; i <= n; i++ {
+			at += time.Duration(1+rng.Intn(5)) * time.Second
+			sm := Sample{At: at, Value: rng.Float64() * 100}
+			s.Append("vm/a", "m", sm.At, sm.Value)
+			ref.append(sm)
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("trial %d (capacity %d) append %d: %s", trial, capacity, i, fmt.Sprintf(format, args...))
+			}
+
+			all := ref.points(0, 1<<62)
+			from := all[rng.Intn(len(all))].at - time.Duration(rng.Intn(3))*time.Second
+			to := from + time.Duration(rng.Intn(int(at/time.Second)+1))*time.Second
+			refTo := to
+			if to <= 0 { // the store reads to <= 0 as "no upper bound"
+				refTo = 1 << 62
+			}
+			want := ref.points(from, refTo)
+			got := s.Query("vm/a", "m", from, to)
+			if len(got) != len(want) {
+				fail("Query [%v,%v]: %d points, want %d", from, to, len(got), len(want))
+			}
+			for j := range want {
+				if got[j].At != want[j].at || got[j].Value != want[j].value {
+					fail("Query point %d: %+v want %+v", j, got[j], want[j])
+				}
+			}
+
+			var raw []Sample
+			for _, r := range ref.raw {
+				if r.At >= from && r.At <= refTo {
+					raw = append(raw, r)
+				}
+			}
+			var seen []Sample
+			visited := s.Window("vm/a", "m", from, to, func(seg []Sample) { seen = append(seen, seg...) })
+			if visited != len(raw) || !slices.Equal(seen, raw) {
+				fail("Window [%v,%v]: %v, want %v", from, to, seen, raw)
+			}
+
+			sum, ok := s.Reduce("vm/a", "m", from, to, spec)
+			if ok != (len(want) > 0) || sum.Count != len(want) {
+				fail("Reduce count %d ok=%v, want %d", sum.Count, ok, len(want))
+			}
+			if ok {
+				var weight uint64
+				var expanded []float64
+				mn, mx := want[0].min, want[0].max
+				for _, p := range want {
+					mn, mx = min(mn, p.min), max(mx, p.max)
+					weight += uint64(p.count)
+					for k := 0; k < p.count; k++ {
+						expanded = append(expanded, p.value)
+					}
+				}
+				if sum.Min != mn || sum.Max != mx || sum.Weight != weight ||
+					sum.First != want[0].value || sum.Last != want[len(want)-1].value {
+					fail("Reduce %+v, want min %v max %v weight %d", sum, mn, mx, weight)
+				}
+				if tr := weightedSlopeRef(want); sum.Trend != tr {
+					fail("Reduce trend %v, want %v", sum.Trend, tr)
+				}
+				srt := sortedCopy(expanded)
+				for k, q := range spec.Percentiles {
+					if w := quantile(srt, q); sum.Percentiles[k] != w {
+						fail("Reduce p%.0f = %v, want %v", q, sum.Percentiles[k], w)
+					}
+				}
+			}
+
+			info, ok := s.Info("vm/a", "m")
+			evicted := uint64(i - len(ref.raw))
+			if !ok || info.RawCapacity != capacity || info.RawPoints != len(ref.raw) || info.Points != len(all) ||
+				info.Evicted != evicted || info.RawFrom != ref.raw[0].At || info.OldestAt != all[0].at ||
+				info.NewestAt != sm.At || len(info.Tiers) != len(tiers) {
+				fail("Info %+v (raw %d, points %d, evicted %d)", info, len(ref.raw), len(all), evicted)
+			}
+			for k, rt := range ref.tiers {
+				points := len(rt.buckets)
+				if rt.pending.count > 0 {
+					points++
+				}
+				if ti := info.Tiers[k]; ti.Step != rt.step || ti.Capacity != rt.cap || ti.Points != points || ti.Evicted != rt.evicted {
+					fail("Info tier %d: %+v, want %d points, %d evicted", k, ti, points, rt.evicted)
+				}
+			}
+
+			if newest := s.EntityNewest("vm/"); len(newest) != 1 || newest["vm/a"] != sm.At {
+				fail("EntityNewest %v, want vm/a at %v", newest, sm.At)
+			}
 		}
 	}
-	return out
+}
+
+// TestShortSeriesMemory pins what a short-lived series costs: 10,000 fresh
+// series holding one sample each allocate at most 1 KiB apiece, map growth
+// and sketch window included (a full-length ring alone would be 8 KiB).
+func TestShortSeriesMemory(t *testing.T) {
+	const n = 10000
+	s := NewStore(StoreConfig{})
+	entities := make([]string, n)
+	for i := range entities {
+		entities[i] = VMEntity(types.VMID(fmt.Sprintf("vm-%05d", i)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, e := range entities {
+		s.Append(e, "cpu.used", sec(i), 0.5)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	if per > 1024 {
+		t.Fatalf("a one-sample series allocates %d B, want ≤ 1024", per)
+	}
+	t.Logf("a one-sample series allocates %d B", per)
+	if s.NumSeries() != n {
+		t.Fatalf("%d series, want %d", s.NumSeries(), n)
+	}
 }
 
 func TestTruncationWatermark(t *testing.T) {

@@ -46,9 +46,10 @@ func ValidSample(v float64) bool {
 
 // StoreConfig parameterizes a Store.
 type StoreConfig struct {
-	// SeriesCapacity is the fixed raw ring-buffer length of every series
-	// (default 512 samples). Samples evicted from the raw ring are folded
-	// into the downsampled tiers rather than lost (see retention.go).
+	// SeriesCapacity is the maximum raw ring length of every series (default
+	// 512 samples). A ring starts small and doubles as samples arrive; only
+	// a ring at this length evicts, folding its oldest samples into the
+	// downsampled tiers rather than losing them (see retention.go).
 	SeriesCapacity int
 	// Shards is the lock-shard count, rounded up to a power of two
 	// (default 32). More shards = less contention on concurrent ingest.
@@ -63,21 +64,21 @@ type StoreConfig struct {
 	SketchAlpha float64
 }
 
-// Moments are running least-squares accumulators over (time, value) samples:
+// moments are running least-squares accumulators over (time, value) samples:
 // enough state to recover count, mean and the linear trend of everything ever
-// folded in, in O(1). The store keeps one per series for its lifetime and one
-// for the evicted prefix, so covers-everything reductions need no iteration.
-type Moments struct {
-	N     uint64  `json:"n"`
-	Sum   float64 `json:"sum"`
-	SumT  float64 `json:"sumT"`
-	SumTT float64 `json:"sumTT"`
-	SumTV float64 `json:"sumTV"`
+// folded in, in O(1). The store keeps one per series for its lifetime, so
+// covers-everything reductions need no iteration.
+type moments struct {
+	N     uint64
+	Sum   float64
+	SumT  float64
+	SumTT float64
+	SumTV float64
 }
 
 // add folds one sample (t in seconds). Non-finite values are skipped, exactly
 // as the sketches skip them.
-func (m *Moments) add(t, v float64) {
+func (m *moments) add(t, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
@@ -89,7 +90,7 @@ func (m *Moments) add(t, v float64) {
 }
 
 // trend returns the least-squares slope (per second), 0 below 2 samples.
-func (m *Moments) trend() float64 {
+func (m *moments) trend() float64 {
 	if m.N < 2 {
 		return 0
 	}
@@ -101,44 +102,63 @@ func (m *Moments) trend() float64 {
 	return (n*m.SumTV - m.SumT*m.Sum) / denom
 }
 
-// series is a fixed-capacity ring buffer of time-ordered samples, backed by
-// downsampled retention tiers (retention.go) that absorb evicted samples and
-// shadowed by mergeable quantile sketches (sketch package) that keep the full
-// value distribution at relative-error resolution no matter how much raw
-// history the rings have decimated.
-type series struct {
-	buf     []Sample
-	head    int    // index of the oldest sample
-	n       int    // number of valid samples
-	gen     uint64 // generation of the newest append (store-wide unique)
-	evicted uint64 // raw samples pushed out of the raw ring
-	tiers   []tier // downsampled rings, finest first (bufs lazily allocated)
+// initialRing is the raw ring length of a series' first append. Rings double
+// from there up to StoreConfig.SeriesCapacity, so a short-lived series (a VM
+// that reports a few times) holds a few samples, not a full ring.
+const initialRing = 8
 
-	// life sketches every sample ever appended; evict sketches the samples
-	// pushed out of the raw ring (a prefix of life, so life alone answers
-	// covers-everything quantile queries honestly even past tier evictions).
-	// Both update in O(1) under the shard lock Append already holds.
-	life  *sketch.Sketch
-	evict *sketch.Sketch
+// series is a ring buffer of time-ordered samples that grows on demand up to
+// the store's SeriesCapacity, backed by downsampled retention tiers
+// (retention.go) that absorb evicted samples and shadowed by a mergeable
+// quantile sketch (sketch package) that keeps the full value distribution at
+// relative-error resolution no matter how much raw history the rings have
+// decimated.
+type series struct {
+	buf     []Sample // raw ring; nil until the first append
+	head    int      // index of the oldest sample
+	n       int      // number of valid samples
+	gen     uint64   // generation of the newest append (store-wide unique)
+	evicted uint64   // raw samples pushed out of the raw ring
+	tiers   []tier   // downsampled rings, finest first; nil until the first eviction
+
+	// life sketches every sample ever appended, in O(1) under the shard lock
+	// Append already holds.
+	life *sketch.Sketch
 	// adopted is a replicated distribution installed by AdoptSketch (GM→GL
-	// rollups, failover restores): when present, covers-everything quantile
-	// queries prefer it over life, whose inputs on a rollup series are mere
-	// point averages.
+	// rollups): when present, covers-everything quantile queries prefer it
+	// over life, whose inputs on a rollup series are mere point averages.
 	adopted *sketch.Sketch
-	// lifeM / evictM mirror life/evict with trend moments.
-	lifeM  Moments
-	evictM Moments
+	// lifeM mirrors life with trend moments.
+	lifeM moments
 }
 
-func (s *series) append(sm Sample) {
+// newSeries creates an empty series. The lifetime sketch allocates its bucket
+// window on the first insert, the raw ring on the first append and the tier
+// rings on the first eviction, so a series costs what it holds.
+func (s *Store) newSeries() *series { return &series{life: sketch.New(s.alpha)} }
+
+// append records one sample. A full ring shorter than capacity grows first;
+// a full ring at capacity evicts its oldest sample into the tier ladder.
+func (s *series) append(sm Sample, capacity int, ladder []TierConfig) {
+	if s.n == len(s.buf) && s.n < capacity {
+		s.grow(capacity)
+	}
 	if s.n < len(s.buf) {
 		s.buf[(s.head+s.n)%len(s.buf)] = sm
 		s.n++
 		return
 	}
-	s.evictRaw(s.buf[s.head])
+	s.evictRaw(s.buf[s.head], ladder)
 	s.buf[s.head] = sm
 	s.head = (s.head + 1) % len(s.buf)
+}
+
+// grow doubles the full raw ring (initialRing on the first append), capped at
+// capacity, copying the samples oldest-first so head restarts at 0.
+func (s *series) grow(capacity int) {
+	buf := make([]Sample, min(max(2*len(s.buf), initialRing), capacity))
+	copy(buf[copy(buf, s.buf[s.head:]):], s.buf[:s.head])
+	s.buf, s.head = buf, 0
 }
 
 // at returns the i-th retained sample, oldest first.
@@ -202,8 +222,8 @@ type shard struct {
 type Store struct {
 	shards     []shard
 	mask       uint64
-	capacity   int
-	tiers      []TierConfig  // sanitized retention ladder for new series
+	capacity   int           // maximum raw ring length (SeriesCapacity)
+	tiers      []TierConfig  // sanitized retention ladder of every series
 	alpha      float64       // relative-error bound of the per-series sketches
 	samples    atomic.Uint64 // total samples ever appended
 	reductions atomic.Uint64 // total Reduce calls ever served
@@ -259,28 +279,19 @@ func (s *Store) shardFor(entity, metric string) *shard {
 }
 
 // Append records one sample. The hot path takes exactly one shard lock and
-// allocates nothing once the series ring exists. Every append advances the
-// series' generation (see Generation).
+// allocates nothing once the series ring has grown to SeriesCapacity; below
+// it, a ring doubles about log2(SeriesCapacity/initialRing) times in its
+// lifetime. Every append advances the series' generation (see Generation).
 func (s *Store) Append(entity, metric string, at time.Duration, v float64) {
 	sh := s.shardFor(entity, metric)
 	key := Key{Entity: entity, Metric: metric}
 	sh.mu.Lock()
 	ser, ok := sh.series[key]
 	if !ok {
-		// The sketches allocate their bucket windows lazily on first insert,
-		// so the headers here cost a few words each.
-		ser = &series{buf: make([]Sample, s.capacity), life: sketch.New(s.alpha), evict: sketch.New(s.alpha)}
-		if len(s.tiers) > 0 {
-			// Tier headers only: the bucket rings allocate on first eviction,
-			// so short-lived series never pay for retention they don't use.
-			ser.tiers = make([]tier, len(s.tiers))
-			for i, tc := range s.tiers {
-				ser.tiers[i] = tier{step: tc.Step, cap: tc.Capacity}
-			}
-		}
+		ser = s.newSeries()
 		sh.series[key] = ser
 	}
-	ser.append(Sample{At: at, Value: v})
+	ser.append(Sample{At: at, Value: v}, s.capacity, s.tiers)
 	ser.life.Insert(v)
 	ser.lifeM.add(at.Seconds(), v)
 	// Generations draw from the store-wide sample counter, so they are unique
@@ -488,13 +499,7 @@ func (s *Store) AdoptSketch(entity, metric string, enc sketch.Encoded) bool {
 	defer sh.mu.Unlock()
 	ser, ok := sh.series[key]
 	if !ok {
-		ser = &series{buf: make([]Sample, s.capacity), life: sketch.New(s.alpha), evict: sketch.New(s.alpha)}
-		if len(s.tiers) > 0 {
-			ser.tiers = make([]tier, len(s.tiers))
-			for i, tc := range s.tiers {
-				ser.tiers[i] = tier{step: tc.Step, cap: tc.Capacity}
-			}
-		}
+		ser = s.newSeries()
 		sh.series[key] = ser
 	}
 	if ser.adopted != nil && ser.adopted.Count() >= dec.Count() {
