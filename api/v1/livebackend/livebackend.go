@@ -281,24 +281,51 @@ func nodes(replies []protocol.InventoryResponse, owner map[types.NodeID]claim) [
 	return out
 }
 
-// vms lists the VMs of the winning node records, by ID: one conversion pass
-// over the replies, and one sort unless a single GM answered (its reply is
-// ordered already).
+// vms lists the VMs of the winning node records, by ID. Each GM orders its
+// reply by ID, so the owner-filtered replies are merged, not concatenated and
+// re-sorted: the GM count is small, and each output VM costs a scan of the
+// replies' heads. Equal IDs keep reply order. A reply out of order (a GM that
+// does not sort) costs one sort of the merged list.
 func vms(replies []protocol.InventoryResponse, owner map[types.NodeID]claim) []apiv1.VM {
 	n := 0
 	for i := range replies {
 		n += len(replies[i].VMs)
 	}
 	out := make([]apiv1.VM, 0, n)
-	for ri := range replies {
-		for vi := range replies[ri].VMs {
-			vm := &replies[ri].VMs[vi]
-			if c, ok := owner[vm.Node]; ok && c.reply == ri {
-				out = append(out, apiv1.FromVMStatus(*vm, ""))
+	next := make([]int, len(replies)) // per reply, the index of its next owned VM
+	skip := func(ri int) {
+		vs := replies[ri].VMs
+		for next[ri] < len(vs) {
+			if c, ok := owner[vs[next[ri]].Node]; ok && c.reply == ri {
+				return
 			}
+			next[ri]++
 		}
 	}
-	if len(replies) > 1 {
+	for ri := range replies {
+		skip(ri)
+	}
+	sorted := true
+	for {
+		best := -1
+		for ri := range replies {
+			if next[ri] < len(replies[ri].VMs) &&
+				(best < 0 || replies[ri].VMs[next[ri]].Spec.ID < replies[best].VMs[next[best]].Spec.ID) {
+				best = ri
+			}
+		}
+		if best < 0 {
+			break
+		}
+		vm := apiv1.FromVMStatus(replies[best].VMs[next[best]], "")
+		if len(out) > 0 && vm.ID < out[len(out)-1].ID {
+			sorted = false
+		}
+		out = append(out, vm)
+		next[best]++
+		skip(best)
+	}
+	if !sorted {
 		apiv1.SortVMs(out)
 	}
 	return out

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +169,61 @@ func TestFreshestClaimWins(t *testing.T) {
 		if _, err := b.GetNode(ctx, "ghost"); !errors.Is(err, apiv1.ErrNotFound) {
 			t.Errorf("legacy=%v GetNode(ghost): %v, want ErrNotFound", legacy, err)
 		}
+	}
+}
+
+// TestMergedListingMatchesSort checks the k-way merge behind ListVMs against
+// the concatenate-then-sort it replaces, over random multi-GM replies in which
+// nodes are claimed by several GMs with different ages and different VM sets
+// (stale claims). VM IDs are unique per node, as the hierarchy keeps them, so
+// the sorted reference is unambiguous.
+func TestMergedListingMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		replies := make([]protocol.InventoryResponse, 1+rng.Intn(5))
+		for node, nodes := 0, rng.Intn(12); node < nodes; node++ {
+			id := fmt.Sprintf("n%02d", node)
+			var hosted []string
+			for v := rng.Intn(6); v > 0; v-- {
+				hosted = append(hosted, fmt.Sprintf("vm-%03d", rng.Intn(1000))+"-"+id)
+			}
+			for ri := range replies {
+				if rng.Intn(3) == 0 {
+					continue // this GM does not claim the node
+				}
+				claimed := slices.Clone(hosted)
+				rng.Shuffle(len(claimed), func(i, j int) { claimed[i], claimed[j] = claimed[j], claimed[i] })
+				claimed = claimed[:rng.Intn(len(claimed)+1)] // a stale claim lists a subset
+				replies[ri].Nodes = append(replies[ri].Nodes, invNode(id, time.Duration(rng.Intn(4))*time.Second, claimed...))
+				for _, vm := range claimed {
+					replies[ri].VMs = append(replies[ri].VMs, invVM(vm, id))
+				}
+			}
+		}
+		for ri := range replies {
+			slices.SortFunc(replies[ri].VMs, func(a, b types.VMStatus) int { return strings.Compare(string(a.Spec.ID), string(b.Spec.ID)) })
+		}
+		owner := freshest(replies)
+		var want []apiv1.VM
+		for ri := range replies {
+			for _, vm := range replies[ri].VMs {
+				if c, ok := owner[vm.Node]; ok && c.reply == ri {
+					want = append(want, apiv1.FromVMStatus(vm, ""))
+				}
+			}
+		}
+		apiv1.SortVMs(want)
+		if got := vms(replies, owner); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("trial %d: merge %v, want %v", trial, vmIDs(got), vmIDs(want))
+		}
+	}
+	// A reply out of ID order still yields a sorted listing.
+	unsorted := []protocol.InventoryResponse{{
+		Nodes: []protocol.InventoryNode{invNode("n0", 0, "vm-b", "vm-a")},
+		VMs:   []types.VMStatus{invVM("vm-b", "n0"), invVM("vm-a", "n0")},
+	}}
+	if got := vmIDs(vms(unsorted, freshest(unsorted))); !reflect.DeepEqual(got, []string{"vm-a", "vm-b"}) {
+		t.Fatalf("unsorted reply: %v", got)
 	}
 }
 

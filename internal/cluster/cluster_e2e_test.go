@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"snooze/internal/consolidation/online"
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling"
+	"snooze/internal/telemetry"
 	"snooze/internal/types"
 	"snooze/internal/workload"
 )
@@ -114,6 +118,69 @@ func TestConsolidationPlansAreAdmitted(t *testing.T) {
 	}
 	if c.RunningVMs() != vms {
 		t.Fatalf("running VMs after a day of consolidation: %d", c.RunningVMs())
+	}
+}
+
+// TestMigratedVMStaysListed follows live migrations in small steps of
+// virtual time, from before the first to after the last: at every step GetVM
+// finds each VM, and no VM's cpu.used series loses a sample. A migrated VM
+// must neither drop out of the GM's inventory nor have its series reclaimed
+// between the source's report that omits it and the destination's first
+// report that lists it. Small VMs keep each transfer shorter than a monitor
+// period, so the destination seldom reports the VM before it has arrived,
+// and per-LC link delays stagger the LCs' reports, so that the source's and
+// the destination's reports reach the GM at different instants.
+func TestMigratedVMStaysListed(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(8, 1), 21)
+	reg := workload.NewRegistry()
+	reg.Register("half", workload.FlatTrace{Fraction: 0.5})
+	cfg.Hypervisor.Traces = reg
+	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
+	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0}
+	cfg.Manager.Consolidation = online.Config{Enabled: true, Period: time.Minute, MigrationBudget: -1}
+	c := New(cfg)
+	var lcs []types.NodeID
+	for id := range c.LCs {
+		lcs = append(lcs, id)
+	}
+	slices.Sort(lcs)
+	for i, id := range lcs {
+		c.Bus.SetLinkDelay(c.LCs[id].Addr(), time.Duration(i%4)*700*time.Millisecond)
+	}
+	c.Settle(30 * time.Second)
+
+	var vms []types.VMSpec
+	for i := 0; i < 8; i++ {
+		s := vmSpec(fmt.Sprintf("m%d", i), 2, 512)
+		s.TraceID = "half"
+		vms = append(vms, s)
+	}
+	if resp, err := c.SubmitAndWait(vms, 2*time.Minute); err != nil || len(resp.Placed) != len(vms) {
+		t.Fatalf("submit: %+v %v", resp, err)
+	}
+	c.Settle(10 * time.Second)
+
+	api, store := c.API(0), c.Telemetry.Store()
+	samples := map[types.VMID]int{}
+	for end := c.Kernel.Now() + 3*time.Minute; c.Kernel.Now() < end; {
+		c.Settle(250 * time.Millisecond)
+		for _, spec := range vms {
+			if _, err := api.GetVM(context.Background(), string(spec.ID)); err != nil {
+				t.Fatalf("at %v (%d migrations done): GetVM %s: %v", c.Kernel.Now(),
+					c.Metrics.Count("gm.migrations-ok"), spec.ID, err)
+			}
+			n := store.Len(telemetry.VMEntity(spec.ID), "cpu.used")
+			if n < samples[spec.ID] {
+				t.Fatalf("at %v: %s cpu.used went %d -> %d samples", c.Kernel.Now(), spec.ID, samples[spec.ID], n)
+			}
+			samples[spec.ID] = n
+		}
+	}
+	if n := c.Metrics.Count("gm.migrations-ok"); n == 0 {
+		t.Fatal("fixture: no migration completed")
+	}
+	if n := c.Metrics.Count("gm.vms-left"); n != 0 {
+		t.Fatalf("%d migrated VMs had their series reclaimed", n)
 	}
 }
 
@@ -268,17 +335,16 @@ func TestDeepTopologyExport(t *testing.T) {
 	}
 }
 
-// TestVMLivenessSweepReapsSilentlyVanishedVM proves the deployment-level
-// liveness sweep end to end: a VM killed directly on the hypervisor — behind
-// the hierarchy's back, so no terminal vm.state event is ever emitted (the
-// migration-race / crash-mid-handoff signature) — must be reaped: the GM
-// journals a synthetic terminal vm.state "vanished" event and the VM's
-// telemetry series are dropped, while its still-running sibling is left
-// untouched.
-func TestVMLivenessSweepReapsSilentlyVanishedVM(t *testing.T) {
+// TestReportReclaimsSilentlyStoppedVM proves that a VM's telemetry ends with
+// the VM: a VM killed directly on the hypervisor, behind the hierarchy's back
+// so that no terminal vm.state event is ever emitted, drops out of its LC's
+// next monitor report, and the GM ends its series right there. Within two
+// monitor periods, long before the liveness sweep's grace runs out, it
+// journals one synthetic vm.state "vanished" event with reason "left-report"
+// and the series are gone, while the still-running sibling is untouched.
+func TestReportReclaimsSilentlyStoppedVM(t *testing.T) {
 	top := workload.Grid5000Topology(3, 1)
 	cfg := DefaultConfig(top, 11)
-	cfg.Manager.VMLivenessGrace = 30 * time.Second
 	c := New(cfg)
 	c.Settle(30 * time.Second)
 
@@ -292,44 +358,125 @@ func TestVMLivenessSweepReapsSilentlyVanishedVM(t *testing.T) {
 	// Let monitoring build per-VM series for both.
 	c.Settle(30 * time.Second)
 	store := c.Telemetry.Store()
-	if store.Len("vm/victim", "cpu.used") == 0 || store.Len("vm/survivor", "cpu.used") == 0 {
+	survivorBefore := store.Len("vm/survivor", "cpu.used")
+	if store.Len("vm/victim", "cpu.used") == 0 || survivorBefore == 0 {
 		t.Fatal("fixture: per-VM series not recorded")
 	}
 
 	// Kill the victim straight on its hypervisor: the LC's next monitor
 	// report simply stops listing it — no vm.state event anywhere.
-	sweepFloor := c.Telemetry.Journal().LastSeq()
+	floor := c.Telemetry.Journal().LastSeq()
 	node := resp.Placed["victim"]
 	if err := c.Nodes[node].StopVM("victim"); err != nil {
 		t.Fatalf("silent stop: %v", err)
 	}
-
-	// One grace period plus monitoring slack: the inventory shrink arms the
-	// sweep, staleness ripens, the sweep reaps.
-	c.Settle(cfg.Manager.VMLivenessGrace + 15*time.Second)
+	c.Settle(2 * cfg.LC.MonitorPeriod)
 
 	if n := store.Len("vm/victim", "cpu.used"); n != 0 {
-		t.Fatalf("victim series survived the sweep: %d samples", n)
+		t.Fatalf("victim series outlived the report that omitted it: %d samples", n)
 	}
-	if store.Len("vm/survivor", "cpu.used") == 0 {
-		t.Fatal("survivor series was reaped")
+	if n := store.Len("vm/survivor", "cpu.used"); n <= survivorBefore {
+		t.Fatalf("survivor series stopped growing: %d -> %d samples", survivorBefore, n)
 	}
 	var vanished int
-	for _, ev := range c.Telemetry.Journal().Replay(sweepFloor+1, 0) {
+	for _, ev := range c.Telemetry.Journal().Replay(floor+1, 0) {
 		if ev.Type == "vm.state" && ev.Entity == "vm/victim" {
-			if ev.Attrs.Get("state") != "vanished" || ev.Attrs.Get("reason") != "liveness-sweep" {
+			if ev.Attrs.Get("state") != "vanished" || ev.Attrs.Get("reason") != "left-report" {
 				t.Fatalf("unexpected terminal event: %+v", ev)
 			}
 			vanished++
 		}
 		if ev.Type == "vm.state" && ev.Entity == "vm/survivor" && ev.Attrs.Get("state") == "vanished" {
-			t.Fatalf("survivor falsely reaped: %+v", ev)
+			t.Fatalf("survivor falsely reclaimed: %+v", ev)
 		}
 	}
 	if vanished != 1 {
 		t.Fatalf("want exactly one synthetic vanished event, got %d", vanished)
 	}
-	if n := c.Metrics.Count("gm.vms-vanished"); n != 1 {
-		t.Fatalf("gm.vms-vanished = %d", n)
+	if n := c.Metrics.Count("gm.vms-left"); n != 1 {
+		t.Fatalf("gm.vms-left = %d", n)
+	}
+	if n := c.Metrics.Count("gm.vms-vanished"); n != 0 {
+		t.Fatalf("the liveness sweep reaped %d VMs; the report should have", n)
+	}
+}
+
+// TestSeriesFollowLiveVMs pins the store's VM series to the live VM set
+// under churn: VMs are submitted and stopped silently on their hypervisors,
+// and after every monitor period the store holds series of at most the VMs
+// alive on the hypervisors plus those stopped in the last two periods. Once
+// every VM is stopped, no VM series is left within two periods.
+func TestSeriesFollowLiveVMs(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(8, 2), 29)
+	period := cfg.LC.MonitorPeriod
+	c := New(cfg)
+	c.Settle(30 * time.Second)
+	rng := rand.New(rand.NewSource(29))
+	store := c.Telemetry.Store()
+
+	var live []types.VMID
+	var stops []time.Duration
+	stop := func(id types.VMID) {
+		// Relocation may have migrated the VM since its placement.
+		for _, node := range c.Nodes {
+			if node.HasVM(id) {
+				if err := node.StopVM(id); err != nil {
+					t.Fatalf("silent stop %s: %v", id, err)
+				}
+			}
+		}
+		stops = append(stops, c.Kernel.Now())
+	}
+	check := func(when string) {
+		t.Helper()
+		hosted, recent := 0, 0
+		for _, node := range c.Nodes {
+			hosted += len(node.VMs())
+		}
+		for _, at := range stops {
+			if at >= c.Kernel.Now()-2*period {
+				recent++
+			}
+		}
+		if got := len(store.EntityNewest(telemetry.EntityVMPrefix)); got > hosted+recent {
+			t.Fatalf("%s: %d VM entities in the store, want <= %d hosted + %d stopped in the last two periods",
+				when, got, hosted, recent)
+		}
+	}
+
+	next := 0
+	for round := 0; round < 30; round++ {
+		batch := make([]types.VMSpec, 1+rng.Intn(4))
+		for i := range batch {
+			batch[i] = vmSpec(fmt.Sprintf("c%03d", next), 1, 1024)
+			next++
+		}
+		resp, err := c.SubmitAndWait(batch, 2*time.Minute)
+		if err != nil {
+			t.Fatalf("round %d submit: %v", round, err)
+		}
+		for _, spec := range batch {
+			if _, ok := resp.Placed[spec.ID]; ok {
+				live = append(live, spec.ID)
+			}
+		}
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		n := min(len(live), rng.Intn(4))
+		for _, id := range live[:n] {
+			stop(id)
+		}
+		live = live[n:]
+		c.Settle(period)
+		check(fmt.Sprintf("round %d", round))
+	}
+	if c.Metrics.Count("gm.vms-left") == 0 {
+		t.Fatal("churn reclaimed no series through the report path")
+	}
+	for _, id := range live {
+		stop(id)
+	}
+	c.Settle(2 * period)
+	if n := len(store.EntityNewest(telemetry.EntityVMPrefix)); n != 0 {
+		t.Fatalf("%d VM entities left two periods after the last VM stopped", n)
 	}
 }

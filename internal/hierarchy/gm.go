@@ -212,6 +212,7 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 	rec.oob = transport.Address(join.OOB)
 	rec.status = join.Status
 	rec.vms = join.VMs
+	rec.arrivals = nil
 	rec.lastSeen = m.rt.Now()
 	rec.sleeping = false
 	rec.waking = false
@@ -230,7 +231,10 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 // views, all four per-VM demand dimensions for store-backed estimation — and
 // the anomaly detector, whose node.overload / node.underload events drive
 // relocation. A report that transitions a node into idleness additionally
-// publishes node.idle, the signal the event-driven energy manager waits on.
+// publishes node.idle, the signal the event-driven energy manager waits on. A
+// VM the LC's previous report listed and this one omits has left it, and its
+// series end here (leftLocked, reclaimLeft) instead of lingering until the
+// liveness sweep.
 func (m *Manager) gmOnMonitor(req *transport.Request) {
 	rep, ok := req.Payload.(protocol.MonitorReport)
 	if !ok {
@@ -274,14 +278,21 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	rec.sleeping = false
 	rec.waking = false
 	rec.status = rep.Status
-	// A VM leaving the report without a terminal vm.state event is the
-	// silent-vanish signature (stopped behind the hierarchy's back, lost in
-	// a migration race): arm the liveness sweep so its series is reconciled
-	// once the grace period proves it gone everywhere.
-	if m.cfg.VMLivenessGrace > 0 && vmsRemoved(rec.vms, rep.VMs) {
+	// A VM the previous report listed and this one omits has left the LC:
+	// the report is the only sign a VM stopped behind the hierarchy's back
+	// gives. Unless this GM still expects it elsewhere, its series go right
+	// after the lock is released (reclaimLeft).
+	m.pruneArrivalsLocked(rec, rep.VMs)
+	left := m.leftLocked(rec, rep.VMs)
+	if m.cfg.VMLivenessGrace > 0 && len(left) > 0 {
+		// Backstop for the departures reclaimLeft leaves alone.
 		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
 	}
 	rec.vms = rep.VMs
+	for _, a := range rec.arrivals {
+		rec.vms = append(slices.Clip(rec.vms), a.vm)
+		rec.status.VMs = append(slices.Clip(rec.status.VMs), a.vm.Spec.ID)
+	}
 	becameIdle := false
 	if rep.Status.Idle {
 		if !rec.idleAnnounced {
@@ -325,6 +336,7 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 		// sweeps away from entities we are feeding.
 		m.tel.Claim(entity, string(m.cfg.ID))
 	}
+	m.reclaimLeft(now, left)
 	if becameIdle {
 		m.emit(telemetry.EventNodeIdle, telemetry.NodeEntity(id),
 			telemetry.A("sinceNs", fmt.Sprintf("%d", rep.Status.IdleSince)))
@@ -333,6 +345,55 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 		m.onTelemetryEvent(ev, rep.Status, rep.VMs)
 	}
 	m.drainPending()
+}
+
+// leftLocked returns, in ID order, the VMs rec lists that cur omits and that
+// this GM does not expect anywhere else: VMs that are not arrivals the LC has
+// yet to report, not waiting in the pending queue and not leaving rec in a
+// migration this GM issued (in flight, or completed and not yet omitted by
+// the source, see m.moves). A departure from a migration source consumes its
+// m.moves entry; m.mu must be held.
+func (m *Manager) leftLocked(rec *lcRecord, cur []types.VMStatus) []types.VMID {
+	var left []types.VMID
+	for _, o := range rec.vms {
+		id := o.Spec.ID
+		listed := func(v types.VMStatus) bool { return v.Spec.ID == id }
+		if slices.ContainsFunc(cur, listed) || slices.ContainsFunc(rec.arrivals, func(a arrival) bool { return listed(a.vm) }) {
+			continue
+		}
+		if from, ok := m.moves[id]; ok && from == rec.id {
+			delete(m.moves, id)
+			continue
+		}
+		if slices.ContainsFunc(m.pending, func(p pendingPlacement) bool { return p.spec.ID == id }) {
+			continue
+		}
+		left = append(left, id)
+	}
+	slices.Sort(left)
+	return left
+}
+
+// reclaimLeft ends the series of VMs that left their LC's report: one
+// batched vm.state "vanished" event with reason "left-report", on which the
+// hub drops each VM's series, detector state and owner stamp. A VM whose
+// series carry another GM's owner stamp is that GM's to reconcile and is left
+// alone. Called without m.mu.
+func (m *Manager) reclaimLeft(now time.Duration, left []types.VMID) {
+	if len(left) == 0 {
+		return
+	}
+	evs := make([]telemetry.Event, 0, len(left))
+	for _, id := range left {
+		entity := telemetry.VMEntity(id)
+		if owner, ok := m.tel.Owner(entity); ok && owner != string(m.cfg.ID) {
+			continue
+		}
+		evs = append(evs, telemetry.Event{At: now, Type: telemetry.EventVMState, Entity: entity,
+			Attrs: telemetry.A("state", "vanished", "reason", "left-report", "gm", string(m.cfg.ID))})
+	}
+	m.tel.EmitBatch(evs)
+	m.mark("gm.vms-left", int64(len(evs)))
 }
 
 // onTelemetryEvent reacts to a detector event: anomaly events trigger the
@@ -824,14 +885,13 @@ func (m *Manager) migrateAttemptLocked(mv types.Migration, sc obs.SpanContext, a
 	src.busy++
 	dst.busy++
 	// Reflect the reservation shift optimistically.
-	var spec types.VMSpec
-	for _, vm := range src.vms {
-		if vm.Spec.ID == mv.VM {
-			spec = vm.Spec
-			break
-		}
+	var moved *types.VMStatus // the source's report of the VM, if any
+	if i := slices.IndexFunc(src.vms, func(v types.VMStatus) bool { return v.Spec.ID == mv.VM }); i >= 0 {
+		vm := src.vms[i]
+		moved = &vm
+		dst.status.Reserved = dst.status.Reserved.Add(vm.Spec.Requested)
 	}
-	dst.status.Reserved = dst.status.Reserved.Add(spec.Requested)
+	m.moves[mv.VM] = mv.From
 	m.bumpViewEpochLocked()
 	mreq := protocol.MigrateVMRequest{VM: mv.VM, DestNode: mv.To, DestAddr: string(dst.addr), TraceID: sc.TraceID, ParentSpan: sc.SpanID}
 	srcAddr := src.addr
@@ -849,9 +909,11 @@ func (m *Manager) migrateAttemptLocked(mv types.Migration, sc obs.SpanContext, a
 					}
 				}
 				m.bumpViewEpochLocked()
-				m.mu.Unlock()
 				ack, isAck := reply.(protocol.MigrateVMResponse)
-				if err != nil || !isAck || !ack.OK {
+				ok := err == nil && isAck && ack.OK
+				m.settleMoveLocked(mv.VM, moved, to, ok)
+				m.mu.Unlock()
+				if !ok {
 					m.mark("gm.migrations-failed", 1)
 					if attempt < migrationAttempts {
 						// Bounded retry: back off and re-issue. The endpoint
@@ -885,6 +947,56 @@ func (m *Manager) migrateAttemptLocked(mv types.Migration, sc obs.SpanContext, a
 	})
 }
 
+// settleMoveLocked records a migration attempt's outcome. A failed attempt
+// drops the VM's m.moves entry. A completed migration of a VM the source had
+// reported (vm) lists it on the destination at once as an arrival: it stays
+// in the GM's inventory and counts against the destination until a
+// destination report lists it (see pruneArrivalsLocked), while the m.moves
+// entry stays until the source's report omits it. m.mu must be held.
+func (m *Manager) settleMoveLocked(id types.VMID, vm *types.VMStatus, to types.NodeID, ok bool) {
+	if !ok {
+		delete(m.moves, id)
+		return
+	}
+	dst, found := m.lcs[to]
+	if !found || vm == nil || slices.ContainsFunc(dst.vms, func(v types.VMStatus) bool { return v.Spec.ID == id }) {
+		return
+	}
+	a := arrival{vm: *vm}
+	a.vm.Node = to
+	dst.arrivals = append(dst.arrivals, a)
+	dst.vms = append(slices.Clip(dst.vms), a.vm)
+	dst.status.VMs = append(slices.Clip(dst.status.VMs), id)
+}
+
+// pruneArrivalsLocked drops the arrivals of rec that cur, its new report,
+// lists, and those that a report before cur omitted already. The report that
+// first omits an arrival may have been sent before the VM arrived; the
+// second cannot have been, so a VM it omits has left the LC, and the
+// omission is a departure. m.mu must be held.
+func (m *Manager) pruneArrivalsLocked(rec *lcRecord, cur []types.VMStatus) {
+	if len(rec.arrivals) == 0 {
+		return
+	}
+	rec.arrivals = slices.DeleteFunc(rec.arrivals, func(a arrival) bool {
+		return a.missed || slices.ContainsFunc(cur, func(v types.VMStatus) bool { return v.Spec.ID == a.vm.Spec.ID })
+	})
+	for i := range rec.arrivals {
+		rec.arrivals[i].missed = true
+	}
+}
+
+// forgetMovesLocked drops the m.moves entries of migrations out of an LC this
+// GM no longer manages: no report of that source will ever consume them.
+// m.mu must be held.
+func (m *Manager) forgetMovesLocked(from types.NodeID) {
+	for vm, src := range m.moves {
+		if src == from {
+			delete(m.moves, vm)
+		}
+	}
+}
+
 // gmSweepTick detects failed LCs ("GM failures are detected by the GL based
 // on missing heartbeats" — symmetrically, LC heartbeats here) and invalidates
 // them; optionally their VMs are rescheduled from snapshots (Section II-E).
@@ -911,6 +1023,7 @@ func (m *Manager) gmSweepTick() {
 				}
 			}
 			delete(m.lcs, id)
+			m.forgetMovesLocked(id)
 			failed = append(failed, id)
 			m.mark("gm.lc-failures", 1)
 		}
@@ -1237,26 +1350,6 @@ func vmIDs(specs []types.VMSpec) []types.VMID {
 	return out
 }
 
-// vmsRemoved reports whether old contains a VM absent from cur — the silent
-// inventory shrink that, without a terminal vm.state event, would leak the
-// VM's telemetry series. Per-node VM counts are small; the nested scan is
-// cheaper than building sets per report.
-func vmsRemoved(old, cur []types.VMStatus) bool {
-	for _, o := range old {
-		found := false
-		for _, c := range cur {
-			if c.Spec.ID == o.Spec.ID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return true
-		}
-	}
-	return false
-}
-
 func removeVMID(ids []types.VMID, id types.VMID) []types.VMID {
 	for i, v := range ids {
 		if v == id {
@@ -1323,6 +1416,7 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 			break
 		}
 		delete(m.lcs, c.id)
+		m.forgetMovesLocked(c.id)
 		toNotify = append(toNotify, c.addr)
 		released++
 	}

@@ -98,12 +98,14 @@ type ManagerConfig struct {
 	// surviving LCs (the hypervisor-snapshot recovery of Section II-E).
 	RescheduleOnLCFailure bool
 
-	// VMLivenessGrace drives the GM's deployment-level VM liveness sweep:
-	// a vm/* series whose VM is absent from this GM's inventory AND has not
-	// recorded a sample for this long is declared vanished — the GM journals
-	// a synthetic terminal vm.state event and drops the series, closing the
-	// leak left by VMs that disappear without any terminal event (migration
-	// races, LC crashes mid-handoff). The sweep is journal-armed, not
+	// VMLivenessGrace drives the GM's deployment-level VM liveness sweep,
+	// the backstop behind the monitoring flow. A VM's series normally end at
+	// the first monitor report of its LC that omits it (gmOnMonitor); the
+	// sweep covers what no report shows — LC crashes, handoffs between GMs,
+	// owner stamps released with a failed GM. A vm/* series whose VM is
+	// absent from this GM's inventory AND has not recorded a sample for this
+	// long is declared vanished: the GM journals a synthetic terminal
+	// vm.state event and drops the series. The sweep is journal-armed, not
 	// polled: lifecycle/membership events and inventory shrinkage schedule
 	// exact-deadline checks. 0 selects 4 × LCTimeout; negative disables.
 	// The staleness requirement makes the sweep safe on a hub shared by
@@ -204,10 +206,20 @@ type lcRecord struct {
 	sleepGen uint64 // node generation when suspend was ordered; fences stale reports
 	waking   bool
 	busy     int // in-flight migrations involving this LC
+	// arrivals are VMs migrated onto this LC that none of its reports has
+	// listed yet; each report lists them on top of what it carries.
+	arrivals []arrival
 	// idleAnnounced tracks whether the current idle stretch has already
 	// produced a node.idle journal event (reset by any non-idle report), so
 	// the event-driven energy manager sees each idle transition exactly once.
 	idleAnnounced bool
+}
+
+// arrival is a migrated VM listed on its destination's record before the
+// destination has reported it (see settleMoveLocked).
+type arrival struct {
+	vm     types.VMStatus
+	missed bool // a report of the destination has omitted it once
 }
 
 // gmRecord is the GL's view of one Group Manager. scheduling is the policy
@@ -248,6 +260,11 @@ type Manager struct {
 	joined  bool
 	lcs     map[types.NodeID]*lcRecord
 	pending []pendingPlacement
+	// moves maps each VM in a migration this GM issued to its source LC, from
+	// the first attempt until the source's report omits the VM (or the
+	// migration fails): the VM has not left the group, so its departure from
+	// the source's report must not end its series.
+	moves map[types.VMID]types.NodeID
 	// The two journal-armed loops of the GM role: event-driven energy
 	// management (idle checks) and the VM liveness sweep.
 	energy deadline
@@ -317,8 +334,9 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 			// dispatch fan-out, GM relocation scans) map lookups.
 			Cache: view.NewCache(),
 		},
-		lcs: make(map[types.NodeID]*lcRecord),
-		gms: make(map[types.GroupManagerID]*gmRecord),
+		lcs:   make(map[types.NodeID]*lcRecord),
+		moves: make(map[types.VMID]types.NodeID),
+		gms:   make(map[types.GroupManagerID]*gmRecord),
 	}
 	m.energy = deadline{m: m, fire: m.gmEnergyCheck, onKick: m.gmEnergyCheck,
 		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}

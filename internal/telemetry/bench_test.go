@@ -87,7 +87,9 @@ func BenchmarkStoreReduce(b *testing.B) {
 
 // BenchmarkStoreNewSeries measures a series' first append, which every new
 // VM pays once per reported metric: the series header, its lifetime sketch,
-// the initial raw ring and a share of the shard maps' growth. bytes/op is the
+// the initial raw ring and a share of the shard maps' growth. Every series
+// here is its entity's first, so each op also pays the entity's index entry,
+// which a VM's other three metrics share. bytes/op is the
 // footprint of a short-lived series. The store is replaced every 4096
 // series, outside the timer, so the maps stay at a deployment's size.
 func BenchmarkStoreNewSeries(b *testing.B) {
@@ -106,6 +108,37 @@ func BenchmarkStoreNewSeries(b *testing.B) {
 			b.StartTimer()
 		}
 		s.Append(names[i%batch], "cpu.used", time.Duration(i)*time.Millisecond, 0.5)
+	}
+}
+
+// BenchmarkStoreRemoveEntity measures a VM's end and a new VM's first report
+// in one op: RemoveEntity drops one entity's four series, and four appends
+// recreate them, in a store that already holds 1k or 64k other series.
+// Removal costs the entity's own series, so ns/op must not grow with the
+// store.
+func BenchmarkStoreRemoveEntity(b *testing.B) {
+	metrics := []string{"cpu.used", "mem.used", "net.rx", "net.tx"}
+	for _, size := range []struct {
+		name   string
+		series int
+	}{{"series=1k", 1 << 10}, {"series=64k", 1 << 16}} {
+		b.Run(size.name, func(b *testing.B) {
+			s := NewStore(StoreConfig{SeriesCapacity: 512})
+			for i := 0; i < size.series/len(metrics); i++ {
+				entity := fmt.Sprintf("vm/v%05d", i)
+				for _, m := range metrics {
+					s.Append(entity, m, 0, 0.5)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RemoveEntity("vm/churn")
+				for _, m := range metrics {
+					s.Append("vm/churn", m, time.Duration(i), 0.5)
+				}
+			}
+		})
 	}
 }
 

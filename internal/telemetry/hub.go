@@ -144,8 +144,11 @@ func (h *Hub) Record(entity, metric string, at time.Duration, v float64) {
 
 // TerminalVMStates are the vm.state attrs values that mark a VM as gone for
 // good; emitting one drops the VM's series (see Emit). "vanished" is the
-// synthetic state the GM's liveness sweep journals for VMs that disappeared
-// without any terminal event (migration races, LC crashes mid-handoff).
+// synthetic state a GM journals for a VM that disappeared without any
+// terminal event, with the reason attribute naming how it noticed:
+// "left-report" when the VM's LC sends a monitor report that no longer lists
+// it (a VM stopped behind the hierarchy's back), "liveness-sweep" when the
+// sweep finds a series no report will end (LC crashes, handoffs between GMs).
 var TerminalVMStates = map[string]bool{"terminated": true, "destroyed": true, "failed": true, "vanished": true}
 
 // Emit publishes an event and returns it with its sequence number assigned.
@@ -165,8 +168,8 @@ func (h *Hub) Emit(typ, entity string, at time.Duration, attrs Attrs) Event {
 
 // EmitBatch publishes evs (At/Type/Entity/Attrs populated, Seq assigned here)
 // through a single journal lock acquisition — the batched counterpart of Emit
-// for hot loops that journal many events at once, such as the GM's liveness
-// sweep reaping a wave of vanished VMs. Terminal vm.state events forget their
+// for hot loops that journal many events at once, such as a GM ending the
+// series of the VMs a monitor report no longer lists. Terminal vm.state events forget their
 // entities exactly as Emit would. evs is updated in place with the completed
 // events.
 func (h *Hub) EmitBatch(evs []Event) {
@@ -273,8 +276,9 @@ func (h *Hub) Release(owner string) {
 }
 
 // ForgetEntity drops an entity's series, detector state and owner stamp when
-// it leaves the deployment (node failure, VM destruction) so the store does
-// not grow without bound under churn.
+// it leaves the deployment (node failure, VM departure) so the store does not
+// grow without bound under churn. It costs the entity's own series (see
+// Store.RemoveEntity), so it can run at monitoring rate.
 func (h *Hub) ForgetEntity(entity string) {
 	h.store.RemoveEntity(entity)
 	h.detector.Forget(entity)

@@ -182,10 +182,10 @@ func (s *Store) Reduce(entity, metric string, from, to time.Duration, spec *Summ
 	wantPct := len(spec.Percentiles) > 0
 	exact := spec.Exact
 
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
-	ser, ok := sh.series[Key{Entity: entity, Metric: metric}]
-	if !ok {
+	ser := sh.lookup(entity, metric)
+	if ser == nil {
 		sh.mu.RUnlock()
 		return sum, false
 	}

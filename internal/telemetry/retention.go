@@ -409,11 +409,11 @@ type SeriesInfo struct {
 
 // Info returns the retention metadata of one series, and whether it exists.
 func (s *Store) Info(entity, metric string) (SeriesInfo, bool) {
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ser, ok := sh.series[Key{Entity: entity, Metric: metric}]
-	if !ok || ser.n == 0 {
+	ser := sh.lookup(entity, metric)
+	if ser == nil || ser.n == 0 {
 		return SeriesInfo{}, false
 	}
 	info := SeriesInfo{
@@ -449,13 +449,20 @@ func (s *Store) EntityNewest(prefix string) map[string]time.Duration {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k, ser := range sh.series {
-			if ser.n == 0 || !strings.HasPrefix(k.Entity, prefix) {
+		for entity, list := range sh.entities {
+			if !strings.HasPrefix(entity, prefix) {
 				continue
 			}
-			newest := ser.at(ser.n - 1).At
-			if cur, ok := out[k.Entity]; !ok || newest > cur {
-				out[k.Entity] = newest
+			found, newest := false, time.Duration(0)
+			for _, ms := range list {
+				if ser := ms.s; ser.n > 0 {
+					if at := ser.at(ser.n - 1).At; !found || at > newest {
+						found, newest = true, at
+					}
+				}
+			}
+			if found {
+				out[entity] = newest
 			}
 		}
 		sh.mu.RUnlock()

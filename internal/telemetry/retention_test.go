@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -506,6 +507,94 @@ func TestGrowingRingMatchesReference(t *testing.T) {
 
 			if newest := s.EntityNewest("vm/"); len(newest) != 1 || newest["vm/a"] != sm.At {
 				fail("EntityNewest %v, want vm/a at %v", newest, sm.At)
+			}
+		}
+	}
+}
+
+// TestRemoveEntityMatchesReference interleaves RemoveEntity with appends over
+// several entities sharing shards, each series replayed into the reference
+// model. Removing an entity leaves every other entity's Query, Reduce and
+// Info bit-identical; the removed entity reads as unknown until its next
+// append recreates it empty, with a generation above every earlier one.
+func TestRemoveEntityMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tiers := tiersSmall(3, 2)
+	const capacity = 6
+	s := NewStore(StoreConfig{SeriesCapacity: capacity, Shards: 2, Tiers: tiers})
+	entities := []string{"vm/a", "vm/b", "vm/c", "node/n1", "node/n2", "gm/g"}
+	metrics := []string{"cpu.used", "mem.used", "util"}
+	spec := &SummarySpec{Percentiles: []float64{50, 95}, Trend: true, Exact: true}
+	type view struct {
+		pts  []Sample
+		sum  Summary
+		info SeriesInfo
+	}
+	read := func(e, m string) view {
+		sum, _ := s.Reduce(e, m, sec(7), 0, spec)
+		info, _ := s.Info(e, m)
+		return view{s.Query(e, m, 0, 0), sum, info}
+	}
+	refs := map[Key]*refSeries{}
+	var at time.Duration
+	var maxGen uint64
+	for op := 0; op < 3000; op++ {
+		e := entities[rng.Intn(len(entities))]
+		if rng.Intn(25) > 0 {
+			m := metrics[rng.Intn(len(metrics))]
+			k := Key{e, m}
+			fresh := refs[k] == nil
+			if fresh {
+				refs[k] = newRefSeries(capacity, tiers)
+			}
+			at += time.Duration(1+rng.Intn(3)) * time.Second
+			v := rng.Float64() * 10
+			s.Append(e, m, at, v)
+			refs[k].append(Sample{At: at, Value: v})
+			gen := s.Generation(e, m)
+			if gen <= maxGen {
+				t.Fatalf("op %d: %v generation %d not above earlier %d (fresh=%v)", op, k, gen, maxGen, fresh)
+			}
+			maxGen = gen
+			continue
+		}
+		before := map[Key]view{}
+		for k := range refs {
+			if k.Entity != e {
+				before[k] = read(k.Entity, k.Metric)
+			}
+		}
+		s.RemoveEntity(e)
+		for _, m := range metrics {
+			delete(refs, Key{e, m})
+			if s.Len(e, m) != 0 || s.Query(e, m, 0, 0) != nil || s.Generation(e, m) != 0 {
+				t.Fatalf("op %d: %s/%s survived RemoveEntity", op, e, m)
+			}
+			if _, ok := s.Info(e, m); ok {
+				t.Fatalf("op %d: %s/%s still has Info", op, e, m)
+			}
+		}
+		if _, ok := s.EntityNewest(e[:strings.Index(e, "/")+1])[e]; ok {
+			t.Fatalf("op %d: EntityNewest still lists %s", op, e)
+		}
+		for k, v := range before {
+			if got := read(k.Entity, k.Metric); !reflect.DeepEqual(got, v) {
+				t.Fatalf("op %d: removing %s changed %v:\n%+v\nwant %+v", op, e, k, got, v)
+			}
+		}
+		if len(s.Keys()) != len(refs) || s.NumSeries() != len(refs) {
+			t.Fatalf("op %d: %d keys, %d series, want %d", op, len(s.Keys()), s.NumSeries(), len(refs))
+		}
+		for k, ref := range refs {
+			want := ref.points(0, 1<<62)
+			got := s.Query(k.Entity, k.Metric, 0, 0)
+			if len(got) != len(want) {
+				t.Fatalf("op %d: %v %d points, want %d", op, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].At != want[i].at || got[i].Value != want[i].value {
+					t.Fatalf("op %d: %v point %d: %+v want %+v", op, k, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -210,15 +210,57 @@ func (s *series) window(from, to time.Duration, dst []Sample) []Sample {
 	return dst
 }
 
-type shard struct {
-	mu     sync.RWMutex
-	series map[Key]*series
+// metricSeries is one series of an entity: its metric name and its data.
+type metricSeries struct {
+	metric string
+	s      *series
 }
 
-// Store is the lock-sharded time-series store. Appends to different keys
-// proceed concurrently on separate shards; appends to the same key are
-// serialized by that key's shard lock. Samples per key must arrive in
-// non-decreasing time order (the hierarchy's monitoring flow guarantees it).
+// shard holds the series of the entities whose names hash to it, indexed by
+// entity: an entity's few metrics sit in one small slice, so a lookup is one
+// map probe plus a short scan, and dropping an entity deletes one map entry.
+type shard struct {
+	mu       sync.RWMutex
+	entities map[string][]metricSeries
+	n        int // series count across entities
+}
+
+// entityMetrics is the initial capacity of an entity's series slice: node and
+// VM entities record four metrics, GM rollups five.
+const entityMetrics = 4
+
+// lookup returns the series of (entity, metric), nil if absent; sh.mu must be
+// held.
+func (sh *shard) lookup(entity, metric string) *series {
+	for _, ms := range sh.entities[entity] {
+		if ms.metric == metric {
+			return ms.s
+		}
+	}
+	return nil
+}
+
+// lookupOrCreate returns the series of (entity, metric), creating it when
+// absent; sh.mu must be held for writing.
+func (sh *shard) lookupOrCreate(s *Store, entity, metric string) *series {
+	if ser := sh.lookup(entity, metric); ser != nil {
+		return ser
+	}
+	list := sh.entities[entity]
+	if list == nil {
+		list = make([]metricSeries, 0, entityMetrics)
+	}
+	ser := s.newSeries()
+	sh.entities[entity] = append(list, metricSeries{metric: metric, s: ser})
+	sh.n++
+	return ser
+}
+
+// Store is the lock-sharded time-series store. Every series of one entity
+// lives in the shard its entity name hashes to. Appends to entities on
+// different shards proceed concurrently; appends within a shard are
+// serialized by its lock. Samples per key must arrive in non-decreasing time
+// order (the hierarchy's monitoring flow guarantees it).
 type Store struct {
 	shards     []shard
 	mask       uint64
@@ -238,7 +280,7 @@ func NewStore(cfg StoreConfig) *Store {
 	if n <= 0 {
 		n = 32
 	}
-	// Round up to a power of two so key hashes mask instead of mod.
+	// Round up to a power of two so entity hashes mask instead of mod.
 	size := 1
 	for size < n {
 		size <<= 1
@@ -246,7 +288,7 @@ func NewStore(cfg StoreConfig) *Store {
 	alpha := sketch.New(cfg.SketchAlpha).Alpha() // normalized exactly as sketches will see it
 	s := &Store{shards: make([]shard, size), mask: uint64(size - 1), capacity: cfg.SeriesCapacity, tiers: sanitizeTiers(cfg.Tiers), alpha: alpha}
 	for i := range s.shards {
-		s.shards[i].series = make(map[Key]*series)
+		s.shards[i].entities = make(map[string][]metricSeries)
 	}
 	return s
 }
@@ -255,8 +297,8 @@ func NewStore(cfg StoreConfig) *Store {
 // error bar API consumers attach to sketch-derived quantiles.
 func (s *Store) SketchAlpha() float64 { return s.alpha }
 
-// hashKey is FNV-1a over entity+"\x00"+metric.
-func hashKey(entity, metric string) uint64 {
+// hashEntity is FNV-1a over the entity name.
+func hashEntity(entity string) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -266,16 +308,11 @@ func hashKey(entity, metric string) uint64 {
 		h ^= uint64(entity[i])
 		h *= prime
 	}
-	h *= prime // separator byte 0: XOR is a no-op, the multiply still mixes
-	for i := 0; i < len(metric); i++ {
-		h ^= uint64(metric[i])
-		h *= prime
-	}
 	return h
 }
 
-func (s *Store) shardFor(entity, metric string) *shard {
-	return &s.shards[hashKey(entity, metric)&s.mask]
+func (s *Store) shardFor(entity string) *shard {
+	return &s.shards[hashEntity(entity)&s.mask]
 }
 
 // Append records one sample. The hot path takes exactly one shard lock and
@@ -283,14 +320,9 @@ func (s *Store) shardFor(entity, metric string) *shard {
 // it, a ring doubles about log2(SeriesCapacity/initialRing) times in its
 // lifetime. Every append advances the series' generation (see Generation).
 func (s *Store) Append(entity, metric string, at time.Duration, v float64) {
-	sh := s.shardFor(entity, metric)
-	key := Key{Entity: entity, Metric: metric}
+	sh := s.shardFor(entity)
 	sh.mu.Lock()
-	ser, ok := sh.series[key]
-	if !ok {
-		ser = s.newSeries()
-		sh.series[key] = ser
-	}
+	ser := sh.lookupOrCreate(s, entity, metric)
 	ser.append(Sample{At: at, Value: v}, s.capacity, s.tiers)
 	ser.life.Insert(v)
 	ser.lifeM.add(at.Seconds(), v)
@@ -305,10 +337,10 @@ func (s *Store) Append(entity, metric string, at time.Duration, v float64) {
 // changes on every Append and never repeats, 0 for an unknown series. View
 // caches key on it to detect (in)validity without touching the samples.
 func (s *Store) Generation(entity, metric string) uint64 {
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if ser, ok := sh.series[Key{Entity: entity, Metric: metric}]; ok {
+	if ser := sh.lookup(entity, metric); ser != nil {
 		return ser.gen
 	}
 	return 0
@@ -319,11 +351,11 @@ func (s *Store) Generation(entity, metric string) uint64 {
 // whether a GM's rollup series is already fresh before re-recording a summary
 // it received over the wire.
 func (s *Store) Newest(entity, metric string) (Sample, bool) {
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ser, ok := sh.series[Key{Entity: entity, Metric: metric}]
-	if !ok || ser.n == 0 {
+	ser := sh.lookup(entity, metric)
+	if ser == nil || ser.n == 0 {
 		return Sample{}, false
 	}
 	return ser.at(ser.n - 1), true
@@ -345,11 +377,11 @@ func (s *Store) Query(entity, metric string, from, to time.Duration) []Sample {
 	if from > to {
 		return nil
 	}
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ser, ok := sh.series[Key{Entity: entity, Metric: metric}]
-	if !ok {
+	ser := sh.lookup(entity, metric)
+	if ser == nil {
 		return nil
 	}
 	return ser.stitchWindow(from, to, nil)
@@ -371,11 +403,11 @@ func (s *Store) Window(entity, metric string, from, to time.Duration, visit func
 	if from > to {
 		return 0
 	}
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ser, ok := sh.series[Key{Entity: entity, Metric: metric}]
-	if !ok {
+	ser := sh.lookup(entity, metric)
+	if ser == nil {
 		return 0
 	}
 	lo, hi := ser.bounds(from, to)
@@ -397,10 +429,10 @@ func (s *Store) Window(entity, metric string, from, to time.Duration, visit func
 // Len returns the raw-ring sample count of one series (tier points excluded;
 // see Info for the full retention picture).
 func (s *Store) Len(entity, metric string) int {
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if ser, ok := sh.series[Key{Entity: entity, Metric: metric}]; ok {
+	if ser := sh.lookup(entity, metric); ser != nil {
 		return ser.n
 	}
 	return 0
@@ -412,8 +444,10 @@ func (s *Store) Keys() []Key {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k := range sh.series {
-			out = append(out, k)
+		for entity, list := range sh.entities {
+			for _, ms := range list {
+				out = append(out, Key{Entity: entity, Metric: ms.metric})
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -426,20 +460,19 @@ func (s *Store) Keys() []Key {
 	return out
 }
 
-// RemoveEntity drops every series of one entity (a failed node, a destroyed
-// VM), releasing its rings. It scans all shards; callers are rare
-// (membership changes), appends are not slowed.
+// RemoveEntity drops every series of one entity (a failed node, a departed
+// VM), releasing its rings. It costs what the entity owns: one shard lock and
+// one index entry, whatever the size of the store. Generations stay unique, so
+// a series recreated under the same key starts empty and above every
+// generation it had before.
 func (s *Store) RemoveEntity(entity string) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.series {
-			if k.Entity == entity {
-				delete(sh.series, k)
-			}
-		}
-		sh.mu.Unlock()
+	sh := s.shardFor(entity)
+	sh.mu.Lock()
+	if list, ok := sh.entities[entity]; ok {
+		sh.n -= len(list)
+		delete(sh.entities, entity)
 	}
+	sh.mu.Unlock()
 }
 
 // NumSeries counts distinct series.
@@ -448,7 +481,7 @@ func (s *Store) NumSeries() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.series)
+		n += sh.n
 		sh.mu.RUnlock()
 	}
 	return n
@@ -461,11 +494,11 @@ func (s *Store) NumSeries() int {
 // a GM ships inside its rollup summaries and what property tests compare
 // against exact reductions.
 func (s *Store) SeriesSketch(entity, metric string) (sketch.Encoded, bool) {
-	sh := s.shardFor(entity, metric)
+	sh := s.shardFor(entity)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ser, ok := sh.series[Key{Entity: entity, Metric: metric}]
-	if !ok {
+	ser := sh.lookup(entity, metric)
+	if ser == nil {
 		return sketch.Encoded{}, false
 	}
 	src := ser.life
@@ -493,15 +526,10 @@ func (s *Store) AdoptSketch(entity, metric string, enc sketch.Encoded) bool {
 	if dec.Count() == 0 {
 		return false // malformed encoding
 	}
-	sh := s.shardFor(entity, metric)
-	key := Key{Entity: entity, Metric: metric}
+	sh := s.shardFor(entity)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ser, ok := sh.series[key]
-	if !ok {
-		ser = s.newSeries()
-		sh.series[key] = ser
-	}
+	ser := sh.lookupOrCreate(s, entity, metric)
 	if ser.adopted != nil && ser.adopted.Count() >= dec.Count() {
 		return false
 	}
