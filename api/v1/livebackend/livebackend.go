@@ -180,31 +180,44 @@ func (b *Backend) SubmitVMs(ctx context.Context, specs []apiv1.VMSpec) (apiv1.Su
 	if err := apiv1.ValidateSubmit(specs); err != nil {
 		return apiv1.SubmitResult{}, err
 	}
-	gl, err := b.discoverGL(ctx)
+	resp, err := b.Submit(ctx, apiv1.ToVMSpecs(specs))
 	if err != nil {
 		return apiv1.SubmitResult{}, err
-	}
-	reply, err := b.call(ctx, gl, protocol.KindSubmit, protocol.SubmitRequest{VMs: apiv1.ToVMSpecs(specs)})
-	if err != nil {
-		return apiv1.SubmitResult{}, err
-	}
-	resp, ok := reply.(protocol.SubmitResponse)
-	if !ok {
-		return apiv1.SubmitResult{}, fmt.Errorf("livebackend: bad submit response %T", reply)
 	}
 	return apiv1.FromSubmitResponse(resp), nil
 }
 
+// Submit discovers the GL through the entry points and submits vms to it as
+// they are: SubmitVMs without validation or conversion. Simulated clusters
+// submit through it.
+func (b *Backend) Submit(ctx context.Context, vms []types.VMSpec) (protocol.SubmitResponse, error) {
+	gl, err := b.discoverGL(ctx)
+	if err != nil {
+		return protocol.SubmitResponse{}, err
+	}
+	reply, err := b.call(ctx, gl, protocol.KindSubmit, protocol.SubmitRequest{VMs: vms})
+	if err != nil {
+		return protocol.SubmitResponse{}, err
+	}
+	resp, ok := reply.(protocol.SubmitResponse)
+	if !ok {
+		return protocol.SubmitResponse{}, fmt.Errorf("livebackend: bad submit response %T", reply)
+	}
+	return resp, nil
+}
+
 // Topology implements Backend against the GL.
 func (b *Backend) Topology(ctx context.Context, deep bool) (apiv1.Topology, error) {
-	resp, err := b.topology(ctx, deep)
+	resp, err := b.Hierarchy(ctx, deep)
 	if err != nil {
 		return apiv1.Topology{}, err
 	}
 	return apiv1.FromTopologyResponse(resp), nil
 }
 
-func (b *Backend) topology(ctx context.Context, deep bool) (protocol.TopologyResponse, error) {
+// Hierarchy asks the GL for its topology export, with per-LC detail when
+// deep: Topology before conversion.
+func (b *Backend) Hierarchy(ctx context.Context, deep bool) (protocol.TopologyResponse, error) {
 	gl, err := b.discoverGL(ctx)
 	if err != nil {
 		return protocol.TopologyResponse{}, err
@@ -225,7 +238,7 @@ func (b *Backend) topology(ctx context.Context, deep bool) (protocol.TopologyRes
 // mid-listing are skipped: a partial listing mirrors what the GL itself knows
 // during a membership change.
 func (b *Backend) gather(ctx context.Context, want protocol.InventoryRequest) ([]protocol.InventoryResponse, error) {
-	topo, err := b.topology(ctx, false)
+	topo, err := b.Hierarchy(ctx, false)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +419,7 @@ func (b *Backend) Consolidate(ctx context.Context, req apiv1.ConsolidationReques
 // a partial listing is what the hierarchy itself would report during a
 // membership change.
 func (b *Backend) consolidationCtl(ctx context.Context, action string) (apiv1.ConsolidationStatusList, error) {
-	topo, err := b.topology(ctx, false)
+	topo, err := b.Hierarchy(ctx, false)
 	if err != nil {
 		return apiv1.ConsolidationStatusList{}, err
 	}

@@ -10,9 +10,11 @@ import (
 	"time"
 
 	apiv1 "snooze/api/v1"
+	"snooze/api/v1/livebackend"
 	"snooze/internal/hierarchy"
 	"snooze/internal/simkernel"
 	"snooze/internal/telemetry"
+	"snooze/internal/transport"
 	"snooze/internal/workload"
 )
 
@@ -123,6 +125,52 @@ func TestTopologyAndConsolidate(t *testing.T) {
 	}
 	if _, err := b.Consolidate(ctx, apiv1.ConsolidationRequest{Algorithm: "magic"}); !errors.Is(err, apiv1.ErrInvalid) {
 		t.Fatalf("bad algorithm: %v", err)
+	}
+}
+
+// TestBackendFallsBackAcrossEPs: GL discovery probes the entry points in
+// order, so an unreachable first EP costs one failed call and the next one
+// names the GL.
+func TestBackendFallsBackAcrossEPs(t *testing.T) {
+	c, _ := newAPI(t)
+	b := livebackend.New(livebackend.Config{
+		Bus:         c.Bus,
+		Addr:        "api:fallback",
+		EPs:         []transport.Address{"ep:dead", c.EPs[0].Addr()}, // ep:dead is not registered
+		CallTimeout: 5 * time.Second,
+		Wait:        c.drive,
+	})
+	topo, err := b.Hierarchy(context.Background(), false)
+	if err != nil || topo.GL != string(c.Leader().Addr()) {
+		t.Fatalf("discover: GL %q, want %q (%v)", topo.GL, c.Leader().Addr(), err)
+	}
+}
+
+// TestBackendNoGL: when no entry point knows a live GL, a submit is refused
+// as unavailable after asking the EPs, and nothing is sent to any manager.
+func TestBackendNoGL(t *testing.T) {
+	c, _ := newAPI(t)
+	for _, m := range c.Managers {
+		m.Crash()
+	}
+	c.Settle(30 * time.Second) // longer than the EPs' stale age
+	calls := 0
+	b := livebackend.New(livebackend.Config{
+		Bus:         c.Bus,
+		Addr:        "api:nogl",
+		EPs:         []transport.Address{c.EPs[0].Addr()},
+		CallTimeout: 2 * time.Second,
+		Wait: func(ctx context.Context, send func(), replied func() bool) error {
+			calls++
+			return c.drive(ctx, send, replied)
+		},
+	})
+	_, err := b.SubmitVMs(context.Background(), []apiv1.VMSpec{{ID: "v", Requested: apiv1.Resources{CPU: 1, MemoryMB: 1}}})
+	if !errors.Is(err, apiv1.ErrUnavailable) {
+		t.Fatalf("submit without GL: %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("%d bus calls, want only the EP query", calls)
 	}
 }
 

@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -91,7 +90,6 @@ type Cluster struct {
 	Bus      *transport.Bus
 	Nodes    map[types.NodeID]*hypervisor.Node
 	LCs      map[types.NodeID]*hierarchy.LC
-	Client   *hierarchy.Client
 	AutoRole *hierarchy.AutoRole
 
 	meter *simkernel.Ticker
@@ -162,7 +160,6 @@ func New(cfg Config) *Cluster {
 		panic(fmt.Sprintf("cluster: %v", err))
 	}
 	c.Control = ctl
-	c.Client = hierarchy.NewClient(k, bus, "client:0", epAddrs, 0)
 
 	// Autonomic role assignment (optional).
 	if cfg.AutoRole != nil {
@@ -226,25 +223,27 @@ func (c *Cluster) hold(ctx context.Context) error {
 
 func (c *Cluster) release() { c.slot <- struct{}{} }
 
-// run holds the kernel slot while it calls start and then steps the kernel
-// until done reports true, the queue runs dry or, for maxSim > 0, maxSim of
-// virtual time has passed.
-func (c *Cluster) run(ctx context.Context, maxSim time.Duration, start func(), done func() bool) error {
+// drive is the /v1 backend's wait hook: it holds the kernel slot while it
+// sends one call and steps the kernel until the reply is in or the queue runs
+// dry. The bus's call timeout, itself a kernel event, bounds the wait.
+func (c *Cluster) drive(ctx context.Context, send func(), replied func() bool) error {
 	if err := c.hold(ctx); err != nil {
 		return err
 	}
 	defer c.release()
-	start()
-	deadline := c.Kernel.Now() + maxSim
-	for !done() && (maxSim <= 0 || c.Kernel.Now() < deadline) && c.Kernel.Step() {
+	send()
+	for !replied() && c.Kernel.Step() {
 	}
 	return nil
 }
 
-// drive is the /v1 backend's wait hook: one call runs the kernel until its
-// reply is in. The bus's CallTimeout, itself a kernel event, bounds the wait.
-func (c *Cluster) drive(ctx context.Context, send func(), replied func() bool) error {
-	return c.run(ctx, 0, send, replied)
+// backend is the control plane's /v1 backend with each bus call bounded by
+// callTimeout of virtual time (<= 0: one virtual hour).
+func (c *Cluster) backend(callTimeout time.Duration) *livebackend.Backend {
+	if callTimeout > 0 {
+		return c.Backend.WithCallTimeout(callTimeout)
+	}
+	return c.Backend
 }
 
 // API returns the cluster's /v1 backend: the control plane's livebackend,
@@ -255,11 +254,7 @@ func (c *Cluster) drive(ctx context.Context, send func(), replied func() bool) e
 // callTimeout bounds each call in virtual time (<= 0: one virtual hour).
 // While the backend serves, drive the kernel only through the Cluster.
 func (c *Cluster) API(callTimeout time.Duration) apiv1.Backend {
-	b := c.Backend
-	if callTimeout > 0 {
-		b = b.WithCallTimeout(callTimeout)
-	}
-	return simAPI{b, c}
+	return simAPI{c.backend(callTimeout), c}
 }
 
 type simAPI struct {
@@ -280,40 +275,19 @@ func (a simAPI) FailNode(ctx context.Context, id string) error {
 	return nil
 }
 
-// ErrTimeout is returned by the *AndWait helpers.
-var ErrTimeout = errors.New("cluster: operation did not complete in simulated time")
-
-// SubmitAndWait submits VMs through the client and drives the kernel until
-// the response arrives (or maxSim virtual time elapses).
+// SubmitAndWait submits VMs the way a /v1 client does — GL discovery through
+// the entry points, then the GL's submit — and runs the kernel until the GL
+// answers. The specs go out unvalidated. maxSim bounds each bus call in
+// virtual time, not the whole operation; when no GL is known or one does not
+// answer, the error wraps apiv1.ErrUnavailable.
 func (c *Cluster) SubmitAndWait(vms []types.VMSpec, maxSim time.Duration) (protocol.SubmitResponse, error) {
-	var resp protocol.SubmitResponse
-	var rerr error
-	done := false
-	_ = c.run(context.Background(), maxSim, func() {
-		c.Client.Submit(vms, func(r protocol.SubmitResponse, err error) {
-			resp, rerr, done = r, err, true
-		})
-	}, func() bool { return done })
-	if !done {
-		return resp, ErrTimeout
-	}
-	return resp, rerr
+	return c.backend(maxSim).Submit(context.Background(), vms)
 }
 
-// TopologyAndWait fetches the hierarchy export through the client.
+// TopologyAndWait fetches the GL's hierarchy export (without per-LC detail)
+// as SubmitAndWait submits, with the same bound and errors.
 func (c *Cluster) TopologyAndWait(maxSim time.Duration) (protocol.TopologyResponse, error) {
-	var resp protocol.TopologyResponse
-	var rerr error
-	done := false
-	_ = c.run(context.Background(), maxSim, func() {
-		c.Client.Topology(func(r protocol.TopologyResponse, err error) {
-			resp, rerr, done = r, err, true
-		})
-	}, func() bool { return done })
-	if !done {
-		return resp, ErrTimeout
-	}
-	return resp, rerr
+	return c.backend(maxSim).Hierarchy(context.Background(), false)
 }
 
 // RunningVMs counts VMs in VMRunning state across all nodes.

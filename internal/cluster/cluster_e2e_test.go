@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling"
 	"snooze/internal/telemetry"
+	"snooze/internal/transport"
 	"snooze/internal/types"
 	"snooze/internal/workload"
 )
@@ -296,42 +298,64 @@ func TestClusterMeterPeriodZeroDisables(t *testing.T) {
 	}
 }
 
+// TestDeepTopologyExport: the GL's deep export describes each LC as the
+// owning GM's gm.inventory node record does — power, VM count, reservation
+// and capacity — including the LCs energy management has suspended.
 func TestDeepTopologyExport(t *testing.T) {
-	c := smallCluster(t, 6, 2, 61)
+	cfg := DefaultConfig(workload.Grid5000Topology(6, 2), 61)
+	cfg.Manager.EnergyEnabled = true
+	cfg.Manager.IdleThreshold = 20 * time.Second
+	c := New(cfg)
+	c.Settle(30 * time.Second)
 	resp, err := c.SubmitAndWait([]types.VMSpec{vmSpec("tv", 2, 2048)}, 2*time.Minute)
 	if err != nil || len(resp.Placed) != 1 {
 		t.Fatalf("submit: %+v %v", resp, err)
 	}
-	c.Settle(10 * time.Second)
+	c.Settle(2 * time.Minute) // the idle LCs suspend
+	if c.PowerStates()[types.PowerSuspended] == 0 {
+		t.Fatalf("fixture: no LC suspended: %v", c.PowerStates())
+	}
 
-	var topo protocol.TopologyResponse
-	var terr error
-	done := false
-	c.Client.TopologyDeep(func(r protocol.TopologyResponse, err error) { topo, terr, done = r, err, true })
-	deadline := c.Kernel.Now() + time.Minute
-	for !done && c.Kernel.Now() < deadline {
-		if !c.Kernel.Step() {
-			break
-		}
+	ctx := context.Background()
+	topo, err := c.Backend.WithCallTimeout(time.Minute).Hierarchy(ctx, true)
+	if err != nil {
+		t.Fatalf("deep topology: %v", err)
 	}
-	if !done || terr != nil {
-		t.Fatalf("deep topology: done=%v err=%v", done, terr)
-	}
-	totalLCs, totalVMs := 0, 0
+	totalLCs, totalVMs, suspended := 0, 0, 0
 	for _, gm := range topo.GMs {
-		totalLCs += len(gm.LCs)
-		for _, lc := range gm.LCs {
-			totalVMs += lc.VMs
+		var inv protocol.InventoryResponse
+		var ierr error
+		done := false
+		_ = c.drive(ctx, func() {
+			c.Bus.Call("test", transport.Address(gm.Addr), protocol.KindInventory, protocol.InventoryRequest{}, time.Minute,
+				func(reply any, err error) {
+					inv, _ = reply.(protocol.InventoryResponse)
+					ierr, done = err, true
+				})
+		}, func() bool { return done })
+		if ierr != nil || len(gm.LCs) != len(inv.Nodes) {
+			t.Fatalf("GM %s: %d LCs exported, inventory lists %d nodes (%v)", gm.GM, len(gm.LCs), len(inv.Nodes), ierr)
+		}
+		for i, lc := range gm.LCs {
+			st := inv.Nodes[i].Status
+			want := protocol.TopologyLC{
+				ID: st.Spec.ID, Power: st.Power.String(), VMs: len(st.VMs), Reserved: st.Reserved, Capacity: st.Spec.Capacity,
+			}
+			if !reflect.DeepEqual(lc, want) {
+				t.Fatalf("GM %s exports %+v, its inventory says %+v", gm.GM, lc, want)
+			}
 			if lc.Capacity.Zero() {
 				t.Fatalf("LC %s missing capacity", lc.ID)
 			}
+			if lc.Power == types.PowerSuspended.String() {
+				suspended++
+			}
+			totalVMs += lc.VMs
 		}
+		totalLCs += len(gm.LCs)
 	}
-	if totalLCs != 6 {
-		t.Fatalf("deep export LCs: %d", totalLCs)
-	}
-	if totalVMs != 1 {
-		t.Fatalf("deep export VMs: %d", totalVMs)
+	if totalLCs != 6 || totalVMs != 1 || suspended == 0 {
+		t.Fatalf("deep export: %d LCs, %d VMs, %d suspended", totalLCs, totalVMs, suspended)
 	}
 }
 

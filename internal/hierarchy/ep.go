@@ -8,12 +8,13 @@ import (
 	"snooze/internal/protocol"
 	"snooze/internal/simkernel"
 	"snooze/internal/transport"
-	"snooze/internal/types"
 )
 
 // EP is an Entry Point: the replicated client-facing component "queried by
 // the clients to discover the current GL" (Section II-A). EPs learn the GL
-// passively from GL heartbeats on the multicast group.
+// passively from GL heartbeats on the multicast group. The client that asks
+// them is the /v1 backend (api/v1/livebackend); the paper's CLI is snoozectl
+// over /v1.
 type EP struct {
 	rt       simkernel.Runtime
 	bus      *transport.Bus
@@ -89,110 +90,4 @@ func (ep *EP) handle(req *transport.Request) {
 	default:
 		req.RespondErr(errors.New("ep: unknown message kind " + req.Kind))
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-// Client is the user-side helper that discovers the GL through the EPs and
-// submits VMs — the programmatic equivalent of the paper's CLI.
-type Client struct {
-	rt          simkernel.Runtime
-	bus         *transport.Bus
-	addr        transport.Address
-	eps         []transport.Address
-	callTimeout time.Duration
-}
-
-// NewClient creates a client using the given (replicated) entry points.
-func NewClient(rt simkernel.Runtime, bus *transport.Bus, addr transport.Address, eps []transport.Address, callTimeout time.Duration) *Client {
-	if callTimeout <= 0 {
-		callTimeout = 120 * time.Second
-	}
-	c := &Client{rt: rt, bus: bus, addr: addr, eps: append([]transport.Address(nil), eps...), callTimeout: callTimeout}
-	bus.Register(addr, func(req *transport.Request) {
-		req.RespondErr(errors.New("client: unexpected inbound message"))
-	})
-	return c
-}
-
-// ErrNoGL is reported when no entry point knows a live GL.
-var ErrNoGL = errors.New("hierarchy: no group leader known to any entry point")
-
-// DiscoverGL queries the EPs in order until one reports a live GL.
-func (c *Client) DiscoverGL(cb func(gl transport.Address, err error)) {
-	var probe func(i int)
-	probe = func(i int) {
-		if i >= len(c.eps) {
-			cb("", ErrNoGL)
-			return
-		}
-		c.bus.Call(c.addr, c.eps[i], protocol.KindGLQuery, struct{}{}, c.callTimeout, func(reply any, err error) {
-			if err == nil {
-				if r, ok := reply.(protocol.GLQueryResponse); ok && r.Known {
-					cb(transport.Address(r.Addr), nil)
-					return
-				}
-			}
-			probe(i + 1)
-		})
-	}
-	probe(0)
-}
-
-// Submit discovers the GL and submits the VM batch; cb receives the
-// per-VM placement outcome.
-func (c *Client) Submit(vms []types.VMSpec, cb func(resp protocol.SubmitResponse, err error)) {
-	c.DiscoverGL(func(gl transport.Address, err error) {
-		if err != nil {
-			cb(protocol.SubmitResponse{}, err)
-			return
-		}
-		c.bus.Call(c.addr, gl, protocol.KindSubmit, protocol.SubmitRequest{VMs: vms}, c.callTimeout,
-			func(reply any, err error) {
-				if err != nil {
-					cb(protocol.SubmitResponse{}, err)
-					return
-				}
-				resp, ok := reply.(protocol.SubmitResponse)
-				if !ok {
-					cb(protocol.SubmitResponse{}, errors.New("hierarchy: bad submit response"))
-					return
-				}
-				cb(resp, nil)
-			})
-	})
-}
-
-// Topology fetches the hierarchy layout from the GL.
-func (c *Client) Topology(cb func(resp protocol.TopologyResponse, err error)) {
-	c.topology(protocol.TopologyRequest{}, cb)
-}
-
-// TopologyDeep fetches the hierarchy including per-LC detail (the GL fans
-// out to every GM).
-func (c *Client) TopologyDeep(cb func(resp protocol.TopologyResponse, err error)) {
-	c.topology(protocol.TopologyRequest{Deep: true}, cb)
-}
-
-func (c *Client) topology(tr protocol.TopologyRequest, cb func(resp protocol.TopologyResponse, err error)) {
-	c.DiscoverGL(func(gl transport.Address, err error) {
-		if err != nil {
-			cb(protocol.TopologyResponse{}, err)
-			return
-		}
-		c.bus.Call(c.addr, gl, protocol.KindTopology, tr, c.callTimeout, func(reply any, err error) {
-			if err != nil {
-				cb(protocol.TopologyResponse{}, err)
-				return
-			}
-			resp, ok := reply.(protocol.TopologyResponse)
-			if !ok {
-				cb(protocol.TopologyResponse{}, errors.New("hierarchy: bad topology response"))
-				return
-			}
-			cb(resp, nil)
-		})
-	})
 }

@@ -486,12 +486,10 @@ func (m *Manager) glOnTopology(req *transport.Request) {
 		// export stays truthful when groups run different policies.
 		Scheduling: m.schedulingInfo(),
 	}
-	addrs := make([]transport.Address, 0, len(m.gms))
 	for _, gm := range m.gms {
 		resp.GMs = append(resp.GMs, protocol.TopologyGM{
 			GM: gm.id, Addr: string(gm.addr), Summary: gm.summary, Scheduling: gm.scheduling,
 		})
-		addrs = append(addrs, gm.addr)
 	}
 	m.mu.Unlock()
 	sort.Slice(resp.GMs, func(i, j int) bool { return resp.GMs[i].GM < resp.GMs[j].GM })
@@ -499,21 +497,28 @@ func (m *Manager) glOnTopology(req *transport.Request) {
 		req.Respond(resp)
 		return
 	}
-	// Deep export: collect each GM's LC inventory; unreachable GMs simply
-	// contribute no detail.
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	// Deep export: each GM's node records, which it lists by ID; unreachable
+	// GMs simply contribute no detail.
 	remaining := len(resp.GMs)
 	gate := make(chan struct{}, 1)
 	gate <- struct{}{}
 	for i := range resp.GMs {
 		i := i
-		m.bus.Call(m.cfg.Addr, transport.Address(resp.GMs[i].Addr), protocol.KindLCList, struct{}{}, m.cfg.CallTimeout,
+		m.bus.Call(m.cfg.Addr, transport.Address(resp.GMs[i].Addr), protocol.KindInventory, protocol.InventoryRequest{NodesOnly: true}, m.cfg.CallTimeout,
 			func(reply any, err error) {
 				<-gate
-				if err == nil {
-					if lr, ok := reply.(protocol.LCListResponse); ok {
-						resp.GMs[i].LCs = lr.LCs
+				if inv, ok := reply.(protocol.InventoryResponse); ok && err == nil {
+					lcs := make([]protocol.TopologyLC, len(inv.Nodes))
+					for j, n := range inv.Nodes {
+						lcs[j] = protocol.TopologyLC{
+							ID:       n.Status.Spec.ID,
+							Power:    n.Status.Power.String(),
+							VMs:      len(n.Status.VMs),
+							Reserved: n.Status.Reserved,
+							Capacity: n.Status.Spec.Capacity,
+						}
 					}
+					resp.GMs[i].LCs = lcs
 				}
 				remaining--
 				done := remaining == 0

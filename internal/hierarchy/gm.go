@@ -1431,24 +1431,6 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 	req.Respond(protocol.ShedResponse{Released: released})
 }
 
-// gmOnLCList serves the deep-topology export: this GM's LC inventory.
-func (m *Manager) gmOnLCList(req *transport.Request) {
-	m.mu.Lock()
-	resp := protocol.LCListResponse{LCs: make([]protocol.TopologyLC, 0, len(m.lcs))}
-	for _, lc := range m.lcs {
-		resp.LCs = append(resp.LCs, protocol.TopologyLC{
-			ID:       lc.id,
-			Power:    lc.status.Power.String(),
-			VMs:      len(lc.status.VMs),
-			Reserved: lc.status.Reserved,
-			Capacity: lc.status.Spec.Capacity,
-		})
-	}
-	m.mu.Unlock()
-	slices.SortFunc(resp.LCs, func(a, b protocol.TopologyLC) int { return strings.Compare(string(a.ID), string(b.ID)) })
-	req.Respond(resp)
-}
-
 // gmOnInventory serves the api/v1 control-plane reads: the monitored status
 // of the managed LCs plus the VMs they host, with the hosting node filled in,
 // both ordered by ID. Each LC carries the age of its last monitor report so

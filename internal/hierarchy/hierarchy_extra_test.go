@@ -278,7 +278,7 @@ func TestLinearSearchSkipsFragmentedGM(t *testing.T) {
 		})
 		return m
 	}
-	mkManager("m0") // becomes GL
+	gl := mkManager("m0") // becomes GL
 	r.settle(5 * time.Second)
 
 	// m1 and m2 each get two LCs, each half-filled: 4 CPU free per LC, 8
@@ -311,17 +311,19 @@ func TestLinearSearchSkipsFragmentedGM(t *testing.T) {
 	}
 	r.settle(10 * time.Second) // summaries propagate
 
-	// Submit a 6-CPU VM via the GL: the summaries of m1 and m2 show 8 CPU
+	// Submit a 6-CPU VM to the GL: the summaries of m1 and m2 show 8 CPU
 	// free so both are candidates, but no single LC fits; the linear search
 	// must place it on m3's empty LC.
-	ep := NewEP(r.k, r.bus, "ep:ls", 0)
-	ep.Start()
-	r.settle(10 * time.Second) // EP learns the GL from heartbeats
-	client := NewClient(r.k, r.bus, "client:ls", []transport.Address{"ep:ls"}, 0)
 	var resp protocol.SubmitResponse
 	var rerr error
-	client.Submit([]types.VMSpec{{ID: "big", Requested: types.RV(6, 6144, 10, 10)}},
-		func(rs protocol.SubmitResponse, err error) { resp, rerr = rs, err })
+	r.bus.Call("test", gl.Addr(), protocol.KindSubmit,
+		protocol.SubmitRequest{VMs: []types.VMSpec{{ID: "big", Requested: types.RV(6, 6144, 10, 10)}}}, 2*time.Minute,
+		func(reply any, err error) {
+			rerr = err
+			if err == nil {
+				resp = reply.(protocol.SubmitResponse)
+			}
+		})
 	r.settle(time.Minute)
 	if rerr != nil {
 		t.Fatal(rerr)

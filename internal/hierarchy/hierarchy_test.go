@@ -184,39 +184,6 @@ func TestEPReportsStaleGL(t *testing.T) {
 	}
 }
 
-func TestClientDiscoverGLFallsBackAcrossEPs(t *testing.T) {
-	r := newRig(8)
-	m := r.manager("m0")
-	epDead := NewEP(r.k, r.bus, "ep:dead", 0) // never started: unreachable
-	_ = epDead
-	epLive := NewEP(r.k, r.bus, "ep:live", 0)
-	epLive.Start()
-	r.settle(10 * time.Second)
-	client := NewClient(r.k, r.bus, "client:t", []transport.Address{"ep:dead", "ep:live"}, 5*time.Second)
-	var got transport.Address
-	var gotErr error
-	client.DiscoverGL(func(gl transport.Address, err error) { got, gotErr = gl, err })
-	r.settle(30 * time.Second)
-	if gotErr != nil || got != m.Addr() {
-		t.Fatalf("discover: %q %v", got, gotErr)
-	}
-}
-
-func TestClientNoGL(t *testing.T) {
-	r := newRig(9)
-	ep := NewEP(r.k, r.bus, "ep:0", 0)
-	ep.Start()
-	client := NewClient(r.k, r.bus, "client:t", []transport.Address{"ep:0"}, 2*time.Second)
-	var gotErr error
-	done := false
-	client.Submit([]types.VMSpec{{ID: "v", Requested: types.RV(1, 1, 1, 1)}},
-		func(_ protocol.SubmitResponse, err error) { gotErr, done = err, true })
-	r.settle(time.Minute)
-	if !done || gotErr != ErrNoGL {
-		t.Fatalf("submit without GL: done=%v err=%v", done, gotErr)
-	}
-}
-
 func TestLCCommandHandlers(t *testing.T) {
 	r := newRig(10)
 	r.manager("m0")

@@ -553,8 +553,6 @@ func (m *Manager) handle(req *transport.Request) {
 		m.gmOnPlace(req)
 	case protocol.KindShed:
 		m.gmOnShed(req)
-	case protocol.KindLCList:
-		m.gmOnLCList(req)
 	case protocol.KindInventory:
 		m.gmOnInventory(req)
 	case protocol.KindConsolidation:

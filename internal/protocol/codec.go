@@ -118,7 +118,7 @@ func DecodeRequest(kind string, data json.RawMessage) (any, error) {
 		return decode[ConsolidationCtlRequest](data)
 	case KindInventory:
 		return decode[InventoryRequest](data)
-	case KindSuspendHost, KindWakeHost, KindGLQuery, KindRejoin, KindLCList:
+	case KindSuspendHost, KindWakeHost, KindGLQuery, KindRejoin:
 		return noPayload(kind, data)
 	default:
 		return nil, fmt.Errorf("protocol: unknown request kind %q", kind)
@@ -151,8 +151,6 @@ func DecodeReply(kind string, data json.RawMessage) (any, error) {
 		return decode[TopologyResponse](data)
 	case KindShed:
 		return decode[ShedResponse](data)
-	case KindLCList:
-		return decode[LCListResponse](data)
 	case KindInventory:
 		return decode[InventoryResponse](data)
 	case KindConsolidation:

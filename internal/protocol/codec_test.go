@@ -192,7 +192,7 @@ func TestAppendMatchesMarshal(t *testing.T) {
 		{"start-vm-reply/refused", KindStartVM, true, StartVMResponse{Error: "insufficient capacity"}, true},
 		{"start-vm-reply/odd", KindStartVM, true, StartVMResponse{Error: "node <n1> said \"no\""}, false},
 		{"other-kind", KindPlace, false, PlaceRequest{VMs: []types.VMSpec{{ID: "vm-1"}}}, false},
-		{"no-payload", KindLCList, false, struct{}{}, false},
+		{"no-payload", KindGLQuery, false, struct{}{}, false},
 		{"inventory-request", KindInventory, false, InventoryRequest{VM: "vm-1", NodesOnly: true}, false},
 		{"nil", KindRejoin, false, nil, false},
 	}
@@ -433,7 +433,7 @@ var report16Value any = report16()
 // value and refuse text that is not JSON, as a whole-envelope decode did.
 func TestNoPayloadKindsRefuseNonJSON(t *testing.T) {
 	for _, data := range []string{"", "{}", "null", `{"x":1}`, " 7 "} {
-		if _, err := DecodeRequest(KindLCList, []byte(data)); err != nil {
+		if _, err := DecodeRequest(KindGLQuery, []byte(data)); err != nil {
 			t.Errorf("request %q: %v", data, err)
 		}
 		if _, err := DecodeReply(KindMonitor, []byte(data)); err != nil {
@@ -441,7 +441,7 @@ func TestNoPayloadKindsRefuseNonJSON(t *testing.T) {
 		}
 	}
 	for _, data := range []string{"{", `{}{}`, "nul", `1,"x":2`} {
-		if _, err := DecodeRequest(KindLCList, []byte(data)); err == nil {
+		if _, err := DecodeRequest(KindGLQuery, []byte(data)); err == nil {
 			t.Errorf("request %q accepted", data)
 		}
 		if _, err := DecodeReply(KindMonitor, []byte(data)); err == nil {

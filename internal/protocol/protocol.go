@@ -302,14 +302,6 @@ type TopologyResponse struct {
 	Scheduling SchedulingInfo `json:"scheduling"`
 }
 
-// KindLCList asks a GM for its LC inventory (used by deep topology export).
-const KindLCList = "gm.lc-list"
-
-// LCListResponse is a GM's LC inventory.
-type LCListResponse struct {
-	LCs []TopologyLC `json:"lcs"`
-}
-
 // KindInventory asks a GM for its resource inventory: the monitored status
 // of its managed LCs and the VMs they host, narrowed by an InventoryRequest
 // to what the caller will return. The api/v1 live backend aggregates the
