@@ -94,81 +94,116 @@ func TestWaveSpreadsUnderLeastLoaded(t *testing.T) {
 // submitted one at a time, every VM ends up in exactly one of placed/unplaced
 // and done fires exactly once — also when a GM crashes with its requests in
 // flight (timeout ⇒ next round) and when every PlaceRequest, hence every
-// PlaceResponse, is delivered twice.
+// PlaceResponse, is delivered twice. The hypervisors must agree with the GL:
+// each placed VM started once, on one node, and nothing else started. A
+// duplicated PlaceRequest joins the first copy's outcome, so waves that fit,
+// fill or overflow the fleet read the same with duplication as without.
 func TestWaveOvercommit(t *testing.T) {
 	roundRobin := func() scheduling.DispatchPolicy { return &scheduling.RoundRobinDispatch{} }
-	vms := wave(24, 2) // 48 CPU against 2 GMs x 2 LCs x 8 CPU
 	total := func(placed map[types.VMID]types.NodeID) float64 { return 2 * float64(len(placed)) }
 
 	ref := newWaveRig(t, 43, roundRobin, 2, 2)
 	oneByOne := 0.0
-	for _, vm := range vms {
+	for _, vm := range wave(24, 2) { // 48 CPU against 2 GMs x 2 LCs x 8 CPU
 		ref.gl.dispatch([]types.VMSpec{vm}, func(p map[types.VMID]types.NodeID, _ []types.VMID) { oneByOne += total(p) })
 		ref.settle(time.Second)
 	}
 	if oneByOne != 32 {
 		t.Fatalf("fixture: one-at-a-time placed %v CPU, fleet holds 32", oneByOne)
 	}
+	// The healthy fleet's placed/unplaced split per wave size.
+	healthy := map[int][2]int{8: {8, 0}, 16: {16, 0}, 24: {16, 8}}
 
 	for _, tc := range []struct {
 		name   string
+		waves  []int
 		before func(w *waveRig) // runs before the wave is submitted
 		during func(w *waveRig) // runs right after
 	}{
-		{name: "healthy"},
-		{name: "gm-crash-mid-round", during: func(w *waveRig) {
+		{name: "healthy", waves: []int{24}},
+		{name: "gm-crash-mid-round", waves: []int{24}, during: func(w *waveRig) {
 			w.settle(500 * time.Microsecond) // requests sent, none delivered (1 ms latency)
 			w.gms[0].Crash()
 		}},
-		{name: "duplicate-delivery", before: func(w *waveRig) { w.bus.SetDuplication(w.gl.Addr(), 0.999) }},
+		{name: "duplicate-delivery", waves: []int{8, 16, 24}, before: func(w *waveRig) { w.bus.SetDuplication(w.gl.Addr(), 0.999) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWaveRig(t, 43, roundRobin, 2, 2)
-			if tc.before != nil {
-				tc.before(w)
-			}
-			calls := 0
-			var placed map[types.VMID]types.NodeID
-			var unplaced []types.VMID
-			start := w.k.Now()
-			var took time.Duration
-			w.gl.dispatch(vms, func(p map[types.VMID]types.NodeID, u []types.VMID) {
-				calls++
-				placed, unplaced, took = p, u, w.k.Now()-start
-			})
-			if tc.during != nil {
-				tc.during(w)
-			}
-			w.settle(5 * time.Minute)
-			if calls != 1 {
-				t.Fatalf("done fired %d times", calls)
-			}
-			seen := make(map[types.VMID]int)
-			for id := range placed {
-				seen[id]++
-			}
-			for _, id := range unplaced {
-				seen[id]++
-			}
-			for _, vm := range vms {
-				if seen[vm.ID] != 1 {
-					t.Fatalf("VM %s reported %d times (placed %d, unplaced %d)", vm.ID, seen[vm.ID], len(placed), len(unplaced))
-				}
-			}
-			if len(seen) != len(vms) {
-				t.Fatalf("reported %d VMs, submitted %d", len(seen), len(vms))
-			}
-			switch tc.name {
-			case "healthy":
-				if total(placed) != oneByOne {
-					t.Fatalf("wave placed %v CPU, one at a time %v", total(placed), oneByOne)
-				}
-			case "gm-crash-mid-round":
-				// The survivor's share lands in round 0; the crashed GM's share
-				// waits out the call timeout and retries on the survivor.
-				if total(placed) < 16 || took < w.gl.cfg.CallTimeout {
-					t.Fatalf("placed %v CPU after %v", total(placed), took)
-				}
+			for _, n := range tc.waves {
+				t.Run(fmt.Sprint(n), func(t *testing.T) {
+					vms := wave(n, 2)
+					w := newWaveRig(t, 43, roundRobin, 2, 2)
+					if tc.before != nil {
+						tc.before(w)
+					}
+					calls := 0
+					var placed map[types.VMID]types.NodeID
+					var unplaced []types.VMID
+					start := w.k.Now()
+					var took time.Duration
+					w.gl.dispatch(vms, func(p map[types.VMID]types.NodeID, u []types.VMID) {
+						calls++
+						placed, unplaced, took = p, u, w.k.Now()-start
+					})
+					if tc.during != nil {
+						tc.during(w)
+					}
+					w.settle(5 * time.Minute)
+					if calls != 1 {
+						t.Fatalf("done fired %d times", calls)
+					}
+					for _, gm := range w.gms {
+						checkLedger(t, gm)
+					}
+					seen := make(map[types.VMID]int)
+					for id := range placed {
+						seen[id]++
+					}
+					for _, id := range unplaced {
+						seen[id]++
+					}
+					for _, vm := range vms {
+						if seen[vm.ID] != 1 {
+							t.Fatalf("VM %s reported %d times (placed %d, unplaced %d)", vm.ID, seen[vm.ID], len(placed), len(unplaced))
+						}
+					}
+					if len(seen) != len(vms) {
+						t.Fatalf("reported %d VMs, submitted %d", len(seen), len(vms))
+					}
+					var starts uint64
+					hosts := make(map[types.VMID][]types.NodeID)
+					for id, node := range w.nodes {
+						s, _, _ := node.Counters()
+						starts += s
+						for _, vm := range node.VMs() {
+							hosts[vm.Spec.ID] = append(hosts[vm.Spec.ID], id)
+						}
+					}
+					for id, on := range hosts {
+						if len(on) > 1 {
+							t.Fatalf("VM %s hosted on %v", id, on)
+						}
+					}
+					if starts != uint64(len(hosts)) || len(hosts) != len(placed) {
+						t.Fatalf("hypervisors started %d VMs and host %d, the GL placed %d (unplaced %d)",
+							starts, len(hosts), len(placed), len(unplaced))
+					}
+					switch tc.name {
+					case "healthy":
+						if total(placed) != oneByOne {
+							t.Fatalf("wave placed %v CPU, one at a time %v", total(placed), oneByOne)
+						}
+					case "gm-crash-mid-round":
+						// The survivor's share lands in round 0; the crashed GM's share
+						// waits out the call timeout and retries on the survivor.
+						if total(placed) < 16 || took < w.gl.cfg.CallTimeout {
+							t.Fatalf("placed %v CPU after %v", total(placed), took)
+						}
+					case "duplicate-delivery":
+						if got := [2]int{len(placed), len(unplaced)}; got != healthy[n] {
+							t.Fatalf("wave of %d: placed/unplaced %v, healthy fleet %v", n, got, healthy[n])
+						}
+					}
+				})
 			}
 		})
 	}

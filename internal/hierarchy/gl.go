@@ -24,7 +24,7 @@ func (m *Manager) becomeGLLocked() {
 	if m.role == RoleGL {
 		return
 	}
-	m.role = RoleGL
+	m.setRoleLocked(RoleGL)
 	m.epoch++
 	m.mark("gl.promotions", 1)
 	m.emit(telemetry.EventGLElected, telemetry.GMEntity(m.cfg.ID),
@@ -33,7 +33,6 @@ func (m *Manager) becomeGLLocked() {
 	// paper's promoted GM sheds its LCs, which rejoin through the new GL.
 	m.lcs = make(map[types.NodeID]*lcRecord)
 	m.glAddr = ""
-	failPendingLocked(m)
 	m.gms = make(map[types.GroupManagerID]*gmRecord)
 	m.stopTickersLocked()
 	m.addTicker(m.cfg.HeartbeatPeriod, m.glHeartbeatTick)
@@ -41,15 +40,6 @@ func (m *Manager) becomeGLLocked() {
 	// Announce leadership immediately: a fast first heartbeat shortens the
 	// healing window after GL failover (Section II-E).
 	m.rt.After(0, m.glHeartbeatTick)
-}
-
-func failPendingLocked(m *Manager) {
-	pending := m.pending
-	m.pending = nil
-	for _, p := range pending {
-		p := p
-		m.rt.After(0, func() { p.respond("", false) })
-	}
 }
 
 // glHeartbeatTick multicasts the GL heartbeat on GroupGL; EPs and unassigned
@@ -332,7 +322,7 @@ func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID
 	}
 	// First-fit-decreasing (CPU, then memory, ID tie-break): under capacity
 	// pressure the order decides how well the bins pack. Under overcommit it
-	// admits fewer, larger VMs than arrival order; the resource total is equal.
+	// admits fewer, larger VMs than submission order; the resource total is equal.
 	vms := make([]vmDispatch, len(specs))
 	for i, spec := range specs {
 		vms[i].spec = spec

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,7 +32,7 @@ import (
 func (m *Manager) becomeGMLocked(gl transport.Address) {
 	wasGL := m.role == RoleGL
 	sameGL := m.role == RoleGM && m.glAddr == gl
-	m.role = RoleGM
+	m.setRoleLocked(RoleGM)
 	m.glAddr = gl
 	m.joined = false
 	if wasGL {
@@ -66,9 +65,9 @@ func (m *Manager) becomeGMLocked(gl transport.Address) {
 	}
 	if m.cfg.VMLivenessGrace > 0 {
 		// The deployment-level VM liveness sweep is journal-armed: lifecycle
-		// and membership events (plus inventory shrinkage noticed by
+		// and membership events (plus report departures noticed by
 		// gmOnMonitor) schedule exact-deadline reconciliations of the hub's
-		// vm/* series against this GM's inventory. One bootstrap sweep
+		// vm/* series against this GM's ledger. One bootstrap sweep
 		// covers series that predate this GM stint.
 		m.sweep.observeLocked()
 		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
@@ -118,9 +117,7 @@ func (m *Manager) gmHeartbeatTick() {
 // util series and this GM's scheduling configuration — the distribution and
 // policy facts a GL cannot reconstruct from group averages.
 func (m *Manager) gmSummaryTick() {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		return
 	}
 	gl := m.glAddr
@@ -183,7 +180,7 @@ func (m *Manager) summaryLocked() types.GroupSummary {
 		s.ActiveLCs++
 		s.Used = s.Used.Add(lc.status.Used)
 		s.Reserved = s.Reserved.Add(lc.status.Reserved)
-		s.VMs += len(lc.vms)
+		s.VMs += len(lc.hosted)
 	}
 	return s
 }
@@ -196,9 +193,7 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 		req.Respond(protocol.LCJoinResponse{})
 		return
 	}
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		req.Respond(protocol.LCJoinResponse{})
 		return
 	}
@@ -211,13 +206,13 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 	rec.addr = transport.Address(join.Addr)
 	rec.oob = transport.Address(join.OOB)
 	rec.status = join.Status
-	rec.vms = join.VMs
-	rec.arrivals = nil
+	left := m.reconcileLocked(rec, join.VMs)
 	rec.lastSeen = m.rt.Now()
 	rec.sleeping = false
 	rec.waking = false
 	m.bumpViewEpochLocked()
 	m.mu.Unlock()
+	m.reclaimLeft(m.rt.Now(), left)
 	m.mark("gm.lc-joins", 1)
 	m.emit(telemetry.EventLCJoin, telemetry.NodeEntity(id), telemetry.A("gm", string(m.cfg.ID)))
 	req.Respond(protocol.LCJoinResponse{Accepted: true})
@@ -231,10 +226,10 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 // views, all four per-VM demand dimensions for store-backed estimation — and
 // the anomaly detector, whose node.overload / node.underload events drive
 // relocation. A report that transitions a node into idleness additionally
-// publishes node.idle, the signal the event-driven energy manager waits on. A
-// VM the LC's previous report listed and this one omits has left it, and its
-// series end here (leftLocked, reclaimLeft) instead of lingering until the
-// liveness sweep.
+// publishes node.idle, the signal the event-driven energy manager waits on.
+// The report's VM list reconciles with the ledger (reconcileLocked): a VM the
+// report omits that the ledger has running on the LC has left it, and its
+// series end here (reclaimLeft) instead of lingering until the liveness sweep.
 func (m *Manager) gmOnMonitor(req *transport.Request) {
 	rep, ok := req.Payload.(protocol.MonitorReport)
 	if !ok {
@@ -248,9 +243,7 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 		m.mark("gm.monitor-rejects", 1)
 		return
 	}
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		return
 	}
 	id := rep.Status.Spec.ID
@@ -278,20 +271,10 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	rec.sleeping = false
 	rec.waking = false
 	rec.status = rep.Status
-	// A VM the previous report listed and this one omits has left the LC:
-	// the report is the only sign a VM stopped behind the hierarchy's back
-	// gives. Unless this GM still expects it elsewhere, its series go right
-	// after the lock is released (reclaimLeft).
-	m.pruneArrivalsLocked(rec, rep.VMs)
-	left := m.leftLocked(rec, rep.VMs)
+	left := m.reconcileLocked(rec, rep.VMs)
 	if m.cfg.VMLivenessGrace > 0 && len(left) > 0 {
 		// Backstop for the departures reclaimLeft leaves alone.
 		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
-	}
-	rec.vms = rep.VMs
-	for _, a := range rec.arrivals {
-		rec.vms = append(slices.Clip(rec.vms), a.vm)
-		rec.status.VMs = append(slices.Clip(rec.status.VMs), a.vm.Spec.ID)
 	}
 	becameIdle := false
 	if rep.Status.Idle {
@@ -347,31 +330,111 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	m.drainPending()
 }
 
-// leftLocked returns, in ID order, the VMs rec lists that cur omits and that
-// this GM does not expect anywhere else: VMs that are not arrivals the LC has
-// yet to report, not waiting in the pending queue and not leaving rec in a
-// migration this GM issued (in flight, or completed and not yet omitted by
-// the source, see m.moves). A departure from a migration source consumes its
-// m.moves entry; m.mu must be held.
-func (m *Manager) leftLocked(rec *lcRecord, cur []types.VMStatus) []types.VMID {
+// setLocked moves e into phase p (out of the ledger for vmGone): the one
+// writer of m.ledger and of what is derived from it, the LCs' hosted lists
+// and busy counts and m.waiting. m.mu must be held.
+func (m *Manager) setLocked(e *vmEntry, p vmPhase) {
+	e.tally(&m.waiting, -1)
+	if n := e.node; n != p.node && n != nil {
+		last := n.hosted[len(n.hosted)-1]
+		n.hosted[e.slot], last.slot = last, e.slot
+		n.hosted[len(n.hosted)-1] = nil // the array must not keep a departed entry alive
+		n.hosted = n.hosted[:len(n.hosted)-1]
+	}
+	if n := p.node; n != e.node && n != nil {
+		e.slot, n.hosted = len(n.hosted), append(n.hosted, e)
+	}
+	e.vmPhase = p
+	p.tally(&m.waiting, 1)
+	if p.state == vmGone {
+		delete(m.ledger, e.vm.Spec.ID)
+	} else {
+		m.ledger[e.vm.Spec.ID] = e
+	}
+}
+
+// reconcileLocked applies the VM list of a report (or join) of rec and
+// returns, in ID order, the VMs that left rec and have series. A listed VM
+// becomes or stays running on rec, adopted if unknown; a migration's stale
+// source report and a destination's report of a transfer not yet acked
+// change nothing. A VM running on rec that the report omits leaves, unless
+// it was migrated there and has grace; a started VM no report listed yet
+// leaves silently, and a later report that lists it adopts it again.
+func (m *Manager) reconcileLocked(rec *lcRecord, vms []types.VMStatus) []types.VMID {
+	m.seq++
+	for _, v := range vms {
+		e := m.ledger[v.Spec.ID]
+		if e == nil {
+			e = &vmEntry{vm: v} // adopted below
+		}
+		e.seen = m.seq
+		switch {
+		case e.from == rec, e.state == vmMigrating && e.dst == rec:
+			continue
+		case e.node != rec || e.state != vmRunning && e.state != vmMigrating:
+			if e.state == vmPending {
+				m.answerLaterLocked(e, rec.id, true)
+			}
+			m.setLocked(e, vmPhase{state: vmRunning, node: rec})
+		}
+		e.vm, e.grace = v, false
+	}
 	var left []types.VMID
-	for _, o := range rec.vms {
-		id := o.Spec.ID
-		listed := func(v types.VMStatus) bool { return v.Spec.ID == id }
-		if slices.ContainsFunc(cur, listed) || slices.ContainsFunc(rec.arrivals, func(a arrival) bool { return listed(a.vm) }) {
-			continue
+	for i := len(rec.hosted) - 1; i >= 0; i-- { // dropping entry i refills slot i from a visited one
+		switch e := rec.hosted[i]; {
+		case e.seen == m.seq, e.state != vmRunning:
+		case e.grace:
+			e.grace = false
+		default:
+			if e.seen != 0 { // a VM no report listed has no series to end
+				left = append(left, e.vm.Spec.ID)
+			}
+			m.setLocked(e, vmPhase{})
 		}
-		if from, ok := m.moves[id]; ok && from == rec.id {
-			delete(m.moves, id)
-			continue
-		}
-		if slices.ContainsFunc(m.pending, func(p pendingPlacement) bool { return p.spec.ID == id }) {
-			continue
-		}
-		left = append(left, id)
 	}
 	slices.Sort(left)
 	return left
+}
+
+// dropLCLocked removes rec from the group. The entries of the VMs it hosts
+// leave the ledger and are returned; those starting on it leave too, their
+// StartVM outcome still answers them. Migrations into rec fall back to
+// their source.
+func (m *Manager) dropLCLocked(rec *lcRecord) []*vmEntry {
+	delete(m.lcs, rec.id)
+	m.bumpViewEpochLocked()
+	var hosted []*vmEntry
+	for _, e := range m.ledger {
+		switch {
+		case e.node == rec:
+			if e.state != vmStarting {
+				hosted = append(hosted, e)
+			}
+			m.setLocked(e, vmPhase{})
+		case e.dst == rec:
+			m.setLocked(e, vmPhase{state: vmRunning, node: e.node, from: e.from})
+		}
+	}
+	return hosted
+}
+
+// pendingLocked returns the pending entries in queue order.
+func (m *Manager) pendingLocked() []*vmEntry {
+	out := make([]*vmEntry, 0, m.waiting)
+	for _, e := range m.ledger {
+		if e.state == vmPending {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b *vmEntry) int { return cmp.Compare(a.seq, b.seq) })
+	return out
+}
+
+// answerLaterLocked answers e's waiters from a runtime event.
+func (m *Manager) answerLaterLocked(e *vmEntry, node types.NodeID, ok bool) {
+	w, id := e.waiters, e.vm.Spec.ID
+	e.waiters = waiters{}
+	m.rt.After(0, func() { w.answer(id, node, ok) })
 }
 
 // reclaimLeft ends the series of VMs that left their LC's report: one
@@ -428,22 +491,9 @@ func (m *Manager) estimateVM(now time.Duration, vm types.VMStatus) types.Resourc
 	return vm.Used
 }
 
-// activeStatusesLocked snapshots the schedulable LC statuses in ID order, the
-// order placement policies iterate in.
-func (m *Manager) activeStatusesLocked() []types.NodeStatus {
-	out := make([]types.NodeStatus, 0, len(m.lcs))
-	for _, lc := range m.lcs {
-		if lc.sleeping || lc.busy > 0 {
-			continue
-		}
-		out = append(out, lc.status)
-	}
-	slices.SortFunc(out, func(a, b types.NodeStatus) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
-	return out
-}
-
-// activeViewsLocked builds capacity views over the schedulable LCs in ID
-// order — the input every placement decision consumes. Builds are memoized on
+// activeViewsLocked builds capacity views over the schedulable LCs (awake,
+// in no migration) in ID order, the order placement policies iterate in —
+// the input every placement decision consumes. Builds are memoized on
 // the GM-wide view epoch: while nothing moved (no monitor ingestion,
 // reservation, migration, sleep/wake or membership change bumped the epoch),
 // the next batch reuses the previous build outright (callers must not modify
@@ -454,17 +504,25 @@ func (m *Manager) activeViewsLocked() []view.Node {
 	if nodes, ok := m.viewMemo.Get(m.viewEpoch, now, m.cfg.HeartbeatPeriod); ok {
 		return nodes
 	}
-	nodes := m.views.Nodes(now, m.activeStatusesLocked())
+	active := make([]types.NodeStatus, 0, len(m.lcs))
+	for _, lc := range m.lcs {
+		if !lc.sleeping && lc.busy == 0 {
+			active = append(active, lc.status)
+		}
+	}
+	slices.SortFunc(active, func(a, b types.NodeStatus) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
+	nodes := m.views.Nodes(now, active)
 	m.viewMemo.Put(m.viewEpoch, now, nodes)
 	return nodes
 }
 
 // placement is one VM of a placement batch, from the decision under m.mu to
-// its outcome: the decision span and the chosen node, or why it has none.
+// its outcome: the decision span and the chosen LC, or why it has none.
 type placement struct {
-	pendingPlacement
+	e       *vmEntry
+	spec    types.VMSpec // e's, copied under m.mu
 	span    obs.Span
-	node    types.NodeID
+	rec     *lcRecord
 	addr    transport.Address
 	outcome string // span outcome of a VM not started: no-fit, queued, requeued or expired
 }
@@ -473,57 +531,44 @@ type placement struct {
 // batch, issue the StartVM commands, and respond once every VM has an
 // outcome. VMs that fit no active LC wait for a wake when energy management
 // is on (Section III: LCs "are woken up by the GM in case ... not enough
-// capacity is available").
+// capacity is available"). Placement is idempotent by VM ID: a VM with a
+// ledger entry is not placed again, the request joins the entry's outcome.
+// It waits with the first request while the VM is pending or starting, and
+// is answered "placed" on the VM's node at once while it runs or migrates.
 func (m *Manager) gmOnPlace(req *transport.Request) {
 	pr, ok := req.Payload.(protocol.PlaceRequest)
 	if !ok {
 		req.RespondErr(errBadPayload)
 		return
 	}
-	resp := protocol.PlaceResponse{Placed: make(map[types.VMID]types.NodeID, len(pr.VMs))}
-	var mu sync.Mutex
-	remaining := len(pr.VMs)
-	parent := obs.SpanContext{TraceID: pr.TraceID, SpanID: pr.ParentSpan}
-	batch := make([]placement, len(pr.VMs))
-	for i, spec := range pr.VMs {
-		id := spec.ID
-		batch[i].spec, batch[i].trace = spec, parent
-		batch[i].respond = func(node types.NodeID, ok bool) {
-			mu.Lock()
-			if ok {
-				resp.Placed[id] = node
-			} else {
-				resp.Unplaced = append(resp.Unplaced, id)
-			}
-			remaining--
-			done := remaining == 0
-			mu.Unlock()
-			if done {
-				req.Respond(resp)
-			}
-		}
-	}
-	switch {
-	case !m.place(batch):
+	r := &placeReply{req: req, remaining: len(pr.VMs), trace: obs.SpanContext{TraceID: pr.TraceID, SpanID: pr.ParentSpan},
+		resp: protocol.PlaceResponse{Placed: make(map[types.VMID]types.NodeID, len(pr.VMs))}}
+	if !m.lockGM() {
 		req.Respond(protocol.PlaceResponse{Unplaced: vmIDs(pr.VMs)})
-	case len(batch) == 0:
-		req.Respond(resp)
+		return
 	}
-}
-
-// place places a batch of fresh VMs: placeLocked under one m.mu hold, then
-// finishPlacements. It reports false, having touched nothing, when this
-// manager is not an active GM.
-func (m *Manager) place(batch []placement) bool {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
-		return false
+	batch := make([]placement, 0, len(pr.VMs))
+	for _, spec := range pr.VMs {
+		switch e := m.ledger[spec.ID]; {
+		case e == nil:
+			e = &vmEntry{vm: types.VMStatus{Spec: spec}, waiters: waiters{first: r}}
+			batch = append(batch, placement{e: e, spec: spec})
+		case e.state == vmPending, e.state == vmStarting:
+			e.waiters.more = append(e.waiters.more, r)
+		default: // running or migrating
+			id, node := spec.ID, e.node.id
+			m.rt.After(0, func() { r.answer(id, node, true) })
+		}
 	}
 	m.placeLocked(batch, false)
 	m.mu.Unlock()
+	if joined := len(pr.VMs) - len(batch); joined > 0 {
+		m.mark("gm.place-joins", int64(joined))
+	}
 	m.finishPlacements(batch)
-	return true
+	if len(pr.VMs) == 0 {
+		req.Respond(r.resp)
+	}
 }
 
 // placeLocked runs a batch of VMs through the placement policy against one
@@ -531,21 +576,27 @@ func (m *Manager) place(batch []placement) bool {
 // the chosen node, on its LC record and in a local copy of the build, so the
 // next VM of the batch sees what a rebuild would show: Stats are keyed by
 // series generation, and a reservation appends no sample. This is the
-// charge-the-snapshot rule the GL's dispatch applies to group views. A VM
-// that fits no active LC goes to noFitLocked; with retry (the pending queue
-// itself) a VM past its deadline expires first. Nothing is sent or answered
-// here: finishPlacements does that once m.mu is released.
+// charge-the-snapshot rule the GL's dispatch applies to group views. A placed
+// VM is starting on its LC; one that fits no active LC goes to noFitLocked;
+// with retry (the pending queue itself) a VM past its deadline expires first.
+// Nothing is sent or answered here: finishPlacements does that once m.mu is
+// released.
 func (m *Manager) placeLocked(batch []placement, retry bool) {
 	now := m.rt.Now()
 	nodes := m.activeViewsLocked()
 	shared := true // nodes is the memoized build until the first charge
 	for i := range batch {
 		p := &batch[i]
-		if retry && now > p.deadline {
+		if retry && now > p.e.deadline {
 			p.outcome = "expired"
+			m.setLocked(p.e, vmPhase{})
 			continue
 		}
-		p.span = m.cfg.Tracer.StartSpan(obs.KindPlacement, telemetry.VMEntity(p.spec.ID), p.trace)
+		var parent obs.SpanContext // the dispatch span of the request that placed the VM first
+		if r := p.e.waiters.first; r != nil {
+			parent = r.trace
+		}
+		p.span = m.cfg.Tracer.StartSpan(obs.KindPlacement, telemetry.VMEntity(p.spec.ID), parent)
 		p.span.SetPolicy(m.cfg.Placement.Name())
 		if retry {
 			p.span.Annotate("retry", "pending-queue")
@@ -561,7 +612,7 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 			}
 		}
 		if !ok {
-			p.outcome = m.noFitLocked(p, retry, now)
+			p.outcome = m.noFitLocked(p.e, retry, now)
 			continue
 		}
 		k, _ := slices.BinarySearchFunc(nodes, id, func(n view.Node, id types.NodeID) int { return cmp.Compare(n.Spec.ID, id) })
@@ -573,7 +624,7 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 		rec := m.lcs[id]
 		// Optimistic reservation so concurrent placements see the load.
 		rec.status.Reserved = rec.status.Reserved.Add(p.spec.Requested)
-		rec.status.VMs = append(rec.status.VMs, p.spec.ID)
+		m.setLocked(p.e, vmPhase{state: vmStarting, node: rec})
 		m.bumpViewEpochLocked()
 		if i+1 < len(batch) { // charge the build for the VMs still to place
 			if shared {
@@ -581,24 +632,23 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 			}
 			nodes[k].NodeStatus = rec.status
 		}
-		p.node, p.addr = id, rec.addr
+		p.rec, p.addr = rec, rec.addr
 	}
 }
 
 // noFitLocked disposes of a VM that fits no active LC and returns its span
-// outcome. A pending retry goes back to the queue. A fresh VM waits for a
-// wake when energy management can create capacity, and fails otherwise.
-func (m *Manager) noFitLocked(p *placement, retry bool, now time.Duration) string {
+// outcome. A pending retry stays in the queue. A fresh VM waits for a wake
+// when energy management can create capacity, and fails otherwise.
+func (m *Manager) noFitLocked(e *vmEntry, retry bool, now time.Duration) string {
 	if retry {
-		m.pending = append(m.pending, p.pendingPlacement)
 		return "requeued"
 	}
-	if !m.cfg.EnergyEnabled || m.sleepingLocked() == 0 {
+	if !m.cfg.EnergyEnabled || !m.wakeOneLocked() {
 		return "no-fit"
 	}
-	p.deadline = now + m.cfg.PendingTimeout
-	m.pending = append(m.pending, p.pendingPlacement)
-	m.wakeOneLocked()
+	m.seq++
+	e.deadline, e.seq = now+m.cfg.PendingTimeout, m.seq
+	m.setLocked(e, vmPhase{state: vmPending})
 	// Arm the retry heartbeat: if the wake call is lost, no journal event will
 	// drive the energy check, which retries the wake, enforces the deadline
 	// and keeps re-arming while the queue is non-empty.
@@ -608,7 +658,7 @@ func (m *Manager) noFitLocked(p *placement, retry bool, now time.Duration) strin
 
 // finishPlacements carries out a placed batch, in VM order and without
 // m.mu: a StartVM command for each VM placeLocked reserved a node for, the
-// outcome of each VM it did not start.
+// outcome of each VM it did not start (out of the ledger: no more joins).
 func (m *Manager) finishPlacements(batch []placement) {
 	for i := range batch {
 		p := &batch[i]
@@ -623,54 +673,53 @@ func (m *Manager) finishPlacements(batch []placement) {
 		}
 		p.span.Finish(p.outcome) // a no-op on an expired VM's zero span
 		if p.outcome == "expired" || p.outcome == "no-fit" {
-			p.respond("", false)
+			p.e.waiters.answer(p.spec.ID, "", false)
 		}
 	}
 }
 
-// startVM commands the chosen LC to boot a placed VM. A refused or failed
-// call rolls back the reservation placeLocked charged. The span and respond
-// see the outcome exactly once.
+// startVM commands the chosen LC to boot a placed VM. If the VM is still
+// starting there, success makes it running, and failure rolls back the
+// reservation and drops the entry. The span and the waiters see the outcome.
 func (m *Manager) startVM(p *placement) {
 	sc := p.span.Context()
 	sreq := protocol.StartVMRequest{Spec: p.spec, TraceID: sc.TraceID, ParentSpan: sc.SpanID}
 	m.bus.Call(m.cfg.Addr, p.addr, protocol.KindStartVM, sreq, m.cfg.CallTimeout, func(reply any, err error) {
-		if ack, isAck := reply.(protocol.StartVMResponse); err != nil || !isAck || !ack.OK {
-			m.mu.Lock()
-			if rec, ok := m.lcs[p.node]; ok {
-				rec.status.Reserved = rec.status.Reserved.Sub(p.spec.Requested).Max(types.ResourceVector{})
-				rec.status.VMs = removeVMID(rec.status.VMs, p.spec.ID)
+		ack, isAck := reply.(protocol.StartVMResponse)
+		ok := err == nil && isAck && ack.OK
+		m.mu.Lock()
+		if e := p.e; m.ledger[p.spec.ID] == e && e.state == vmStarting && e.node == p.rec {
+			if ok {
+				m.setLocked(e, vmPhase{state: vmRunning, node: p.rec})
+			} else {
+				p.rec.status.Reserved = p.rec.status.Reserved.Sub(p.spec.Requested).Max(types.ResourceVector{})
+				m.setLocked(e, vmPhase{})
 				m.bumpViewEpochLocked()
 			}
-			m.mu.Unlock()
+		}
+		w := p.e.waiters
+		p.e.waiters = waiters{}
+		m.mu.Unlock()
+		if !ok {
 			m.mark("gm.place-failed", 1)
 			p.span.Finish("start-failed")
-			p.respond("", false)
+			w.answer(p.spec.ID, "", false)
 			return
 		}
 		m.mark("gm.place-ok", 1)
 		m.emit(telemetry.EventVMState, telemetry.VMEntity(p.spec.ID),
-			vmStateAttrs(sc, "state", "placed", "node", string(p.node)))
+			vmStateAttrs(sc, "state", "placed", "node", string(p.rec.id)))
 		p.span.Finish("placed")
-		p.respond(p.node, true)
+		w.answer(p.spec.ID, p.rec.id, true)
 	})
 }
 
-func (m *Manager) sleepingLocked() int {
-	n := 0
-	for _, lc := range m.lcs {
-		if lc.sleeping {
-			n++
-		}
-	}
-	return n
-}
-
 // wakeOneLocked sends an out-of-band wake to one sleeping LC (deterministic
-// choice: lowest node ID not already waking).
-func (m *Manager) wakeOneLocked() {
+// choice: lowest node ID not already waking); asleep reports whether any is.
+func (m *Manager) wakeOneLocked() (asleep bool) {
 	var best *lcRecord
 	for _, lc := range m.lcs {
+		asleep = asleep || lc.sleeping
 		if lc.sleeping && !lc.waking {
 			if best == nil || lc.id < best.id {
 				best = lc
@@ -678,7 +727,7 @@ func (m *Manager) wakeOneLocked() {
 		}
 	}
 	if best == nil {
-		return
+		return asleep
 	}
 	best.waking = true
 	oob := best.oob
@@ -694,21 +743,22 @@ func (m *Manager) wakeOneLocked() {
 			sp.Finish("ok")
 		})
 	})
+	return true
 }
 
 // drainPending retries the queued placements (after a join, monitor report
 // or wake) as one batch, expiring entries past their deadline.
 func (m *Manager) drainPending() {
 	m.mu.Lock()
-	if len(m.pending) == 0 || m.stopped {
+	if m.waiting == 0 || m.stopped {
 		m.mu.Unlock()
 		return
 	}
-	batch := make([]placement, len(m.pending))
-	for i, p := range m.pending {
-		batch[i].pendingPlacement = p
+	pending := m.pendingLocked()
+	batch := make([]placement, len(pending))
+	for i, e := range pending {
+		batch[i] = placement{e: e, spec: e.vm.Spec}
 	}
-	m.pending = nil
 	m.placeLocked(batch, true)
 	m.mu.Unlock()
 	m.finishPlacements(batch)
@@ -742,9 +792,7 @@ func (m *Manager) gmOnAnomaly(req *transport.Request) {
 // onTelemetryEvent, never directly from message handlers; status/vms are
 // the reported state that fired the detector.
 func (m *Manager) relocate(kind protocol.AnomalyKind, status types.NodeStatus, srcVMs []types.VMStatus) {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		return
 	}
 	src, exists := m.lcs[status.Spec.ID]
@@ -813,20 +861,11 @@ func (m *Manager) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 	} else {
 		m.mark("gm.underload-events", 1)
 	}
-	m.executeMovesLocked(moves, span.Context())
-	m.mu.Unlock()
-	span.Finish("executing")
-}
-
-// executeMovesLocked issues migrations for the given moves, maintaining busy
-// markers so schedulers leave the endpoints alone mid-transfer. parent is
-// the relocation span the migrations hang off (invalid when untraced).
-func (m *Manager) executeMovesLocked(moves []scheduling.Move, parent obs.SpanContext) {
 	for _, mv := range moves {
-		sp := m.cfg.Tracer.StartSpan(obs.KindMigration, telemetry.VMEntity(mv.VM), parent)
+		sp := m.cfg.Tracer.StartSpan(obs.KindMigration, telemetry.VMEntity(mv.VM), span.Context())
 		sp.SetTarget(string(mv.To))
 		sp.Annotate("from", string(mv.From))
-		m.migrateVMTracedLocked(types.Migration{VM: mv.VM, From: mv.From, To: mv.To}, sp.Context(), func(ok bool) {
+		m.migrateLocked(types.Migration{VM: mv.VM, From: mv.From, To: mv.To}, sp.Context(), 1, func(ok bool) {
 			if ok {
 				sp.Finish("migrated")
 			} else {
@@ -834,23 +873,8 @@ func (m *Manager) executeMovesLocked(moves []scheduling.Move, parent obs.SpanCon
 			}
 		})
 	}
-}
-
-// migrateVMLocked issues one live migration, maintaining busy markers and the
-// optimistic reservation shift; done is invoked exactly once with the
-// outcome, never while m.mu is held. It is the single migration primitive —
-// relocation and the consolidation optimizer both funnel through it.
-func (m *Manager) migrateVMLocked(mv types.Migration, done func(ok bool)) {
-	m.migrateVMTracedLocked(mv, obs.SpanContext{}, done)
-}
-
-// migrateVMTracedLocked is migrateVMLocked with the issuing decision span's
-// context, carried to the LC on the MigrateVMRequest and tagged onto the
-// vm.state journal event. Failures are retried with exponential backoff up
-// to migrationAttempts; an exhausted budget journals gm.migration-abandoned
-// and reports failure once.
-func (m *Manager) migrateVMTracedLocked(mv types.Migration, sc obs.SpanContext, done func(ok bool)) {
-	m.migrateAttemptLocked(mv, sc, 1, done)
+	m.mu.Unlock()
+	span.Finish("executing")
 }
 
 // The bounded migration retry shared by relocation and the consolidation
@@ -874,164 +898,101 @@ func migrationDelay(vm types.VMID, next int) time.Duration {
 	return d + time.Duration(h.Sum64()%uint64(migrationBackoff))
 }
 
-// migrateAttemptLocked issues one attempt of a migration; m.mu must be held.
-func (m *Manager) migrateAttemptLocked(mv types.Migration, sc obs.SpanContext, attempt int, done func(ok bool)) {
-	src, okS := m.lcs[mv.From]
-	dst, okD := m.lcs[mv.To]
-	if !okS || !okD {
+// migrateLocked issues attempt number attempt of a live migration of a VM
+// running on mv.From, the primitive behind relocation and consolidation. The
+// entry is migrating (both endpoints busy) until the outcome, the destination
+// charged the reservation. A failed attempt leaves the VM on the source and
+// is retried until gm.migration-abandoned. sc, the decision span's context,
+// rides the request and the vm.state event. done gets the outcome once,
+// never under m.mu.
+func (m *Manager) migrateLocked(mv types.Migration, sc obs.SpanContext, attempt int, done func(ok bool)) {
+	e, src, dst := m.ledger[mv.VM], m.lcs[mv.From], m.lcs[mv.To]
+	if e == nil || e.state != vmRunning || e.node != src || dst == nil {
 		m.rt.After(0, func() { done(false) })
 		return
 	}
-	src.busy++
-	dst.busy++
 	// Reflect the reservation shift optimistically.
-	var moved *types.VMStatus // the source's report of the VM, if any
-	if i := slices.IndexFunc(src.vms, func(v types.VMStatus) bool { return v.Spec.ID == mv.VM }); i >= 0 {
-		vm := src.vms[i]
-		moved = &vm
-		dst.status.Reserved = dst.status.Reserved.Add(vm.Spec.Requested)
-	}
-	m.moves[mv.VM] = mv.From
+	dst.status.Reserved = dst.status.Reserved.Add(e.vm.Spec.Requested)
+	m.setLocked(e, vmPhase{state: vmMigrating, node: src, dst: dst, from: e.from})
+	e.attempt = attempt
 	m.bumpViewEpochLocked()
 	mreq := protocol.MigrateVMRequest{VM: mv.VM, DestNode: mv.To, DestAddr: string(dst.addr), TraceID: sc.TraceID, ParentSpan: sc.SpanID}
 	srcAddr := src.addr
-	from, to := mv.From, mv.To
 	m.rt.After(0, func() {
 		m.bus.Call(m.cfg.Addr, srcAddr, protocol.KindMigrateVM, mreq, m.cfg.CallTimeout,
 			func(reply any, err error) {
+				ack, isAck := reply.(protocol.MigrateVMResponse)
+				ok := err == nil && isAck && ack.OK
 				m.mu.Lock()
-				if s, ok := m.lcs[from]; ok && s.busy > 0 {
-					s.busy--
-				}
-				if d, ok := m.lcs[to]; ok {
-					if d.busy > 0 {
-						d.busy--
+				if m.ledger[mv.VM] == e && e.state == vmMigrating && e.dst == dst && e.attempt == attempt {
+					if ok {
+						m.setLocked(e, vmPhase{state: vmRunning, node: dst, from: src})
+						e.grace = true
+					} else {
+						m.setLocked(e, vmPhase{state: vmRunning, node: src, from: e.from})
 					}
 				}
 				m.bumpViewEpochLocked()
-				ack, isAck := reply.(protocol.MigrateVMResponse)
-				ok := err == nil && isAck && ack.OK
-				m.settleMoveLocked(mv.VM, moved, to, ok)
 				m.mu.Unlock()
 				if !ok {
 					m.mark("gm.migrations-failed", 1)
 					if attempt < migrationAttempts {
-						// Bounded retry: back off and re-issue. The endpoint
-						// records are re-resolved under the lock, so an LC
-						// that failed or was shed meanwhile aborts the retry.
+						// Bounded retry: back off and re-issue. A VM or LC
+						// that left meanwhile aborts the retry.
 						m.mark("gm.migration-retries", 1)
 						m.rt.After(migrationDelay(mv.VM, attempt+1), func() {
-							m.mu.Lock()
-							if m.role != RoleGM || m.stopped {
-								m.mu.Unlock()
+							if !m.lockGM() {
 								done(false)
 								return
 							}
-							m.migrateAttemptLocked(mv, sc, attempt+1, done)
+							m.migrateLocked(mv, sc, attempt+1, done)
 							m.mu.Unlock()
 						})
 						return
 					}
 					m.mark("gm.migration-abandoned", 1)
 					m.emit(telemetry.EventMigrationAbandoned, telemetry.VMEntity(mv.VM),
-						vmStateAttrs(sc, "from", string(from), "to", string(to),
+						vmStateAttrs(sc, "from", string(mv.From), "to", string(mv.To),
 							"attempts", strconv.Itoa(attempt)))
 					done(false)
 					return
 				}
 				m.mark("gm.migrations-ok", 1)
 				m.emit(telemetry.EventVMState, telemetry.VMEntity(mv.VM),
-					vmStateAttrs(sc, "state", "migrated", "from", string(from), "to", string(to)))
+					vmStateAttrs(sc, "state", "migrated", "from", string(mv.From), "to", string(mv.To)))
 				done(true)
 			})
 	})
-}
-
-// settleMoveLocked records a migration attempt's outcome. A failed attempt
-// drops the VM's m.moves entry. A completed migration of a VM the source had
-// reported (vm) lists it on the destination at once as an arrival: it stays
-// in the GM's inventory and counts against the destination until a
-// destination report lists it (see pruneArrivalsLocked), while the m.moves
-// entry stays until the source's report omits it. m.mu must be held.
-func (m *Manager) settleMoveLocked(id types.VMID, vm *types.VMStatus, to types.NodeID, ok bool) {
-	if !ok {
-		delete(m.moves, id)
-		return
-	}
-	dst, found := m.lcs[to]
-	if !found || vm == nil || slices.ContainsFunc(dst.vms, func(v types.VMStatus) bool { return v.Spec.ID == id }) {
-		return
-	}
-	a := arrival{vm: *vm}
-	a.vm.Node = to
-	dst.arrivals = append(dst.arrivals, a)
-	dst.vms = append(slices.Clip(dst.vms), a.vm)
-	dst.status.VMs = append(slices.Clip(dst.status.VMs), id)
-}
-
-// pruneArrivalsLocked drops the arrivals of rec that cur, its new report,
-// lists, and those that a report before cur omitted already. The report that
-// first omits an arrival may have been sent before the VM arrived; the
-// second cannot have been, so a VM it omits has left the LC, and the
-// omission is a departure. m.mu must be held.
-func (m *Manager) pruneArrivalsLocked(rec *lcRecord, cur []types.VMStatus) {
-	if len(rec.arrivals) == 0 {
-		return
-	}
-	rec.arrivals = slices.DeleteFunc(rec.arrivals, func(a arrival) bool {
-		return a.missed || slices.ContainsFunc(cur, func(v types.VMStatus) bool { return v.Spec.ID == a.vm.Spec.ID })
-	})
-	for i := range rec.arrivals {
-		rec.arrivals[i].missed = true
-	}
-}
-
-// forgetMovesLocked drops the m.moves entries of migrations out of an LC this
-// GM no longer manages: no report of that source will ever consume them.
-// m.mu must be held.
-func (m *Manager) forgetMovesLocked(from types.NodeID) {
-	for vm, src := range m.moves {
-		if src == from {
-			delete(m.moves, vm)
-		}
-	}
 }
 
 // gmSweepTick detects failed LCs ("GM failures are detected by the GL based
 // on missing heartbeats" — symmetrically, LC heartbeats here) and invalidates
 // them; optionally their VMs are rescheduled from snapshots (Section II-E).
 func (m *Manager) gmSweepTick() {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		return
 	}
 	now := m.rt.Now()
-	var lost []types.VMSpec
-	var dead []types.VMID
+	var lost []*vmEntry
 	var failed []types.NodeID
 	for id, lc := range m.lcs {
 		if lc.sleeping || lc.waking {
 			continue // deliberate sleep: heartbeat silence is expected
 		}
 		if now-lc.lastSeen > m.cfg.LCTimeout {
-			for _, vm := range lc.vms {
-				if m.cfg.RescheduleOnLCFailure {
-					lost = append(lost, vm.Spec)
-				} else {
-					dead = append(dead, vm.Spec.ID)
-				}
-			}
-			delete(m.lcs, id)
-			m.forgetMovesLocked(id)
+			lost = append(lost, m.dropLCLocked(lc)...)
 			failed = append(failed, id)
 			m.mark("gm.lc-failures", 1)
 		}
 	}
-	if len(failed) > 0 {
-		m.bumpViewEpochLocked()
+	// A lost VM's entry left the ledger with its LC. Re-placing it takes a
+	// fresh entry that nothing waits on and no request can have joined.
+	batch := make([]placement, len(lost))
+	for i, e := range lost {
+		batch[i] = placement{e: &vmEntry{vm: e.vm}, spec: e.vm.Spec}
 	}
 	m.mu.Unlock()
+	slices.SortFunc(batch, func(a, b placement) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
 	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
 	for _, id := range failed {
 		entity := telemetry.NodeEntity(id)
@@ -1043,25 +1004,25 @@ func (m *Manager) gmSweepTick() {
 	// the store. Rescheduled VMs keep their series — the workload lives on.
 	// One journaled batch covers the whole wave: a failed LC can take dozens
 	// of VMs with it, and per-event fan-out locking would serialize the sweep.
-	if len(dead) > 0 {
-		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-		evs := make([]telemetry.Event, len(dead))
-		for i, id := range dead {
-			evs[i] = telemetry.Event{At: now, Type: telemetry.EventVMState,
-				Entity: telemetry.VMEntity(id), Attrs: telemetry.A("state", "failed")}
-		}
-		m.tel.EmitBatch(evs)
-	}
-	if len(lost) == 0 {
+	if len(batch) == 0 {
 		return
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
-	m.mark("gm.vm-reschedules", int64(len(lost)))
-	batch := make([]placement, len(lost))
-	for i, spec := range lost {
-		batch[i].spec, batch[i].respond = spec, func(types.NodeID, bool) {}
+	if !m.cfg.RescheduleOnLCFailure {
+		evs := make([]telemetry.Event, len(batch))
+		for i, p := range batch {
+			evs[i] = telemetry.Event{At: now, Type: telemetry.EventVMState,
+				Entity: telemetry.VMEntity(p.spec.ID), Attrs: telemetry.A("state", "failed")}
+		}
+		m.tel.EmitBatch(evs)
+		return
 	}
-	m.place(batch)
+	m.mark("gm.vm-reschedules", int64(len(batch)))
+	if !m.lockGM() {
+		return
+	}
+	m.placeLocked(batch, false)
+	m.mu.Unlock()
+	m.finishPlacements(batch)
 }
 
 // deadline is the debounce-then-keep-earliest-deadline machine behind the two
@@ -1138,9 +1099,7 @@ func (d *deadline) stopLocked() {
 // re-arms itself for the exact moment the earliest one ripens — so large idle
 // groups cost no periodic tick work at all.
 func (m *Manager) gmEnergyCheck() {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped || !m.cfg.EnergyEnabled {
-		m.mu.Unlock()
+	if !m.cfg.EnergyEnabled || !m.lockGM() {
 		return
 	}
 	now := m.rt.Now()
@@ -1151,7 +1110,7 @@ func (m *Manager) gmEnergyCheck() {
 	var toSuspend []target
 	var nextRipe time.Duration
 	for _, lc := range m.lcs {
-		if lc.sleeping || lc.waking || lc.busy > 0 || len(lc.status.VMs) > 0 {
+		if lc.sleeping || lc.waking || lc.busy > 0 || len(lc.hosted) > 0 {
 			continue
 		}
 		if lc.status.Power != types.PowerOn || !lc.status.Idle {
@@ -1172,7 +1131,7 @@ func (m *Manager) gmEnergyCheck() {
 	if len(toSuspend) > 0 {
 		m.bumpViewEpochLocked()
 	}
-	pendingLeft := len(m.pending)
+	pendingLeft := m.waiting
 	if pendingLeft > 0 {
 		// Queued placements keep a bounded retry heartbeat alive (a wake
 		// call may have failed); it stops as soon as the queue drains.
@@ -1233,7 +1192,7 @@ func (m *Manager) armVMSweep() {
 	m.mu.Unlock()
 }
 
-// gmVMSweep reconciles the hub's vm/* series against this GM's inventory:
+// gmVMSweep reconciles the hub's vm/* series against this GM's ledger:
 // a series belonging to no known VM whose newest sample is older than the
 // grace period is declared vanished — a synthetic terminal vm.state event is
 // journaled (which also drops the series, see telemetry.TerminalVMStates)
@@ -1244,37 +1203,23 @@ func (m *Manager) armVMSweep() {
 // series (typically a handoff still in flight) re-arm the sweep for the
 // exact instant the earliest of them could ripen.
 func (m *Manager) gmVMSweep() {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped || m.cfg.VMLivenessGrace <= 0 {
-		m.mu.Unlock()
+	series := m.tel.Store().EntityNewest(telemetry.EntityVMPrefix)
+	if m.cfg.VMLivenessGrace <= 0 || !m.lockGM() {
 		return
 	}
 	now := m.rt.Now()
 	grace := m.cfg.VMLivenessGrace
-	known := make(map[types.VMID]bool)
-	for _, lc := range m.lcs {
-		// rec.vms covers reported inventory (kept across deliberate
-		// suspends); status.VMs additionally covers optimistic in-flight
-		// placements whose StartVM has not reported back yet.
-		for _, vm := range lc.vms {
-			known[vm.Spec.ID] = true
+	for entity := range series {
+		// Every VM with an entry is known, also on a suspended LC.
+		if id, ok := telemetry.VMIDFromEntity(entity); !ok || m.ledger[id] != nil {
+			delete(series, entity)
 		}
-		for _, id := range lc.status.VMs {
-			known[id] = true
-		}
-	}
-	for _, p := range m.pending {
-		known[p.spec.ID] = true
 	}
 	m.mu.Unlock()
 
 	var reap []string
 	var nextRipe time.Duration
-	for entity, newest := range m.tel.Store().EntityNewest(telemetry.EntityVMPrefix) {
-		id, ok := telemetry.VMIDFromEntity(entity)
-		if !ok || known[id] {
-			continue
-		}
+	for entity, newest := range series {
 		// GM fencing: a series stamped with another GM's identity is that
 		// GM's to reconcile — skip it outright rather than waiting out its
 		// staleness.
@@ -1350,15 +1295,6 @@ func vmIDs(specs []types.VMSpec) []types.VMID {
 	return out
 }
 
-func removeVMID(ids []types.VMID, id types.VMID) []types.VMID {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
 // LCCount returns (active, sleeping) LC counts — experiment instrumentation.
 func (m *Manager) LCCount() (active, sleeping int) {
 	m.mu.Lock()
@@ -1383,94 +1319,75 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 		req.RespondErr(errBadPayload)
 		return
 	}
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped || sr.Count <= 0 {
-		m.mu.Unlock()
+	if sr.Count <= 0 || !m.lockGM() {
 		req.Respond(protocol.ShedResponse{})
 		return
 	}
-	type cand struct {
-		id   types.NodeID
-		addr transport.Address
-		vms  int
-	}
-	var cands []cand
+	var cands []*lcRecord
 	for _, lc := range m.lcs {
-		if lc.sleeping || lc.waking || lc.busy > 0 {
-			continue
+		if !lc.sleeping && !lc.waking && lc.busy == 0 {
+			cands = append(cands, lc)
 		}
-		cands = append(cands, cand{id: lc.id, addr: lc.addr, vms: len(lc.vms)})
 	}
 	// Fewest VMs first (their monitoring history is cheapest to lose),
 	// then by ID for determinism.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].vms != cands[j].vms {
-			return cands[i].vms < cands[j].vms
-		}
-		return cands[i].id < cands[j].id
+	slices.SortFunc(cands, func(a, b *lcRecord) int {
+		return cmp.Or(cmp.Compare(len(a.hosted), len(b.hosted)), cmp.Compare(a.id, b.id))
 	})
-	released := 0
-	var toNotify []transport.Address
+	cands = cands[:min(len(cands), sr.Count)]
 	for _, c := range cands {
-		if released >= sr.Count {
-			break
-		}
-		delete(m.lcs, c.id)
-		m.forgetMovesLocked(c.id)
-		toNotify = append(toNotify, c.addr)
-		released++
-	}
-	if released > 0 {
-		m.bumpViewEpochLocked()
+		// The LC keeps its VMs; the GM it rejoins adopts them.
+		m.dropLCLocked(c)
 	}
 	m.mu.Unlock()
-	for _, addr := range toNotify {
-		m.bus.Call(m.cfg.Addr, addr, protocol.KindRejoin, struct{}{}, m.cfg.CallTimeout, func(any, error) {})
+	for _, c := range cands {
+		m.bus.Call(m.cfg.Addr, c.addr, protocol.KindRejoin, struct{}{}, m.cfg.CallTimeout, func(any, error) {})
 	}
-	m.mark("gm.lcs-shed", int64(released))
-	req.Respond(protocol.ShedResponse{Released: released})
+	m.mark("gm.lcs-shed", int64(len(cands)))
+	req.Respond(protocol.ShedResponse{Released: len(cands)})
 }
 
 // gmOnInventory serves the api/v1 control-plane reads: the monitored status
-// of the managed LCs plus the VMs they host, with the hosting node filled in,
-// both ordered by ID. Each LC carries the age of its last monitor report so
-// aggregators can discard a stale claim when another GM reports the same LC
-// more freshly. An InventoryRequest narrows the reply (and the copying done
-// under the manager lock) to one VM and its hosts, or to the nodes alone; any
-// other payload — a sender that predates the request type — gets everything.
+// of the managed LCs plus the VMs the ledger has running or migrating on
+// them, with the hosting node filled in, both ordered by ID. Each LC carries
+// the age of its last monitor report so aggregators can discard a stale claim
+// when another GM reports the same LC more freshly. An InventoryRequest
+// narrows the reply (and the copying done under the manager lock) to one VM
+// and its host, or to the nodes alone; any other payload — a sender that
+// predates the request type — gets everything.
 func (m *Manager) gmOnInventory(req *transport.Request) {
 	want, _ := req.Payload.(protocol.InventoryRequest)
-	byID := want.VM != ""
-	withVMs := byID || !want.NodesOnly
 	m.mu.Lock()
 	now := m.rt.Now()
 	var resp protocol.InventoryResponse
-	if !byID { // sized once; Grow leaves an empty list nil, as appending to it did
-		resp.Nodes = slices.Grow(resp.Nodes, len(m.lcs))
-		if withVMs {
-			n := 0
-			for _, lc := range m.lcs {
-				n += len(lc.vms)
-			}
-			resp.VMs = slices.Grow(resp.VMs, n)
-		}
+	listed := func(e *vmEntry) bool { // hosted, with a status a report gave
+		return e != nil && e.seen != 0 && (e.state == vmRunning || e.state == vmMigrating)
 	}
-	for _, lc := range m.lcs {
-		listed := !byID // a by-ID reply lists only the nodes hosting the VM
-		if withVMs {
-			for _, vm := range lc.vms {
-				if !byID || vm.Spec.ID == want.VM {
-					vm.Node = lc.id
-					resp.VMs = append(resp.VMs, vm)
-					listed = true
+	node := func(lc *lcRecord) protocol.InventoryNode {
+		return protocol.InventoryNode{Status: lc.status, AgeNs: int64(now - lc.lastSeen)}
+	}
+	if want.VM != "" {
+		if e := m.ledger[want.VM]; listed(e) {
+			resp.VMs, resp.Nodes = []types.VMStatus{e.vm}, []protocol.InventoryNode{node(e.node)}
+			resp.VMs[0].Node = e.node.id
+		}
+	} else {
+		// Sized once; Grow leaves an empty list nil, as appending to it did.
+		resp.Nodes = slices.Grow(resp.Nodes, len(m.lcs))
+		if !want.NodesOnly {
+			resp.VMs = slices.Grow(resp.VMs, len(m.ledger))
+		}
+		for _, lc := range m.lcs {
+			resp.Nodes = append(resp.Nodes, node(lc))
+			if want.NodesOnly {
+				continue
+			}
+			for _, e := range lc.hosted {
+				if listed(e) {
+					resp.VMs = append(resp.VMs, e.vm)
+					resp.VMs[len(resp.VMs)-1].Node = lc.id
 				}
 			}
-		}
-		if listed {
-			resp.Nodes = append(resp.Nodes, protocol.InventoryNode{
-				Status: lc.status,
-				AgeNs:  int64(now - lc.lastSeen),
-			})
 		}
 	}
 	m.mu.Unlock()
@@ -1482,8 +1399,7 @@ func (m *Manager) gmOnInventory(req *transport.Request) {
 	req.Respond(resp)
 }
 
-// LCBusy exposes the per-LC in-flight migration counters (experiment and
-// test instrumentation).
+// LCBusy exposes the per-LC in-flight migration counts (instrumentation).
 func (m *Manager) LCBusy() map[types.NodeID]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 
 	"snooze/internal/consolidation"
 	"snooze/internal/consolidation/online"
+	"snooze/internal/obs"
 	"snooze/internal/protocol"
 	"snooze/internal/telemetry"
 	"snooze/internal/transport"
@@ -48,9 +49,7 @@ func (m *Manager) StopConsolidation() (online.Status, bool) {
 }
 
 func (m *Manager) consolidationCtl(action string) (online.Status, bool) {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		return online.Status{}, false
 	}
 	opt := m.optimizerLocked()
@@ -124,26 +123,22 @@ type gmHost struct{ m *Manager }
 // chain the demand=p95 API dry run uses.
 func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
 	m := h.m
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		return online.Snapshot{}, false
 	}
 	now := m.rt.Now()
 	snap := online.Snapshot{Now: now, Epoch: m.viewEpoch}
 	for _, lc := range m.lcs {
-		if lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
-			continue
+		if schedulable(lc) {
+			snap.Nodes = append(snap.Nodes, m.nodeLoadLocked(now, lc))
 		}
-		snap.Nodes = append(snap.Nodes, m.nodeLoadLocked(now, lc))
-		for _, vm := range lc.vms {
-			if vm.State != types.VMRunning {
-				continue
-			}
+	}
+	for _, e := range m.ledger {
+		if e.state == vmRunning && e.vm.State == types.VMRunning && schedulable(e.node) {
 			snap.VMs = append(snap.VMs, consolidation.LiveVM{
-				Spec:   vm.Spec,
-				Node:   lc.id,
-				Demand: m.views.ConsolidationDemand(now, vm),
+				Spec:   e.vm.Spec,
+				Node:   e.node.id,
+				Demand: m.views.ConsolidationDemand(now, e.vm),
 			})
 		}
 	}
@@ -160,10 +155,16 @@ func (h gmHost) NodeLoad(id types.NodeID) (online.NodeLoad, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	lc, ok := m.lcs[id]
-	if !ok || lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
+	if !ok || !schedulable(lc) {
 		return online.NodeLoad{}, false
 	}
 	return m.nodeLoadLocked(m.rt.Now(), lc), true
+}
+
+// schedulable reports whether the optimizer may plan on an LC: powered on,
+// not asleep and in no migration.
+func schedulable(lc *lcRecord) bool {
+	return !lc.sleeping && lc.busy == 0 && lc.status.Power == types.PowerOn
 }
 
 // nodeLoadLocked is one LC as the optimizer sees it; m.mu must be held.
@@ -181,13 +182,11 @@ func (m *Manager) nodeLoadLocked(now time.Duration, lc *lcRecord) online.NodeLoa
 // Migrate implements online.Host via the Manager's migration primitive.
 func (h gmHost) Migrate(mig types.Migration, done func(ok bool)) {
 	m := h.m
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
+	if !m.lockGM() {
 		m.rt.After(0, func() { done(false) })
 		return
 	}
-	m.migrateVMLocked(mig, done)
+	m.migrateLocked(mig, obs.SpanContext{}, 1, done)
 	m.mu.Unlock()
 }
 

@@ -160,13 +160,6 @@ func TestHelperFunctions(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "a" {
 		t.Fatalf("vmIDs: %v", ids)
 	}
-	out := removeVMID([]types.VMID{"a", "b", "c"}, "b")
-	if len(out) != 2 || out[0] != "a" || out[1] != "c" {
-		t.Fatalf("removeVMID: %v", out)
-	}
-	if got := removeVMID([]types.VMID{"a"}, "zz"); len(got) != 1 {
-		t.Fatalf("removeVMID missing: %v", got)
-	}
 }
 
 func TestLCBusyAccessor(t *testing.T) {
@@ -261,7 +254,7 @@ func TestLinearSearchSkipsFragmentedGM(t *testing.T) {
 	r := newRig(31)
 	reg := metricsRegistry()
 	tracer := obs.New(obs.Config{Now: r.k.Now})
-	var probed []transport.Address // KindPlace targets, in arrival order
+	var probed []transport.Address // KindPlace targets, in probe order
 	mkManager := func(id string) *Manager {
 		cfg := DefaultManagerConfig(types.GroupManagerID(id), transport.Address("mgr:"+id))
 		cfg.Metrics = reg

@@ -103,15 +103,15 @@ type ManagerConfig struct {
 	// the first monitor report of its LC that omits it (gmOnMonitor); the
 	// sweep covers what no report shows — LC crashes, handoffs between GMs,
 	// owner stamps released with a failed GM. A vm/* series whose VM is
-	// absent from this GM's inventory AND has not recorded a sample for this
+	// absent from this GM's ledger AND has not recorded a sample for this
 	// long is declared vanished: the GM journals a synthetic terminal
 	// vm.state event and drops the series. The sweep is journal-armed, not
-	// polled: lifecycle/membership events and inventory shrinkage schedule
+	// polled: lifecycle/membership events and report departures schedule
 	// exact-deadline checks. 0 selects 4 × LCTimeout; negative disables.
 	// The staleness requirement makes the sweep safe on a hub shared by
 	// several GMs: a VM alive under another GM keeps appending samples and
 	// is never stale, while a VM on a deliberately suspended LC stays in
-	// its GM's inventory.
+	// its GM's ledger.
 	VMLivenessGrace time.Duration
 
 	// Metrics receives counters and latency series (may be nil).
@@ -194,32 +194,107 @@ func orDefault[T comparable](v *T, def T) {
 	}
 }
 
-// lcRecord is the GM's view of one Local Controller.
+// lcRecord is the GM's view of one Local Controller: its last measured status
+// plus the reservations of placements since. The ledger says what it hosts.
 type lcRecord struct {
 	id       types.NodeID
 	addr     transport.Address
 	oob      transport.Address
 	status   types.NodeStatus
-	vms      []types.VMStatus
 	lastSeen time.Duration
 	sleeping bool   // suspended by the energy manager (deliberate, not a failure)
 	sleepGen uint64 // node generation when suspend was ordered; fences stale reports
 	waking   bool
-	busy     int // in-flight migrations involving this LC
-	// arrivals are VMs migrated onto this LC that none of its reports has
-	// listed yet; each report lists them on top of what it carries.
-	arrivals []arrival
+	hosted   []*vmEntry // entries starting or running here, or migrating out
+	busy     int        // in-flight migrations involving this LC
 	// idleAnnounced tracks whether the current idle stretch has already
 	// produced a node.idle journal event (reset by any non-idle report), so
 	// the event-driven energy manager sees each idle transition exactly once.
 	idleAnnounced bool
 }
 
-// arrival is a migrated VM listed on its destination's record before the
-// destination has reported it (see settleMoveLocked).
-type arrival struct {
-	vm     types.VMStatus
-	missed bool // a report of the destination has omitted it once
+// vmState is the phase a VM is in, as far as its GM knows.
+type vmState uint8
+
+const (
+	vmGone      vmState = iota // not in the ledger
+	vmPending                  // waiting for capacity (a wake) until its deadline
+	vmStarting                 // StartVM in flight to node
+	vmRunning                  // hosted on node
+	vmMigrating                // live migration from node to dst in flight
+)
+
+// vmPhase is a VM's state and the LCs it involves.
+type vmPhase struct {
+	state vmState
+	node  *lcRecord // starting, running: the host; migrating: the source
+	dst   *lcRecord // migrating: the destination
+	from  *lcRecord // the last migration's source, whose listings of the VM are stale
+}
+
+// tally adds d to the pending count, or to the busy counts of a migration's LCs.
+func (p vmPhase) tally(waiting *int, d int) {
+	switch p.state {
+	case vmPending:
+		*waiting += d
+	case vmMigrating:
+		p.node.busy += d
+		p.dst.busy += d
+	}
+}
+
+// vmEntry is one VM in the ledger.
+type vmEntry struct {
+	vmPhase
+	slot int            // index in node.hosted
+	vm   types.VMStatus // the spec and the status the last listing report gave
+	// grace lets a VM migrated to its node be omitted by one report of the
+	// node, which may predate the transfer: the second omission departs.
+	grace    bool
+	seen     uint64        // m.seq of the last report that listed the VM
+	attempt  int           // migrating: the attempt number
+	deadline time.Duration // pending: when the placement expires
+	seq      uint64        // pending: queue order
+	waiters  waiters       // pending, starting: the requests awaiting the outcome
+}
+
+// waiters are the PlaceRequests awaiting one VM's outcome; duplicates join more.
+type waiters struct {
+	first *placeReply
+	more  []*placeReply
+}
+
+func (w waiters) answer(id types.VMID, node types.NodeID, ok bool) {
+	if w.first != nil {
+		w.first.answer(id, node, ok)
+	}
+	for _, r := range w.more {
+		r.answer(id, node, ok)
+	}
+}
+
+// placeReply answers one PlaceRequest once each of its VMs has an outcome.
+type placeReply struct {
+	req       *transport.Request
+	trace     obs.SpanContext // the dispatch span the placements join
+	mu        sync.Mutex
+	resp      protocol.PlaceResponse
+	remaining int
+}
+
+func (r *placeReply) answer(id types.VMID, node types.NodeID, ok bool) {
+	r.mu.Lock()
+	if ok {
+		r.resp.Placed[id] = node
+	} else {
+		r.resp.Unplaced = append(r.resp.Unplaced, id)
+	}
+	r.remaining--
+	done := r.remaining == 0
+	r.mu.Unlock()
+	if done {
+		r.req.Respond(r.resp)
+	}
 }
 
 // gmRecord is the GL's view of one Group Manager. scheduling is the policy
@@ -231,16 +306,6 @@ type gmRecord struct {
 	summary    types.GroupSummary
 	scheduling *protocol.SchedulingInfo
 	lastSeen   time.Duration
-}
-
-// pendingPlacement is a VM waiting for capacity (typically a wake).
-type pendingPlacement struct {
-	spec     types.VMSpec
-	deadline time.Duration
-	respond  func(node types.NodeID, ok bool)
-	// trace is the originating dispatch's span context, so the retried
-	// placement joins the submit chain when it finally runs.
-	trace obs.SpanContext
 }
 
 // Manager is one GM/GL process. It enrolls in the GL election at Start; the
@@ -256,15 +321,14 @@ type Manager struct {
 	mu   sync.Mutex
 	role Role
 	// GM state.
-	glAddr  transport.Address
-	joined  bool
-	lcs     map[types.NodeID]*lcRecord
-	pending []pendingPlacement
-	// moves maps each VM in a migration this GM issued to its source LC, from
-	// the first attempt until the source's report omits the VM (or the
-	// migration fails): the VM has not left the group, so its departure from
-	// the source's report must not end its series.
-	moves map[types.VMID]types.NodeID
+	glAddr transport.Address
+	joined bool
+	lcs    map[types.NodeID]*lcRecord
+	// ledger is the one record of the group's VMs (vmEntry), written by
+	// setLocked only and emptied when the manager leaves the GM role.
+	ledger  map[types.VMID]*vmEntry
+	waiting int    // pending entries in the ledger
+	seq     uint64 // stamps reports and orders the pending queue
 	// The two journal-armed loops of the GM role: event-driven energy
 	// management (idle checks) and the VM liveness sweep.
 	energy deadline
@@ -334,9 +398,9 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 			// dispatch fan-out, GM relocation scans) map lookups.
 			Cache: view.NewCache(),
 		},
-		lcs:   make(map[types.NodeID]*lcRecord),
-		moves: make(map[types.VMID]types.NodeID),
-		gms:   make(map[types.GroupManagerID]*gmRecord),
+		lcs:    make(map[types.NodeID]*lcRecord),
+		ledger: make(map[types.VMID]*vmEntry),
+		gms:    make(map[types.GroupManagerID]*gmRecord),
 	}
 	m.energy = deadline{m: m, fire: m.gmEnergyCheck, onKick: m.gmEnergyCheck,
 		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}
@@ -377,16 +441,7 @@ func (m *Manager) Start() error {
 
 // Stop halts all periodic work and resigns from the election.
 func (m *Manager) Stop() {
-	m.mu.Lock()
-	m.stopped = true
-	m.role = RoleIdle
-	tickers := m.tickers
-	m.tickers = nil
-	m.stopEnergyLocked()
-	m.mu.Unlock()
-	for _, t := range tickers {
-		t.Stop()
-	}
+	m.halt()
 	m.cand.Resign()
 	m.bus.Unregister(m.cfg.Addr)
 }
@@ -395,9 +450,16 @@ func (m *Manager) Stop() {
 // gracefully — the election notices via session expiry, peers via missing
 // heartbeats. Used by the fault-injection experiments.
 func (m *Manager) Crash() {
+	m.halt()
+	m.cand.Abandon()
+	m.bus.SetDown(m.cfg.Addr, true)
+}
+
+// halt idles the manager and stops its periodic work, for Stop and Crash.
+func (m *Manager) halt() {
 	m.mu.Lock()
 	m.stopped = true
-	m.role = RoleIdle
+	m.setRoleLocked(RoleIdle)
 	tickers := m.tickers
 	m.tickers = nil
 	m.stopEnergyLocked()
@@ -405,8 +467,6 @@ func (m *Manager) Crash() {
 	for _, t := range tickers {
 		t.Stop()
 	}
-	m.cand.Abandon()
-	m.bus.SetDown(m.cfg.Addr, true)
 }
 
 // Restart revives a crashed manager: the bus address comes back up, the
@@ -417,7 +477,7 @@ func (m *Manager) Crash() {
 func (m *Manager) Restart() error {
 	m.mu.Lock()
 	m.stopped = false
-	m.role = RoleIdle
+	m.setRoleLocked(RoleIdle)
 	m.mu.Unlock()
 	m.bus.SetDown(m.cfg.Addr, false)
 	m.bus.Register(m.cfg.Addr, m.handle)
@@ -500,6 +560,30 @@ func (m *Manager) onElection(st election.State, leaderID string) {
 	default:
 		m.mu.Unlock()
 	}
+}
+
+// lockGM takes m.mu if the manager is an active GM, and reports if it did.
+func (m *Manager) lockGM() bool {
+	m.mu.Lock()
+	if m.role != RoleGM || m.stopped {
+		m.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// setRoleLocked switches the active role. Leaving the GM role empties the
+// ledger and answers pending placements unplaced.
+func (m *Manager) setRoleLocked(r Role) {
+	if m.role == RoleGM && r != RoleGM {
+		for _, e := range m.pendingLocked() {
+			m.answerLaterLocked(e, "", false)
+		}
+		for _, e := range m.ledger {
+			m.setLocked(e, vmPhase{})
+		}
+	}
+	m.role = r
 }
 
 // stopTickersLocked halts the current role's periodic work, including the
