@@ -64,7 +64,8 @@ import (
 // date in reg before next renders it: transport.delivered/dropped (messages
 // handed to, or lost before, a local handler) and rest.forwards/
 // forward-errors/dials (messages sent to peer processes, those that reached
-// no remote handler, connections opened).
+// no remote handler, connections opened), plus the wall-clock executor's
+// simkernel.workers-started counter and simkernel.workers-idle gauge.
 func withTransportCounters(reg *metrics.Registry, bus *transport.Bus, gw *rest.Gateway, next http.Handler) http.Handler {
 	var mu sync.Mutex // one scrape at a time computes the increments
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -77,6 +78,9 @@ func withTransportCounters(reg *metrics.Registry, bus *transport.Bus, gw *rest.G
 		set("rest.forwards", stats.Forwards)
 		set("rest.forward-errors", stats.ForwardErrors)
 		set("rest.dials", stats.Dials)
+		started, idle := simkernel.WallWorkers()
+		set("simkernel.workers-started", started)
+		reg.SetGauge("simkernel.workers-idle", float64(idle))
 		mu.Unlock()
 		next.ServeHTTP(w, r)
 	})

@@ -409,16 +409,17 @@ func (g *Gateway) forward(deliverURL string, req *transport.Request) {
 		req.RespondErr(err)
 		return
 	}
-	// Never block the bus executor: HTTP happens on its own goroutine.
-	go func() {
-		reply, err := g.exchange(deliverURL, buf, req)
-		g.forwards.Add(1)
-		if err != nil {
-			req.RespondErr(err)
-		} else if !req.OneWay() {
-			req.Respond(reply)
-		}
-	}()
+	// The HTTP exchange runs inline. The bus delivers on the wall runtime's
+	// elastic executor, which starts a worker for every callback that finds
+	// none idle, so a slow peer holds only this worker: other deliveries, and
+	// the local replies this exchange may itself be waiting on, still run.
+	reply, err := g.exchange(deliverURL, buf, req)
+	g.forwards.Add(1)
+	if err != nil {
+		req.RespondErr(err)
+	} else if !req.OneWay() {
+		req.Respond(reply)
+	}
 }
 
 // exchange posts the frame in buf and reads the answer to req, counting the

@@ -152,6 +152,66 @@ func TestGatewayKeepsUnreachableTyped(t *testing.T) {
 	}
 }
 
+// TestGatewaySlowPeerDoesNotBlockOthers: forwards run inline on the bus
+// executor, so a peer that has not answered yet must not hold up another
+// call through the same gateway — here the slow peer answers only once the
+// fast one has.
+func TestGatewaySlowPeerDoesNotBlockOthers(t *testing.T) {
+	busA, _ := wallBus()
+	busB, _ := wallBus()
+	srvB := httptest.NewServer(NewServer(busB, 10*time.Second).Handler())
+	defer srvB.Close()
+
+	slowArrived, fastAnswered := make(chan struct{}), make(chan struct{})
+	busB.Register("lc:slow", func(req *transport.Request) {
+		close(slowArrived)
+		select {
+		case <-fastAnswered:
+		case <-time.After(5 * time.Second):
+		}
+		req.Respond(protocol.GLQueryResponse{Addr: "slow", Known: true})
+	})
+	busB.Register("lc:fast", func(req *transport.Request) {
+		req.Respond(protocol.GLQueryResponse{Addr: "fast", Known: true})
+	})
+	gwA := NewGateway(busA, 10*time.Second)
+	defer gwA.Close()
+	gwA.AddPeer("lc:slow", srvB.URL)
+	gwA.AddPeer("lc:fast", srvB.URL)
+
+	type out struct {
+		reply any
+		err   error
+	}
+	call := func(to transport.Address, done func()) <-chan out {
+		ch := make(chan out, 1)
+		busA.Call("local", to, protocol.KindGLQuery, struct{}{}, 10*time.Second, func(reply any, err error) {
+			done()
+			ch <- out{reply, err}
+		})
+		return ch
+	}
+	slow := call("lc:slow", func() {})
+	<-slowArrived // the slow exchange is in flight
+	fast := call("lc:fast", func() { close(fastAnswered) })
+	for _, c := range []struct {
+		name string
+		ch   <-chan out
+	}{{"fast", fast}, {"slow", slow}} {
+		select {
+		case got := <-c.ch:
+			if got.err != nil {
+				t.Fatalf("%s call: %v", c.name, got.err)
+			}
+			if resp := got.reply.(protocol.GLQueryResponse); resp.Addr != c.name {
+				t.Fatalf("%s call: reply %+v", c.name, resp)
+			}
+		case <-time.After(4 * time.Second):
+			t.Fatalf("%s call did not complete: the slow peer blocked the gateway", c.name)
+		}
+	}
+}
+
 func TestGatewayMulticastMembership(t *testing.T) {
 	busA, _ := wallBus()
 	busB, _ := wallBus()

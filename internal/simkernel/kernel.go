@@ -12,7 +12,9 @@ package simkernel
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,8 +31,9 @@ type Runtime interface {
 	// Now returns the current time as an offset from the runtime epoch.
 	Now() time.Duration
 	// After schedules fn to run once, d from now. fn runs on the runtime's
-	// executor goroutine (the simulation loop for Kernel, a timer goroutine
-	// for WallRuntime).
+	// executor: the simulation loop for Kernel; for WallRuntime, a reused
+	// worker of an elastic pool when d <= 0 and a timer goroutine of its own
+	// otherwise.
 	After(d time.Duration, fn func()) Canceler
 }
 
@@ -227,9 +230,13 @@ func (k *Kernel) Pending() int {
 // Wall-clock runtime
 // ---------------------------------------------------------------------------
 
-// WallRuntime implements Runtime on the real clock. Timer callbacks run on
-// per-timer goroutines (time.AfterFunc semantics), so components used with it
-// must be internally synchronized — which all hierarchy components are.
+// WallRuntime implements Runtime on the real clock. Zero-delay callbacks —
+// every bus delivery and reply — run on a process-wide elastic worker pool:
+// each starts at once, on an idle worker if there is one and on a new one if
+// not, so a callback never waits behind another. Delayed callbacks keep their
+// own time.AfterFunc timers. Callbacks run concurrently either way, so
+// components used with it must be internally synchronized — which all
+// hierarchy components are.
 type WallRuntime struct {
 	epoch time.Time
 }
@@ -248,7 +255,123 @@ func (c wallCanceler) Cancel() bool { return c.t.Stop() }
 
 // After implements Runtime.
 func (w *WallRuntime) After(d time.Duration, fn func()) Canceler {
-	return wallCanceler{t: time.AfterFunc(d, fn)}
+	if d > 0 {
+		return wallCanceler{t: time.AfterFunc(d, fn)}
+	}
+	t := &wallTask{fn: fn}
+	wallPool.run(t)
+	return t
+}
+
+// WallWorkers reports the wall-clock executor's workers: how many were
+// started since the process began, and how many are idle now.
+func WallWorkers() (started uint64, idle int) {
+	return wallPool.started.Load(), int(wallPool.idleN.Load())
+}
+
+// wallTask is one zero-delay callback and its Canceler: whichever of run and
+// Cancel moves it out of pending first decides whether fn runs.
+type wallTask struct {
+	state atomic.Uint32 // taskPending, taskStarted or taskCancelled
+	fn    func()
+}
+
+const (
+	taskPending uint32 = iota
+	taskStarted
+	taskCancelled
+)
+
+func (t *wallTask) Cancel() bool { return t.state.CompareAndSwap(taskPending, taskCancelled) }
+
+func (t *wallTask) run() {
+	if t.state.CompareAndSwap(taskPending, taskStarted) {
+		t.fn()
+	}
+}
+
+// wallIdleTimeout is how long a worker may wait for work before it exits.
+const wallIdleTimeout = time.Second
+
+// wallPool is the executor behind every WallRuntime: process-wide, so all the
+// runtimes of a process reuse the same warm workers.
+var wallPool wallExecutor
+
+// wallExecutor is an elastic worker pool. Idle workers wait on a LIFO stack,
+// so the most recently used one, whose stack has already grown, is reused
+// first; a janitor goroutine retires the workers idle for longer than
+// wallIdleTimeout and exits once none is idle.
+type wallExecutor struct {
+	started atomic.Uint64
+	idleN   atomic.Int64
+
+	mu       sync.Mutex
+	idle     []*wallWorker // oldest first
+	cleaning bool          // a janitor is running
+}
+
+type wallWorker struct {
+	tasks    chan *wallTask // buffered: a handoff never blocks; nil retires
+	parkedAt time.Time
+}
+
+func (p *wallExecutor) run(t *wallTask) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.idleN.Add(-1)
+		p.mu.Unlock()
+		w.tasks <- t
+		return
+	}
+	p.mu.Unlock()
+	p.started.Add(1)
+	go p.work(t)
+}
+
+func (p *wallExecutor) work(t *wallTask) {
+	w := &wallWorker{tasks: make(chan *wallTask, 1)}
+	for ; t != nil; t = <-w.tasks {
+		t.run()
+		w.parkedAt = time.Now()
+		p.mu.Lock()
+		p.idle = append(p.idle, w)
+		p.idleN.Add(1)
+		if !p.cleaning {
+			p.cleaning = true
+			go p.clean()
+		}
+		p.mu.Unlock()
+	}
+}
+
+// clean retires idle workers, oldest first, once per wallIdleTimeout until
+// none is left.
+func (p *wallExecutor) clean() {
+	for {
+		time.Sleep(wallIdleTimeout)
+		cutoff := time.Now().Add(-wallIdleTimeout)
+		p.mu.Lock()
+		n := 0
+		for n < len(p.idle) && p.idle[n].parkedAt.Before(cutoff) {
+			n++
+		}
+		for _, w := range p.idle[:n] {
+			w.tasks <- nil // an idle worker's buffer is empty: never blocks
+		}
+		p.idle = slices.Delete(p.idle, 0, n)
+		p.idleN.Add(-int64(n))
+		done := len(p.idle) == 0
+		if done {
+			p.cleaning = false
+		}
+		p.mu.Unlock()
+		if done {
+			return
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
