@@ -28,8 +28,6 @@
 //	GET  /v1/series           telemetry: list series keys, or windowed queries
 //	                          (?entity=&metric=&fromNs=&toNs=&agg=&stepNs=)
 //	GET  /v1/watch            telemetry: SSE event stream (?from=seq replay)
-//	GET  /v1/experiments/{id} run one reproduced experiment (quick scale; the
-//	                          server runs it on a private simulated cluster)
 //	GET  /v1/healthz          liveness
 //
 // Deployments additionally expose GET /metrics (no version segment): the
@@ -473,15 +471,6 @@ type Event struct {
 	Type   string            `json:"type"`
 	Entity string            `json:"entity,omitempty"`
 	Attrs  map[string]string `json:"attrs,omitempty"`
-}
-
-// Experiment is one reproduced table/figure of the paper's evaluation,
-// rendered for transport.
-type Experiment struct {
-	ID    string   `json:"id"`
-	Title string   `json:"title"`
-	Table string   `json:"table"`
-	Notes []string `json:"notes,omitempty"`
 }
 
 // ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import (
 // exist: the hierarchy's own (api/v1/livebackend), which a snoozed control
 // process and a simulated cluster (internal/cluster) both serve, and the HTTP
 // client (api/v1/client), which makes any remote /v1 server usable wherever a
-// Backend is expected. Fault injection is the optional FaultInjector; the
-// experiments route needs no backend at all (api/v1/server runs it).
+// Backend is expected. Fault injection is the optional FaultInjector.
 type Backend interface {
 	// SubmitVMs submits a VM batch to the hierarchy and reports per-VM
 	// placement outcomes. Specs with empty or duplicate IDs are rejected

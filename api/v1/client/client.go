@@ -483,14 +483,6 @@ func (c *Client) WatchResume(ctx context.Context, from uint64) apiv1.EventStream
 	return s
 }
 
-// Experiment reproduces one evaluation table on the server (quick scale);
-// unknown IDs return ErrNotFound.
-func (c *Client) Experiment(ctx context.Context, id string) (apiv1.Experiment, error) {
-	var out apiv1.Experiment
-	err := c.do(ctx, http.MethodGet, "/v1/experiments/"+url.PathEscape(id), nil, nil, &out)
-	return out, err
-}
-
 // Healthz reports server liveness.
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil, &struct{}{})

@@ -5,7 +5,7 @@
 // sent with their Content-Length in one write), pagination on collections, a
 // machine-readable error envelope and capped request bodies. Node fault
 // injection is served when the backend is also an apiv1.FaultInjector (501
-// otherwise); the experiments route is served by the server itself.
+// otherwise).
 package server
 
 import (
@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	apiv1 "snooze/api/v1"
-	"snooze/internal/experiments"
 )
 
 // DefaultMaxBodyBytes caps POST bodies (a submission of thousands of VM
@@ -66,7 +64,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/series", s.handleSeries)
 	mux.HandleFunc("GET /v1/watch", s.handleWatch)
-	mux.HandleFunc("GET /v1/experiments/{id}", s.handleExperiment)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -384,32 +381,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.ctx(r)
-	defer cancel()
-	exp, err := RunExperiment(ctx, r.PathValue("id"))
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, exp)
-}
-
-// RunExperiment reproduces one evaluation table at quick scale ("e1".."e7",
-// "e9", "a1", "a2", "f1" or a name); unknown IDs return ErrNotFound.
-// Experiments build their own simulated clusters, so the server runs them
-// whatever its backend.
-func RunExperiment(ctx context.Context, id string) (apiv1.Experiment, error) {
-	if err := ctx.Err(); err != nil {
-		return apiv1.Experiment{}, err
-	}
-	res, err := experiments.ByID(strings.ToLower(id), experiments.ScaleQuick)
-	if err != nil {
-		return apiv1.Experiment{}, fmt.Errorf("%w: %v", apiv1.ErrNotFound, err)
-	}
-	return apiv1.Experiment{ID: res.ID, Title: res.Title, Table: res.Table.String(), Notes: res.Notes}, nil
 }
 
 // ---------------------------------------------------------------------------

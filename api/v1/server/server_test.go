@@ -260,10 +260,6 @@ func TestErrorEnvelopes(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound || body.Error.Code != apiv1.CodeNotFound {
 		t.Fatalf("missing vm: %d %+v", resp.StatusCode, body)
 	}
-	resp, body = get("/v1/experiments/zz99")
-	if resp.StatusCode != http.StatusNotFound || body.Error.Code != apiv1.CodeNotFound {
-		t.Fatalf("missing experiment: %d %+v", resp.StatusCode, body)
-	}
 	resp, body = get("/v1/no-such-route")
 	if resp.StatusCode != http.StatusNotFound || body.Error.Code != apiv1.CodeNotFound {
 		t.Fatalf("unknown route: %d %+v", resp.StatusCode, body)
@@ -325,37 +321,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestExperimentRoute(t *testing.T) {
-	f := newFixture(t)
-	if _, err := f.cli.Experiment(context.Background(), "nope"); !errors.Is(err, apiv1.ErrNotFound) {
-		t.Fatalf("unknown experiment: %v", err)
-	}
-	if testing.Short() {
-		t.Skip("runs a full (quick-scale) experiment")
-	}
-	exp, err := f.cli.Experiment(context.Background(), "e4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp.ID != "E4" && exp.ID != "e4" {
-		t.Fatalf("experiment id: %+v", exp.ID)
-	}
-	if !strings.Contains(exp.Table, "ACO") {
-		t.Fatalf("experiment table looks wrong:\n%s", exp.Table)
-	}
-}
-
-func TestRunExperimentErrors(t *testing.T) {
-	if _, err := RunExperiment(context.Background(), "nope"); !errors.Is(err, apiv1.ErrNotFound) {
-		t.Fatalf("unknown id: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunExperiment(ctx, "e1"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx: %v", err)
-	}
-}
-
 // unsupportedBackend is a backend without a FaultInjector, as a live
 // deployment's is.
 type unsupportedBackend struct{ apiv1.Backend }
@@ -373,26 +338,6 @@ func TestUnsupportedMapsTo501(t *testing.T) {
 		t.Fatalf("status %d body %s", resp.StatusCode, data)
 	}
 	if err := apiclient.New(srv.URL).FailNode(context.Background(), "n1"); !errors.Is(err, apiv1.ErrUnsupported) {
-		t.Fatalf("client mapping: %v", err)
-	}
-}
-
-// TestExperimentRouteOnAnyBackend: experiments build their own simulated
-// clusters, so the route answers on a backend with no simulation behind it,
-// and an unknown ID is a 404 that the client maps to ErrNotFound.
-func TestExperimentRouteOnAnyBackend(t *testing.T) {
-	srv := httptest.NewServer(New(unsupportedBackend{}).Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/experiments/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d body %s", resp.StatusCode, data)
-	}
-	if _, err := apiclient.New(srv.URL).Experiment(context.Background(), "nope"); !errors.Is(err, apiv1.ErrNotFound) {
 		t.Fatalf("client mapping: %v", err)
 	}
 }

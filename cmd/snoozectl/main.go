@@ -16,7 +16,6 @@
 //	snoozectl -server http://localhost:7001 series
 //	snoozectl -server http://localhost:7001 series -entity node/n1 -metric util -agg max -step 30s
 //	snoozectl -server http://localhost:7001 watch -from 1
-//	snoozectl -server http://localhost:7001 experiment e4
 package main
 
 import (
@@ -278,17 +277,6 @@ func main() {
 		}
 		printTraces(list.Items)
 
-	case "experiment":
-		if len(args) < 2 {
-			usage()
-		}
-		exp, err := cli.Experiment(ctx, args[1])
-		fatalIf(err)
-		fmt.Printf("== %s: %s ==\n%s", exp.ID, exp.Title, exp.Table)
-		for _, n := range exp.Notes {
-			fmt.Println("note: " + n)
-		}
-
 	default:
 		usage()
 	}
@@ -494,8 +482,7 @@ commands:
                           stream telemetry events (overloads, vm.state, ...)
   trace VM-ID|TRACE-ID|ENTITY
                           show decision traces (dispatch -> placement chain
-                          with per-candidate rejection reasons)
-  experiment ID           reproduce one evaluation table (e1..e9, a1, a2, f1)`)
+                          with per-candidate rejection reasons)`)
 	os.Exit(2)
 }
 

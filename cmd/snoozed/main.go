@@ -108,7 +108,6 @@ func main() {
 	viewHorizon := flag.Duration("view-horizon", 0, "control role: capacity-view history window (0 = default 5m)")
 	seriesCapacity := flag.Int("series-capacity", 0, "control role: maximum raw telemetry ring length per series (0 = 512)")
 	seriesTiers := flag.String("series-tiers", "", `control role: downsampled retention tiers as "step:capacity,..." (default "1m:512,10m:512"; "none" disables)`)
-	vmLivenessGrace := flag.Duration("vm-liveness-grace", 0, "control role: backstop sweep reaps vm/* series no report ended, once silent+unknown this long (0 = 4×LC timeout; <0 disables)")
 	consolidation := flag.Bool("consolidation", false, "control role: run the online consolidation optimizer on the elected GM")
 	consolidationPeriod := flag.Duration("consolidation-period", 0, "control role: online consolidation round period (0 = default 30s)")
 	consolidationBudget := flag.Int("consolidation-budget", 0, "control role: migrations per consolidation round (0 = default 4; <0 unlimited)")
@@ -152,7 +151,6 @@ func main() {
 		}
 		mcfg := hierarchy.DefaultManagerConfig("", "")
 		mcfg.ViewHorizon = *viewHorizon
-		mcfg.VMLivenessGrace = *vmLivenessGrace
 		mcfg.Consolidation = online.Config{
 			Enabled:         *consolidation,
 			Period:          *consolidationPeriod,

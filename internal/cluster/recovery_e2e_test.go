@@ -3,12 +3,15 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"snooze/internal/hierarchy"
+	"snooze/internal/protocol"
 	"snooze/internal/scheduling/view"
 	"snooze/internal/telemetry"
+	"snooze/internal/transport"
 	"snooze/internal/types"
 	"snooze/internal/workload"
 )
@@ -102,33 +105,15 @@ func TestGMCrashRecoversTelemetryState(t *testing.T) {
 	}
 }
 
-// TestSweepReapsVMVanishedWithCrashedGM pins the release of a dead GM's owner
-// stamps: a VM that disappears between its GM's crash and its LC's rejoin is
-// listed by no survivor's inventory, and the dead GM never sweeps again. When
-// the GL declares the GM failed it drops the GM's stamps, so a survivor's
-// liveness sweep reaps that VM's series once its grace runs out — while the
+// TestUnfedSeriesReapedAfterGMCrash pins the reap behind a dead GM: a VM that
+// disappears between its GM's crash and its LC's rejoin is listed by no
+// survivor's report, and the dead GM feeds nothing again. When the GL
+// declares the GM failed it releases the GM's owner stamps and reaps the
+// series of the VMs they covered that no survivor reports again — while the
 // series of every VM still running survive the failover.
-func TestSweepReapsVMVanishedWithCrashedGM(t *testing.T) {
-	top := workload.Grid5000Topology(12, 3)
-	cfg := DefaultConfig(top, 77)
-	c := New(cfg)
-	c.Settle(30 * time.Second)
-
-	var vms []types.VMSpec
-	for i := 0; i < 12; i++ {
-		vms = append(vms, vmSpec(fmt.Sprintf("w%02d", i), 1, 2048))
-	}
-	resp, err := c.SubmitAndWait(vms, 2*time.Minute)
-	if err != nil || len(resp.Placed) != 12 {
-		t.Fatalf("submit: %+v %v", resp, err)
-	}
-	c.Settle(20 * time.Second)
-
-	gms := c.GroupManagers()
-	sort.Slice(gms, func(i, j int) bool { return gms[i].ID() < gms[j].ID() })
-	if len(gms) < 2 {
-		t.Fatalf("need >=2 GMs, have %d", len(gms))
-	}
+func TestUnfedSeriesReapedAfterGMCrash(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(12, 3), 77)
+	c, vms, resp, gms := settledWorkload(t, cfg)
 	victim := gms[0]
 	var gone types.VMID
 	for _, spec := range vms {
@@ -151,7 +136,7 @@ func TestSweepReapsVMVanishedWithCrashedGM(t *testing.T) {
 	if err := c.Nodes[resp.Placed[gone]].StopVM(gone); err != nil {
 		t.Fatalf("silent stop: %v", err)
 	}
-	grace := 4 * cfg.Manager.LCTimeout // the VMLivenessGrace default
+	grace := 4 * cfg.Manager.LCTimeout // how long an unfed series is kept
 	c.Settle(cfg.Manager.GMTimeout + grace + 20*time.Second)
 
 	store := c.Telemetry.Store()
@@ -165,5 +150,284 @@ func TestSweepReapsVMVanishedWithCrashedGM(t *testing.T) {
 		if spec.ID != gone && store.Len(telemetry.VMEntity(spec.ID), "cpu.used") == 0 {
 			t.Fatalf("running VM %s lost its series", spec.ID)
 		}
+	}
+}
+
+// reapedSince reports whether entity's series hold no sample from before at:
+// they were dropped since, even if a report has fed them again.
+func reapedSince(store *telemetry.Store, entity string, at time.Duration) bool {
+	return store.Window(entity, "cpu.used", 0, at, func([]telemetry.Sample) {}) == 0
+}
+
+// settledWorkload builds a 12-LC, 3-GM cluster with 12 VMs placed and their
+// series recorded, and returns the GMs in ID order.
+func settledWorkload(t *testing.T, cfg Config) (*Cluster, []types.VMSpec, protocol.SubmitResponse, []*hierarchy.Manager) {
+	t.Helper()
+	c := New(cfg)
+	c.Settle(30 * time.Second)
+	var vms []types.VMSpec
+	for i := 0; i < 12; i++ {
+		vms = append(vms, vmSpec(fmt.Sprintf("w%02d", i), 1, 2048))
+	}
+	resp, err := c.SubmitAndWait(vms, 2*time.Minute)
+	if err != nil || len(resp.Placed) != 12 {
+		t.Fatalf("submit: %+v %v", resp, err)
+	}
+	c.Settle(20 * time.Second)
+	gms := c.GroupManagers()
+	sort.Slice(gms, func(i, j int) bool { return gms[i].ID() < gms[j].ID() })
+	if len(gms) < 2 {
+		t.Fatalf("need >=2 GMs, have %d", len(gms))
+	}
+	return c, vms, resp, gms
+}
+
+// TestUnfedSeriesReapedAfterShedHandoff covers VMs stopped on their
+// hypervisors while their LCs move to another GM: a manager joins a one-GM
+// deployment, the GL rebalances, and the GM sheds half its LCs, which rejoin
+// the newcomer. One VM per LC stops at the instant of the rebalance. The GM
+// that shed an LC no longer gets its reports, and the join that hands the LC
+// on does not list the stopped VM, so no report ends its series; they are
+// reaped within 4 × LCTimeout. The series of the VMs still running survive.
+func TestUnfedSeriesReapedAfterShedHandoff(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(8, 1), 77)
+	c := New(cfg)
+	c.Settle(30 * time.Second)
+	// Two VMs per LC: 6 of each LC's 8 cores.
+	var vms []types.VMSpec
+	for i := 0; i < 16; i++ {
+		vms = append(vms, vmSpec(fmt.Sprintf("h%02d", i), 3, 2048))
+	}
+	resp, err := c.SubmitAndWait(vms, 2*time.Minute)
+	if err != nil || len(resp.Placed) != len(vms) {
+		t.Fatalf("submit: %+v %v", resp, err)
+	}
+	c.Settle(20 * time.Second)
+
+	stopped := map[types.VMID]types.NodeID{} // the first VM of each LC, by ID
+	unsub := c.Telemetry.Journal().Observe(func(ev telemetry.Event) {
+		if ev.Type != telemetry.EventRebalance || len(stopped) > 0 {
+			return
+		}
+		done := map[types.NodeID]bool{}
+		for _, spec := range vms {
+			for id, node := range c.Nodes {
+				if node.HasVM(spec.ID) && !done[id] {
+					if err := node.StopVM(spec.ID); err != nil {
+						t.Errorf("silent stop: %v", err)
+					}
+					stopped[spec.ID], done[id] = id, true
+				}
+			}
+		}
+	})
+	defer unsub()
+	before := c.Kernel.Now()
+	newcomer, err := c.addManager("gm-new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(20*time.Second + 4*cfg.Manager.LCTimeout)
+
+	handed := 0 // stopped VMs whose LC moved to the newcomer
+	for _, node := range stopped {
+		if c.LCs[node].GM() == newcomer.Addr() {
+			handed++
+		}
+	}
+	if handed == 0 || c.Metrics.Count("gm.lcs-shed") == 0 {
+		t.Fatalf("fixture: %d LCs shed, %d of %d stopped VMs on an LC that moved to the newcomer",
+			c.Metrics.Count("gm.lcs-shed"), handed, len(stopped))
+	}
+	store := c.Telemetry.Store()
+	for _, spec := range vms {
+		n := store.Len(telemetry.VMEntity(spec.ID), "cpu.used")
+		if _, ok := stopped[spec.ID]; ok && n != 0 {
+			t.Fatalf("stopped VM %s kept its series: %d samples", spec.ID, n)
+		} else if !ok && reapedSince(store, telemetry.VMEntity(spec.ID), before) {
+			t.Fatalf("running VM %s lost its series", spec.ID)
+		}
+	}
+	if n := c.Metrics.Count("gm.vms-vanished"); n == 0 {
+		t.Fatal("no stopped VM's series was reaped")
+	}
+}
+
+// TestUnfedSeriesReapedAfterGMAndLCCrash covers a double failure: a GM and
+// one of its LCs crash together. The LC joins no survivor, so no GM ever
+// declares it failed; the series of its VMs are reaped once the GL has
+// declared the GM failed, while the VMs on the GM's other LCs, which rejoin
+// a survivor, keep theirs.
+func TestUnfedSeriesReapedAfterGMAndLCCrash(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(12, 3), 77)
+	c, vms, resp, gms := settledWorkload(t, cfg)
+	victim := gms[0]
+	var deadLC types.NodeID
+	for _, spec := range vms {
+		if node := resp.Placed[spec.ID]; c.LCs[node].GM() == victim.Addr() {
+			deadLC = node
+			break
+		}
+	}
+	if deadLC == "" {
+		t.Fatal("victim GM hosts no VM")
+	}
+
+	crashAt := c.Kernel.Now()
+	victim.Crash()
+	c.FailNode(deadLC)
+	c.Settle(cfg.Manager.GMTimeout + 4*cfg.Manager.LCTimeout + 20*time.Second)
+
+	store := c.Telemetry.Store()
+	dead := 0
+	for _, spec := range vms {
+		n := store.Len(telemetry.VMEntity(spec.ID), "cpu.used")
+		switch {
+		case resp.Placed[spec.ID] == deadLC:
+			dead++
+			if n != 0 {
+				t.Fatalf("%s died with LC %s, but its series survived: %d samples", spec.ID, deadLC, n)
+			}
+		case reapedSince(store, telemetry.VMEntity(spec.ID), crashAt):
+			t.Fatalf("running VM %s lost its series", spec.ID)
+		}
+	}
+	if n := c.Metrics.Count("gm.vms-vanished"); n < int64(dead) {
+		t.Fatalf("gm.vms-vanished = %d, want >= %d", n, dead)
+	}
+}
+
+// TestUnfedSeriesReapedAfterReschedule covers RescheduleOnLCFailure without
+// enough spare capacity: a full LC fails, its GM re-places what fits on the
+// survivors, and the series of the VMs that could not be placed again are
+// reaped while those of the re-placed VMs live on.
+func TestUnfedSeriesReapedAfterReschedule(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(3, 1), 13)
+	cfg.Manager.RescheduleOnLCFailure = true
+	c := New(cfg)
+	c.Settle(30 * time.Second)
+	// 20 of the 24 cores: a failed full LC's 8 cores do not fit in the 4
+	// left free.
+	var vms []types.VMSpec
+	for i := 0; i < 10; i++ {
+		vms = append(vms, vmSpec(fmt.Sprintf("f%02d", i), 2, 2048))
+	}
+	resp, err := c.SubmitAndWait(vms, 2*time.Minute)
+	if err != nil || len(resp.Placed) != len(vms) {
+		t.Fatalf("submit: %+v %v", resp, err)
+	}
+	c.Settle(20 * time.Second)
+	perNode := map[types.NodeID]int{}
+	for _, node := range resp.Placed {
+		perNode[node]++
+	}
+	var victim types.NodeID
+	for node, n := range perNode {
+		if n == 4 && (victim == "" || node < victim) {
+			victim = node
+		}
+	}
+	if victim == "" {
+		t.Fatalf("fixture: no full LC in %v", perNode)
+	}
+
+	failAt := c.Kernel.Now()
+	c.FailNode(victim)
+	c.Settle(cfg.Manager.LCTimeout + 4*cfg.Manager.LCTimeout + 20*time.Second)
+	if c.Metrics.Count("gm.vm-reschedules") == 0 {
+		t.Fatal("the failed LC's VMs were not rescheduled")
+	}
+
+	store := c.Telemetry.Store()
+	replaced, lost := 0, 0
+	for _, spec := range vms {
+		if resp.Placed[spec.ID] != victim {
+			continue
+		}
+		running := false
+		for id, node := range c.Nodes {
+			running = running || id != victim && node.HasVM(spec.ID)
+		}
+		n := store.Len(telemetry.VMEntity(spec.ID), "cpu.used")
+		switch {
+		case running && reapedSince(store, telemetry.VMEntity(spec.ID), failAt):
+			t.Fatalf("re-placed VM %s lost its series", spec.ID)
+		case !running && n != 0:
+			t.Fatalf("VM %s was not placed again, but its series survived: %d samples", spec.ID, n)
+		case running:
+			replaced++
+		default:
+			lost++
+		}
+	}
+	if replaced == 0 || lost == 0 {
+		t.Fatalf("fixture: %d VMs re-placed, %d lost; want some of each", replaced, lost)
+	}
+}
+
+// TestUnfedSeriesReapedAfterPromotion covers a GM promoted to GL: its LCs
+// rejoin the remaining GMs, and a VM stopped at the instant of the promotion
+// is listed by no join or report. The promoted manager no longer feeds the
+// series of the VMs it had running, so it reaps those no other GM reports
+// again, and the VMs that run on keep their series.
+func TestUnfedSeriesReapedAfterPromotion(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(12, 3), 77)
+	c, vms, _, _ := settledWorkload(t, cfg)
+	var gone types.VMID
+	unsub := c.Telemetry.Journal().Observe(func(ev telemetry.Event) {
+		if ev.Type != telemetry.EventGLElected || gone != "" {
+			return
+		}
+		addr := transport.Address("mgr:" + strings.TrimPrefix(ev.Entity, telemetry.EntityGMPrefix))
+		for _, spec := range vms {
+			for id, node := range c.Nodes {
+				if gone == "" && node.HasVM(spec.ID) && c.LCs[id].GM() == addr {
+					if err := node.StopVM(spec.ID); err != nil {
+						t.Errorf("silent stop: %v", err)
+					}
+					gone = spec.ID
+				}
+			}
+		}
+	})
+	defer unsub()
+	crashAt := c.Kernel.Now()
+	if c.CrashLeader() == nil {
+		t.Fatal("no leader to crash")
+	}
+	c.Settle(30*time.Second + 4*cfg.Manager.LCTimeout)
+	if gone == "" {
+		t.Fatal("fixture: the promoted manager hosted no VM")
+	}
+
+	store := c.Telemetry.Store()
+	for _, spec := range vms {
+		n := store.Len(telemetry.VMEntity(spec.ID), "cpu.used")
+		if spec.ID == gone && n != 0 {
+			t.Fatalf("stopped VM %s kept its series: %d samples", spec.ID, n)
+		} else if spec.ID != gone && reapedSince(store, telemetry.VMEntity(spec.ID), crashAt) {
+			t.Fatalf("running VM %s lost its series", spec.ID)
+		}
+	}
+	if n := c.Metrics.Count("gm.vms-vanished"); n != 1 {
+		t.Fatalf("gm.vms-vanished = %d, want 1", n)
+	}
+}
+
+// TestSharedJournalPublishAllocatesNothing pins the cost of the shared
+// journal on the hot path: with energy management off, no manager observes
+// it, so publishing an event allocates nothing even on a hub that two
+// GM-role managers share.
+func TestSharedJournalPublishAllocatesNothing(t *testing.T) {
+	c := New(DefaultConfig(workload.Grid5000Topology(4, 2), 5))
+	c.Settle(30 * time.Second)
+	if gms := c.GroupManagers(); len(gms) != 2 {
+		t.Fatalf("fixture: %d GM-role managers, want 2", len(gms))
+	}
+	j := c.Telemetry.Journal()
+	ev := telemetry.Event{At: c.Kernel.Now(), Type: telemetry.EventVMState, Entity: telemetry.VMEntity("probe"),
+		Attrs: telemetry.A("state", "placed")}
+	if n := testing.AllocsPerRun(100, func() { j.Publish(ev) }); n != 0 {
+		t.Fatalf("Journal.Publish allocates %v times per event", n)
 	}
 }

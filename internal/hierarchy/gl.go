@@ -108,14 +108,15 @@ func (m *Manager) glSweepTick() {
 	}
 	m.mu.Unlock()
 	sort.Slice(failedGMs, func(i, j int) bool { return failedGMs[i] < failedGMs[j] })
+	var unfed []string
 	for _, id := range failedGMs {
-		// A dead GM never sweeps again: drop its owner stamps before the
-		// gm.failed event arms the survivors' liveness sweeps, so VMs that
-		// vanished with it are reaped once their grace runs out. Series of
-		// LCs that rejoin a survivor are re-claimed by its monitoring flow.
-		m.tel.Release(string(id))
+		// A dead GM feeds no series again: drop its owner stamps and reap
+		// the VMs it fed that no survivor reports again. Those on LCs that
+		// rejoin a survivor are fed and re-claimed by its monitoring flow.
+		unfed = append(unfed, m.tel.Release(string(id))...)
 		m.emit(telemetry.EventGMFailed, telemetry.GMEntity(id), telemetry.Attrs{})
 	}
+	m.reapUnfedLater(unfed)
 	if shed > 0 {
 		m.mark("gl.rebalances", 1)
 		m.emit(telemetry.EventRebalance, telemetry.GMEntity(shedID),

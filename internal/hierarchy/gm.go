@@ -63,15 +63,6 @@ func (m *Manager) becomeGMLocked(gl transport.Address) {
 		// GM stint; stopTickersLocked stops it on demotion/promotion.
 		m.optimizerLocked().Start()
 	}
-	if m.cfg.VMLivenessGrace > 0 {
-		// The deployment-level VM liveness sweep is journal-armed: lifecycle
-		// and membership events (plus report departures noticed by
-		// gmOnMonitor) schedule exact-deadline reconciliations of the hub's
-		// vm/* series against this GM's ledger. One bootstrap sweep
-		// covers series that predate this GM stint.
-		m.sweep.observeLocked()
-		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
-	}
 	// Join the GL immediately (heartbeat-paced retries cover failures).
 	m.rt.After(0, m.gmJoinGL)
 }
@@ -229,7 +220,7 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 // publishes node.idle, the signal the event-driven energy manager waits on.
 // The report's VM list reconciles with the ledger (reconcileLocked): a VM the
 // report omits that the ledger has running on the LC has left it, and its
-// series end here (reclaimLeft) instead of lingering until the liveness sweep.
+// series end here (reclaimLeft).
 func (m *Manager) gmOnMonitor(req *transport.Request) {
 	rep, ok := req.Payload.(protocol.MonitorReport)
 	if !ok {
@@ -272,10 +263,6 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	rec.waking = false
 	rec.status = rep.Status
 	left := m.reconcileLocked(rec, rep.VMs)
-	if m.cfg.VMLivenessGrace > 0 && len(left) > 0 {
-		// Backstop for the departures reclaimLeft leaves alone.
-		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
-	}
 	becameIdle := false
 	if rep.Status.Idle {
 		if !rec.idleAnnounced {
@@ -315,8 +302,8 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	for _, vm := range rep.VMs {
 		entity := telemetry.VMEntity(vm.Spec.ID)
 		m.tel.RecordVM(now, vm)
-		// Stamp the series with this GM: the stamp fences other GMs' liveness
-		// sweeps away from entities we are feeding.
+		// Stamp the series with this GM: the stamp keeps other GMs'
+		// reclaimLeft away from entities we are feeding.
 		m.tel.Claim(entity, string(m.cfg.ID))
 	}
 	m.reclaimLeft(now, left)
@@ -457,6 +444,40 @@ func (m *Manager) reclaimLeft(now time.Duration, left []types.VMID) {
 	}
 	m.tel.EmitBatch(evs)
 	m.mark("gm.vms-left", int64(len(evs)))
+}
+
+// reapUnfedLater ends the series of VMs whose feeding report was just lost
+// and that no report feeds again: after 4 × LCTimeout, each listed vm/*
+// entity that still has series but no sample newer than now gets one batched
+// vm.state "vanished" event with reason "unfed", on which the hub drops it. A
+// VM that runs on is reported by whichever GM its LC joins, so its series
+// stay. The hierarchy calls it where a VM loses its feeder: the GL declaring
+// a GM failed, a GM shedding LCs, a GM re-placing a failed LC's VMs and a
+// manager leaving the GM role. m.mu may be held: it only schedules.
+func (m *Manager) reapUnfedLater(entities []string) {
+	if len(entities) == 0 {
+		return
+	}
+	slices.Sort(entities)
+	since := m.rt.Now()
+	m.rt.After(4*m.cfg.LCTimeout, func() {
+		m.mu.Lock()
+		stopped := m.stopped
+		m.mu.Unlock()
+		if stopped {
+			return
+		}
+		now, store := m.rt.Now(), m.tel.Store()
+		var evs []telemetry.Event
+		for _, entity := range entities {
+			if sm, ok := store.Newest(entity, "cpu.used"); ok && sm.At <= since {
+				evs = append(evs, telemetry.Event{At: now, Type: telemetry.EventVMState, Entity: entity,
+					Attrs: telemetry.A("state", "vanished", "reason", "unfed", "gm", string(m.cfg.ID))})
+			}
+		}
+		m.tel.EmitBatch(evs)
+		m.mark("gm.vms-vanished", int64(len(evs)))
+	})
 }
 
 // onTelemetryEvent reacts to a detector event: anomaly events trigger the
@@ -1001,22 +1022,28 @@ func (m *Manager) gmSweepTick() {
 	}
 	// VMs that died with the node (no rescheduling) get a terminal vm.state;
 	// the hub drops their series on that event, so dead VMs do not linger in
-	// the store. Rescheduled VMs keep their series — the workload lives on.
-	// One journaled batch covers the whole wave: a failed LC can take dozens
-	// of VMs with it, and per-event fan-out locking would serialize the sweep.
+	// the store. Rescheduled VMs keep their series while a new LC reports
+	// them — the workload lives on; the series of those not placed again are
+	// reaped. One journaled batch covers the whole wave: a failed LC can take
+	// dozens of VMs with it, and per-event fan-out locking would serialize it.
 	if len(batch) == 0 {
 		return
 	}
+	entities := make([]string, len(batch))
+	for i, p := range batch {
+		entities[i] = telemetry.VMEntity(p.spec.ID)
+	}
 	if !m.cfg.RescheduleOnLCFailure {
 		evs := make([]telemetry.Event, len(batch))
-		for i, p := range batch {
+		for i, entity := range entities {
 			evs[i] = telemetry.Event{At: now, Type: telemetry.EventVMState,
-				Entity: telemetry.VMEntity(p.spec.ID), Attrs: telemetry.A("state", "failed")}
+				Entity: entity, Attrs: telemetry.A("state", "failed")}
 		}
 		m.tel.EmitBatch(evs)
 		return
 	}
 	m.mark("gm.vm-reschedules", int64(len(batch)))
+	m.reapUnfedLater(entities)
 	if !m.lockGM() {
 		return
 	}
@@ -1025,11 +1052,10 @@ func (m *Manager) gmSweepTick() {
 	m.finishPlacements(batch)
 }
 
-// deadline is the debounce-then-keep-earliest-deadline machine behind the two
-// journal-armed GM loops, the idle check (m.energy) and the VM liveness sweep
-// (m.sweep): journal events of the listed types kick it, a burst of kicks
-// collapses into one runtime event, and of the instants it is armed for only
-// the earliest stays scheduled.
+// deadline is the debounce-then-keep-earliest-deadline machine behind the
+// GM's event-driven idle check (m.energy): journal events of the listed types
+// kick it, a burst of kicks collapses into one runtime event that calls fire,
+// and of the instants it is armed for only the earliest stays scheduled.
 //
 // The observer runs synchronously on the publishing goroutine — possibly while
 // the publisher holds m.mu — so it touches nothing but the atomic and defers
@@ -1037,8 +1063,7 @@ func (m *Manager) gmSweepTick() {
 type deadline struct {
 	m      *Manager
 	events []string // journal event types that kick
-	onKick func()   // debounced reaction to a kick; called without m.mu
-	fire   func()   // called without m.mu when the armed instant is reached
+	fire   func()   // called without m.mu on a kick and at the armed instant
 
 	kicked atomic.Bool
 
@@ -1055,7 +1080,7 @@ func (d *deadline) observeLocked() {
 		}
 		d.m.rt.After(0, func() {
 			d.kicked.Store(false)
-			d.onKick()
+			d.fire()
 		})
 	})
 }
@@ -1181,82 +1206,6 @@ func (m *Manager) gmEnergyCheck() {
 	}
 }
 
-// armVMSweep is m.sweep's reaction to a journal event that can orphan a vm/*
-// series — a VM lifecycle outcome, an LC failing or changing hands, a GM
-// failing mid-handoff: reconcile one grace period out.
-func (m *Manager) armVMSweep() {
-	m.mu.Lock()
-	if m.role == RoleGM && !m.stopped {
-		m.sweep.armLocked(m.rt.Now() + m.cfg.VMLivenessGrace)
-	}
-	m.mu.Unlock()
-}
-
-// gmVMSweep reconciles the hub's vm/* series against this GM's ledger:
-// a series belonging to no known VM whose newest sample is older than the
-// grace period is declared vanished — a synthetic terminal vm.state event is
-// journaled (which also drops the series, see telemetry.TerminalVMStates)
-// and the leak is closed. Series stamped with another GM's owner claim
-// (Hub.Claim, set by that GM's monitoring flow) are skipped outright — they
-// are that GM's to reconcile, until the GL declares it failed and releases
-// its stamps (Hub.Release). Remaining unknown-but-fresh
-// series (typically a handoff still in flight) re-arm the sweep for the
-// exact instant the earliest of them could ripen.
-func (m *Manager) gmVMSweep() {
-	series := m.tel.Store().EntityNewest(telemetry.EntityVMPrefix)
-	if m.cfg.VMLivenessGrace <= 0 || !m.lockGM() {
-		return
-	}
-	now := m.rt.Now()
-	grace := m.cfg.VMLivenessGrace
-	for entity := range series {
-		// Every VM with an entry is known, also on a suspended LC.
-		if id, ok := telemetry.VMIDFromEntity(entity); !ok || m.ledger[id] != nil {
-			delete(series, entity)
-		}
-	}
-	m.mu.Unlock()
-
-	var reap []string
-	var nextRipe time.Duration
-	for entity, newest := range series {
-		// GM fencing: a series stamped with another GM's identity is that
-		// GM's to reconcile — skip it outright rather than waiting out its
-		// staleness.
-		if owner, ok := m.tel.Owner(entity); ok && owner != string(m.cfg.ID) {
-			continue
-		}
-		if ripe := newest + grace; now < ripe {
-			if nextRipe == 0 || ripe < nextRipe {
-				nextRipe = ripe
-			}
-			continue
-		}
-		reap = append(reap, entity)
-	}
-	sort.Strings(reap)
-	if len(reap) > 0 {
-		// The terminal state makes the hub forget each entity's series and
-		// detector state; the events are the audit trail. A sweep can reap a
-		// whole wave at once, so they go through one batched journal append.
-		evs := make([]telemetry.Event, len(reap))
-		for i, entity := range reap {
-			evs[i] = telemetry.Event{At: now, Type: telemetry.EventVMState, Entity: entity,
-				Attrs: telemetry.A("state", "vanished", "reason", "liveness-sweep", "gm", string(m.cfg.ID))}
-		}
-		m.tel.EmitBatch(evs)
-		m.mark("gm.vms-vanished", int64(len(reap)))
-		m.mark("gm.vm-sweeps", 1)
-	}
-	if nextRipe > 0 {
-		m.mu.Lock()
-		if m.role == RoleGM && !m.stopped {
-			m.sweep.armLocked(nextRipe)
-		}
-		m.mu.Unlock()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
@@ -1335,11 +1284,16 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 		return cmp.Or(cmp.Compare(len(a.hosted), len(b.hosted)), cmp.Compare(a.id, b.id))
 	})
 	cands = cands[:min(len(cands), sr.Count)]
+	var handed []string
 	for _, c := range cands {
-		// The LC keeps its VMs; the GM it rejoins adopts them.
-		m.dropLCLocked(c)
+		// The LC keeps its VMs; the GM it rejoins adopts them and feeds
+		// their series from its first report.
+		for _, e := range m.dropLCLocked(c) {
+			handed = append(handed, telemetry.VMEntity(e.vm.Spec.ID))
+		}
 	}
 	m.mu.Unlock()
+	m.reapUnfedLater(handed)
 	for _, c := range cands {
 		m.bus.Call(m.cfg.Addr, c.addr, protocol.KindRejoin, struct{}{}, m.cfg.CallTimeout, func(any, error) {})
 	}

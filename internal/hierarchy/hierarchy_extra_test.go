@@ -358,7 +358,7 @@ func TestManagerConfigWithDefaults(t *testing.T) {
 	if !reflect.DeepEqual(zero, def) {
 		t.Fatalf("zero config normalises to\n%+v\ndefault config to\n%+v", zero, def)
 	}
-	if zero.HeartbeatPeriod == 0 || zero.Dispatch == nil || zero.ViewHorizon == 0 || zero.VMLivenessGrace != 4*zero.LCTimeout {
+	if zero.HeartbeatPeriod == 0 || zero.Dispatch == nil || zero.ViewHorizon == 0 {
 		t.Fatalf("defaults not filled: %+v", zero)
 	}
 
@@ -372,14 +372,13 @@ func TestManagerConfigWithDefaults(t *testing.T) {
 		Overload: scheduling.TrendAwareRelocation{}, Underload: scheduling.TrendAwareUnderload{},
 		Estimator: resource.MaxWindow{}, ViewHorizon: time.Minute,
 		EnergyEnabled: true, IdleThreshold: 17 * time.Second, PendingTimeout: 19 * time.Second,
-		Consolidation:         online.Config{Enabled: true},
-		RescheduleOnLCFailure: true, VMLivenessGrace: -1,
+		Consolidation: online.Config{Enabled: true}, RescheduleOnLCFailure: true,
 		Metrics: metricsRegistry(), Tracer: obs.New(obs.Config{}),
 		Telemetry: telemetry.NewHub(telemetry.Options{}),
 	}
 	v := reflect.ValueOf(set)
-	if n := v.NumField(); n > 23 {
-		t.Fatalf("ManagerConfig has %d fields; ROADMAP tracks the count (23) and it only goes down", n)
+	if n := v.NumField(); n > 22 {
+		t.Fatalf("ManagerConfig has %d fields; ROADMAP tracks the count (22) and it only goes down", n)
 	}
 	for i := 0; i < v.NumField(); i++ {
 		if v.Field(i).IsZero() {

@@ -98,22 +98,6 @@ type ManagerConfig struct {
 	// surviving LCs (the hypervisor-snapshot recovery of Section II-E).
 	RescheduleOnLCFailure bool
 
-	// VMLivenessGrace drives the GM's deployment-level VM liveness sweep,
-	// the backstop behind the monitoring flow. A VM's series normally end at
-	// the first monitor report of its LC that omits it (gmOnMonitor); the
-	// sweep covers what no report shows — LC crashes, handoffs between GMs,
-	// owner stamps released with a failed GM. A vm/* series whose VM is
-	// absent from this GM's ledger AND has not recorded a sample for this
-	// long is declared vanished: the GM journals a synthetic terminal
-	// vm.state event and drops the series. The sweep is journal-armed, not
-	// polled: lifecycle/membership events and report departures schedule
-	// exact-deadline checks. 0 selects 4 × LCTimeout; negative disables.
-	// The staleness requirement makes the sweep safe on a hub shared by
-	// several GMs: a VM alive under another GM keeps appending samples and
-	// is never stale, while a VM on a deliberately suspended LC stays in
-	// its GM's ledger.
-	VMLivenessGrace time.Duration
-
 	// Metrics receives counters and latency series (may be nil).
 	Metrics *metrics.Registry
 
@@ -182,7 +166,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.ViewHorizon <= 0 {
 		c.ViewHorizon = d.ViewHorizon
 	}
-	orDefault(&c.VMLivenessGrace, 4*c.LCTimeout)
 	return c
 }
 
@@ -329,10 +312,9 @@ type Manager struct {
 	ledger  map[types.VMID]*vmEntry
 	waiting int    // pending entries in the ledger
 	seq     uint64 // stamps reports and orders the pending queue
-	// The two journal-armed loops of the GM role: event-driven energy
-	// management (idle checks) and the VM liveness sweep.
+	// energy is the GM role's journal-armed idle check (event-driven energy
+	// management).
 	energy deadline
-	sweep  deadline
 	// optimizer is the online consolidation service (GM role), created
 	// lazily and reused across GM stints. The optimizer never holds its own
 	// lock while calling back into the Manager, so m.mu → optimizer-lock is
@@ -402,10 +384,8 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 		ledger: make(map[types.VMID]*vmEntry),
 		gms:    make(map[types.GroupManagerID]*gmRecord),
 	}
-	m.energy = deadline{m: m, fire: m.gmEnergyCheck, onKick: m.gmEnergyCheck,
+	m.energy = deadline{m: m, fire: m.gmEnergyCheck,
 		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}
-	m.sweep = deadline{m: m, fire: m.gmVMSweep, onKick: m.armVMSweep,
-		events: []string{telemetry.EventVMState, telemetry.EventLCFailed, telemetry.EventLCJoin, telemetry.EventGMFailed}}
 	if cfg.Metrics != nil {
 		cfg.Metrics.SetGauge("scheduler.view-horizon-ns", float64(cfg.ViewHorizon))
 	}
@@ -462,7 +442,7 @@ func (m *Manager) halt() {
 	m.setRoleLocked(RoleIdle)
 	tickers := m.tickers
 	m.tickers = nil
-	m.stopEnergyLocked()
+	m.energy.stopLocked()
 	m.mu.Unlock()
 	for _, t := range tickers {
 		t.Stop()
@@ -573,15 +553,22 @@ func (m *Manager) lockGM() bool {
 }
 
 // setRoleLocked switches the active role. Leaving the GM role empties the
-// ledger and answers pending placements unplaced.
+// ledger and answers pending placements unplaced. A manager that leaves the
+// role while it runs on (a promotion) no longer feeds the series of the VMs
+// it had running: it reaps those that no other GM reports again.
 func (m *Manager) setRoleLocked(r Role) {
 	if m.role == RoleGM && r != RoleGM {
 		for _, e := range m.pendingLocked() {
 			m.answerLaterLocked(e, "", false)
 		}
+		var fed []string
 		for _, e := range m.ledger {
+			if !m.stopped && (e.state == vmRunning || e.state == vmMigrating) {
+				fed = append(fed, telemetry.VMEntity(e.vm.Spec.ID))
+			}
 			m.setLocked(e, vmPhase{})
 		}
+		m.reapUnfedLater(fed)
 	}
 	m.role = r
 }
@@ -593,17 +580,10 @@ func (m *Manager) stopTickersLocked() {
 		t.Stop()
 	}
 	m.tickers = nil
-	m.stopEnergyLocked()
+	m.energy.stopLocked()
 	if m.optimizer != nil {
 		m.optimizer.Stop()
 	}
-}
-
-// stopEnergyLocked detaches the journal observers and cancels any scheduled
-// idle check or liveness sweep.
-func (m *Manager) stopEnergyLocked() {
-	m.energy.stopLocked()
-	m.sweep.stopLocked()
 }
 
 func (m *Manager) addTicker(period time.Duration, fn func()) {

@@ -189,7 +189,7 @@ func BenchmarkTelemetryJournalEmit(b *testing.B) {
 
 // BenchmarkTelemetryJournalEmitBatch measures the batched counterpart: 64
 // vm.state events per EmitBatch through a single journal lock acquisition,
-// the GM-sweep shape. The batch slice is reused, so steady state stays
+// the shape of a GM ending a wave of VM series. The batch slice is reused, so steady state stays
 // allocation-free per event.
 func BenchmarkTelemetryJournalEmitBatch(b *testing.B) {
 	h := NewHub(Options{})

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"sync"
 	"time"
 
@@ -108,9 +109,8 @@ type Hub struct {
 
 	// owners stamps entities with the identity of the GM whose monitoring
 	// flow feeds their series (see Claim). The GMs of a deployment share the
-	// hub, so it fences cross-GM reconciliation: the VM liveness sweep skips
-	// entities owned by another GM outright instead of relying on staleness
-	// alone.
+	// hub, so it fences cross-GM reconciliation: a GM ends the series of a
+	// VM its LC's report omits only while no other GM has claimed it.
 	ownerMu sync.RWMutex
 	owners  map[string]string
 }
@@ -144,11 +144,12 @@ func (h *Hub) Record(entity, metric string, at time.Duration, v float64) {
 
 // TerminalVMStates are the vm.state attrs values that mark a VM as gone for
 // good; emitting one drops the VM's series (see Emit). "vanished" is the
-// synthetic state a GM journals for a VM that disappeared without any
+// synthetic state a manager journals for a VM that disappeared without any
 // terminal event, with the reason attribute naming how it noticed:
 // "left-report" when the VM's LC sends a monitor report that no longer lists
-// it (a VM stopped behind the hierarchy's back), "liveness-sweep" when the
-// sweep finds a series no report will end (LC crashes, handoffs between GMs).
+// it (a VM stopped behind the hierarchy's back), "unfed" when the report that
+// fed the VM's series was lost (its GM failed or left the role, its LC was
+// shed or failed) and no report has fed them again within 4 × LCTimeout.
 var TerminalVMStates = map[string]bool{"terminated": true, "destroyed": true, "failed": true, "vanished": true}
 
 // Emit publishes an event and returns it with its sequence number assigned.
@@ -234,8 +235,8 @@ func (h *Hub) DetectNode(at time.Duration, st types.NodeStatus) (Event, bool) {
 }
 
 // Claim stamps entity as owned by owner — the GM whose monitoring flow feeds
-// its series. The hierarchy stamps vm/* series, which keeps each GM's
-// liveness sweep off VMs another GM is feeding, and each GM's gm/<id> rollup
+// its series. The hierarchy stamps vm/* series, which keeps a GM from ending
+// the series of a VM another GM is feeding, and each GM's gm/<id> rollup
 // series, which tells the GL that the GM feeds it directly. Ownership follows
 // the monitoring flow: when an LC rejoins another GM, the new GM's next
 // report re-claims its entities. The fast path (unchanged owner) is a
@@ -260,19 +261,24 @@ func (h *Hub) Owner(entity string) (string, bool) {
 	return owner, ok
 }
 
-// Release drops every stamp owner still holds. The GL calls it when it
-// declares a GM failed: a dead GM never sweeps its own series again, so its
-// stamps would otherwise fence its vanished VMs off every survivor's
-// liveness sweep for good. Stamps a survivor has already re-claimed carry
-// the survivor's identity and are left alone.
-func (h *Hub) Release(owner string) {
+// Release drops every stamp owner still holds and returns the vm/* entities
+// among them: the VMs whose series owner fed last. The GL calls it
+// when it declares a GM failed and reaps those of the returned VMs that no
+// survivor reports again. Stamps a survivor has already re-claimed carry the
+// survivor's identity and are left alone.
+func (h *Hub) Release(owner string) []string {
+	var vms []string
 	h.ownerMu.Lock()
 	for entity, o := range h.owners {
 		if o == owner {
 			delete(h.owners, entity)
+			if strings.HasPrefix(entity, EntityVMPrefix) {
+				vms = append(vms, entity)
+			}
 		}
 	}
 	h.ownerMu.Unlock()
+	return vms
 }
 
 // ForgetEntity drops an entity's series, detector state and owner stamp when

@@ -192,8 +192,8 @@ func (j *Journal) Publish(ev Event) Event {
 }
 
 // PublishBatch publishes evs in order under a single lock acquisition — the
-// fan-out lock is the per-event cost batching amortizes, so a GM sweep that
-// journals dozens of vm.state transitions pays it once. Sequence numbers are
+// fan-out lock is the per-event cost batching amortizes, so a GM that
+// journals dozens of vm.state transitions at once pays it once. Sequence numbers are
 // assigned contiguously in slice order; evs is updated in place with the
 // completed events. Observers run after the lock drops, seeing the batch in
 // sequence order.

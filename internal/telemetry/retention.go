@@ -441,9 +441,9 @@ func (s *Store) Info(entity, metric string) (SeriesInfo, bool) {
 }
 
 // EntityNewest returns, for every entity whose name starts with prefix, the
-// newest retained sample timestamp across all of that entity's series. It is
-// the liveness sweep's scan primitive: an entity whose newest sample is older
-// than the grace period has stopped reporting everywhere.
+// newest retained sample timestamp across all of that entity's series. It
+// scans every shard, so it is an inspection tool (tests use it as the oracle
+// of which entities still hold series), not a hot-path primitive.
 func (s *Store) EntityNewest(prefix string) map[string]time.Duration {
 	out := make(map[string]time.Duration)
 	for i := range s.shards {

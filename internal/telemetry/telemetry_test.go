@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -431,7 +432,9 @@ func TestHubClaimOwnerRelease(t *testing.T) {
 		t.Fatalf("re-claimed owner = %q, %v; want gm-b, true", owner, ok)
 	}
 
-	h.Release("gm-a")
+	if got := h.Release("gm-a"); !slices.Equal(got, []string{"vm/v1"}) {
+		t.Fatalf("Release(gm-a) = %v; want the one vm/* entity it dropped, [vm/v1]", got)
+	}
 	for _, entity := range []string{"vm/v1", "gm/gm-a"} {
 		if owner, ok := h.Owner(entity); ok {
 			t.Fatalf("%s still owned by %q after Release(gm-a)", entity, owner)
