@@ -253,6 +253,40 @@ func TestUnfedSeriesReapedAfterShedHandoff(t *testing.T) {
 	}
 }
 
+// TestRebalanceShedsOnce: a manager joins a one-GM deployment of 8 LCs and
+// the GL rebalances once. The donor's summary pushed before it shed, and the
+// newcomer's pushed before its LCs joined, must not make the GL see the
+// imbalance again while the shed LCs are between GMs.
+func TestRebalanceShedsOnce(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(8, 1), 77)
+	c := New(cfg)
+	c.Settle(30 * time.Second)
+	var sheds []string
+	unsub := c.Telemetry.Journal().Observe(func(ev telemetry.Event) {
+		if ev.Type == telemetry.EventRebalance {
+			sheds = append(sheds, ev.Attrs.Get("shed"))
+		}
+	})
+	defer unsub()
+	newcomer, err := c.addManager("gm-new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(20*time.Second + 4*cfg.Manager.LCTimeout)
+	if len(sheds) != 1 || sheds[0] != "4" {
+		t.Fatalf("rebalances: shed=%v, want one of 4", sheds)
+	}
+	moved := 0
+	for _, lc := range c.LCs {
+		if lc.GM() == newcomer.Addr() {
+			moved++
+		}
+	}
+	if moved != 4 {
+		t.Fatalf("LCs end %d (donor) / %d (newcomer), want 4 / 4", len(c.LCs)-moved, moved)
+	}
+}
+
 // TestUnfedSeriesReapedAfterGMAndLCCrash covers a double failure: a GM and
 // one of its LCs crash together. The LC joins no survivor, so no GM ever
 // declares it failed; the series of its VMs are reaped once the GL has

@@ -32,8 +32,10 @@ func (m *Manager) becomeGLLocked() {
 	// GM-side state is abandoned: "GL and GMs do not host VMs" and the
 	// paper's promoted GM sheds its LCs, which rejoin through the new GL.
 	m.lcs = make(map[types.NodeID]*lcRecord)
+	clear(m.shedLCs)
 	m.glAddr = ""
 	m.gms = make(map[types.GroupManagerID]*gmRecord)
+	m.shed = shedGate{}
 	m.stopTickersLocked()
 	m.addTicker(m.cfg.HeartbeatPeriod, m.glHeartbeatTick)
 	m.addTicker(m.cfg.GMTimeout/3, m.glSweepTick)
@@ -78,7 +80,8 @@ func (m *Manager) glSweepTick() {
 		}
 	}
 	// Rebalance: if the most-loaded GM manages at least 4 more LCs than
-	// the least-loaded one, ask it to shed half the difference.
+	// the least-loaded one, ask it to shed half the difference, unless the
+	// LCs of the last shed are still between GMs.
 	var minGM, maxGM *gmRecord
 	for _, gm := range m.gms {
 		n := gm.summary.ActiveLCs + gm.summary.AsleepLCs
@@ -97,13 +100,14 @@ func (m *Manager) glSweepTick() {
 	if minGM != nil && maxGM != nil && minGM != maxGM {
 		lo := minGM.summary.ActiveLCs + minGM.summary.AsleepLCs
 		hi := maxGM.summary.ActiveLCs + maxGM.summary.AsleepLCs
-		if hi-lo >= 4 {
+		if hi-lo >= 4 && now >= m.shed.until {
 			shed = (hi - lo) / 2
 			shedAddr = maxGM.addr
 			shedID = maxGM.id
-			// Optimistically shrink the summary so the next sweep does not
-			// re-issue before fresh summaries arrive.
+			// Optimistically shrink the summary so the released LCs are
+			// assigned elsewhere.
 			maxGM.summary.ActiveLCs -= shed
+			m.shed = shedGate{pending: shed, until: now + m.cfg.LCTimeout}
 		}
 	}
 	m.mu.Unlock()
@@ -241,6 +245,11 @@ func (m *Manager) glOnLCAssign(req *transport.Request) {
 	// Optimistically count the assignment so a burst of joining LCs
 	// spreads instead of piling onto one GM before its next summary.
 	best.summary.ActiveLCs++
+	if m.shed.pending > 0 {
+		if m.shed.pending--; m.shed.pending == 0 {
+			m.shed.until = m.rt.Now() + m.cfg.SummaryPeriod
+		}
+	}
 	resp := protocol.LCAssignResponse{GM: best.id, Addr: string(best.addr)}
 	m.mu.Unlock()
 	m.mark("gl.lc-assignments", 1)
@@ -313,7 +322,7 @@ func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID
 		summaries = append(summaries, gm.summary)
 		addrs[gm.id] = gm.addr
 	}
-	sort.Slice(summaries, func(i, j int) bool { return summaries[i].GM < summaries[j].GM })
+	slices.SortFunc(summaries, func(a, b types.GroupSummary) int { return cmp.Compare(a.GM, b.GM) })
 	// Capacity views: the summaries enriched with windowed statistics of each
 	// group's util series (fed by glOnSummary). One build serves the whole
 	// submission: equally stale for every VM, which the policy tolerates.

@@ -189,6 +189,7 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 		return
 	}
 	id := join.Status.Spec.ID
+	delete(m.shedLCs, id)
 	rec, exists := m.lcs[id]
 	if !exists {
 		rec = &lcRecord{id: id}
@@ -240,6 +241,12 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	id := rep.Status.Spec.ID
 	rec, exists := m.lcs[id]
 	if !exists {
+		if until, shed := m.shedLCs[id]; shed && m.rt.Now() < until {
+			// Sent before the LC learnt it was shed: it is on its way to
+			// another GM, and admitting it would count it twice.
+			m.mu.Unlock()
+			return
+		}
 		// Unknown LC (e.g. we were promoted and demoted again): admit it
 		// implicitly — monitoring proves liveness.
 		rec = &lcRecord{id: id}
@@ -606,6 +613,9 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 	now := m.rt.Now()
 	nodes := m.activeViewsLocked()
 	shared := true // nodes is the memoized build until the first charge
+	// One evidence buffer serves the batch: Span.Candidate copies what it
+	// keeps, so the next VM may overwrite the entries.
+	var ex *scheduling.Explain
 	for i := range batch {
 		p := &batch[i]
 		if retry && now > p.e.deadline {
@@ -622,13 +632,17 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 		if retry {
 			p.span.Annotate("retry", "pending-queue")
 		}
-		var ex *scheduling.Explain
+		var pex *scheduling.Explain // nil when the span records nothing
 		if p.span.Enabled() {
-			ex = &scheduling.Explain{}
+			if ex == nil {
+				ex = &scheduling.Explain{}
+			}
+			ex.Candidates = ex.Candidates[:0]
+			pex = ex
 		}
-		id, ok := m.cfg.Placement.Place(p.spec, nodes, ex)
-		if p.span.Enabled() {
-			for _, c := range ex.Candidates {
+		id, ok := m.cfg.Placement.Place(p.spec, nodes, pex)
+		if pex != nil {
+			for _, c := range pex.Candidates {
 				p.span.Candidate(c.ID, c.Chosen, c.Reason)
 			}
 		}
@@ -1286,6 +1300,7 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 	cands = cands[:min(len(cands), sr.Count)]
 	var handed []string
 	for _, c := range cands {
+		m.shedLCs[c.id] = m.rt.Now() + m.cfg.LCTimeout
 		// The LC keeps its VMs; the GM it rejoins adopts them and feeds
 		// their series from its first report.
 		for _, e := range m.dropLCLocked(c) {

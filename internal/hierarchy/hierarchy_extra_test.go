@@ -218,6 +218,44 @@ func TestShedAndRejoin(t *testing.T) {
 	}
 }
 
+// TestShedLCNotReadmittedByStaleReport: a monitor report an LC sent before
+// it learnt it was shed reaches the donor after the shed. The donor must not
+// take the LC back on it, or the LC counts in two groups; the LC's own
+// rejoin is admitted as usual.
+func TestShedLCNotReadmittedByStaleReport(t *testing.T) {
+	r := newRig(31)
+	r.manager("m0")
+	m1 := r.manager("m1")
+	r.settle(5 * time.Second)
+	lcs := []*LC{r.lc("a"), r.lc("b")}
+	r.settle(20 * time.Second)
+	count := func() int { a, s := m1.LCCount(); return a + s }
+	if m1.Role() != RoleGM || count() != 2 {
+		t.Fatalf("fixture: m1 is %v with %d LCs", m1.Role(), count())
+	}
+	r.bus.Call("test", m1.Addr(), protocol.KindShed, protocol.ShedRequest{Count: 1}, time.Second, func(any, error) {})
+	r.settle(10 * time.Millisecond)
+	var shed *LC
+	for _, lc := range lcs {
+		if lc.GM() == "" {
+			shed = lc
+		}
+	}
+	if shed == nil || count() != 1 {
+		t.Fatalf("fixture: shed did not release one LC (%d left)", count())
+	}
+	stale := protocol.MonitorReport{Status: shed.node.Status(), VMs: shed.node.VMs(), AtNs: int64(r.k.Now())}
+	_ = r.bus.Send(shed.addr, m1.Addr(), protocol.KindMonitor, stale)
+	r.settle(10 * time.Millisecond)
+	if count() != 1 {
+		t.Fatalf("stale report readmitted the shed LC: %d LCs", count())
+	}
+	r.settle(10 * time.Second) // the next GL heartbeat: the LC rejoins the only GM
+	if count() != 2 || shed.GM() != m1.Addr() {
+		t.Fatalf("shed LC did not rejoin: %d LCs, LC's GM %q", count(), shed.GM())
+	}
+}
+
 func TestShedZeroAndBadPayload(t *testing.T) {
 	r := newRig(30)
 	r.manager("m0")

@@ -305,8 +305,11 @@ func (lc *LC) onStartVM(req *transport.Request) {
 		req.Respond(protocol.StartVMResponse{OK: false, Error: err.Error()})
 		return
 	}
-	req.Respond(protocol.StartVMResponse{OK: true})
+	req.Respond(startVMOK)
 }
+
+// startVMOK is the success ack, boxed once: every started VM sends it.
+var startVMOK any = protocol.StartVMResponse{OK: true}
 
 func (lc *LC) onStopVM(req *transport.Request) {
 	sr, ok := req.Payload.(protocol.StopVMRequest)

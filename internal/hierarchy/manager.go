@@ -291,6 +291,17 @@ type gmRecord struct {
 	lastSeen   time.Duration
 }
 
+// shedGate holds the GL's next rebalancing shed back while the LCs of the
+// last one are between GMs: their donor no longer counts them, their new GM
+// does not yet, and a summary the donor pushed before it shed still counts
+// them. It opens one summary period after as many LCs as the shed asked for
+// have been assigned, so each GM has pushed a summary since, or LCTimeout
+// after the shed if fewer were released or rejoined.
+type shedGate struct {
+	pending int           // LCs the last shed asked for, not yet reassigned
+	until   time.Duration // no shed before this time
+}
+
 // Manager is one GM/GL process. It enrolls in the GL election at Start; the
 // election outcome selects which role's state machine is active.
 type Manager struct {
@@ -307,6 +318,10 @@ type Manager struct {
 	glAddr transport.Address
 	joined bool
 	lcs    map[types.NodeID]*lcRecord
+	// shedLCs holds each LC this GM shed until LCTimeout after, or until the
+	// LC joins it again: a report the LC sent before it learnt of the shed
+	// does not readmit it.
+	shedLCs map[types.NodeID]time.Duration
 	// ledger is the one record of the group's VMs (vmEntry), written by
 	// setLocked only and emptied when the manager leaves the GM role.
 	ledger  map[types.VMID]*vmEntry
@@ -323,6 +338,7 @@ type Manager struct {
 	// GL state.
 	gms   map[types.GroupManagerID]*gmRecord
 	epoch uint64
+	shed  shedGate
 
 	tickers []*simkernel.Ticker
 	stopped bool
@@ -380,9 +396,10 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 			// dispatch fan-out, GM relocation scans) map lookups.
 			Cache: view.NewCache(),
 		},
-		lcs:    make(map[types.NodeID]*lcRecord),
-		ledger: make(map[types.VMID]*vmEntry),
-		gms:    make(map[types.GroupManagerID]*gmRecord),
+		lcs:     make(map[types.NodeID]*lcRecord),
+		shedLCs: make(map[types.NodeID]time.Duration),
+		ledger:  make(map[types.VMID]*vmEntry),
+		gms:     make(map[types.GroupManagerID]*gmRecord),
 	}
 	m.energy = deadline{m: m, fire: m.gmEnergyCheck,
 		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}

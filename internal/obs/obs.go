@@ -25,7 +25,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -105,9 +104,42 @@ type SpanContext struct {
 // Valid reports whether the context identifies a real (recorded) span.
 func (c SpanContext) Valid() bool { return c.TraceID != "" && c.SpanID != "" }
 
+// nextID returns the next span/trace ID: the counter as 16 lower-case hex
+// digits, built in place so the string is the only allocation.
 func (t *Tracer) nextID() string {
-	return fmt.Sprintf("%016x", t.ids.Add(1))
+	const hex = "0123456789abcdef"
+	var b [16]byte
+	n := t.ids.Add(1)
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hex[n&0xf]
+		n >>= 4
+	}
+	return string(b[:])
 }
+
+// durationKey names the metric a finished span of kind observes. The
+// built-in kinds have constant keys; only free-form kinds pay a concatenation.
+func durationKey(kind string) string {
+	switch kind {
+	case KindDispatch:
+		return KindDispatch + durationSuffix
+	case KindPlacement:
+		return KindPlacement + durationSuffix
+	case KindRelocation:
+		return KindRelocation + durationSuffix
+	case KindMigration:
+		return KindMigration + durationSuffix
+	case KindEnergy:
+		return KindEnergy + durationSuffix
+	case KindConsolidationRound:
+		return KindConsolidationRound + durationSuffix
+	case KindConsolidationMigration:
+		return KindConsolidationMigration + durationSuffix
+	}
+	return kind + durationSuffix
+}
+
+const durationSuffix = ".duration.seconds"
 
 // StartTrace opens a root span, beginning a new trace. The sampling decision
 // is made here: a sampled-out trace returns a no-op span whose context is
@@ -234,7 +266,7 @@ func (s Span) Finish(outcome string) {
 	rec.End = s.t.cfg.Now()
 	s.t.store.add(*rec)
 	if s.t.cfg.Metrics != nil {
-		s.t.cfg.Metrics.Observe(rec.Kind+".duration.seconds", (rec.End - rec.Start).Seconds())
+		s.t.cfg.Metrics.Observe(durationKey(rec.Kind), (rec.End - rec.Start).Seconds())
 	}
 	if s.t.cfg.Emit != nil {
 		attrs := map[string]string{

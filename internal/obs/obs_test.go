@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"snooze/internal/metrics"
 )
 
 func TestTraceChain(t *testing.T) {
@@ -166,6 +168,43 @@ func TestConcurrentSpanFinish(t *testing.T) {
 	wg.Wait()
 	if got, max := tr.Len(), 4*64; got > max {
 		t.Fatalf("Len = %d exceeds store capacity %d", got, max)
+	}
+}
+
+// TestSpanIDsAndDurationKeys pins the hand-built forms against the format
+// strings they replace.
+func TestSpanIDsAndDurationKeys(t *testing.T) {
+	tr := New(Config{})
+	for _, n := range []uint64{0, 9, 0xabcdef, 1<<63 + 5, ^uint64(0) - 1} {
+		tr.ids.Store(n)
+		if got, want := tr.nextID(), fmt.Sprintf("%016x", n+1); got != want {
+			t.Fatalf("ID after %d: %q, want %q", n, got, want)
+		}
+	}
+	for _, kind := range []string{KindDispatch, KindPlacement, KindRelocation, KindMigration, KindEnergy,
+		KindConsolidationRound, KindConsolidationMigration, "custom", ""} {
+		if got := durationKey(kind); got != kind+".duration.seconds" {
+			t.Fatalf("durationKey(%q) = %q", kind, got)
+		}
+	}
+}
+
+// TestFinishWithMetricsAllocatesNothing: storing a finished span and
+// observing its duration cost no allocation once the histogram exists.
+func TestFinishWithMetricsAllocatesNothing(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tr := New(Config{Metrics: reg, Now: func() time.Duration { return 0 }})
+	const runs = 100
+	spans := make([]Span, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range spans {
+		spans[i] = tr.StartTrace(KindPlacement, "vm/a")
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() { spans[i].Finish("placed"); i++ }); allocs != 0 {
+		t.Fatalf("Finish: %v allocs, want 0", allocs)
+	}
+	if h, ok := reg.Histogram(KindPlacement + ".duration.seconds"); !ok || h.Count != runs+1 {
+		t.Fatalf("placement histogram: %+v %v", h, ok)
 	}
 }
 

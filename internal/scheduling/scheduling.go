@@ -35,13 +35,28 @@ type DispatchPolicy interface {
 	// Candidates returns GM IDs to probe, best first. Groups whose free
 	// capacity cannot possibly hold the VM are filtered out (they may still
 	// fail the probe: free capacity may be fragmented across LCs). A non-nil
-	// ex collects per-group consideration evidence (nil disables).
+	// ex collects per-group consideration evidence (nil disables). The GL
+	// offers groups sorted by GM, which spares order-dependent policies a
+	// copy and a sort; unsorted input gives the same answer at that cost.
 	Candidates(vm types.VMSpec, groups []view.Group, ex *Explain) []types.GroupManagerID
 	Name() string
 }
 
 func feasible(vm types.VMSpec, g view.Group) bool {
 	return g.ActiveLCs+g.AsleepLCs > 0 && vm.Requested.FitsIn(g.Free())
+}
+
+// sortedByGM returns groups in GM order: groups itself when already sorted
+// (as the GL offers them), else a sorted copy.
+func sortedByGM(groups []view.Group) []view.Group {
+	for i := 1; i < len(groups); i++ {
+		if groups[i].GM < groups[i-1].GM {
+			out := slices.Clone(groups)
+			slices.SortFunc(out, func(a, b view.Group) int { return cmp.Compare(a.GM, b.GM) })
+			return out
+		}
+	}
+	return groups
 }
 
 // RoundRobinDispatch cycles through GMs across calls, spreading load
@@ -52,10 +67,9 @@ type RoundRobinDispatch struct {
 
 // Candidates implements DispatchPolicy.
 func (r *RoundRobinDispatch) Candidates(vm types.VMSpec, groups []view.Group, ex *Explain) []types.GroupManagerID {
-	sorted := append([]view.Group(nil), groups...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].GM < sorted[j].GM })
+	sorted := sortedByGM(groups)
 	n := len(sorted)
-	var out []types.GroupManagerID
+	out := make([]types.GroupManagerID, 0, n)
 	for i := 0; i < n; i++ {
 		g := sorted[(r.next+i)%n]
 		if feasible(vm, g) {
@@ -92,11 +106,8 @@ func (LeastLoadedDispatch) Candidates(vm types.VMSpec, groups []view.Group, ex *
 		}
 		sc = append(sc, scored{id: g.GM, free: g.Free().UtilizationL1(g.Total)})
 	}
-	sort.Slice(sc, func(i, j int) bool {
-		if sc[i].free != sc[j].free {
-			return sc[i].free > sc[j].free
-		}
-		return sc[i].id < sc[j].id
+	slices.SortFunc(sc, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.free, a.free), cmp.Compare(a.id, b.id))
 	})
 	out := make([]types.GroupManagerID, len(sc))
 	for i, s := range sc {
@@ -127,11 +138,8 @@ func (MostLoadedDispatch) Candidates(vm types.VMSpec, groups []view.Group, ex *E
 		}
 		sc = append(sc, scored{id: g.GM, free: g.Free().UtilizationL1(g.Total)})
 	}
-	sort.Slice(sc, func(i, j int) bool {
-		if sc[i].free != sc[j].free {
-			return sc[i].free < sc[j].free
-		}
-		return sc[i].id < sc[j].id
+	slices.SortFunc(sc, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(a.free, b.free), cmp.Compare(a.id, b.id))
 	})
 	out := make([]types.GroupManagerID, len(sc))
 	for i, s := range sc {

@@ -1,6 +1,8 @@
 package scheduling
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"snooze/internal/scheduling/view"
@@ -339,5 +341,78 @@ func TestSortedByIDSharesSortedInput(t *testing.T) {
 	}
 	if shuffled[0].Spec.ID != "n3" {
 		t.Fatal("unsorted input was reordered in place")
+	}
+}
+
+// TestRoundRobinDispatchAllocatesOnce pins the dispatch fast path: groups the
+// GL offers in GM order are walked in place, and the candidate list is the
+// call's only allocation.
+func TestRoundRobinDispatchAllocatesOnce(t *testing.T) {
+	p := &RoundRobinDispatch{}
+	groups := []view.Group{gm("gm1", 0, 16, 2), gm("gm2", 0, 16, 2), gm("gm3", 16, 16, 2)}
+	vm := vmSpec(1)
+	if allocs := testing.AllocsPerRun(100, func() { p.Candidates(vm, groups, nil) }); allocs != 1 {
+		t.Fatalf("sorted groups: %v allocs, want 1", allocs)
+	}
+	if got := sortedByGM(groups); &got[0] != &groups[0] {
+		t.Fatal("sorted groups were copied")
+	}
+}
+
+// roundRobinReference is RoundRobinDispatch as it was before groups could be
+// walked in place: always a sorted copy, and a list grown by append.
+type roundRobinReference struct{ next int }
+
+func (r *roundRobinReference) candidates(vm types.VMSpec, groups []view.Group) []types.GroupManagerID {
+	sorted := append([]view.Group(nil), groups...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].GM < sorted[j].GM })
+	n := len(sorted)
+	var out []types.GroupManagerID
+	for i := 0; i < n; i++ {
+		if g := sorted[(r.next+i)%n]; feasible(vm, g) {
+			out = append(out, g.GM)
+		}
+	}
+	if n > 0 {
+		r.next = (r.next + 1) % n
+	}
+	return out
+}
+
+// TestRoundRobinDispatchUnsortedInput checks that any input order gives the
+// order and rotation of the sorted walk, and leaves the caller's slice as
+// it was.
+func TestRoundRobinDispatchUnsortedInput(t *testing.T) {
+	shuffled := []view.Group{
+		gm("gm4", 0, 16, 2), gm("gm1", 16, 16, 2), gm("gm3", 0, 16, 2),
+		gm("gm0", 0, 16, 0), gm("gm2", 4, 16, 2),
+	}
+	p, ref := &RoundRobinDispatch{}, &roundRobinReference{}
+	vm := vmSpec(2)
+	for call := 0; call < 2*len(shuffled)+1; call++ {
+		got, want := p.Candidates(vm, shuffled, nil), ref.candidates(vm, shuffled)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("call %d: %v, want %v", call, got, want)
+		}
+	}
+	if shuffled[0].GM != "gm4" || shuffled[3].GM != "gm0" {
+		t.Fatal("unsorted input was reordered in place")
+	}
+}
+
+func BenchmarkDispatchCandidates(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		b.Run(fmt.Sprintf("groups=%d", n), func(b *testing.B) {
+			groups := make([]view.Group, n)
+			for i := range groups {
+				groups[i] = gm(fmt.Sprintf("gm-%02d", i), float64(i), 64, 8)
+			}
+			p := &RoundRobinDispatch{}
+			vm := vmSpec(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Candidates(vm, groups, nil)
+			}
+		})
 	}
 }

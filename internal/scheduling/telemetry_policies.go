@@ -7,7 +7,8 @@ package scheduling
 // cold deployment.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"snooze/internal/scheduling/view"
 	"snooze/internal/types"
@@ -40,14 +41,8 @@ func (P95HeadroomDispatch) Candidates(vm types.VMSpec, groups []view.Group, ex *
 			free:     g.Free().UtilizationL1(g.Total),
 		})
 	}
-	sort.Slice(sc, func(i, j int) bool {
-		if sc[i].headroom != sc[j].headroom {
-			return sc[i].headroom > sc[j].headroom
-		}
-		if sc[i].free != sc[j].free {
-			return sc[i].free > sc[j].free
-		}
-		return sc[i].id < sc[j].id
+	slices.SortFunc(sc, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.headroom, a.headroom), cmp.Compare(b.free, a.free), cmp.Compare(a.id, b.id))
 	})
 	out := make([]types.GroupManagerID, len(sc))
 	for i, s := range sc {

@@ -15,8 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"snooze/internal/simkernel"
@@ -45,33 +46,29 @@ type Message struct {
 
 // Request wraps an inbound message that may be responded to. Respond may be
 // called at most once; later calls are ignored (like writing to a closed
-// HTTP connection).
+// HTTP connection). A request-response message points at the Bus.Call it
+// belongs to; each delivery of a duplicated message is a Request of its own,
+// and each may respond once. Handlers read Message and do not modify it.
 type Request struct {
 	Message
-	respond func(payload any, err error)
-	once    sync.Once
+	call    *call       // nil for a one-way message
+	replied atomic.Bool // set by the first Respond or RespondErr
 }
 
 // Respond sends a successful reply to the caller.
-func (r *Request) Respond(payload any) {
-	r.once.Do(func() {
-		if r.respond != nil {
-			r.respond(payload, nil)
-		}
-	})
-}
+func (r *Request) Respond(payload any) { r.reply(payload, nil) }
 
 // RespondErr sends an error reply to the caller.
-func (r *Request) RespondErr(err error) {
-	r.once.Do(func() {
-		if r.respond != nil {
-			r.respond(nil, err)
-		}
-	})
+func (r *Request) RespondErr(err error) { r.reply(nil, err) }
+
+func (r *Request) reply(payload any, err error) {
+	if r.call != nil && r.replied.CompareAndSwap(false, true) {
+		r.call.respond(payload, err)
+	}
 }
 
 // OneWay reports whether the sender expects no response.
-func (r *Request) OneWay() bool { return r.respond == nil }
+func (r *Request) OneWay() bool { return r.call == nil }
 
 // Handler processes inbound requests for one endpoint.
 type Handler func(req *Request)
@@ -306,7 +303,7 @@ func (b *Bus) GroupMembers(group string) []Address {
 	for a := range b.groups[group] {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -354,58 +351,76 @@ func (b *Bus) Send(from, to Address, kind string, payload any) error {
 
 // Call delivers a request and invokes cb exactly once with the response or
 // an error. The timeout covers the full round trip. cb runs on the runtime
-// executor.
+// executor. The call's bookkeeping is one record, shared by the timeout, the
+// handler and the reply.
 func (b *Bus) Call(from, to Address, kind string, payload any, timeout time.Duration, cb func(reply any, err error)) {
 	if cb == nil {
 		_ = b.Send(from, to, kind, payload)
 		return
 	}
-	// One captured struct, not three captured variables: Call is on every
-	// hot path and each captured variable is its own heap allocation.
-	var st struct {
-		mu    sync.Mutex
-		done  bool
-		timer simkernel.Canceler
-	}
-	finish := func(reply any, err error) {
-		st.mu.Lock()
-		if st.done {
-			st.mu.Unlock()
-			return
-		}
-		st.done = true
-		timer := st.timer
-		st.mu.Unlock()
-		// A pending timeout would pin cb and everything it captures for the
-		// full timeout after the call already completed.
-		if timer != nil {
-			timer.Cancel()
-		}
-		cb(reply, err)
-	}
+	c := &call{b: b, cb: cb}
+	c.req.Message = Message{From: from, To: to, Kind: kind, Payload: payload}
+	c.req.call = c
 	if timeout > 0 {
-		st.mu.Lock()
-		st.timer = b.rt.After(timeout, func() { finish(nil, ErrTimeout) })
-		st.mu.Unlock()
+		c.mu.Lock()
+		c.timer = b.rt.After(timeout, c.expire)
+		c.mu.Unlock()
 	}
-	err := b.dispatch(from, to, kind, payload, func(reply any, err error) {
-		// Response travels back over the network: apply latency and
-		// reachability in the reverse direction.
-		b.mu.Lock()
-		if !b.canTalkLocked(to, from) || b.dropRollLocked() {
-			b.dropped++
-			b.mu.Unlock()
-			return // caller's timeout will fire
-		}
-		d := b.delayLocked(to)
-		b.delivered++
-		b.mu.Unlock()
-		b.rt.After(d, func() { finish(reply, err) })
-	})
-	if err != nil {
-		b.rt.After(0, func() { finish(nil, err) })
+	if err := b.dispatch(from, to, kind, payload, c); err != nil {
+		b.rt.After(0, func() { c.finish(nil, err) })
 	}
 }
+
+// call is one Bus.Call in flight.
+type call struct {
+	b   *Bus
+	req Request // the first delivery's; it carries the call's message
+
+	mu    sync.Mutex
+	cb    func(reply any, err error) // nil once the call has finished
+	timer simkernel.Canceler
+}
+
+func (c *call) expire() { c.finish(nil, ErrTimeout) }
+
+// finish runs the callback on the call's first outcome and ignores the rest.
+func (c *call) finish(reply any, err error) {
+	c.mu.Lock()
+	cb, timer := c.cb, c.timer
+	c.cb = nil
+	c.mu.Unlock()
+	if cb == nil {
+		return
+	}
+	// A pending timeout would pin cb and everything it captures for the
+	// full timeout after the call already completed.
+	if timer != nil {
+		timer.Cancel()
+	}
+	cb(reply, err)
+}
+
+// respond carries a reply back over the network: latency and reachability
+// apply in the reverse direction.
+func (c *call) respond(reply any, err error) {
+	b, from, to := c.b, c.req.From, c.req.To
+	b.mu.Lock()
+	if !b.canTalkLocked(to, from) || b.dropRollLocked() {
+		b.dropped++
+		b.mu.Unlock()
+		return // caller's timeout will fire
+	}
+	d := b.delayLocked(to)
+	b.delivered++
+	b.mu.Unlock()
+	b.rt.After(d, func() { c.finish(reply, err) })
+}
+
+// deliverFirst and deliverAgain hand the call's request to its handler: the
+// first delivery as the call's own Request, a duplicate as a fresh one.
+func (c *call) deliverFirst() { c.b.handle(&c.req) }
+
+func (c *call) deliverAgain() { c.b.handle(&Request{Message: c.req.Message, call: c}) }
 
 func (b *Bus) dropRollLocked() bool {
 	if b.dropProb <= 0 {
@@ -418,7 +433,9 @@ func (b *Bus) dropRollLocked() bool {
 	return false
 }
 
-func (b *Bus) dispatch(from, to Address, kind string, payload any, respond func(any, error)) error {
+// dispatch applies the sender-side rules to one message and schedules its
+// delivery: as c's request, or one-way when c is nil.
+func (b *Bus) dispatch(from, to Address, kind string, payload any, c *call) error {
 	b.mu.Lock()
 	if _, ok := b.handlers[to]; !ok {
 		b.dropped++
@@ -443,31 +460,37 @@ func (b *Bus) dispatch(from, to Address, kind string, payload any, respond func(
 	}
 	b.mu.Unlock()
 
-	deliver := func(d time.Duration) {
-		b.rt.After(d, func() {
-			b.mu.Lock()
-			h, ok := b.handlers[to]
-			reachable := ok && b.canTalkLocked(from, to)
-			if reachable {
-				b.delivered++
-			} else {
-				b.dropped++
-			}
-			b.mu.Unlock()
-			if !reachable {
-				return
-			}
-			h(&Request{
-				Message: Message{From: from, To: to, Kind: kind, Payload: payload},
-				respond: respond,
-			})
-		})
+	if c != nil {
+		b.rt.After(d0, c.deliverFirst)
+		if dup {
+			b.rt.After(d1, c.deliverAgain)
+		}
+		return nil
 	}
-	deliver(d0)
+	msg := Message{From: from, To: to, Kind: kind, Payload: payload}
+	deliver := func() { b.handle(&Request{Message: msg}) }
+	b.rt.After(d0, deliver)
 	if dup {
-		deliver(d1)
+		b.rt.After(d1, deliver)
 	}
 	return nil
+}
+
+// handle runs req's destination handler, if the destination is still
+// registered and reachable on arrival.
+func (b *Bus) handle(req *Request) {
+	b.mu.Lock()
+	h, ok := b.handlers[req.To]
+	reachable := ok && b.canTalkLocked(req.From, req.To)
+	if reachable {
+		b.delivered++
+	} else {
+		b.dropped++
+	}
+	b.mu.Unlock()
+	if reachable {
+		h(req)
+	}
 }
 
 // Multicast delivers a one-way message to every current member of the group
