@@ -62,10 +62,13 @@ import (
 
 // withTransportCounters brings the process's bus and gateway counters up to
 // date in reg before next renders it: transport.delivered/dropped (messages
-// handed to, or lost before, a local handler) and rest.forwards/
+// handed to, or lost before, a local handler), rest.forwards/
 // forward-errors/dials (messages sent to peer processes, those that reached
-// no remote handler, connections opened), plus the wall-clock executor's
-// simkernel.workers-started counter and simkernel.workers-idle gauge.
+// no remote handler, connections opened) and rest.dropped/broken-calls/
+// fallbacks (one-way messages a full stream queue dropped, calls a broken
+// stream failed, peers reached by per-message POST), plus the wall-clock
+// executor's simkernel.workers-started counter and simkernel.workers-idle
+// gauge.
 func withTransportCounters(reg *metrics.Registry, bus *transport.Bus, gw *rest.Gateway, next http.Handler) http.Handler {
 	var mu sync.Mutex // one scrape at a time computes the increments
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -78,6 +81,9 @@ func withTransportCounters(reg *metrics.Registry, bus *transport.Bus, gw *rest.G
 		set("rest.forwards", stats.Forwards)
 		set("rest.forward-errors", stats.ForwardErrors)
 		set("rest.dials", stats.Dials)
+		set("rest.dropped", stats.Dropped)
+		set("rest.broken-calls", stats.BrokenCalls)
+		set("rest.fallbacks", stats.Fallbacks)
 		started, idle := simkernel.WallWorkers()
 		set("simkernel.workers-started", started)
 		reg.SetGauge("simkernel.workers-idle", float64(idle))

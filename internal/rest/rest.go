@@ -3,24 +3,46 @@
 // (Section II-A). Each snoozed process hosts its components on an in-process
 // bus and exposes them through a Server; a Gateway registers remote peers as
 // proxy addresses on the local bus, so component code is identical in
-// simulation and deployment.
-//
-// Wire format: POST /deliver with an Envelope; the reply carries the JSON
-// response payload. One-way messages return 202 with no body. Multicast
-// groups work through static peer registration (AddPeer with group names) —
-// the deployment analogue of joining a UDP multicast group.
+// simulation and deployment. Multicast groups work through static peer
+// registration (AddPeer with group names) — the deployment analogue of
+// joining a UDP multicast group.
 //
 // Every LC pushes a report to its GM each monitoring period and every manager
 // heartbeats every LC, so the cost of the management plane is the cost of one
-// /deliver, and the hop is built to pay for each message once: a Gateway
-// keeps its own pool of connections per peer process instead of dialling per
-// burst, appendEnvelope writes header and payload into a pooled buffer in one
-// pass, and the Server reads the body into a pooled buffer and splits the
-// envelope without a JSON pass of its own, leaving the payload to
-// protocol.DecodeRequest. The bytes are those encoding/json produces for
-// Envelope, and anything that is not exactly that shape is decoded by
-// encoding/json, so peers of other versions or other JSON libraries
-// interoperate.
+// message between processes. A Gateway therefore sends everything bound for
+// one peer process (one base URL, however many addresses sit behind it) over
+// one long-lived, full-duplex POST /deliver/stream (stream.go):
+//
+//   - Frames. Each message is a length-prefixed frame: a type byte, a call ID,
+//     the from, to and kind names and the payload's JSON (protocol's codecs),
+//     at most maxEnvelopeBytes. The server answers every message frame with
+//     one reply frame; replies match calls by ID, and one-way messages get an
+//     empty acknowledgement, which is how the Gateway counts them.
+//   - FIFO and coalescing. One writer goroutine per stream drains a bounded
+//     queue and writes each drained batch with one write and one flush, so
+//     frames on a stream leave in order and a burst leaves together. The
+//     server hands each frame to its bus without waiting for the handler.
+//   - Overload. A full queue drops its oldest one-way frame; a queue of calls
+//     only refuses the next call at once with a transport.ErrUnreachable
+//     error the caller may retry. A broken stream fails its outstanding calls
+//     at once. A stream is opened when a frame needs one, never in the
+//     background.
+//   - Closing. The server sends a close frame when its http.Server shuts
+//     down and when the stream has been idle for streamIdle with no call
+//     outstanding; the client then writes what it has queued, ends the
+//     request body, and opens a new stream for later frames. Neither
+//     Shutdown nor closing a server that waits for its handlers waits on a
+//     stream longer than that.
+//
+// A peer that answers 404 on /deliver/stream is an older snoozed: the Gateway
+// posts each message to it as one POST /deliver, the route the Server keeps
+// for them and for Client (snoozectl). There a message is an Envelope; the
+// reply carries the JSON response payload, and one-way messages get 202 and
+// no body. appendEnvelope writes header and payload into a pooled buffer in
+// one pass, and the Server splits the envelope without a JSON pass of its
+// own. The bytes are those encoding/json produces for Envelope, and anything
+// that is not exactly that shape is decoded by encoding/json, so peers of
+// other versions or other JSON libraries interoperate.
 package rest
 
 import (
@@ -189,6 +211,10 @@ func readBody(dst []byte, r io.Reader) ([]byte, error) {
 type Server struct {
 	bus     *transport.Bus
 	timeout time.Duration
+
+	mu      sync.Mutex
+	streams map[*serverStream]struct{}
+	servers map[*http.Server]bool // hooked for shutdown; true once it began
 }
 
 // NewServer creates a server delivering into bus; timeout bounds
@@ -204,6 +230,7 @@ func NewServer(bus *transport.Bus, timeout time.Duration) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/deliver", s.handleDeliver)
+	mux.HandleFunc(streamPath, s.handleStream)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeFrame(w, http.StatusOK, replyFrame{Payload: json.RawMessage(`"ok"`)})
 	})
@@ -286,15 +313,16 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
 // Gateway (outbound proxy)
 // ---------------------------------------------------------------------------
 
-// idleConnsPerPeer is how many idle connections a Gateway or Client keeps per
-// remote process. A control process forwards a heartbeat to every LC of a
-// node process at once, and several managers heartbeat in the same instant;
-// net/http's default of 2 closes the rest of such a burst and dials them again
-// for the next one.
+// idleConnsPerPeer is how many idle connections per-message POSTs keep per
+// remote process (a Client's, and a Gateway's to a peer without streams). A
+// control process forwards a heartbeat to every LC of a node process at once,
+// and several managers heartbeat in the same instant; net/http's default of 2
+// closes the rest of such a burst and dials them again for the next one.
 const idleConnsPerPeer = 16
 
 // newHTTPClient returns a client with a connection pool of its own, counting
-// the connections it dials in dials if that is not nil.
+// the connections it dials in dials if that is not nil. A request, and a
+// response header, slower than timeout fail.
 func newHTTPClient(timeout time.Duration, dials *atomic.Uint64) *http.Client {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -302,6 +330,7 @@ func newHTTPClient(timeout time.Duration, dials *atomic.Uint64) *http.Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 0 // no limit across peers: the per-peer limit bounds the pool
 	tr.MaxIdleConnsPerHost = idleConnsPerPeer
+	tr.ResponseHeaderTimeout = timeout
 	if dials != nil {
 		dial := tr.DialContext
 		tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -325,41 +354,90 @@ func finish(resp *http.Response) {
 }
 
 // Gateway bridges the local bus to remote processes: every registered peer
-// address gets a proxy handler on the local bus that forwards over HTTP.
+// address gets a proxy handler on the local bus that forwards to the peer's
+// process over one stream, shared by every address at the same base URL.
 type Gateway struct {
 	bus    *transport.Bus
-	client *http.Client
+	post   *http.Client // per-frame POST /deliver, to peers without streams
+	stream *http.Client // no whole-request timeout: a stream lives on
 
 	forwards      atomic.Uint64
 	forwardErrors atomic.Uint64
 	dials         atomic.Uint64
+	dropped       atomic.Uint64
+	brokenCalls   atomic.Uint64
+	fallbacks     atomic.Uint64
 
-	mu    sync.Mutex
-	peers map[transport.Address]string // addr -> base URL
+	queueLimit int // frames a stream queues before it drops or refuses
+	closed     atomic.Bool
+
+	mu      sync.Mutex
+	peers   map[transport.Address]string // addr -> base URL
+	conns   map[string]*peerConn         // base URL -> its process
+	streams map[*clientStream]struct{}   // open or ending
 }
 
-// NewGateway creates a gateway on the local bus.
+// NewGateway creates a gateway on the local bus; timeout bounds a per-frame
+// POST and the wait for a stream's response header. Calls through a stream
+// are bounded by their Bus.Call timeout alone.
 func NewGateway(bus *transport.Bus, timeout time.Duration) *Gateway {
-	g := &Gateway{bus: bus, peers: make(map[transport.Address]string)}
-	g.client = newHTTPClient(timeout, &g.dials)
+	g := &Gateway{
+		bus:        bus,
+		queueLimit: streamQueue,
+		peers:      make(map[transport.Address]string),
+		conns:      make(map[string]*peerConn),
+		streams:    make(map[*clientStream]struct{}),
+	}
+	g.post = newHTTPClient(timeout, &g.dials)
+	g.stream = &http.Client{Transport: g.post.Transport}
 	return g
 }
 
-// Close closes the gateway's idle connections; call it once the process stops
-// forwarding. (Connections whose remote end has closed go away on their own.)
-func (g *Gateway) Close() { g.client.CloseIdleConnections() }
+// Close ends the gateway: its streams close at once, failing whatever they
+// hold, and later messages to its peers fail as unreachable. It returns once
+// the streams' goroutines have. snoozed calls it on shutdown.
+func (g *Gateway) Close() {
+	g.mu.Lock()
+	g.closed.Store(true)
+	open := make([]*clientStream, 0, len(g.streams))
+	for st := range g.streams {
+		open = append(open, st)
+	}
+	g.mu.Unlock()
+	for _, st := range open {
+		st.fail(errClosed)
+		st.wg.Wait()
+	}
+	g.post.CloseIdleConnections()
+}
+
+// forget drops an ended stream from the gateway's set.
+func (g *Gateway) forget(st *clientStream) {
+	g.mu.Lock()
+	delete(g.streams, st)
+	g.mu.Unlock()
+}
 
 // GatewayStats counts a gateway's outbound traffic since it was created.
 type GatewayStats struct {
-	// Forwards is the number of messages whose HTTP exchange has finished,
-	// whatever its outcome.
+	// Forwards is the number of messages whose outcome is known, whatever it
+	// is: answered or acknowledged by the peer, or failed here.
 	Forwards uint64
 	// ForwardErrors is how many of them did not reach a remote bus handler:
-	// the transport failed or the remote server answered outside 2xx (unknown
-	// destination, refused frame). One-way messages report this nowhere else.
+	// the transport failed, the stream broke or had no room, or the remote
+	// server refused the message (unknown destination, undecodable frame).
+	// One-way messages report this nowhere else.
 	ForwardErrors uint64
 	// Dials is the number of connections opened.
 	Dials uint64
+	// Dropped is how many one-way messages a full stream queue dropped.
+	Dropped uint64
+	// BrokenCalls is how many calls failed because their stream broke or
+	// ended before the reply came.
+	BrokenCalls uint64
+	// Fallbacks is how many peer processes answered 404 on the stream route
+	// and are reached by one POST /deliver per message instead.
+	Fallbacks uint64
 }
 
 // Stats returns the gateway's counters.
@@ -368,7 +446,26 @@ func (g *Gateway) Stats() GatewayStats {
 		Forwards:      g.forwards.Load(),
 		ForwardErrors: g.forwardErrors.Load(),
 		Dials:         g.dials.Load(),
+		Dropped:       g.dropped.Load(),
+		BrokenCalls:   g.brokenCalls.Load(),
+		Fallbacks:     g.fallbacks.Load(),
 	}
+}
+
+// failed counts n messages that reached no remote handler.
+func (g *Gateway) failed(n int) {
+	g.forwardErrors.Add(uint64(n))
+	g.forwards.Add(uint64(n))
+}
+
+// overflow refuses a message a full stream queue has no room for.
+func (g *Gateway) overflow(req *transport.Request) {
+	g.failed(1)
+	if req.OneWay() {
+		g.dropped.Add(1)
+		return
+	}
+	req.RespondErr(fmt.Errorf("%w: %s: send queue full", transport.ErrUnreachable, req.To))
 }
 
 // AddPeer registers a remote component: addr becomes routable on the local
@@ -377,9 +474,13 @@ func (g *Gateway) Stats() GatewayStats {
 func (g *Gateway) AddPeer(addr transport.Address, baseURL string, groups ...string) {
 	g.mu.Lock()
 	g.peers[addr] = baseURL
+	pc := g.conns[baseURL]
+	if pc == nil {
+		pc = &peerConn{g: g, url: baseURL}
+		g.conns[baseURL] = pc
+	}
 	g.mu.Unlock()
-	deliverURL := baseURL + "/deliver"
-	g.bus.Register(addr, func(req *transport.Request) { g.forward(deliverURL, req) })
+	g.bus.Register(addr, func(req *transport.Request) { g.forward(pc, req) })
 	for _, grp := range groups {
 		g.bus.JoinGroup(grp, addr)
 	}
@@ -400,7 +501,30 @@ func (g *Gateway) Peers() int {
 	return len(g.peers)
 }
 
-func (g *Gateway) forward(deliverURL string, req *transport.Request) {
+// forward queues req on its peer's stream, opening one if the peer has none;
+// the stream's reader answers it. It does not wait for the network.
+func (g *Gateway) forward(pc *peerConn, req *transport.Request) {
+	for {
+		st, err := pc.stream()
+		if err == errFallback {
+			g.postOne(pc.url, req)
+			return
+		}
+		if err != nil {
+			g.failed(1)
+			// The remote process is not answering: same meaning as an
+			// unregistered bus address, so keep the sentinel for callers.
+			req.RespondErr(fmt.Errorf("%w: %s: %v", transport.ErrUnreachable, req.To, err))
+			return
+		}
+		if st.enqueue(req) {
+			return
+		}
+	}
+}
+
+// postOne sends req as one POST /deliver, for a peer without streams.
+func (g *Gateway) postOne(baseURL string, req *transport.Request) {
 	buf := getBuffer()
 	frame, err := appendEnvelope(*buf, string(req.From), string(req.To), req.Kind, req.OneWay(), req.Payload)
 	*buf = frame
@@ -411,9 +535,8 @@ func (g *Gateway) forward(deliverURL string, req *transport.Request) {
 	}
 	// The HTTP exchange runs inline. The bus delivers on the wall runtime's
 	// elastic executor, which starts a worker for every callback that finds
-	// none idle, so a slow peer holds only this worker: other deliveries, and
-	// the local replies this exchange may itself be waiting on, still run.
-	reply, err := g.exchange(deliverURL, buf, req)
+	// none idle, so a slow peer holds only this worker.
+	reply, err := g.exchange(baseURL+"/deliver", buf, req)
 	g.forwards.Add(1)
 	if err != nil {
 		req.RespondErr(err)
@@ -427,7 +550,7 @@ func (g *Gateway) forward(deliverURL string, req *transport.Request) {
 // The error returned is what the caller of a request-response message is
 // told, which also covers errors the remote handler returned.
 func (g *Gateway) exchange(deliverURL string, buf *[]byte, req *transport.Request) (any, error) {
-	resp, err := g.client.Post(deliverURL, "application/json", bytes.NewReader(*buf))
+	resp, err := g.post.Post(deliverURL, "application/json", bytes.NewReader(*buf))
 	if err != nil {
 		g.forwardErrors.Add(1)
 		// The transport may not be done with the frame: the buffer is dropped.

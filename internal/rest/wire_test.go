@@ -326,11 +326,12 @@ func BenchmarkEnvelopeSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var env Envelope
-		if !splitEnvelope(body, &env) {
-			b.Fatal("refused")
-		}
+		splitOK = splitEnvelope(body, &env) // TestEnvelopeMatchesMarshal checks that it accepts the frame
 	}
 }
+
+// splitOK keeps BenchmarkEnvelopeSplit's call from being optimised away.
+var splitOK bool
 
 // BenchmarkGatewayForward is one one-way monitor report through a gateway
 // proxy to a loopback server and into the remote bus handler.
