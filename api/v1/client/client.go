@@ -172,18 +172,32 @@ func (c *Client) ListVMsPage(ctx context.Context, limit, offset int) (apiv1.VMLi
 
 // ListVMs implements apiv1.Backend, paging through the full collection.
 func (c *Client) ListVMs(ctx context.Context) ([]apiv1.VM, error) {
-	var all []apiv1.VM
-	offset := 0
-	for {
+	return readAll("/v1/vms", func(offset int) ([]apiv1.VM, int, error) {
 		page, err := c.ListVMsPage(ctx, 0, offset)
-		if err != nil {
+		return page.Items, page.NextOffset, err
+	})
+}
+
+// readAll pages through a collection from offset 0 until a page names no
+// next offset. A collection of one page is that page's items, not a copy;
+// an empty one is nil. A next offset that does not move past the page's own
+// is an error: following it would never end.
+func readAll[T any](path string, page func(offset int) (items []T, next int, err error)) ([]T, error) {
+	var all []T
+	for offset := 0; ; {
+		items, next, err := page(offset)
+		switch {
+		case err != nil:
 			return nil, err
+		case next == 0 && len(all) == 0 && len(items) > 0:
+			return items, nil
+		case next == 0:
+			return append(all, items...), nil
+		case next <= offset:
+			return nil, fmt.Errorf("apiv1: %s: page at offset %d names next offset %d", path, offset, next)
 		}
-		all = append(all, page.Items...)
-		if page.NextOffset == 0 {
-			return all, nil
-		}
-		offset = page.NextOffset
+		all = append(all, items...)
+		offset = next
 	}
 }
 
@@ -203,19 +217,10 @@ func (c *Client) ListNodesPage(ctx context.Context, limit, offset int) (apiv1.No
 
 // ListNodes implements apiv1.Backend.
 func (c *Client) ListNodes(ctx context.Context) ([]apiv1.Node, error) {
-	var all []apiv1.Node
-	offset := 0
-	for {
+	return readAll("/v1/nodes", func(offset int) ([]apiv1.Node, int, error) {
 		page, err := c.ListNodesPage(ctx, 0, offset)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, page.Items...)
-		if page.NextOffset == 0 {
-			return all, nil
-		}
-		offset = page.NextOffset
-	}
+		return page.Items, page.NextOffset, err
+	})
 }
 
 // GetNode implements apiv1.Backend.
@@ -286,19 +291,10 @@ func (c *Client) ListSeriesPage(ctx context.Context, limit, offset int) (apiv1.S
 
 // ListSeries implements apiv1.Backend, paging through the key listing.
 func (c *Client) ListSeries(ctx context.Context) ([]apiv1.SeriesKey, error) {
-	var all []apiv1.SeriesKey
-	offset := 0
-	for {
+	return readAll("/v1/series", func(offset int) ([]apiv1.SeriesKey, int, error) {
 		page, err := c.ListSeriesPage(ctx, 0, offset)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, page.Items...)
-		if page.NextOffset == 0 {
-			return all, nil
-		}
-		offset = page.NextOffset
-	}
+		return page.Items, page.NextOffset, err
+	})
 }
 
 // QuerySeries implements apiv1.Backend.

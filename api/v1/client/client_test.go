@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,5 +204,77 @@ func TestListsDecodeFromForeignShapes(t *testing.T) {
 	}
 	if page, err := cli.ListVMsPage(ctx, 1, 1); err == nil {
 		t.Errorf("a body with trailing garbage decoded to %+v", page)
+	}
+}
+
+// pagedServer answers every list route with body(offset) and counts the
+// requests.
+func pagedServer(t *testing.T, body func(offset int) string) (*httptest.Server, *atomic.Int64) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		offset, _ := strconv.Atoi(r.URL.Query().Get("offset"))
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(body(offset)))
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &requests
+}
+
+// listAll runs each of the client's paged reads.
+var listAll = map[string]func(*apiclient.Client, context.Context) (int, error){
+	"ListVMs": func(c *apiclient.Client, ctx context.Context) (int, error) {
+		l, err := c.ListVMs(ctx)
+		return len(l), err
+	},
+	"ListNodes": func(c *apiclient.Client, ctx context.Context) (int, error) {
+		l, err := c.ListNodes(ctx)
+		return len(l), err
+	},
+	"ListSeries": func(c *apiclient.Client, ctx context.Context) (int, error) {
+		l, err := c.ListSeries(ctx)
+		return len(l), err
+	},
+}
+
+// TestListsStopOnStuckCursor: a server whose next offset does not move past
+// the page it answers is reported, not followed forever, whether its pages
+// are empty or not.
+func TestListsStopOnStuckCursor(t *testing.T) {
+	for _, items := range []string{`[]`, `[{"id":"x"}]`} {
+		for name, list := range listAll {
+			srv, requests := pagedServer(t, func(offset int) string {
+				return `{"items":` + items + `,"total":9,"nextOffset":3}`
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			n, err := list(apiclient.New(srv.URL), ctx)
+			if err == nil || ctx.Err() != nil {
+				t.Errorf("%s over %s pages: %d items, err %v (context %v), want an error", name, items, n, err, ctx.Err())
+			}
+			cancel()
+			if got := requests.Load(); got != 2 {
+				t.Errorf("%s over %s pages: %d requests, want 2 (offsets 0 and 3)", name, items, got)
+			}
+		}
+	}
+}
+
+// TestListsFollowPages: the paged reads join pages in order and read an
+// empty collection as nil.
+func TestListsFollowPages(t *testing.T) {
+	for name, list := range listAll {
+		srv, _ := pagedServer(t, func(offset int) string {
+			if offset == 0 {
+				return `{"items":[{"id":"a"},{"id":"b"}],"total":3,"nextOffset":2}`
+			}
+			return `{"items":[{"id":"c"}],"total":3}`
+		})
+		if n, err := list(apiclient.New(srv.URL), context.Background()); n != 3 || err != nil {
+			t.Errorf("%s: %d items (err %v), want 3", name, n, err)
+		}
+	}
+	srv, _ := pagedServer(t, func(int) string { return `{"items":[],"total":0}` })
+	if vms, err := apiclient.New(srv.URL).ListVMs(context.Background()); vms != nil || err != nil {
+		t.Errorf("empty collection: %#v (err %v), want nil", vms, err)
 	}
 }

@@ -3,6 +3,7 @@ package apiv1
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 
 	"snooze/internal/wirejson"
 )
@@ -19,8 +20,11 @@ import (
 // order, whitespace, escapes, unknown fields, another JSON library), and the
 // body goes through encoding/json like those of the other routes. So servers
 // and clients of either kind interoperate, and decoded values never alias the
-// input. TestAppendListMatchesEncoder, FuzzScanVMList and FuzzScanNodeList
-// hold the two paths against each other.
+// input. They do share memory with each other: the IDs of a page are slices
+// of one string, so a page decodes in a constant number of allocations, and
+// a retained item keeps its page's IDs alive (about 12 bytes a row).
+// TestAppendListMatchesEncoder, FuzzScanVMList and FuzzScanNodeList hold the
+// two paths against each other.
 
 // AppendBody appends to dst the bytes json.NewEncoder(w).Encode(body) writes,
 // and returns its error with dst unchanged.
@@ -144,11 +148,44 @@ func (e *listEncoder) node(n *Node) {
 
 // listScanner decodes a list body. The strings that repeat from item to item
 // — a VM's state and hosting node, a node's power state — are shared between
-// the items instead of copied per item, so a page costs about one allocation
-// per item (its ID).
+// the items instead of copied per item, and the IDs are sliced from one
+// string built for the page, so a page costs a constant number of
+// allocations however many items it holds. The price of the shared text is
+// that a retained item keeps its page's IDs alive (about 12 bytes a row), as
+// a retained element of wirejson.ScanStrings keeps its array's text.
 type listScanner struct {
 	wirejson.Scanner
 	enums, hosts interner
+	ids          pageText
+}
+
+// pageText collects the IDs of a page where they lie in the input, and
+// copies them into one string once the page has been scanned.
+type pageText struct {
+	spans []int // start and end of each ID in the input
+	size  int
+}
+
+func (p *pageText) add(s *wirejson.Scanner) {
+	start, end := s.StrSpan()
+	p.spans = append(p.spans, start, end)
+	p.size += end - start
+}
+
+// setIDs gives items their IDs, in the order add met them, from one copy of
+// their text.
+func setIDs[T any](p *pageText, data []byte, items []T, id func(*T) *string) {
+	var b strings.Builder
+	b.Grow(p.size)
+	for i := 0; i < len(p.spans); i += 2 {
+		b.Write(data[p.spans[i]:p.spans[i+1]])
+	}
+	text, at := b.String(), 0
+	for i := range items {
+		n := p.spans[2*i+1] - p.spans[2*i]
+		*id(&items[i]) = text[at : at+n]
+		at += n
+	}
 }
 
 // interner returns one string per distinct token.
@@ -190,9 +227,10 @@ func (s *listScanner) resources(r *Resources) {
 // scanner reserves for a body that turns out not to be a list.
 const minItemBytes = 128
 
-// scanList reads what appendList writes, the items through item; the newline
-// is optional, as for encoding/json.
-func scanList[T any](data []byte, item func(*listScanner, *T)) (items []T, total, nextOffset int, ok bool) {
+// scanList reads what appendList writes, each item's ID into its id field
+// and the rest of it through item; the newline is optional, as for
+// encoding/json.
+func scanList[T any](data []byte, item func(*listScanner, *T), id func(*T) *string) (items []T, total, nextOffset int, ok bool) {
 	s := listScanner{Scanner: wirejson.Scanner{Data: data}}
 	s.Lit(`{"items":`)
 	switch {
@@ -204,9 +242,12 @@ func scanList[T any](data []byte, item func(*listScanner, *T)) (items []T, total
 		// Each item starts with the `{"id":` that, quotes being unescaped,
 		// cannot occur inside a string: the count is the number of items.
 		items = make([]T, 0, min(bytes.Count(data, []byte(`{"id":`)), len(data)/minItemBytes+1))
+		s.ids.spans = make([]int, 0, 2*cap(items))
 		for !s.Failed() {
 			var zero T
 			items = append(items, zero)
+			s.Lit(`{"id":`)
+			s.ids.add(&s.Scanner)
 			item(&s, &items[len(items)-1])
 			if !s.TryLit(`,`) {
 				break
@@ -221,22 +262,24 @@ func scanList[T any](data []byte, item func(*listScanner, *T)) (items []T, total
 	}
 	s.Lit(`}`)
 	s.TryLit("\n")
-	return items, total, nextOffset, s.Done()
+	if ok = s.Done(); ok && len(items) > 0 {
+		setIDs(&s.ids, data, items, id)
+	}
+	return items, total, nextOffset, ok
 }
 
 func scanVMList(data []byte) (l VMList, ok bool) {
-	l.Items, l.Total, l.NextOffset, ok = scanList(data, (*listScanner).vm)
+	l.Items, l.Total, l.NextOffset, ok = scanList(data, (*listScanner).vm, func(v *VM) *string { return &v.ID })
 	return l, ok
 }
 
 func scanNodeList(data []byte) (l NodeList, ok bool) {
-	l.Items, l.Total, l.NextOffset, ok = scanList(data, (*listScanner).node)
+	l.Items, l.Total, l.NextOffset, ok = scanList(data, (*listScanner).node, func(n *Node) *string { return &n.ID })
 	return l, ok
 }
 
+// vm reads a VM after its ID.
 func (s *listScanner) vm(v *VM) {
-	s.Lit(`{"id":`)
-	v.ID = string(s.Str())
 	s.Lit(`,"requested":`)
 	s.resources(&v.Requested)
 	s.Lit(`,"state":`)
@@ -252,9 +295,8 @@ func (s *listScanner) vm(v *VM) {
 	s.Lit(`}`)
 }
 
+// node reads a node after its ID.
 func (s *listScanner) node(n *Node) {
-	s.Lit(`{"id":`)
-	n.ID = string(s.Str())
 	s.Lit(`,"capacity":`)
 	s.resources(&n.Capacity)
 	s.Lit(`,"power":`)

@@ -274,9 +274,9 @@ func TestListDecodeDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// TestListDecodeAllocations pins the sharing of repeated strings: a page
-// costs one allocation per item (its ID), one for the items and one per
-// distinct state and node (encoding/json: three per VM).
+// TestListDecodeAllocations pins the sharing of strings: a page costs one
+// allocation for the items, two for the ID text and about two per distinct
+// state and node (encoding/json: three per VM).
 func TestListDecodeAllocations(t *testing.T) {
 	data, _ := encodeJSON(fixtureVMs(2048))
 	var l VMList
@@ -285,8 +285,8 @@ func TestListDecodeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2200 {
-		t.Fatalf("decoding a 2048-VM page: %v allocations, want <= 2200", allocs)
+	if allocs > 64 {
+		t.Fatalf("decoding a 2048-VM page: %v allocations, want <= 64", allocs)
 	}
 	var buf []byte
 	var body any = fixtureVMs(2048)
@@ -295,6 +295,28 @@ func TestListDecodeAllocations(t *testing.T) {
 	})
 	if allocs > 1 { // the encoder itself
 		t.Fatalf("encoding a 2048-VM page into a reused buffer: %v allocations, want <= 1", allocs)
+	}
+}
+
+// TestScanVMListAllocs: what a VM page costs to decode does not grow with
+// its rows, given the same states and hosts.
+func TestScanVMListAllocs(t *testing.T) {
+	decodeAllocs := func(rows int) float64 {
+		l := fixtureVMs(rows)
+		for i := range l.Items {
+			l.Items[i].Node = fmt.Sprintf("n%03d", i%8)
+		}
+		data, _ := encodeJSON(l)
+		return testing.AllocsPerRun(10, func() {
+			if _, ok := scanVMList(data); !ok {
+				t.Fatal("fixture not scanned")
+			}
+		})
+	}
+	small, large := decodeAllocs(16), decodeAllocs(2048)
+	t.Logf("allocations per page: %v for 16 rows, %v for 2048", small, large)
+	if large-small > 4 {
+		t.Fatalf("a 16-row page costs %v allocations, a 2048-row page %v: want them within 4", small, large)
 	}
 }
 

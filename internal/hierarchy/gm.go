@@ -1364,8 +1364,35 @@ func (m *Manager) gmOnInventory(req *transport.Request) {
 	slices.SortFunc(resp.Nodes, func(a, b protocol.InventoryNode) int {
 		return strings.Compare(string(a.Status.Spec.ID), string(b.Status.Spec.ID))
 	})
-	slices.SortFunc(resp.VMs, func(a, b types.VMStatus) int { return strings.Compare(string(a.Spec.ID), string(b.Spec.ID)) })
+	sortVMsByID(resp.VMs)
 	req.Respond(resp)
+}
+
+// sortVMsByID orders vms by ID. It sorts indexes, then permutes vms in place
+// cycle by cycle, so each status moves once rather than at every swap.
+func sortVMsByID(vms []types.VMStatus) {
+	order := make([]int32, len(vms))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(string(vms[a].Spec.ID), string(vms[b].Spec.ID)) })
+	// Position i takes vms[order[i]]; a done position is marked order[i] = i.
+	for i := range order {
+		if int(order[i]) == i {
+			continue
+		}
+		held, j := vms[i], i
+		for {
+			k := int(order[j])
+			order[j] = int32(j)
+			if k == i {
+				vms[j] = held
+				break
+			}
+			vms[j] = vms[k]
+			j = k
+		}
+	}
 }
 
 // LCBusy exposes the per-LC in-flight migration counts (instrumentation).

@@ -1,7 +1,10 @@
 package hierarchy
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -91,5 +94,23 @@ func TestInventoryRequests(t *testing.T) {
 
 	if ghost := ask(protocol.InventoryRequest{VM: "ghost"}); len(ghost.VMs) != 0 || len(ghost.Nodes) != 0 {
 		t.Errorf("unknown VM: %+v, want an empty reply", ghost)
+	}
+}
+
+// TestSortVMsByID: the index sort's in-place permutation gives what sorting
+// the statuses themselves gives, for every cycle structure a shuffle makes.
+func TestSortVMsByID(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n < 200; n++ {
+		vms := make([]types.VMStatus, n%40)
+		for i := range vms {
+			vms[i] = types.VMStatus{Spec: types.VMSpec{ID: types.VMID(fmt.Sprintf("vm-%03d", i))}, Node: types.NodeID(fmt.Sprint(i))}
+		}
+		want := slices.Clone(vms)
+		r.Shuffle(len(vms), func(i, j int) { vms[i], vms[j] = vms[j], vms[i] })
+		sortVMsByID(vms)
+		if !reflect.DeepEqual(vms, want) {
+			t.Fatalf("%d statuses: got %v", len(vms), vms)
+		}
 	}
 }

@@ -46,23 +46,32 @@ func (s *Scanner) TryLit(l string) bool {
 // copy. Escapes and bytes outside printable ASCII are a mismatch (encoding/json
 // would unescape, or replace invalid UTF-8).
 func (s *Scanner) Str() []byte {
+	start, end := s.StrSpan()
+	if s.bad {
+		return nil
+	}
+	return s.Data[start:end]
+}
+
+// StrSpan consumes a string as Str does and returns where its contents lie
+// in Data, for a caller that copies them later.
+func (s *Scanner) StrSpan() (start, end int) {
 	if s.bad || s.i >= len(s.Data) || s.Data[s.i] != '"' {
 		s.bad = true
-		return nil
+		return 0, 0
 	}
 	for j := s.i + 1; j < len(s.Data); j++ {
 		switch c := s.Data[j]; {
 		case c == '"':
-			tok := s.Data[s.i+1 : j]
-			s.i = j + 1
-			return tok
+			start, s.i = s.i+1, j+1
+			return start, j
 		case c < 0x20 || c >= 0x7f || c == '\\':
 			s.bad = true
-			return nil
+			return 0, 0
 		}
 	}
 	s.bad = true
-	return nil
+	return 0, 0
 }
 
 // digits consumes a run of decimal digits and returns its length.
@@ -74,18 +83,53 @@ func (s *Scanner) digits() int {
 	return s.i - start
 }
 
-// integer consumes the integer part of a JSON number: "0", or digits not
-// starting with 0.
-func (s *Scanner) integer() {
-	if s.i < len(s.Data) && s.Data[s.i] == '0' {
-		s.i++
-	} else if s.digits() == 0 {
-		s.bad = true
-	}
+// mantissa accumulates the significant digits of a decimal literal, those
+// from its first non-zero digit on: v holds the first 19 of them (which fit
+// a uint64), n counts them all.
+type mantissa struct {
+	v uint64
+	n int
 }
 
-// Float consumes a JSON number and converts it as encoding/json does, with
-// strconv.ParseFloat; a literal out of float64's range is a mismatch.
+// integer consumes the integer part of a JSON number into m: "0", or digits
+// not starting with 0. It returns the number of digits.
+func (s *Scanner) integer(m *mantissa) int {
+	if s.i < len(s.Data) && s.Data[s.i] == '0' {
+		s.i++
+		return 1
+	}
+	n := s.mantDigits(m)
+	if n == 0 {
+		s.bad = true
+	}
+	return n
+}
+
+// mantDigits consumes a run of decimal digits into m and returns its length.
+func (s *Scanner) mantDigits(m *mantissa) int {
+	start := s.i
+	for ; s.i < len(s.Data); s.i++ {
+		c := s.Data[s.i]
+		if c < '0' || c > '9' {
+			break
+		}
+		if m.n > 0 || c != '0' {
+			if m.n < 19 {
+				m.v = m.v*10 + uint64(c-'0')
+			}
+			m.n++
+		}
+	}
+	return s.i - start
+}
+
+// Float consumes a JSON number and converts it as encoding/json does, to the
+// float64 strconv.ParseFloat returns; a literal out of float64's range is a
+// mismatch. The digits are folded into a mantissa as they are checked, so a
+// literal without exponent is converted without a second scan: with up to 15
+// significant digits by one exact division, with 16 to 19 by Eisel–Lemire
+// (eiselLemire). Anything else — an exponent, 20 or more digits, more than 19
+// after the point, a case Eisel–Lemire declines — goes to ParseFloat.
 func (s *Scanner) Float() float64 {
 	if s.bad {
 		return 0
@@ -95,12 +139,12 @@ func (s *Scanner) Float() float64 {
 	if neg {
 		s.i++
 	}
-	mantStart := s.i
-	s.integer()
+	var m mantissa
+	s.integer(&m)
 	frac := 0
 	if s.i < len(s.Data) && s.Data[s.i] == '.' {
 		s.i++
-		if frac = s.digits(); frac == 0 {
+		if frac = s.mantDigits(&m); frac == 0 {
 			s.bad = true
 		}
 	}
@@ -117,24 +161,25 @@ func (s *Scanner) Float() float64 {
 	if s.bad {
 		return 0
 	}
-	// Up to 15 digits and no exponent: mantissa and power of ten are both
-	// exact float64s, so one division is the correctly rounded result — the
-	// case ParseFloat also short-cuts, minus its re-scan of the literal.
-	if mantEnd == s.i && mantEnd-mantStart <= 15 {
-		var mant uint64
-		for _, c := range s.Data[mantStart:mantEnd] {
-			if c != '.' {
-				mant = mant*10 + uint64(c-'0')
+	if mantEnd == s.i {
+		// Up to 15 digits: mantissa and power of ten are both exact float64s,
+		// so one division is the correctly rounded result, as in ParseFloat's
+		// own exact case.
+		if m.n <= 15 && frac < len(pow10) {
+			f := float64(m.v)
+			if frac > 0 {
+				f /= pow10[frac]
+			}
+			if neg {
+				f = -f
+			}
+			return f
+		}
+		if m.n <= 19 {
+			if f, ok := eiselLemire(m.v, frac, neg); ok {
+				return f
 			}
 		}
-		f := float64(mant)
-		if frac > 0 {
-			f /= pow10[frac]
-		}
-		if neg {
-			f = -f
-		}
-		return f
 	}
 	f, err := strconv.ParseFloat(string(s.Data[start:s.i]), 64)
 	if err != nil {
@@ -143,7 +188,11 @@ func (s *Scanner) Float() float64 {
 	return f
 }
 
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+// pow10 holds the powers of ten that are exact float64s.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
 
 // Int64 consumes an integer literal of at most 18 digits (more could
 // overflow; encoding/json then decides). A fraction or exponent after it
@@ -168,17 +217,12 @@ func (s *Scanner) Uint64() uint64 {
 	if s.bad {
 		return 0
 	}
-	start := s.i
-	s.integer()
-	if s.bad || s.i-start > 18 {
+	var m mantissa
+	if s.integer(&m) > 18 || s.bad {
 		s.bad = true
 		return 0
 	}
-	var v uint64
-	for _, c := range s.Data[start:s.i] {
-		v = v*10 + uint64(c-'0')
-	}
-	return v
+	return m.v
 }
 
 // Int consumes an integer that fits the platform's int.
