@@ -305,14 +305,9 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 		m.tel.Claim(telemetry.GMEntity(m.cfg.ID), string(m.cfg.ID))
 		m.mark("gm.rollups", 1)
 	}
-	m.tel.RecordNode(now, rep.Status)
-	for _, vm := range rep.VMs {
-		entity := telemetry.VMEntity(vm.Spec.ID)
-		m.tel.RecordVM(now, vm)
-		// Stamp the series with this GM: the stamp keeps other GMs'
-		// reclaimLeft away from entities we are feeding.
-		m.tel.Claim(entity, string(m.cfg.ID))
-	}
+	// The report stamps the VM series with this GM: the stamp keeps other
+	// GMs' reclaimLeft away from entities we are feeding.
+	m.tel.RecordReport(now, rep.Status, rep.VMs, string(m.cfg.ID))
 	m.reclaimLeft(now, left)
 	if becameIdle {
 		m.emit(telemetry.EventNodeIdle, telemetry.NodeEntity(id),

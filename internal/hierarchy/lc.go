@@ -71,16 +71,15 @@ type LC struct {
 	oobAddr transport.Address
 	resolve NodeResolver
 
-	mu            sync.Mutex
-	gmAddr        transport.Address
-	gmID          types.GroupManagerID
-	lastGMBeat    time.Duration
-	joining       bool
-	stopped       bool
-	lastAnomaly   time.Duration
-	monitorTicker *simkernel.Ticker
-	sweepTicker   *simkernel.Ticker
-	rejoins       uint64
+	mu          sync.Mutex
+	gmAddr      transport.Address
+	gmID        types.GroupManagerID
+	lastGMBeat  time.Duration
+	joining     bool
+	stopped     bool
+	lastAnomaly time.Duration
+	ticker      *simkernel.Ticker
+	rejoins     uint64
 	// corrupt, when set, mutates outgoing monitor reports in flight — the
 	// gray-failure injection hook (a sensor gone bad, a broken sender
 	// clock). Production code never sets it.
@@ -157,10 +156,8 @@ func (lc *LC) Start() {
 			lc.bus.SetDown(lc.addr, false)
 		}
 	})
-	lc.monitorTicker = simkernel.NewTicker(lc.rt, lc.cfg.MonitorPeriod, lc.monitorTick)
-	lc.monitorTicker.Start()
-	lc.sweepTicker = simkernel.NewTicker(lc.rt, lc.cfg.MonitorPeriod, lc.livenessTick)
-	lc.sweepTicker.Start()
+	lc.ticker = simkernel.NewTicker(lc.rt, lc.cfg.MonitorPeriod, lc.tick)
+	lc.ticker.Start()
 }
 
 // Stop halts periodic work and removes the LC from the bus.
@@ -168,11 +165,8 @@ func (lc *LC) Stop() {
 	lc.mu.Lock()
 	lc.stopped = true
 	lc.mu.Unlock()
-	if lc.monitorTicker != nil {
-		lc.monitorTicker.Stop()
-	}
-	if lc.sweepTicker != nil {
-		lc.sweepTicker.Stop()
+	if lc.ticker != nil {
+		lc.ticker.Stop()
 	}
 	lc.bus.LeaveGroup(protocol.GroupGL, lc.addr)
 	lc.bus.Unregister(lc.addr)
@@ -377,6 +371,13 @@ func (lc *LC) onSuspend(req *transport.Request) {
 // Periodic work
 // ---------------------------------------------------------------------------
 
+// tick is the LC's periodic work, every MonitorPeriod: a monitoring report,
+// then the GM liveness check.
+func (lc *LC) tick() {
+	lc.monitorTick()
+	lc.livenessTick()
+}
+
 // monitorTick sends monitoring data (doubling as the LC heartbeat) and runs
 // local anomaly detection.
 func (lc *LC) monitorTick() {
@@ -392,11 +393,12 @@ func (lc *LC) monitorTick() {
 	if stopped || gm == "" {
 		return
 	}
-	status := lc.node.Status()
-	vms := lc.node.VMs()
+	// The report's slices are fresh on every tick: on the in-process bus the
+	// GM keeps the very slices sent here.
+	status, vms := lc.node.Snapshot()
 	rep := protocol.MonitorReport{Status: status, VMs: vms, AtNs: int64(lc.rt.Now())}
 	if corrupt != nil {
-		corrupt(&rep)
+		rep = corrupted(corrupt, rep)
 	}
 	_ = lc.bus.Send(lc.addr, gm, protocol.KindMonitor, rep)
 
@@ -417,6 +419,14 @@ func (lc *LC) monitorTick() {
 		kind = protocol.AnomalyUnderload
 	}
 	_ = lc.bus.Send(lc.addr, gm, protocol.KindAnomaly, protocol.AnomalyReport{Kind: kind, Status: status, VMs: vms})
+}
+
+// corrupted returns rep as the gray-failure hook fn mutates it. fn gets a
+// copy, so the report of an uncorrupted tick stays off the heap until it is
+// sent.
+func corrupted(fn func(*protocol.MonitorReport), rep protocol.MonitorReport) protocol.MonitorReport {
+	fn(&rep)
+	return rep
 }
 
 // livenessTick implements GM failure detection: "LCs which were previously

@@ -164,42 +164,34 @@ func (n *Node) usageLocked() types.ResourceVector {
 	now := n.rt.Now()
 	var sum types.ResourceVector
 	for _, vm := range n.vms {
-		if vm.state != types.VMRunning && vm.state != types.VMMigrating {
-			continue
-		}
-		frac := types.RV(1, 1, 1, 1)
-		if n.cfg.Traces != nil {
-			frac = n.cfg.Traces.Lookup(vm.spec.TraceID).At(now)
-		}
-		sum = sum.Add(types.ResourceVector{
-			CPU:    vm.spec.Requested.CPU * frac.CPU,
-			Memory: vm.spec.Requested.Memory * frac.Memory,
-			NetRx:  vm.spec.Requested.NetRx * frac.NetRx,
-			NetTx:  vm.spec.Requested.NetTx * frac.NetTx,
-		})
+		sum = sum.Add(n.vmUsageLocked(vm, now))
 	}
 	return sum.Min(n.spec.Capacity)
+}
+
+// vmUsageLocked returns a VM's measured demand at now: its reservation scaled
+// by its trace, zero unless it runs (a migrating VM still runs at its source).
+func (n *Node) vmUsageLocked(vm *vmInstance, now time.Duration) types.ResourceVector {
+	if vm.state != types.VMRunning && vm.state != types.VMMigrating {
+		return types.ResourceVector{}
+	}
+	frac := types.RV(1, 1, 1, 1)
+	if n.cfg.Traces != nil {
+		frac = n.cfg.Traces.Lookup(vm.spec.TraceID).At(now)
+	}
+	return types.ResourceVector{
+		CPU:    vm.spec.Requested.CPU * frac.CPU,
+		Memory: vm.spec.Requested.Memory * frac.Memory,
+		NetRx:  vm.spec.Requested.NetRx * frac.NetRx,
+		NetTx:  vm.spec.Requested.NetTx * frac.NetTx,
+	}
 }
 
 // Status returns the monitored node view (what the LC reports to its GM).
 func (n *Node) Status() types.NodeStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := types.NodeStatus{
-		Spec:       n.spec,
-		Power:      n.pwr,
-		Used:       n.usageLocked(),
-		Reserved:   n.reservedLocked(),
-		Generation: n.generation,
-	}
-	if len(n.vms) == 0 {
-		st.Idle = true
-		st.IdleSince = int64(n.idleSince)
-	}
-	for id := range n.vms {
-		st.VMs = append(st.VMs, id)
-	}
-	return st
+	return n.statusLocked(nil)
 }
 
 // VMs returns the statuses of all present VMs.
@@ -209,27 +201,51 @@ func (n *Node) VMs() []types.VMStatus {
 	now := n.rt.Now()
 	out := make([]types.VMStatus, 0, len(n.vms))
 	for _, vm := range n.vms {
-		frac := types.RV(1, 1, 1, 1)
-		if n.cfg.Traces != nil {
-			frac = n.cfg.Traces.Lookup(vm.spec.TraceID).At(now)
-		}
-		used := types.ResourceVector{}
-		if vm.state == types.VMRunning || vm.state == types.VMMigrating {
-			used = types.ResourceVector{
-				CPU:    vm.spec.Requested.CPU * frac.CPU,
-				Memory: vm.spec.Requested.Memory * frac.Memory,
-				NetRx:  vm.spec.Requested.NetRx * frac.NetRx,
-				NetTx:  vm.spec.Requested.NetTx * frac.NetTx,
-			}
-		}
-		out = append(out, types.VMStatus{
-			Spec:  vm.spec,
-			State: vm.state,
-			Node:  n.spec.ID,
-			Used:  used,
-		})
+		out = append(out, n.vmStatusLocked(vm, n.vmUsageLocked(vm, now)))
 	}
 	return out
+}
+
+// Snapshot returns Status and VMs as of one instant: one lock hold and one
+// walk of the VM table, so both list the same VMs in the same order
+// (st.VMs[i] == vms[i].Spec.ID). The LC builds each monitor report from it.
+func (n *Node) Snapshot() (st types.NodeStatus, vms []types.VMStatus) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	vms = make([]types.VMStatus, 0, len(n.vms))
+	return n.statusLocked(&vms), vms
+}
+
+// statusLocked builds the node view in one walk of the VM table. When vms is
+// not nil, each VM's status is appended to it in the order of st.VMs.
+func (n *Node) statusLocked(vms *[]types.VMStatus) types.NodeStatus {
+	st := types.NodeStatus{
+		Spec:       n.spec,
+		Power:      n.pwr,
+		Generation: n.generation,
+	}
+	if len(n.vms) == 0 {
+		st.Idle = true
+		st.IdleSince = int64(n.idleSince)
+		return st
+	}
+	now := n.rt.Now()
+	st.VMs = make([]types.VMID, 0, len(n.vms))
+	for id, vm := range n.vms {
+		used := n.vmUsageLocked(vm, now)
+		st.VMs = append(st.VMs, id)
+		st.Used = st.Used.Add(used)
+		st.Reserved = st.Reserved.Add(vm.spec.Requested)
+		if vms != nil {
+			*vms = append(*vms, n.vmStatusLocked(vm, used))
+		}
+	}
+	st.Used = st.Used.Min(n.spec.Capacity)
+	return st
+}
+
+func (n *Node) vmStatusLocked(vm *vmInstance, used types.ResourceVector) types.VMStatus {
+	return types.VMStatus{Spec: vm.spec, State: vm.state, Node: n.spec.ID, Used: used}
 }
 
 // Power returns the current power state.

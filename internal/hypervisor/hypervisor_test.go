@@ -2,7 +2,10 @@ package hypervisor
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -374,5 +377,101 @@ func TestGenerationFencesStaleBootTimer(t *testing.T) {
 	k.Run(10 * time.Minute)
 	if n.HasVM("v1") {
 		t.Fatal("stale VM after reboot")
+	}
+}
+
+// TestSnapshotUnderChurn: while other goroutines start and stop VMs, every
+// Snapshot lists the same VMs in its status and its statuses, in the same
+// order, with the status's reservation summing exactly those VMs. Two calls,
+// Status then VMs, can see different VM sets. Run it under -race.
+func TestSnapshotUnderChurn(t *testing.T) {
+	k := simkernel.New(1) // never run: boot timers stay pending
+	n := testNode(k)
+	const workers, rounds = 2, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				id := fmt.Sprintf("w%d-%d", w, i%8)
+				if n.StartVM(vm(id, 0.25, 256)) != nil {
+					_ = n.StopVM(types.VMID(id))
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-done:
+			if snaps == 0 {
+				t.Fatal("no snapshot taken during the churn")
+			}
+			return
+		default:
+		}
+		st, vms := n.Snapshot()
+		if len(st.VMs) != len(vms) {
+			t.Fatalf("status lists %d VMs, statuses %d", len(st.VMs), len(vms))
+		}
+		var reserved types.ResourceVector
+		for i, v := range vms {
+			if st.VMs[i] != v.Spec.ID {
+				t.Fatalf("position %d: status lists %q, statuses %q", i, st.VMs[i], v.Spec.ID)
+			}
+			reserved = reserved.Add(v.Spec.Requested)
+		}
+		if reserved != st.Reserved {
+			t.Fatalf("reserved %+v, the listed VMs sum to %+v", st.Reserved, reserved)
+		}
+		if st.Idle != (len(vms) == 0) {
+			t.Fatalf("idle %v with %d VMs", st.Idle, len(vms))
+		}
+	}
+}
+
+// TestSnapshotMatchesStatusAndVMs: on a quiet node, Snapshot is Status and VMs
+// taken together, field for field.
+func TestSnapshotMatchesStatusAndVMs(t *testing.T) {
+	k := simkernel.New(1)
+	reg := workload.NewRegistry()
+	reg.Register("half", workload.FlatTrace{Fraction: 0.5})
+	reg.Register("quarter", workload.FlatTrace{Fraction: 0.25})
+	cfg := DefaultConfig()
+	cfg.Traces = reg // binary fractions: usage sums are exact in any order
+	n := NewNode(k, types.NodeSpec{ID: "n1", Capacity: types.RV(8, 16384, 1000, 1000)}, cfg)
+	st, vms := n.Snapshot()
+	if want := n.Status(); st.VMs != nil || !st.Idle || !reflect.DeepEqual(st, want) {
+		t.Fatalf("empty node: snapshot %+v, status %+v", st, want)
+	}
+	if len(vms) != 0 {
+		t.Fatalf("empty node: %d VM statuses", len(vms))
+	}
+	for i := 0; i < 6; i++ {
+		spec := vm(fmt.Sprintf("v%d", i), 1, 1024)
+		spec.TraceID = []string{"half", "quarter"}[i%2]
+		if err := n.StartVM(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Run(5 * time.Second) // booted
+	if err := n.StartVM(vm("booting", 1, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	st, vms = n.Snapshot()
+	want := n.Status()
+	byID := map[types.VMID]types.VMStatus{}
+	for _, v := range n.VMs() {
+		byID[v.Spec.ID] = v
+	}
+	if st.Used != want.Used || st.Reserved != want.Reserved || st.Idle || len(st.VMs) != 7 {
+		t.Fatalf("snapshot %+v, status %+v", st, want)
+	}
+	for i, v := range vms {
+		if st.VMs[i] != v.Spec.ID || byID[v.Spec.ID] != v {
+			t.Fatalf("VM %d: snapshot %+v, VMs() %+v", i, v, byID[v.Spec.ID])
+		}
 	}
 }

@@ -33,10 +33,11 @@ func (s *scanner) vector(v *types.ResourceVector) {
 
 // vmSpec decodes a VMSpec. known holds IDs this message already carries (a
 // monitor report lists the node's VM IDs before the VM statuses); an ID found
-// there is shared instead of copied again.
-func (s *scanner) vmSpec(v *types.VMSpec, known []types.VMID) {
+// there is shared instead of copied again. hint is where in known the ID is
+// expected: a report lists its VM statuses in the order of its IDs.
+func (s *scanner) vmSpec(v *types.VMSpec, known []types.VMID, hint int) {
 	s.Lit(`{"id":`)
-	v.ID = internVMID(s.Str(), known)
+	v.ID = internVMID(s.Str(), known, hint)
 	s.Lit(`,"requested":`)
 	s.vector(&v.Requested)
 	if s.TryLit(`,"traceId":`) {
@@ -49,7 +50,10 @@ func (s *scanner) vmSpec(v *types.VMSpec, known []types.VMID) {
 // costs a report of n VMs at most n×internScanMax short comparisons.
 const internScanMax = 64
 
-func internVMID(tok []byte, known []types.VMID) types.VMID {
+func internVMID(tok []byte, known []types.VMID, hint int) types.VMID {
+	if hint < len(known) && string(known[hint]) == string(tok) {
+		return known[hint]
+	}
 	if len(known) <= internScanMax {
 		for _, id := range known {
 			if string(id) == string(tok) {
@@ -96,7 +100,7 @@ func (s *scanner) vmStatuses(node *types.NodeStatus) []types.VMStatus {
 	for {
 		var v types.VMStatus
 		s.Lit(`{"spec":`)
-		s.vmSpec(&v.Spec, node.VMs)
+		s.vmSpec(&v.Spec, node.VMs, len(vms))
 		s.Lit(`,"state":`)
 		v.State = types.VMState(s.Int())
 		if s.TryLit(`,"node":`) {
@@ -134,7 +138,7 @@ func scanMonitorReport(data []byte) (v MonitorReport, ok bool) {
 func scanStartVMRequest(data []byte) (v StartVMRequest, ok bool) {
 	s := scan(data)
 	s.Lit(`{"spec":`)
-	s.vmSpec(&v.Spec, nil)
+	s.vmSpec(&v.Spec, nil, 0)
 	if s.TryLit(`,"traceId":`) {
 		v.TraceID = string(s.Str())
 	}

@@ -8,9 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"snooze/internal/types"
 )
@@ -428,6 +430,42 @@ func TestMonitorDecodeAllocations(t *testing.T) {
 }
 
 var report16Value any = report16()
+
+// TestInternVMIDFollowsOrder: a VM status's ID shares the node's copy of it
+// whether the statuses follow the node's ID order (the hint hits) or not (the
+// scan finds it), and an ID the node does not list is copied.
+func TestInternVMIDFollowsOrder(t *testing.T) {
+	known := []types.VMID{"vm-a", "vm-b", "vm-c"}
+	shares := func(got, want types.VMID) bool {
+		return got == want && unsafe.StringData(string(got)) == unsafe.StringData(string(want))
+	}
+	for hint := 0; hint <= len(known); hint++ {
+		for _, want := range known {
+			if got := internVMID([]byte(want), known, hint); !shares(got, want) {
+				t.Fatalf("hint %d: %q is not the known copy", hint, want)
+			}
+		}
+		if got := internVMID([]byte("vm-z"), known, hint); got != "vm-z" {
+			t.Fatalf("hint %d: unknown ID decoded as %q", hint, got)
+		}
+	}
+	inOrder := report16()
+	slices.SortFunc(inOrder.VMs, func(a, b types.VMStatus) int { return strings.Compare(string(a.Spec.ID), string(b.Spec.ID)) })
+	for _, rep := range []MonitorReport{report16(), inOrder} {
+		data, _ := json.Marshal(rep)
+		got, err := DecodeRequest(KindMonitor, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := got.(MonitorReport)
+		for _, vm := range dec.VMs {
+			i := slices.Index(dec.Status.VMs, vm.Spec.ID)
+			if i < 0 || !shares(vm.Spec.ID, dec.Status.VMs[i]) {
+				t.Fatalf("VM status %q does not share the node's ID", vm.Spec.ID)
+			}
+		}
+	}
+}
 
 // TestNoPayloadKindsRefuseNonJSON: kinds that carry nothing accept any JSON
 // value and refuse text that is not JSON, as a whole-envelope decode did.

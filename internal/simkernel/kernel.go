@@ -41,7 +41,9 @@ type Runtime interface {
 // Event queue
 // ---------------------------------------------------------------------------
 
+// event is one scheduled callback, and its own Canceler.
 type event struct {
+	k     *Kernel
 	at    time.Duration
 	seq   uint64 // FIFO tie-break for equal timestamps → determinism
 	fn    func()
@@ -123,18 +125,14 @@ func (k *Kernel) Processed() uint64 {
 	return k.processed
 }
 
-type kernelCanceler struct {
-	k *Kernel
-	e *event
-}
-
-func (c kernelCanceler) Cancel() bool {
-	c.k.mu.Lock()
-	defer c.k.mu.Unlock()
-	if c.e.index < 0 {
+// Cancel implements Canceler.
+func (e *event) Cancel() bool {
+	e.k.mu.Lock()
+	defer e.k.mu.Unlock()
+	if e.index < 0 {
 		return false
 	}
-	heap.Remove(&c.k.queue, c.e.index)
+	heap.Remove(&e.k.queue, e.index)
 	return true
 }
 
@@ -161,10 +159,10 @@ func (k *Kernel) At(t time.Duration, fn func()) Canceler {
 }
 
 func (k *Kernel) scheduleLocked(t time.Duration, fn func()) Canceler {
-	e := &event{at: t, seq: k.seq, fn: fn}
+	e := &event{k: k, at: t, seq: k.seq, fn: fn}
 	k.seq++
 	heap.Push(&k.queue, e)
-	return kernelCanceler{k: k, e: e}
+	return e
 }
 
 // Step executes the next pending event, advancing virtual time to it.
@@ -380,11 +378,14 @@ func (p *wallExecutor) clean() {
 
 // Ticker re-arms itself on runtime rt every period and invokes fn each tick.
 // Stop prevents further ticks (a tick already dispatched by a WallRuntime may
-// still run). The first tick fires one full period after Start.
+// still run). The first tick fires one full period after Start. A re-arm
+// costs only the runtime's own timer: the callback it schedules is bound
+// once, in NewTicker.
 type Ticker struct {
 	rt      Runtime
 	period  time.Duration
 	fn      func()
+	fire    func() // t.tick, bound once
 	mu      sync.Mutex
 	pending Canceler
 	stopped bool
@@ -392,7 +393,9 @@ type Ticker struct {
 
 // NewTicker creates a ticker; call Start to arm it.
 func NewTicker(rt Runtime, period time.Duration, fn func()) *Ticker {
-	return &Ticker{rt: rt, period: period, fn: fn}
+	t := &Ticker{rt: rt, period: period, fn: fn}
+	t.fire = t.tick
+	return t
 }
 
 // Start arms the ticker. Calling Start on a running or stopped ticker is a
@@ -403,20 +406,19 @@ func (t *Ticker) Start() {
 	if t.stopped || t.pending != nil {
 		return
 	}
-	t.armLocked()
+	t.pending = t.rt.After(t.period, t.fire)
 }
 
-func (t *Ticker) armLocked() {
-	t.pending = t.rt.After(t.period, func() {
-		t.mu.Lock()
-		if t.stopped {
-			t.mu.Unlock()
-			return
-		}
-		t.armLocked()
+// tick re-arms the ticker, then runs fn.
+func (t *Ticker) tick() {
+	t.mu.Lock()
+	if t.stopped {
 		t.mu.Unlock()
-		t.fn()
-	})
+		return
+	}
+	t.pending = t.rt.After(t.period, t.fire)
+	t.mu.Unlock()
+	t.fn()
 }
 
 // Stop disarms the ticker.

@@ -231,6 +231,34 @@ func TestTickerStopFromCallback(t *testing.T) {
 	}
 }
 
+// oneTimer is a Runtime holding one timer that never fires by itself and
+// costs nothing to arm.
+type oneTimer struct{ fn func() }
+
+func (r *oneTimer) Now() time.Duration                        { return 0 }
+func (r *oneTimer) After(_ time.Duration, fn func()) Canceler { r.fn = fn; return r }
+func (r *oneTimer) Cancel() bool                              { return true }
+
+// TestTickerRearmAllocs: a tick's re-arm allocates nothing of the ticker's
+// own (its callback is bound once), so on the kernel a tick costs the one
+// event the kernel schedules.
+func TestTickerRearmAllocs(t *testing.T) {
+	r := &oneTimer{}
+	n := 0
+	NewTicker(r, time.Second, func() { n++ }).Start()
+	if allocs := testing.AllocsPerRun(100, func() { r.fn() }); allocs != 0 {
+		t.Fatalf("a re-arm allocates %v times beyond the runtime's timer, want 0", allocs)
+	}
+	k := New(1)
+	NewTicker(k, time.Second, func() { n++ }).Start()
+	if allocs := testing.AllocsPerRun(100, func() { k.Step() }); allocs > 1 {
+		t.Fatalf("a tick on the kernel allocates %v times, want <= 1 (its event)", allocs)
+	}
+	if n < 200 {
+		t.Fatalf("%d ticks ran, want >= 200", n)
+	}
+}
+
 func TestWallRuntime(t *testing.T) {
 	w := NewWallRuntime()
 	start := w.Now()

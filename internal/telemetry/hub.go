@@ -188,14 +188,19 @@ func (h *Hub) EmitBatch(evs []Event) {
 	}
 }
 
+// The standard metrics of each entity kind, in the order the Record methods
+// append them.
+var (
+	nodeMetrics  = []string{"cpu.used", "mem.used", "util", "vms"}
+	groupMetrics = []string{"cpu.used", "cpu.reserved", "util", "vms", "active-lcs"}
+	vmMetrics    = []string{"cpu.used", "mem.used", "net.rx", "net.tx"}
+)
+
 // RecordNode appends the standard per-node series from one monitored status:
 // cpu.used, mem.used, util (L∞ utilization) and vms.
 func (h *Hub) RecordNode(at time.Duration, st types.NodeStatus) {
-	entity := NodeEntity(st.Spec.ID)
-	h.Record(entity, "cpu.used", at, st.Used.CPU)
-	h.Record(entity, "mem.used", at, st.Used.Memory)
-	h.Record(entity, "util", at, st.Used.Divide(st.Spec.Capacity).NormInf())
-	h.Record(entity, "vms", at, float64(len(st.VMs)))
+	v := [...]float64{st.Used.CPU, st.Used.Memory, st.Used.Divide(st.Spec.Capacity).NormInf(), float64(len(st.VMs))}
+	h.store.appendEntity(NodeEntity(st.Spec.ID), nodeMetrics, at, v[:])
 }
 
 // RecordGroup appends the standard per-GM series from one group summary:
@@ -203,12 +208,8 @@ func (h *Hub) RecordNode(at time.Duration, st types.NodeStatus) {
 // active-lcs. The util series feeds the group-level capacity views the GL's
 // dispatch policies consume.
 func (h *Hub) RecordGroup(at time.Duration, s types.GroupSummary) {
-	entity := GMEntity(s.GM)
-	h.Record(entity, "cpu.used", at, s.Used.CPU)
-	h.Record(entity, "cpu.reserved", at, s.Reserved.CPU)
-	h.Record(entity, "util", at, s.Used.Divide(s.Total).NormInf())
-	h.Record(entity, "vms", at, float64(s.VMs))
-	h.Record(entity, "active-lcs", at, float64(s.ActiveLCs))
+	v := [...]float64{s.Used.CPU, s.Reserved.CPU, s.Used.Divide(s.Total).NormInf(), float64(s.VMs), float64(s.ActiveLCs)}
+	h.store.appendEntity(GMEntity(s.GM), groupMetrics, at, v[:])
 }
 
 // RecordVM appends the full per-VM demand series from one monitored VM:
@@ -216,11 +217,33 @@ func (h *Hub) RecordGroup(at time.Duration, s types.GroupSummary) {
 // Builder's Demand reconstruction zips back into ResourceVectors for the
 // GM's estimators.
 func (h *Hub) RecordVM(at time.Duration, vm types.VMStatus) {
-	entity := VMEntity(vm.Spec.ID)
-	h.Record(entity, "cpu.used", at, vm.Used.CPU)
-	h.Record(entity, "mem.used", at, vm.Used.Memory)
-	h.Record(entity, "net.rx", at, vm.Used.NetRx)
-	h.Record(entity, "net.tx", at, vm.Used.NetTx)
+	h.recordVM(VMEntity(vm.Spec.ID), at, &vm)
+}
+
+func (h *Hub) recordVM(entity string, at time.Duration, vm *types.VMStatus) {
+	v := [...]float64{vm.Used.CPU, vm.Used.Memory, vm.Used.NetRx, vm.Used.NetTx}
+	h.store.appendEntity(entity, vmMetrics, at, v[:])
+}
+
+// reportVMs is how many VM entities RecordReport keeps on its stack for the
+// claim pass; a larger report spills them to the heap.
+const reportVMs = 64
+
+// RecordReport ingests one monitor report of a node and its VMs, fed by the
+// GM owner: it leaves what RecordNode, then RecordVM and Claim for each VM
+// in order, would leave. Each VM entity is resolved once, each entity's
+// samples take one shard lock and one update of the sample counter, and the
+// stamps take one owner read-lock pass, the write lock only if one changes.
+func (h *Hub) RecordReport(at time.Duration, st types.NodeStatus, vms []types.VMStatus, owner string) {
+	h.RecordNode(at, st)
+	var buf [reportVMs]string
+	entities := buf[:0]
+	for i := range vms {
+		entity := VMEntity(vms[i].Spec.ID)
+		h.recordVM(entity, at, &vms[i])
+		entities = append(entities, entity)
+	}
+	h.claim(entities, owner)
 }
 
 // DetectNode feeds one node status into the anomaly detector and publishes
@@ -241,15 +264,27 @@ func (h *Hub) DetectNode(at time.Duration, st types.NodeStatus) (Event, bool) {
 // the monitoring flow: when an LC rejoins another GM, the new GM's next
 // report re-claims its entities. The fast path (unchanged owner) is a
 // read-lock and a map hit.
-func (h *Hub) Claim(entity, owner string) {
+func (h *Hub) Claim(entity, owner string) { h.claim([]string{entity}, owner) }
+
+// claim stamps every one of entities with owner. The read-lock pass finds
+// the first stamp that differs; only then is the write lock taken.
+func (h *Hub) claim(entities []string, owner string) {
 	h.ownerMu.RLock()
-	cur, ok := h.owners[entity]
+	stale := len(entities)
+	for i, entity := range entities {
+		if cur, ok := h.owners[entity]; !ok || cur != owner {
+			stale = i
+			break
+		}
+	}
 	h.ownerMu.RUnlock()
-	if ok && cur == owner {
+	if stale == len(entities) {
 		return
 	}
 	h.ownerMu.Lock()
-	h.owners[entity] = owner
+	for _, entity := range entities[stale:] {
+		h.owners[entity] = owner
+	}
 	h.ownerMu.Unlock()
 }
 

@@ -201,8 +201,8 @@ func (s *Store) Reduce(entity, metric string, from, to time.Duration, spec *Summ
 		// Append — already hold the answer. No iteration, no sort. A series
 		// carrying an adopted replica (a GM rollup) answers quantiles from
 		// the replicated member distribution.
-		if !exact && ser.life != nil && from <= sum.OldestAt && to >= sum.NewestAt {
-			qs := ser.life
+		if !exact && from <= sum.OldestAt && to >= sum.NewestAt {
+			qs := &ser.life
 			if ser.adopted != nil && ser.adopted.Count() > 0 {
 				qs = ser.adopted
 			}
@@ -238,8 +238,8 @@ func (s *Store) Reduce(entity, metric string, from, to time.Duration, spec *Summ
 		spec.scratch = spec.scratch[:0]
 		spec.weights = spec.weights[:0]
 		if !exact {
-			if spec.sk == nil || spec.sk.Alpha() != s.alpha {
-				spec.sk = sketch.New(s.alpha)
+			if spec.sk == nil || spec.sk.Alpha() != s.SketchAlpha() {
+				spec.sk = sketch.New(s.SketchAlpha())
 			} else {
 				spec.sk.Reset()
 			}

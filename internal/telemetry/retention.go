@@ -449,13 +449,13 @@ func (s *Store) EntityNewest(prefix string) map[string]time.Duration {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for entity, list := range sh.entities {
+		for entity, rec := range sh.entities {
 			if !strings.HasPrefix(entity, prefix) {
 				continue
 			}
 			found, newest := false, time.Duration(0)
-			for _, ms := range list {
-				if ser := ms.s; ser.n > 0 {
+			for i := range rec {
+				if ser := &rec[i].s; ser.n > 0 {
 					if at := ser.at(ser.n - 1).At; !found || at > newest {
 						found, newest = true, at
 					}

@@ -112,7 +112,10 @@ const initialRing = 8
 // (retention.go) that absorb evicted samples and shadowed by a mergeable
 // quantile sketch (sketch package) that keeps the full value distribution at
 // relative-error resolution no matter how much raw history the rings have
-// decimated.
+// decimated. A series lives by value inside its entity's record (see
+// metricSeries), and its lifetime sketch by value inside it, so creating one
+// allocates nothing of its own: the ring, the sketch's bucket window and the
+// tier rings come later, with the samples that fill them.
 type series struct {
 	buf     []Sample // raw ring; nil until the first append
 	head    int      // index of the oldest sample
@@ -123,7 +126,7 @@ type series struct {
 
 	// life sketches every sample ever appended, in O(1) under the shard lock
 	// Append already holds.
-	life *sketch.Sketch
+	life sketch.Sketch
 	// adopted is a replicated distribution installed by AdoptSketch (GM→GL
 	// rollups): when present, covers-everything quantile queries prefer it
 	// over life, whose inputs on a rollup series are mere point averages.
@@ -132,10 +135,13 @@ type series struct {
 	lifeM moments
 }
 
-// newSeries creates an empty series. The lifetime sketch allocates its bucket
-// window on the first insert, the raw ring on the first append and the tier
-// rings on the first eviction, so a series costs what it holds.
-func (s *Store) newSeries() *series { return &series{life: sketch.New(s.alpha)} }
+// add records one sample in the ring, the lifetime sketch and the moments; t
+// is sm.At in seconds.
+func (s *series) add(sm Sample, t float64, capacity int, ladder []TierConfig) {
+	s.append(sm, capacity, ladder)
+	s.life.Insert(sm.Value)
+	s.lifeM.add(t, sm.Value)
+}
 
 // append records one sample. A full ring shorter than capacity grows first;
 // a full ring at capacity evicts its oldest sample into the tier ladder.
@@ -210,50 +216,81 @@ func (s *series) window(from, to time.Duration, dst []Sample) []Sample {
 	return dst
 }
 
-// metricSeries is one series of an entity: its metric name and its data.
+// metricSeries is one series of an entity: its metric name and its data,
+// inline. An entity's series sit side by side in one slice, its record, so a
+// new VM's four series are one allocation and a report's appends to one
+// entity stay on adjacent cache lines. A *series taken from a record is valid
+// only while the shard lock is held: the record reallocates when its entity
+// gains a series past the record's capacity (a GM rollup's fifth metric, or
+// any second metric of an entity that began with one).
 type metricSeries struct {
 	metric string
-	s      *series
+	s      series
 }
 
 // shard holds the series of the entities whose names hash to it, indexed by
-// entity: an entity's few metrics sit in one small slice, so a lookup is one
-// map probe plus a short scan, and dropping an entity deletes one map entry.
+// entity: one map probe finds an entity's record, a short scan its metric,
+// and dropping an entity deletes one map entry.
 type shard struct {
 	mu       sync.RWMutex
 	entities map[string][]metricSeries
 	n        int // series count across entities
 }
 
-// entityMetrics is the initial capacity of an entity's series slice: node and
-// VM entities record four metrics, GM rollups five.
-const entityMetrics = 4
+// find returns the index of metric in rec, -1 if absent. It tries hint
+// first: the metrics of a report arrive in the order that built the record.
+func find(rec []metricSeries, metric string, hint int) int {
+	if hint < len(rec) && rec[hint].metric == metric {
+		return hint
+	}
+	for i := range rec {
+		if rec[i].metric == metric {
+			return i
+		}
+	}
+	return -1
+}
 
 // lookup returns the series of (entity, metric), nil if absent; sh.mu must be
 // held.
 func (sh *shard) lookup(entity, metric string) *series {
-	for _, ms := range sh.entities[entity] {
-		if ms.metric == metric {
-			return ms.s
-		}
+	rec := sh.entities[entity]
+	if i := find(rec, metric, 0); i >= 0 {
+		return &rec[i].s
 	}
 	return nil
 }
 
-// lookupOrCreate returns the series of (entity, metric), creating it when
-// absent; sh.mu must be held for writing.
-func (sh *shard) lookupOrCreate(s *Store, entity, metric string) *series {
-	if ser := sh.lookup(entity, metric); ser != nil {
-		return ser
+// entityMetrics is the capacity a full record grows to at least: node and VM
+// entities record four metrics.
+const entityMetrics = 4
+
+// record returns the record of entity with a series for each of metrics,
+// creating the missing ones; sh.mu must be held for writing. A new entity's
+// record is sized for exactly metrics, so a one-metric entity pays for one
+// series and a reported VM's four come in one allocation. A full record grows
+// to entityMetrics series, then doubles.
+func (sh *shard) record(s *Store, entity string, metrics []string) []metricSeries {
+	rec := sh.entities[entity]
+	grown := false
+	for i, metric := range metrics {
+		if find(rec, metric, i) >= 0 {
+			continue
+		}
+		switch {
+		case rec == nil:
+			rec = make([]metricSeries, 0, len(metrics))
+		case len(rec) == cap(rec):
+			rec = append(make([]metricSeries, 0, max(2*len(rec), entityMetrics)), rec...)
+		}
+		rec = append(rec, metricSeries{metric: metric, s: series{life: s.sketch}})
+		sh.n++
+		grown = true
 	}
-	list := sh.entities[entity]
-	if list == nil {
-		list = make([]metricSeries, 0, entityMetrics)
+	if grown {
+		sh.entities[entity] = rec
 	}
-	ser := s.newSeries()
-	sh.entities[entity] = append(list, metricSeries{metric: metric, s: ser})
-	sh.n++
-	return ser
+	return rec
 }
 
 // Store is the lock-sharded time-series store. Every series of one entity
@@ -266,7 +303,7 @@ type Store struct {
 	mask       uint64
 	capacity   int           // maximum raw ring length (SeriesCapacity)
 	tiers      []TierConfig  // sanitized retention ladder of every series
-	alpha      float64       // relative-error bound of the per-series sketches
+	sketch     sketch.Sketch // empty lifetime sketch every new series copies
 	samples    atomic.Uint64 // total samples ever appended
 	reductions atomic.Uint64 // total Reduce calls ever served
 }
@@ -285,8 +322,7 @@ func NewStore(cfg StoreConfig) *Store {
 	for size < n {
 		size <<= 1
 	}
-	alpha := sketch.New(cfg.SketchAlpha).Alpha() // normalized exactly as sketches will see it
-	s := &Store{shards: make([]shard, size), mask: uint64(size - 1), capacity: cfg.SeriesCapacity, tiers: sanitizeTiers(cfg.Tiers), alpha: alpha}
+	s := &Store{shards: make([]shard, size), mask: uint64(size - 1), capacity: cfg.SeriesCapacity, tiers: sanitizeTiers(cfg.Tiers), sketch: *sketch.New(cfg.SketchAlpha)}
 	for i := range s.shards {
 		s.shards[i].entities = make(map[string][]metricSeries)
 	}
@@ -295,7 +331,7 @@ func NewStore(cfg StoreConfig) *Store {
 
 // SketchAlpha returns the store's configured relative-error bound — the
 // error bar API consumers attach to sketch-derived quantiles.
-func (s *Store) SketchAlpha() float64 { return s.alpha }
+func (s *Store) SketchAlpha() float64 { return s.sketch.Alpha() }
 
 // hashEntity is FNV-1a over the entity name.
 func hashEntity(entity string) uint64 {
@@ -318,18 +354,33 @@ func (s *Store) shardFor(entity string) *shard {
 // Append records one sample. The hot path takes exactly one shard lock and
 // allocates nothing once the series ring has grown to SeriesCapacity; below
 // it, a ring doubles about log2(SeriesCapacity/initialRing) times in its
-// lifetime. Every append advances the series' generation (see Generation).
+// lifetime. A new series joins its entity's record, which grows when it is
+// full; the Hub's Record methods append all of an entity's metrics at once,
+// which sizes a new record once. Every append advances the series'
+// generation (see Generation).
 func (s *Store) Append(entity, metric string, at time.Duration, v float64) {
+	s.appendEntity(entity, []string{metric}, at, []float64{v})
+}
+
+// appendEntity appends one sample at at to each of entity's metrics, vals[i]
+// to metrics[i], under one shard lock, one entity lookup and one update of the
+// sample counter. It leaves the samples, sketches and generations that
+// len(metrics) Appends in the same order would leave.
+func (s *Store) appendEntity(entity string, metrics []string, at time.Duration, vals []float64) {
+	t := at.Seconds()
 	sh := s.shardFor(entity)
 	sh.mu.Lock()
-	ser := sh.lookupOrCreate(s, entity, metric)
-	ser.append(Sample{At: at, Value: v}, s.capacity, s.tiers)
-	ser.life.Insert(v)
-	ser.lifeM.add(at.Seconds(), v)
+	rec := sh.record(s, entity, metrics)
 	// Generations draw from the store-wide sample counter, so they are unique
 	// across series: a series dropped by RemoveEntity and later recreated can
 	// never replay an old generation value to a caching consumer.
-	ser.gen = s.samples.Add(1)
+	gen := s.samples.Add(uint64(len(metrics))) - uint64(len(metrics))
+	for i, metric := range metrics {
+		ser := &rec[find(rec, metric, i)].s
+		ser.add(Sample{At: at, Value: vals[i]}, t, s.capacity, s.tiers)
+		gen++
+		ser.gen = gen
+	}
 	sh.mu.Unlock()
 }
 
@@ -444,9 +495,9 @@ func (s *Store) Keys() []Key {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for entity, list := range sh.entities {
-			for _, ms := range list {
-				out = append(out, Key{Entity: entity, Metric: ms.metric})
+		for entity, rec := range sh.entities {
+			for i := range rec {
+				out = append(out, Key{Entity: entity, Metric: rec[i].metric})
 			}
 		}
 		sh.mu.RUnlock()
@@ -501,11 +552,11 @@ func (s *Store) SeriesSketch(entity, metric string) (sketch.Encoded, bool) {
 	if ser == nil {
 		return sketch.Encoded{}, false
 	}
-	src := ser.life
+	src := &ser.life
 	if ser.adopted != nil && ser.adopted.Count() > 0 {
 		src = ser.adopted
 	}
-	if src == nil || src.Count() == 0 {
+	if src.Count() == 0 {
 		return sketch.Encoded{}, false
 	}
 	return src.Encode(), true
@@ -529,7 +580,8 @@ func (s *Store) AdoptSketch(entity, metric string, enc sketch.Encoded) bool {
 	sh := s.shardFor(entity)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ser := sh.lookupOrCreate(s, entity, metric)
+	rec := sh.record(s, entity, []string{metric})
+	ser := &rec[find(rec, metric, 0)].s
 	if ser.adopted != nil && ser.adopted.Count() >= dec.Count() {
 		return false
 	}
