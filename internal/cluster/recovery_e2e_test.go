@@ -465,3 +465,89 @@ func TestSharedJournalPublishAllocatesNothing(t *testing.T) {
 		t.Fatalf("Journal.Publish allocates %v times per event", n)
 	}
 }
+
+// TestUnfedSeriesReapedAfterGMRestart covers a GM that crashes and restarts
+// before the GL's GMTimeout, so the GL never declares it failed and never
+// releases its owner stamps. A VM stopped on its hypervisor while the GM is
+// down is listed by no report again. The restarted manager's new GM stint
+// starts with an empty ledger: it releases the stamps its ID still holds and
+// reaps the series no report feeds again, while the VMs that run on keep
+// theirs.
+func TestUnfedSeriesReapedAfterGMRestart(t *testing.T) {
+	cfg := DefaultConfig(workload.Grid5000Topology(12, 3), 77)
+	c, vms, resp, gms := settledWorkload(t, cfg)
+	victim := gms[0]
+	var gone types.VMID
+	for _, spec := range vms {
+		if node := resp.Placed[spec.ID]; c.LCs[node].GM() == victim.Addr() {
+			gone = spec.ID
+			break
+		}
+	}
+	if gone == "" {
+		t.Fatal("victim GM hosts no VM")
+	}
+	crashAt := c.Kernel.Now()
+	victim.Crash()
+	if err := c.Nodes[resp.Placed[gone]].StopVM(gone); err != nil {
+		t.Fatalf("silent stop: %v", err)
+	}
+	// The crashed incarnation's election session must expire first.
+	for i := 0; victim.Restart() != nil; i++ {
+		if i == 60 {
+			t.Fatal("restart still refused after 30 s")
+		}
+		c.Settle(500 * time.Millisecond)
+	}
+	if down := c.Kernel.Now() - crashAt; down >= cfg.Manager.GMTimeout || victim.Role() != hierarchy.RoleGM {
+		t.Fatalf("fixture: %s is %v after %v down, want a GM back within GMTimeout", victim.ID(), victim.Role(), down)
+	}
+	c.Settle(cfg.Manager.GMTimeout + 4*cfg.Manager.LCTimeout + 60*time.Second)
+
+	store := c.Telemetry.Store()
+	for _, spec := range vms {
+		n := store.Len(telemetry.VMEntity(spec.ID), "cpu.used")
+		if spec.ID == gone && n != 0 {
+			t.Fatalf("stopped VM %s kept its series: %d samples", spec.ID, n)
+		} else if spec.ID != gone && reapedSince(store, telemetry.VMEntity(spec.ID), crashAt) {
+			t.Fatalf("running VM %s lost its series", spec.ID)
+		}
+	}
+	if n := c.Metrics.Count("gm.vms-vanished"); n < 1 {
+		t.Fatalf("gm.vms-vanished = %d, want >= 1", n)
+	}
+}
+
+// TestStaleGLHeartbeatIgnored replays a heartbeat of a crashed GL to an entry
+// point after a new GL leads. Each GL stint heartbeats the epoch of its
+// election znode, which grows across successive leaders, so the EP keeps
+// naming the new GL.
+func TestStaleGLHeartbeatIgnored(t *testing.T) {
+	c := New(DefaultConfig(workload.Grid5000Topology(8, 2), 6))
+	var beats []protocol.GLHeartbeat
+	c.Bus.Register("test:listener", func(req *transport.Request) {
+		if hb, ok := req.Payload.(protocol.GLHeartbeat); ok {
+			beats = append(beats, hb)
+		}
+	})
+	c.Bus.JoinGroup(protocol.GroupGL, "test:listener")
+	c.Settle(30 * time.Second)
+	old := c.CrashLeader()
+	if old == nil || len(beats) == 0 || beats[len(beats)-1].Addr != string(old.Addr()) {
+		t.Fatalf("fixture: leader %v, %d heartbeats recorded", old, len(beats))
+	}
+	stale := beats[len(beats)-1]
+	c.Settle(45 * time.Second)
+	nl := c.Leader()
+	ep := c.EPs[0]
+	if nl == nil || nl == old || ep.GL() != nl.Addr() {
+		t.Fatalf("fixture: new leader %v, EP names %q", nl, ep.GL())
+	}
+	if err := c.Bus.Send("test:listener", ep.Addr(), protocol.KindGLHeartbeat, stale); err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(time.Second)
+	if got := ep.GL(); got != nl.Addr() {
+		t.Fatalf("EP names %q after the stale heartbeat (epoch %d), want %s", got, stale.Epoch, nl.Addr())
+	}
+}

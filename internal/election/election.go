@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -52,6 +53,9 @@ func (s State) String() string {
 		return fmt.Sprintf("State(%d)", int(s))
 	}
 }
+
+// znodePrefix names the candidates' sequential election znodes.
+const znodePrefix = "n-"
 
 // Listener is notified on every state change. leaderID is the identity
 // payload of the current leader ("" while unknown).
@@ -110,6 +114,21 @@ func (c *Candidate) State() (State, string) {
 // ID returns the candidate's identity payload.
 func (c *Candidate) ID() string { return c.id }
 
+// Epoch returns the sequence number of the candidate's election znode plus 1,
+// or 0 while it has none. While the candidate leads, this is the leadership
+// epoch: every later leader's znode sorts after this one, so epochs grow
+// across successive leaders.
+func (c *Candidate) Epoch() uint64 {
+	c.mu.Lock()
+	own := path.Base(c.ownPath)
+	c.mu.Unlock()
+	seq, err := strconv.ParseUint(strings.TrimPrefix(own, znodePrefix), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return seq + 1
+}
+
 // Join enters the election: opens a session, creates the ephemeral sequence
 // node and evaluates leadership. Safe to call again after Resign or session
 // expiry.
@@ -126,7 +145,7 @@ func (c *Candidate) Join() error {
 	}
 	sess := c.svc.NewSession(c.ttl, func() { c.onSessionExpired() })
 	c.sess = sess
-	own, err := c.svc.Create(sess, c.base+"/n-", []byte(c.id), coord.FlagEphemeral|coord.FlagSequential)
+	own, err := c.svc.Create(sess, c.base+"/"+znodePrefix, []byte(c.id), coord.FlagEphemeral|coord.FlagSequential)
 	if err != nil {
 		c.mu.Unlock()
 		return err

@@ -243,3 +243,36 @@ func TestStateString(t *testing.T) {
 		t.Fatal("state strings")
 	}
 }
+
+// TestEpochGrowsAcrossLeaders: a candidate's epoch is 0 until it joins, and
+// each successive leader's, a rejoined earlier leader's included, exceeds
+// every earlier one's.
+func TestEpochGrowsAcrossLeaders(t *testing.T) {
+	h := newHarness()
+	c1, c2 := h.candidate("gm1", nil), h.candidate("gm2", nil)
+	if e := c1.Epoch(); e != 0 {
+		t.Fatalf("epoch before joining: %d", e)
+	}
+	c1.Join()
+	c2.Join()
+	h.settle()
+	first := c1.Epoch()
+	if st, _ := c1.State(); st != StateLeader || first == 0 {
+		t.Fatalf("c1 state=%v epoch=%d", st, first)
+	}
+	c1.Resign()
+	h.settle()
+	second := c2.Epoch()
+	if st, _ := c2.State(); st != StateLeader || second <= first {
+		t.Fatalf("c2 state=%v epoch=%d after leader epoch %d", st, second, first)
+	}
+	if e := c1.Epoch(); e != 0 {
+		t.Fatalf("epoch after resigning: %d", e)
+	}
+	c1.Join()
+	c2.Resign()
+	h.settle()
+	if st, _ := c1.State(); st != StateLeader || c1.Epoch() <= second {
+		t.Fatalf("rejoined c1 state=%v epoch=%d after leader epoch %d", st, c1.Epoch(), second)
+	}
+}

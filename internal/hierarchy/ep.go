@@ -23,9 +23,8 @@ type EP struct {
 
 	mu       sync.Mutex
 	glAddr   transport.Address
-	epoch    uint64
+	epoch    uint64 // of the newest GL heard (see handle)
 	lastBeat time.Duration
-	started  bool
 }
 
 // NewEP creates an entry point. staleAge bounds how old the last GL
@@ -42,18 +41,12 @@ func (ep *EP) Addr() transport.Address { return ep.addr }
 
 // Start registers the EP and subscribes to GL heartbeats.
 func (ep *EP) Start() {
-	ep.mu.Lock()
-	ep.started = true
-	ep.mu.Unlock()
 	ep.bus.Register(ep.addr, ep.handle)
 	ep.bus.JoinGroup(protocol.GroupGL, ep.addr)
 }
 
 // Stop removes the EP from the bus.
 func (ep *EP) Stop() {
-	ep.mu.Lock()
-	ep.started = false
-	ep.mu.Unlock()
 	ep.bus.LeaveGroup(protocol.GroupGL, ep.addr)
 	ep.bus.Unregister(ep.addr)
 }
@@ -76,8 +69,9 @@ func (ep *EP) handle(req *transport.Request) {
 			return
 		}
 		ep.mu.Lock()
-		// Epoch ordering protects against a deposed GL whose heartbeats
-		// are still in flight.
+		// A GL heartbeats the epoch of its election znode, which grows
+		// across successive leaders: a deposed GL's heartbeats still in
+		// flight carry an older one and are ignored.
 		if hb.Epoch >= ep.epoch {
 			ep.glAddr = transport.Address(hb.Addr)
 			ep.epoch = hb.Epoch

@@ -19,115 +19,134 @@ import (
 // This file implements the Group Leader role: GL heartbeats, GM bookkeeping,
 // LC→GM assignment and VM submission dispatching (Sections II-A, II-C).
 
-// becomeGLLocked promotes this manager to Group Leader.
-func (m *Manager) becomeGLLocked() {
-	if m.role == RoleGL {
-		return
-	}
-	m.setRoleLocked(RoleGL)
-	m.epoch++
+// glStint is one stint of the Group Leader role: from this manager's
+// election to its crash or stop. It holds the GMs the GL knows, the shed gate
+// and its periodic work; close is its exit. Its epoch is the sequence number
+// of its election znode plus 1, which every later leader's exceeds: its
+// heartbeats carry it, so EPs and AutoRole ignore those of a deposed GL still
+// in flight. The manager's mu guards the stint's state.
+type glStint struct {
+	*Manager
+	epoch   uint64
+	gms     map[types.GroupManagerID]*gmRecord
+	shed    shedGate
+	tickers tickers
+}
+
+// newGLStint opens a GL stint with the given epoch; m.mu is held. "GL and
+// GMs do not host VMs": the GM stint it follows is closed, and its LCs rejoin
+// through the new GL.
+func (m *Manager) newGLStint(epoch uint64) *glStint {
+	l := &glStint{Manager: m, epoch: epoch, gms: make(map[types.GroupManagerID]*gmRecord)}
 	m.mark("gl.promotions", 1)
 	m.emit(telemetry.EventGLElected, telemetry.GMEntity(m.cfg.ID),
 		telemetry.A("addr", string(m.cfg.Addr)))
-	// GM-side state is abandoned: "GL and GMs do not host VMs" and the
-	// paper's promoted GM sheds its LCs, which rejoin through the new GL.
-	m.lcs = make(map[types.NodeID]*lcRecord)
-	clear(m.shedLCs)
-	m.glAddr = ""
-	m.gms = make(map[types.GroupManagerID]*gmRecord)
-	m.shed = shedGate{}
-	m.stopTickersLocked()
-	m.addTicker(m.cfg.HeartbeatPeriod, m.glHeartbeatTick)
-	m.addTicker(m.cfg.GMTimeout/3, m.glSweepTick)
+	l.tickers.add(m.rt, m.cfg.HeartbeatPeriod, l.heartbeatTick)
+	l.tickers.add(m.rt, m.cfg.GMTimeout/3, l.sweepTick)
 	// Announce leadership immediately: a fast first heartbeat shortens the
 	// healing window after GL failover (Section II-E).
-	m.rt.After(0, m.glHeartbeatTick)
+	m.rt.After(0, l.heartbeatTick)
+	return l
 }
 
-// glHeartbeatTick multicasts the GL heartbeat on GroupGL; EPs and unassigned
+// close ends the stint: its periodic work stops.
+func (l *glStint) close() { l.tickers.stop() }
+
+// lock takes m.mu if l is still the manager's GL stint, and reports if it did.
+func (l *glStint) lock() bool {
+	l.mu.Lock()
+	if l.gl != l {
+		l.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// heartbeatTick multicasts the GL heartbeat on GroupGL; EPs and unassigned
 // LCs listen (Section II-D).
-func (m *Manager) glHeartbeatTick() {
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
+func (l *glStint) heartbeatTick() {
+	if !l.lock() {
 		return
 	}
-	epoch := m.epoch
-	m.mu.Unlock()
-	hb := protocol.GLHeartbeat{Addr: string(m.cfg.Addr), Epoch: epoch}
-	m.bus.Multicast(m.cfg.Addr, protocol.GroupGL, protocol.KindGLHeartbeat, hb)
+	l.mu.Unlock()
+	hb := protocol.GLHeartbeat{Addr: string(l.cfg.Addr), Epoch: l.epoch}
+	l.bus.Multicast(l.cfg.Addr, protocol.GroupGL, protocol.KindGLHeartbeat, hb)
 }
 
-// glSweepTick prunes GMs whose summaries stopped arriving: "GM failures are
+// sweepTick prunes GMs whose summaries stopped arriving: "GM failures are
 // detected by the GL based on missing heartbeats, and its contact
 // information is gracefully removed in order to prevent new VMs from being
 // scheduled on it" (Section II-E). It also rebalances LC assignments when
 // the population is badly skewed (e.g. after autonomic role assignment
 // grows the GM population, Section V).
-func (m *Manager) glSweepTick() {
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
+func (l *glStint) sweepTick() {
+	if !l.lock() {
 		return
 	}
-	now := m.rt.Now()
+	now := l.rt.Now()
 	var failedGMs []types.GroupManagerID
-	for id, gm := range m.gms {
-		if now-gm.lastSeen > m.cfg.GMTimeout {
-			delete(m.gms, id)
+	for id, gm := range l.gms {
+		if now-gm.lastSeen > l.cfg.GMTimeout {
+			delete(l.gms, id)
 			failedGMs = append(failedGMs, id)
-			m.mark("gl.gm-failures", 1)
+			l.mark("gl.gm-failures", 1)
 		}
 	}
 	// Rebalance: if the most-loaded GM manages at least 4 more LCs than
 	// the least-loaded one, ask it to shed half the difference, unless the
 	// LCs of the last shed are still between GMs.
-	var minGM, maxGM *gmRecord
-	for _, gm := range m.gms {
-		n := gm.summary.ActiveLCs + gm.summary.AsleepLCs
-		if minGM == nil || n < minGM.summary.ActiveLCs+minGM.summary.AsleepLCs ||
-			(n == minGM.summary.ActiveLCs+minGM.summary.AsleepLCs && gm.id < minGM.id) {
-			minGM = gm
-		}
-		if maxGM == nil || n > maxGM.summary.ActiveLCs+maxGM.summary.AsleepLCs ||
-			(n == maxGM.summary.ActiveLCs+maxGM.summary.AsleepLCs && gm.id < maxGM.id) {
-			maxGM = gm
-		}
-	}
+	minGM, maxGM := l.extremesLocked()
 	var shedAddr transport.Address
 	var shedID types.GroupManagerID
 	shed := 0
-	if minGM != nil && maxGM != nil && minGM != maxGM {
-		lo := minGM.summary.ActiveLCs + minGM.summary.AsleepLCs
-		hi := maxGM.summary.ActiveLCs + maxGM.summary.AsleepLCs
-		if hi-lo >= 4 && now >= m.shed.until {
+	if minGM != maxGM {
+		lo, hi := minGM.lcs(), maxGM.lcs()
+		if hi-lo >= 4 && now >= l.shed.until {
 			shed = (hi - lo) / 2
 			shedAddr = maxGM.addr
 			shedID = maxGM.id
 			// Optimistically shrink the summary so the released LCs are
 			// assigned elsewhere.
 			maxGM.summary.ActiveLCs -= shed
-			m.shed = shedGate{pending: shed, until: now + m.cfg.LCTimeout}
+			l.shed = shedGate{pending: shed, until: now + l.cfg.LCTimeout}
 		}
 	}
-	m.mu.Unlock()
+	l.mu.Unlock()
 	sort.Slice(failedGMs, func(i, j int) bool { return failedGMs[i] < failedGMs[j] })
 	var unfed []string
 	for _, id := range failedGMs {
 		// A dead GM feeds no series again: drop its owner stamps and reap
 		// the VMs it fed that no survivor reports again. Those on LCs that
 		// rejoin a survivor are fed and re-claimed by its monitoring flow.
-		unfed = append(unfed, m.tel.Release(string(id))...)
-		m.emit(telemetry.EventGMFailed, telemetry.GMEntity(id), telemetry.Attrs{})
+		unfed = append(unfed, l.tel.Release(string(id))...)
+		l.emit(telemetry.EventGMFailed, telemetry.GMEntity(id), telemetry.Attrs{})
 	}
-	m.reapUnfedLater(unfed)
+	l.reapUnfedLater(unfed)
 	if shed > 0 {
-		m.mark("gl.rebalances", 1)
-		m.emit(telemetry.EventRebalance, telemetry.GMEntity(shedID),
+		l.mark("gl.rebalances", 1)
+		l.emit(telemetry.EventRebalance, telemetry.GMEntity(shedID),
 			telemetry.A("shed", fmt.Sprintf("%d", shed)))
-		m.bus.Call(m.cfg.Addr, shedAddr, protocol.KindShed, protocol.ShedRequest{Count: shed}, m.cfg.CallTimeout,
+		l.bus.Call(l.cfg.Addr, shedAddr, protocol.KindShed, protocol.ShedRequest{Count: shed}, l.cfg.CallTimeout,
 			func(any, error) {})
 	}
+}
+
+// lcs is the number of LCs the GL counts for r's GM.
+func (r *gmRecord) lcs() int { return r.summary.ActiveLCs + r.summary.AsleepLCs }
+
+// extremesLocked returns the GMs with the fewest and the most LCs, a tie
+// going to the lower ID; both are nil while the GL knows no GM.
+func (l *glStint) extremesLocked() (least, most *gmRecord) {
+	for _, gm := range l.gms {
+		n := gm.lcs()
+		if least == nil || n < least.lcs() || n == least.lcs() && gm.id < least.id {
+			least = gm
+		}
+		if most == nil || n > most.lcs() || n == most.lcs() && gm.id < most.id {
+			most = gm
+		}
+	}
+	return least, most
 }
 
 // glOnGMJoin enrolls a GM.
@@ -137,16 +156,15 @@ func (m *Manager) glOnGMJoin(req *transport.Request) {
 		req.Respond(protocol.GMJoinResponse{})
 		return
 	}
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
+	l := m.lockGL()
+	if l == nil {
 		req.Respond(protocol.GMJoinResponse{})
 		return
 	}
-	rec, exists := m.gms[join.GM]
+	rec, exists := l.gms[join.GM]
 	if !exists {
 		rec = &gmRecord{id: join.GM}
-		m.gms[join.GM] = rec
+		l.gms[join.GM] = rec
 	}
 	rec.addr = transport.Address(join.Addr)
 	rec.lastSeen = m.rt.Now()
@@ -166,15 +184,14 @@ func (m *Manager) glOnSummary(req *transport.Request) {
 	if !ok {
 		return
 	}
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
+	l := m.lockGL()
+	if l == nil {
 		return
 	}
-	rec, exists := m.gms[up.Summary.GM]
+	rec, exists := l.gms[up.Summary.GM]
 	if !exists {
 		rec = &gmRecord{id: up.Summary.GM, addr: transport.Address(up.Addr)}
-		m.gms[up.Summary.GM] = rec
+		l.gms[up.Summary.GM] = rec
 	}
 	rec.summary = up.Summary
 	if up.Scheduling != nil {
@@ -223,31 +240,23 @@ func (m *Manager) glOnLCAssign(req *transport.Request) {
 		req.RespondErr(errBadPayload)
 		return
 	}
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped || len(m.gms) == 0 {
+	l := m.lockGL()
+	if l == nil {
+		req.Respond(protocol.LCAssignResponse{})
+		return
+	}
+	best, _ := l.extremesLocked()
+	if best == nil {
 		m.mu.Unlock()
 		req.Respond(protocol.LCAssignResponse{})
 		return
 	}
-	// Least-loaded by managed LC count, then by ID.
-	var best *gmRecord
-	for _, gm := range m.gms {
-		if best == nil {
-			best = gm
-			continue
-		}
-		bl := best.summary.ActiveLCs + best.summary.AsleepLCs
-		gl := gm.summary.ActiveLCs + gm.summary.AsleepLCs
-		if gl < bl || (gl == bl && gm.id < best.id) {
-			best = gm
-		}
-	}
 	// Optimistically count the assignment so a burst of joining LCs
 	// spreads instead of piling onto one GM before its next summary.
 	best.summary.ActiveLCs++
-	if m.shed.pending > 0 {
-		if m.shed.pending--; m.shed.pending == 0 {
-			m.shed.until = m.rt.Now() + m.cfg.SummaryPeriod
+	if l.shed.pending > 0 {
+		if l.shed.pending--; l.shed.pending == 0 {
+			l.shed.until = m.rt.Now() + m.cfg.SummaryPeriod
 		}
 	}
 	resp := protocol.LCAssignResponse{GM: best.id, Addr: string(best.addr)}
@@ -309,16 +318,15 @@ func (vm *vmDispatch) finish(outcome string, chosen types.GroupManagerID, probed
 // round; a wave of N VMs is traced as one span per PlaceRequest on gm/<id>.
 // The GM's placement spans link back to either.
 func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID]types.NodeID, unplaced []types.VMID)) {
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
+	l := m.lockGL()
+	if l == nil {
 		done(nil, vmIDs(specs))
 		return
 	}
 	start := m.rt.Now()
-	summaries := make([]types.GroupSummary, 0, len(m.gms))
-	addrs := make(map[types.GroupManagerID]transport.Address, len(m.gms))
-	for _, gm := range m.gms {
+	summaries := make([]types.GroupSummary, 0, len(l.gms))
+	addrs := make(map[types.GroupManagerID]transport.Address, len(l.gms))
+	for _, gm := range l.gms {
 		summaries = append(summaries, gm.summary)
 		addrs[gm.id] = gm.addr
 	}
@@ -435,7 +443,7 @@ func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID
 					m.observeValue("gl.probe-depth", float64(r+1))
 					// Optimistic summary update: the next submissions of a
 					// burst see this capacity committed before the GM says so.
-					if rec, live := m.gms[gm]; live {
+					if rec, live := l.gms[gm]; live {
 						rec.summary.Reserved = rec.summary.Reserved.Add(vm.spec.Requested)
 						rec.summary.VMs++
 					}
@@ -473,9 +481,8 @@ func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID
 // A deep request fans out to every GM for per-LC detail.
 func (m *Manager) glOnTopology(req *transport.Request) {
 	tr, _ := req.Payload.(protocol.TopologyRequest) // zero value = shallow
-	m.mu.Lock()
-	if m.role != RoleGL || m.stopped {
-		m.mu.Unlock()
+	l := m.lockGL()
+	if l == nil {
 		req.RespondErr(errNotLeader)
 		return
 	}
@@ -486,7 +493,7 @@ func (m *Manager) glOnTopology(req *transport.Request) {
 		// export stays truthful when groups run different policies.
 		Scheduling: m.schedulingInfo(),
 	}
-	for _, gm := range m.gms {
+	for _, gm := range l.gms {
 		resp.GMs = append(resp.GMs, protocol.TopologyGM{
 			GM: gm.id, Addr: string(gm.addr), Summary: gm.summary, Scheduling: gm.scheduling,
 		})
@@ -536,9 +543,13 @@ type fmtErr string
 
 func (e fmtErr) Error() string { return string(e) }
 
-// GMCount returns the number of enrolled GMs (GL role instrumentation).
+// GMCount returns the number of GMs the GL stint has enrolled, 0 when the
+// manager is not the GL (instrumentation).
 func (m *Manager) GMCount() int {
-	m.mu.Lock()
+	l := m.lockGL()
+	if l == nil {
+		return 0
+	}
 	defer m.mu.Unlock()
-	return len(m.gms)
+	return len(l.gms)
 }

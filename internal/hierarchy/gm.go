@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snooze/internal/consolidation/online"
 	"snooze/internal/obs"
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling"
@@ -28,114 +29,204 @@ import (
 // Section II-C — periodic consolidation — is the online optimizer
 // (gm_consolidation.go) with an unlimited migration budget.
 
-// becomeGMLocked (re)activates the GM role against the given GL address.
-func (m *Manager) becomeGMLocked(gl transport.Address) {
-	wasGL := m.role == RoleGL
-	sameGL := m.role == RoleGM && m.glAddr == gl
-	m.setRoleLocked(RoleGM)
-	m.glAddr = gl
-	m.joined = false
-	if wasGL {
-		// Demotion: drop GL-side state; our LCs (if any linger from an
-		// earlier GM stint) will re-register through monitoring.
-		m.gms = make(map[types.GroupManagerID]*gmRecord)
+// gmStint is one stint of the Group Manager role: from the election naming
+// another manager leader to this manager's promotion, crash or stop. It holds
+// the group's state — the LCs, the VM ledger and its pending queue, the shed
+// tombstones, the view epoch and memo — and the role's periodic work: its
+// tickers, the event-driven energy check and the consolidation optimizer. A
+// leader change stays inside the stint (follow); close is its exit hand-off.
+// The manager's mu guards all of it. Callbacks capture their stint, and lock
+// makes a late one from an earlier stint a no-op.
+type gmStint struct {
+	*Manager
+	glAddr transport.Address
+	joined bool
+	lcs    map[types.NodeID]*lcRecord
+	// shedLCs holds each LC this GM shed until LCTimeout after, or until the
+	// LC joins it again: a report the LC sent before it learnt of the shed
+	// does not readmit it.
+	shedLCs map[types.NodeID]time.Duration
+	// ledger is the one record of the group's VMs (vmEntry), written by
+	// setLocked only.
+	ledger  map[types.VMID]*vmEntry
+	waiting int    // pending entries in the ledger
+	seq     uint64 // stamps reports and orders the pending queue
+	// energy is the journal-armed idle check (event-driven energy management).
+	energy deadline
+	// optimizer is the online consolidation service, created lazily. It never
+	// holds its own lock while calling back into the stint, so m.mu →
+	// optimizer-lock is the only ordering.
+	optimizer *online.Optimizer
+	// lastRollup is the virtual time of the last GM rollup append; 0 means
+	// none yet since the stint last followed a leader.
+	lastRollup time.Duration
+	// viewEpoch is the GM-wide cache epoch: the O(1) group-level stand-in for
+	// "max of the member series' Store.Generations", bumped by every state
+	// change that can alter the capacity views the GM schedules over —
+	// monitor ingestion (member appends), optimistic reservations and their
+	// rollbacks, migrations, sleep/wake transitions, membership churn.
+	// viewMemo keys whole []view.Node builds on it, and the relocation /
+	// consolidation scans skip outright when it has not moved.
+	viewEpoch uint64
+	viewMemo  view.Memo
+	tickers   tickers
+}
+
+// newGMStint opens an empty GM stint; m.mu is held. Owner stamps the
+// manager's ID still holds come from an earlier stint, whose ledger is gone:
+// they are released, and the VMs no report claims again are reaped.
+func (m *Manager) newGMStint() *gmStint {
+	g := &gmStint{
+		Manager: m,
+		lcs:     make(map[types.NodeID]*lcRecord),
+		shedLCs: make(map[types.NodeID]time.Duration),
+		ledger:  make(map[types.VMID]*vmEntry),
 	}
-	if !sameGL {
-		m.mark("gm.gl-changes", 1)
+	g.energy = deadline{m: m, fire: g.energyCheck,
+		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}
+	m.reapUnfedLater(m.tel.Release(string(m.cfg.ID)))
+	return g
+}
+
+// follow points the stint at the GL gl, on entry and on every leader change:
+// the stint joins the GL, its next report rolls up at once, and its periodic
+// work restarts. The LCs and the ledger stay.
+func (g *gmStint) follow(gl transport.Address) {
+	if g.glAddr != gl {
+		g.mark("gm.gl-changes", 1)
 	}
-	m.lastRollup = 0 // fresh stint: first monitor report rolls up immediately
-	m.bumpViewEpochLocked()
-	m.viewMemo.Invalidate()
-	m.stopTickersLocked()
-	m.addTicker(m.cfg.HeartbeatPeriod, m.gmHeartbeatTick)
-	m.addTicker(m.cfg.SummaryPeriod, m.gmSummaryTick)
-	m.addTicker(m.cfg.LCTimeout/3, m.gmSweepTick)
-	if m.cfg.EnergyEnabled {
+	g.glAddr, g.joined, g.lastRollup = gl, false, 0
+	g.bumpViewEpochLocked()
+	g.viewMemo.Invalidate()
+	g.stopLocked()
+	g.tickers.add(g.rt, g.cfg.HeartbeatPeriod, g.heartbeatTick)
+	g.tickers.add(g.rt, g.cfg.SummaryPeriod, g.summaryTick)
+	g.tickers.add(g.rt, g.cfg.LCTimeout/3, g.sweepTick)
+	if g.cfg.EnergyEnabled {
 		// Idle detection is event-driven: the journal observer reacts to
 		// node.idle / node.normal / vm.state / lc-join events, and each check
 		// re-arms itself at the exact moment the earliest idle node ripens.
-		// One bootstrap check covers LCs that linger from an earlier GM stint.
-		m.energy.observeLocked()
-		m.energy.armLocked(m.rt.Now() + m.cfg.IdleThreshold)
+		// One bootstrap check covers the LCs the stint already has.
+		g.energy.observeLocked()
+		g.energy.armLocked(g.rt.Now() + g.cfg.IdleThreshold)
 	}
-	if m.cfg.Consolidation.Enabled {
-		// The continuous consolidation service runs for the duration of the
-		// GM stint; stopTickersLocked stops it on demotion/promotion.
-		m.optimizerLocked().Start()
+	if g.cfg.Consolidation.Enabled {
+		g.optimizerLocked().Start()
 	}
 	// Join the GL immediately (heartbeat-paced retries cover failures).
-	m.rt.After(0, m.gmJoinGL)
+	g.rt.After(0, g.joinGL)
 }
 
-// gmJoinGL enrolls this GM with the current GL.
-func (m *Manager) gmJoinGL() {
-	m.mu.Lock()
-	gl := m.glAddr
-	stopped := m.stopped || m.role != RoleGM
-	m.mu.Unlock()
-	if stopped || gl == "" {
+// close ends the stint: pending placements are answered unplaced and the
+// ledger empties. A manager that runs on (a promotion) no longer feeds the
+// series of the VMs it had running, so it reaps those no other GM reports
+// again. The stint's periodic work stops.
+func (g *gmStint) close() {
+	for _, e := range g.pendingLocked() {
+		g.answerLaterLocked(e, "", false)
+	}
+	var fed []string
+	for _, e := range g.ledger {
+		if !g.stopped && (e.state == vmRunning || e.state == vmMigrating) {
+			fed = append(fed, telemetry.VMEntity(e.vm.Spec.ID))
+		}
+		g.setLocked(e, vmPhase{})
+	}
+	g.reapUnfedLater(fed)
+	g.stopLocked()
+}
+
+// stopLocked halts the stint's periodic work, the event-driven energy
+// machinery and the optimizer included.
+func (g *gmStint) stopLocked() {
+	g.tickers.stop()
+	g.energy.stopLocked()
+	if g.optimizer != nil {
+		g.optimizer.Stop()
+	}
+}
+
+// lock takes m.mu if g is still the manager's GM stint, and reports if it did.
+func (g *gmStint) lock() bool {
+	g.mu.Lock()
+	if g.gm != g {
+		g.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// bumpViewEpochLocked advances the GM-wide view epoch.
+func (g *gmStint) bumpViewEpochLocked() { g.viewEpoch++ }
+
+// joinGL enrolls this GM with the current GL.
+func (g *gmStint) joinGL() {
+	if !g.lock() {
 		return
 	}
-	req := protocol.GMJoinRequest{GM: m.cfg.ID, Addr: string(m.cfg.Addr)}
-	m.bus.Call(m.cfg.Addr, gl, protocol.KindGMJoin, req, m.cfg.CallTimeout, func(reply any, err error) {
+	gl := g.glAddr
+	g.mu.Unlock()
+	if gl == "" {
+		return
+	}
+	req := protocol.GMJoinRequest{GM: g.cfg.ID, Addr: string(g.cfg.Addr)}
+	g.bus.Call(g.cfg.Addr, gl, protocol.KindGMJoin, req, g.cfg.CallTimeout, func(reply any, err error) {
 		if err != nil {
 			return // summary ticks retry enrollment implicitly
 		}
 		if ack, ok := reply.(protocol.GMJoinResponse); ok && ack.Accepted {
-			m.mu.Lock()
-			m.joined = true
-			m.mu.Unlock()
-			m.mark("gm.joins", 1)
+			g.mu.Lock()
+			g.joined = true
+			g.mu.Unlock()
+			g.mark("gm.joins", 1)
 		}
 	})
 }
 
-// gmHeartbeatTick multicasts the GM heartbeat to this GM's LC group.
-func (m *Manager) gmHeartbeatTick() {
-	m.mu.Lock()
-	active := m.role == RoleGM && !m.stopped
-	m.mu.Unlock()
-	if !active {
+// heartbeatTick multicasts the GM heartbeat to this GM's LC group.
+func (g *gmStint) heartbeatTick() {
+	if !g.lock() {
 		return
 	}
-	hb := protocol.GMHeartbeat{GM: m.cfg.ID, Addr: string(m.cfg.Addr)}
-	m.bus.Multicast(m.cfg.Addr, protocol.GroupGMPrefix+string(m.cfg.ID), protocol.KindGMHeartbeat, hb)
+	g.mu.Unlock()
+	hb := protocol.GMHeartbeat{GM: g.cfg.ID, Addr: string(g.cfg.Addr)}
+	g.bus.Multicast(g.cfg.Addr, protocol.GroupGMPrefix+string(g.cfg.ID), protocol.KindGMHeartbeat, hb)
 }
 
-// gmSummaryTick pushes the aggregated group summary to the GL; it doubles as
+// summaryTick pushes the aggregated group summary to the GL; it doubles as
 // the GM's heartbeat to the GL (Section II-B). Beyond the point-in-time
 // aggregate, the push carries the merged quantile sketch of the members'
 // util series and this GM's scheduling configuration — the distribution and
 // policy facts a GL cannot reconstruct from group averages.
-func (m *Manager) gmSummaryTick() {
-	if !m.lockGM() {
+func (g *gmStint) summaryTick() {
+	if !g.lock() {
 		return
 	}
-	gl := m.glAddr
-	joined := m.joined
-	summary := m.summaryLocked()
-	nodes := make([]types.NodeID, 0, len(m.lcs))
-	for id := range m.lcs {
+	gl := g.glAddr
+	joined := g.joined
+	summary := g.summaryLocked()
+	nodes := make([]types.NodeID, 0, len(g.lcs))
+	for id := range g.lcs {
 		nodes = append(nodes, id)
 	}
-	m.mu.Unlock()
+	g.mu.Unlock()
 	if gl == "" {
 		return
 	}
 	if !joined {
-		m.gmJoinGL()
+		g.joinGL()
 	}
-	sched := m.schedulingInfo()
+	sched := g.schedulingInfo()
 	up := protocol.SummaryUpdate{
 		Summary:    summary,
-		Addr:       string(m.cfg.Addr),
+		Addr:       string(g.cfg.Addr),
 		Rollup:     true,
 		Scheduling: &sched,
 	}
-	if enc, ok := m.mergedUtilSketch(nodes); ok {
+	if enc, ok := g.mergedUtilSketch(nodes); ok {
 		up.UtilSketch = &enc
 	}
-	_ = m.bus.Send(m.cfg.Addr, gl, protocol.KindSummary, up)
+	_ = g.bus.Send(g.cfg.Addr, gl, protocol.KindSummary, up)
 }
 
 // mergedUtilSketch merges the lifetime util sketches of the given member
@@ -160,9 +251,9 @@ func (m *Manager) mergedUtilSketch(nodes []types.NodeID) (sketch.Encoded, bool) 
 
 // summaryLocked aggregates used/total capacity over the GM's LCs, counting
 // sleeping LCs as wakeable capacity.
-func (m *Manager) summaryLocked() types.GroupSummary {
-	s := types.GroupSummary{GM: m.cfg.ID}
-	for _, lc := range m.lcs {
+func (g *gmStint) summaryLocked() types.GroupSummary {
+	s := types.GroupSummary{GM: g.cfg.ID}
+	for _, lc := range g.lcs {
 		s.Total = s.Total.Add(lc.status.Spec.Capacity)
 		if lc.sleeping {
 			s.AsleepLCs++
@@ -184,32 +275,33 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 		req.Respond(protocol.LCJoinResponse{})
 		return
 	}
-	if !m.lockGM() {
+	g := m.lockGM()
+	if g == nil {
 		req.Respond(protocol.LCJoinResponse{})
 		return
 	}
 	id := join.Status.Spec.ID
-	delete(m.shedLCs, id)
-	rec, exists := m.lcs[id]
+	delete(g.shedLCs, id)
+	rec, exists := g.lcs[id]
 	if !exists {
 		rec = &lcRecord{id: id}
-		m.lcs[id] = rec
+		g.lcs[id] = rec
 	}
 	rec.addr = transport.Address(join.Addr)
 	rec.oob = transport.Address(join.OOB)
 	rec.status = join.Status
-	left := m.reconcileLocked(rec, join.VMs)
+	left := g.reconcileLocked(rec, join.VMs)
 	rec.lastSeen = m.rt.Now()
 	rec.sleeping = false
 	rec.waking = false
-	m.bumpViewEpochLocked()
+	g.bumpViewEpochLocked()
 	m.mu.Unlock()
 	m.reclaimLeft(m.rt.Now(), left)
 	m.mark("gm.lc-joins", 1)
 	m.emit(telemetry.EventLCJoin, telemetry.NodeEntity(id), telemetry.A("gm", string(m.cfg.ID)))
 	req.Respond(protocol.LCJoinResponse{Accepted: true})
 	// Fresh capacity may satisfy queued placements.
-	m.drainPending()
+	g.drainPending()
 }
 
 // gmOnMonitor ingests an LC monitoring report: store status and refresh the
@@ -235,22 +327,23 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 		m.mark("gm.monitor-rejects", 1)
 		return
 	}
-	if !m.lockGM() {
+	g := m.lockGM()
+	if g == nil {
 		return
 	}
 	id := rep.Status.Spec.ID
-	rec, exists := m.lcs[id]
+	rec, exists := g.lcs[id]
 	if !exists {
-		if until, shed := m.shedLCs[id]; shed && m.rt.Now() < until {
+		if until, shed := g.shedLCs[id]; shed && m.rt.Now() < until {
 			// Sent before the LC learnt it was shed: it is on its way to
 			// another GM, and admitting it would count it twice.
 			m.mu.Unlock()
 			return
 		}
-		// Unknown LC (e.g. we were promoted and demoted again): admit it
-		// implicitly — monitoring proves liveness.
+		// Unknown LC (e.g. it joined an earlier stint of this manager):
+		// admit it implicitly — monitoring proves liveness.
 		rec = &lcRecord{id: id}
-		m.lcs[id] = rec
+		g.lcs[id] = rec
 		rec.addr = transport.Address(req.From)
 		rec.oob = OOBAddress(req.From)
 	}
@@ -269,7 +362,7 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	rec.sleeping = false
 	rec.waking = false
 	rec.status = rep.Status
-	left := m.reconcileLocked(rec, rep.VMs)
+	left := g.reconcileLocked(rec, rep.VMs)
 	becameIdle := false
 	if rep.Status.Idle {
 		if !rec.idleAnnounced {
@@ -282,16 +375,16 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	// One ingested report = one epoch bump: the member series are about to be
 	// appended below, so every consumer keyed on the epoch re-reads exactly
 	// once per report (the property the epoch test pins down).
-	m.bumpViewEpochLocked()
+	g.bumpViewEpochLocked()
 	// Rollup: at most once per heartbeat period, aggregate the group and
 	// append the gm/<id> series right here on the monitoring flow — the GL's
 	// group views then track capacity at monitoring cadence, without the GL
 	// ever touching per-node state (the hierarchy's whole point).
 	var rollup types.GroupSummary
 	doRollup := false
-	if now := m.rt.Now(); m.lastRollup == 0 || now-m.lastRollup >= m.cfg.HeartbeatPeriod {
-		m.lastRollup = now
-		rollup = m.summaryLocked()
+	if now := m.rt.Now(); g.lastRollup == 0 || now-g.lastRollup >= m.cfg.HeartbeatPeriod {
+		g.lastRollup = now
+		rollup = g.summaryLocked()
 		doRollup = true
 	}
 	m.mu.Unlock()
@@ -314,16 +407,16 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 			telemetry.A("sinceNs", fmt.Sprintf("%d", rep.Status.IdleSince)))
 	}
 	if ev, fired := m.tel.DetectNode(now, rep.Status); fired {
-		m.onTelemetryEvent(ev, rep.Status, rep.VMs)
+		g.onTelemetryEvent(ev, rep.Status, rep.VMs)
 	}
-	m.drainPending()
+	g.drainPending()
 }
 
 // setLocked moves e into phase p (out of the ledger for vmGone): the one
 // writer of m.ledger and of what is derived from it, the LCs' hosted lists
 // and busy counts and m.waiting. m.mu must be held.
-func (m *Manager) setLocked(e *vmEntry, p vmPhase) {
-	e.tally(&m.waiting, -1)
+func (g *gmStint) setLocked(e *vmEntry, p vmPhase) {
+	e.tally(&g.waiting, -1)
 	if n := e.node; n != p.node && n != nil {
 		last := n.hosted[len(n.hosted)-1]
 		n.hosted[e.slot], last.slot = last, e.slot
@@ -334,11 +427,11 @@ func (m *Manager) setLocked(e *vmEntry, p vmPhase) {
 		e.slot, n.hosted = len(n.hosted), append(n.hosted, e)
 	}
 	e.vmPhase = p
-	p.tally(&m.waiting, 1)
+	p.tally(&g.waiting, 1)
 	if p.state == vmGone {
-		delete(m.ledger, e.vm.Spec.ID)
+		delete(g.ledger, e.vm.Spec.ID)
 	} else {
-		m.ledger[e.vm.Spec.ID] = e
+		g.ledger[e.vm.Spec.ID] = e
 	}
 }
 
@@ -349,36 +442,36 @@ func (m *Manager) setLocked(e *vmEntry, p vmPhase) {
 // change nothing. A VM running on rec that the report omits leaves, unless
 // it was migrated there and has grace; a started VM no report listed yet
 // leaves silently, and a later report that lists it adopts it again.
-func (m *Manager) reconcileLocked(rec *lcRecord, vms []types.VMStatus) []types.VMID {
-	m.seq++
+func (g *gmStint) reconcileLocked(rec *lcRecord, vms []types.VMStatus) []types.VMID {
+	g.seq++
 	for _, v := range vms {
-		e := m.ledger[v.Spec.ID]
+		e := g.ledger[v.Spec.ID]
 		if e == nil {
 			e = &vmEntry{vm: v} // adopted below
 		}
-		e.seen = m.seq
+		e.seen = g.seq
 		switch {
 		case e.from == rec, e.state == vmMigrating && e.dst == rec:
 			continue
 		case e.node != rec || e.state != vmRunning && e.state != vmMigrating:
 			if e.state == vmPending {
-				m.answerLaterLocked(e, rec.id, true)
+				g.answerLaterLocked(e, rec.id, true)
 			}
-			m.setLocked(e, vmPhase{state: vmRunning, node: rec})
+			g.setLocked(e, vmPhase{state: vmRunning, node: rec})
 		}
 		e.vm, e.grace = v, false
 	}
 	var left []types.VMID
 	for i := len(rec.hosted) - 1; i >= 0; i-- { // dropping entry i refills slot i from a visited one
 		switch e := rec.hosted[i]; {
-		case e.seen == m.seq, e.state != vmRunning:
+		case e.seen == g.seq, e.state != vmRunning:
 		case e.grace:
 			e.grace = false
 		default:
 			if e.seen != 0 { // a VM no report listed has no series to end
 				left = append(left, e.vm.Spec.ID)
 			}
-			m.setLocked(e, vmPhase{})
+			g.setLocked(e, vmPhase{})
 		}
 	}
 	slices.Sort(left)
@@ -389,28 +482,28 @@ func (m *Manager) reconcileLocked(rec *lcRecord, vms []types.VMStatus) []types.V
 // leave the ledger and are returned; those starting on it leave too, their
 // StartVM outcome still answers them. Migrations into rec fall back to
 // their source.
-func (m *Manager) dropLCLocked(rec *lcRecord) []*vmEntry {
-	delete(m.lcs, rec.id)
-	m.bumpViewEpochLocked()
+func (g *gmStint) dropLCLocked(rec *lcRecord) []*vmEntry {
+	delete(g.lcs, rec.id)
+	g.bumpViewEpochLocked()
 	var hosted []*vmEntry
-	for _, e := range m.ledger {
+	for _, e := range g.ledger {
 		switch {
 		case e.node == rec:
 			if e.state != vmStarting {
 				hosted = append(hosted, e)
 			}
-			m.setLocked(e, vmPhase{})
+			g.setLocked(e, vmPhase{})
 		case e.dst == rec:
-			m.setLocked(e, vmPhase{state: vmRunning, node: e.node, from: e.from})
+			g.setLocked(e, vmPhase{state: vmRunning, node: e.node, from: e.from})
 		}
 	}
 	return hosted
 }
 
 // pendingLocked returns the pending entries in queue order.
-func (m *Manager) pendingLocked() []*vmEntry {
-	out := make([]*vmEntry, 0, m.waiting)
-	for _, e := range m.ledger {
+func (g *gmStint) pendingLocked() []*vmEntry {
+	out := make([]*vmEntry, 0, g.waiting)
+	for _, e := range g.ledger {
 		if e.state == vmPending {
 			out = append(out, e)
 		}
@@ -420,10 +513,10 @@ func (m *Manager) pendingLocked() []*vmEntry {
 }
 
 // answerLaterLocked answers e's waiters from a runtime event.
-func (m *Manager) answerLaterLocked(e *vmEntry, node types.NodeID, ok bool) {
+func (g *gmStint) answerLaterLocked(e *vmEntry, node types.NodeID, ok bool) {
 	w, id := e.waiters, e.vm.Spec.ID
 	e.waiters = waiters{}
-	m.rt.After(0, func() { w.answer(id, node, ok) })
+	g.rt.After(0, func() { w.answer(id, node, ok) })
 }
 
 // reclaimLeft ends the series of VMs that left their LC's report: one
@@ -454,8 +547,9 @@ func (m *Manager) reclaimLeft(now time.Duration, left []types.VMID) {
 // vm.state "vanished" event with reason "unfed", on which the hub drops it. A
 // VM that runs on is reported by whichever GM its LC joins, so its series
 // stay. The hierarchy calls it where a VM loses its feeder: the GL declaring
-// a GM failed, a GM shedding LCs, a GM re-placing a failed LC's VMs and a
-// manager leaving the GM role. m.mu may be held: it only schedules.
+// a GM failed, a GM shedding LCs, a GM re-placing a failed LC's VMs, a GM
+// stint ending while the manager runs on, and a new GM stint releasing the
+// stamps of an earlier one. m.mu may be held: it only schedules.
 func (m *Manager) reapUnfedLater(entities []string) {
 	if len(entities) == 0 {
 		return
@@ -489,7 +583,7 @@ func (m *Manager) reapUnfedLater(entities []string) {
 // per Thresholds.Repeat cooldown per node, regardless of how many reports
 // carry it. status/vms are the report that fired the event — fresher than
 // the GM's cached record when messages reorder.
-func (m *Manager) onTelemetryEvent(ev telemetry.Event, status types.NodeStatus, vms []types.VMStatus) {
+func (g *gmStint) onTelemetryEvent(ev telemetry.Event, status types.NodeStatus, vms []types.VMStatus) {
 	var kind protocol.AnomalyKind
 	switch ev.Type {
 	case telemetry.EventNodeOverload:
@@ -499,8 +593,8 @@ func (m *Manager) onTelemetryEvent(ev telemetry.Event, status types.NodeStatus, 
 	default:
 		return
 	}
-	m.mark("gm.detector-relocations", 1)
-	m.relocate(kind, status, vms)
+	g.mark("gm.detector-relocations", 1)
+	g.relocate(kind, status, vms)
 }
 
 // estimateVM returns the demand estimate for one VM, reconstructed from the
@@ -522,20 +616,20 @@ func (m *Manager) estimateVM(now time.Duration, vm types.VMStatus) types.Resourc
 // the next batch reuses the previous build outright (callers must not modify
 // it) — zero per-entity cache probes, zero store reductions. The heartbeat
 // period bounds the Age drift a reused build may carry.
-func (m *Manager) activeViewsLocked() []view.Node {
-	now := m.rt.Now()
-	if nodes, ok := m.viewMemo.Get(m.viewEpoch, now, m.cfg.HeartbeatPeriod); ok {
+func (g *gmStint) activeViewsLocked() []view.Node {
+	now := g.rt.Now()
+	if nodes, ok := g.viewMemo.Get(g.viewEpoch, now, g.cfg.HeartbeatPeriod); ok {
 		return nodes
 	}
-	active := make([]types.NodeStatus, 0, len(m.lcs))
-	for _, lc := range m.lcs {
+	active := make([]types.NodeStatus, 0, len(g.lcs))
+	for _, lc := range g.lcs {
 		if !lc.sleeping && lc.busy == 0 {
 			active = append(active, lc.status)
 		}
 	}
 	slices.SortFunc(active, func(a, b types.NodeStatus) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
-	nodes := m.views.Nodes(now, active)
-	m.viewMemo.Put(m.viewEpoch, now, nodes)
+	nodes := g.views.Nodes(now, active)
+	g.viewMemo.Put(g.viewEpoch, now, nodes)
 	return nodes
 }
 
@@ -566,13 +660,14 @@ func (m *Manager) gmOnPlace(req *transport.Request) {
 	}
 	r := &placeReply{req: req, remaining: len(pr.VMs), trace: obs.SpanContext{TraceID: pr.TraceID, SpanID: pr.ParentSpan},
 		resp: protocol.PlaceResponse{Placed: make(map[types.VMID]types.NodeID, len(pr.VMs))}}
-	if !m.lockGM() {
+	g := m.lockGM()
+	if g == nil {
 		req.Respond(protocol.PlaceResponse{Unplaced: vmIDs(pr.VMs)})
 		return
 	}
 	batch := make([]placement, 0, len(pr.VMs))
 	for _, spec := range pr.VMs {
-		switch e := m.ledger[spec.ID]; {
+		switch e := g.ledger[spec.ID]; {
 		case e == nil:
 			e = &vmEntry{vm: types.VMStatus{Spec: spec}, waiters: waiters{first: r}}
 			batch = append(batch, placement{e: e, spec: spec})
@@ -583,12 +678,12 @@ func (m *Manager) gmOnPlace(req *transport.Request) {
 			m.rt.After(0, func() { r.answer(id, node, true) })
 		}
 	}
-	m.placeLocked(batch, false)
+	g.placeLocked(batch, false)
 	m.mu.Unlock()
 	if joined := len(pr.VMs) - len(batch); joined > 0 {
 		m.mark("gm.place-joins", int64(joined))
 	}
-	m.finishPlacements(batch)
+	g.finishPlacements(batch)
 	if len(pr.VMs) == 0 {
 		req.Respond(r.resp)
 	}
@@ -604,9 +699,9 @@ func (m *Manager) gmOnPlace(req *transport.Request) {
 // with retry (the pending queue itself) a VM past its deadline expires first.
 // Nothing is sent or answered here: finishPlacements does that once m.mu is
 // released.
-func (m *Manager) placeLocked(batch []placement, retry bool) {
-	now := m.rt.Now()
-	nodes := m.activeViewsLocked()
+func (g *gmStint) placeLocked(batch []placement, retry bool) {
+	now := g.rt.Now()
+	nodes := g.activeViewsLocked()
 	shared := true // nodes is the memoized build until the first charge
 	// One evidence buffer serves the batch: Span.Candidate copies what it
 	// keeps, so the next VM may overwrite the entries.
@@ -615,15 +710,15 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 		p := &batch[i]
 		if retry && now > p.e.deadline {
 			p.outcome = "expired"
-			m.setLocked(p.e, vmPhase{})
+			g.setLocked(p.e, vmPhase{})
 			continue
 		}
 		var parent obs.SpanContext // the dispatch span of the request that placed the VM first
 		if r := p.e.waiters.first; r != nil {
 			parent = r.trace
 		}
-		p.span = m.cfg.Tracer.StartSpan(obs.KindPlacement, telemetry.VMEntity(p.spec.ID), parent)
-		p.span.SetPolicy(m.cfg.Placement.Name())
+		p.span = g.cfg.Tracer.StartSpan(obs.KindPlacement, telemetry.VMEntity(p.spec.ID), parent)
+		p.span.SetPolicy(g.cfg.Placement.Name())
 		if retry {
 			p.span.Annotate("retry", "pending-queue")
 		}
@@ -635,14 +730,14 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 			ex.Candidates = ex.Candidates[:0]
 			pex = ex
 		}
-		id, ok := m.cfg.Placement.Place(p.spec, nodes, pex)
+		id, ok := g.cfg.Placement.Place(p.spec, nodes, pex)
 		if pex != nil {
 			for _, c := range pex.Candidates {
 				p.span.Candidate(c.ID, c.Chosen, c.Reason)
 			}
 		}
 		if !ok {
-			p.outcome = m.noFitLocked(p.e, retry, now)
+			p.outcome = g.noFitLocked(p.e, retry, now)
 			continue
 		}
 		k, _ := slices.BinarySearchFunc(nodes, id, func(n view.Node, id types.NodeID) int { return cmp.Compare(n.Spec.ID, id) })
@@ -651,11 +746,11 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 			p.span.SetTarget(string(id))
 			p.span.SetView(st.Gen, st.Samples, st.Fresh, st.Truncated)
 		}
-		rec := m.lcs[id]
+		rec := g.lcs[id]
 		// Optimistic reservation so concurrent placements see the load.
 		rec.status.Reserved = rec.status.Reserved.Add(p.spec.Requested)
-		m.setLocked(p.e, vmPhase{state: vmStarting, node: rec})
-		m.bumpViewEpochLocked()
+		g.setLocked(p.e, vmPhase{state: vmStarting, node: rec})
+		g.bumpViewEpochLocked()
 		if i+1 < len(batch) { // charge the build for the VMs still to place
 			if shared {
 				nodes, shared = slices.Clone(nodes), false
@@ -669,37 +764,37 @@ func (m *Manager) placeLocked(batch []placement, retry bool) {
 // noFitLocked disposes of a VM that fits no active LC and returns its span
 // outcome. A pending retry stays in the queue. A fresh VM waits for a wake
 // when energy management can create capacity, and fails otherwise.
-func (m *Manager) noFitLocked(e *vmEntry, retry bool, now time.Duration) string {
+func (g *gmStint) noFitLocked(e *vmEntry, retry bool, now time.Duration) string {
 	if retry {
 		return "requeued"
 	}
-	if !m.cfg.EnergyEnabled || !m.wakeOneLocked() {
+	if !g.cfg.EnergyEnabled || !g.wakeOneLocked() {
 		return "no-fit"
 	}
-	m.seq++
-	e.deadline, e.seq = now+m.cfg.PendingTimeout, m.seq
-	m.setLocked(e, vmPhase{state: vmPending})
+	g.seq++
+	e.deadline, e.seq = now+g.cfg.PendingTimeout, g.seq
+	g.setLocked(e, vmPhase{state: vmPending})
 	// Arm the retry heartbeat: if the wake call is lost, no journal event will
 	// drive the energy check, which retries the wake, enforces the deadline
 	// and keeps re-arming while the queue is non-empty.
-	m.energy.armLocked(now + m.cfg.IdleThreshold/2)
+	g.energy.armLocked(now + g.cfg.IdleThreshold/2)
 	return "queued"
 }
 
 // finishPlacements carries out a placed batch, in VM order and without
 // m.mu: a StartVM command for each VM placeLocked reserved a node for, the
 // outcome of each VM it did not start (out of the ledger: no more joins).
-func (m *Manager) finishPlacements(batch []placement) {
+func (g *gmStint) finishPlacements(batch []placement) {
 	for i := range batch {
 		p := &batch[i]
 		switch p.outcome {
 		case "":
-			m.startVM(p)
+			g.startVM(p)
 			continue
 		case "expired":
-			m.mark("gm.place-expired", 1)
+			g.mark("gm.place-expired", 1)
 		case "queued":
-			m.mark("gm.place-queued", 1)
+			g.mark("gm.place-queued", 1)
 		}
 		p.span.Finish(p.outcome) // a no-op on an expired VM's zero span
 		if p.outcome == "expired" || p.outcome == "no-fit" {
@@ -711,33 +806,33 @@ func (m *Manager) finishPlacements(batch []placement) {
 // startVM commands the chosen LC to boot a placed VM. If the VM is still
 // starting there, success makes it running, and failure rolls back the
 // reservation and drops the entry. The span and the waiters see the outcome.
-func (m *Manager) startVM(p *placement) {
+func (g *gmStint) startVM(p *placement) {
 	sc := p.span.Context()
 	sreq := protocol.StartVMRequest{Spec: p.spec, TraceID: sc.TraceID, ParentSpan: sc.SpanID}
-	m.bus.Call(m.cfg.Addr, p.addr, protocol.KindStartVM, sreq, m.cfg.CallTimeout, func(reply any, err error) {
+	g.bus.Call(g.cfg.Addr, p.addr, protocol.KindStartVM, sreq, g.cfg.CallTimeout, func(reply any, err error) {
 		ack, isAck := reply.(protocol.StartVMResponse)
 		ok := err == nil && isAck && ack.OK
-		m.mu.Lock()
-		if e := p.e; m.ledger[p.spec.ID] == e && e.state == vmStarting && e.node == p.rec {
+		g.mu.Lock()
+		if e := p.e; g.ledger[p.spec.ID] == e && e.state == vmStarting && e.node == p.rec {
 			if ok {
-				m.setLocked(e, vmPhase{state: vmRunning, node: p.rec})
+				g.setLocked(e, vmPhase{state: vmRunning, node: p.rec})
 			} else {
 				p.rec.status.Reserved = p.rec.status.Reserved.Sub(p.spec.Requested).Max(types.ResourceVector{})
-				m.setLocked(e, vmPhase{})
-				m.bumpViewEpochLocked()
+				g.setLocked(e, vmPhase{})
+				g.bumpViewEpochLocked()
 			}
 		}
 		w := p.e.waiters
 		p.e.waiters = waiters{}
-		m.mu.Unlock()
+		g.mu.Unlock()
 		if !ok {
-			m.mark("gm.place-failed", 1)
+			g.mark("gm.place-failed", 1)
 			p.span.Finish("start-failed")
 			w.answer(p.spec.ID, "", false)
 			return
 		}
-		m.mark("gm.place-ok", 1)
-		m.emit(telemetry.EventVMState, telemetry.VMEntity(p.spec.ID),
+		g.mark("gm.place-ok", 1)
+		g.emit(telemetry.EventVMState, telemetry.VMEntity(p.spec.ID),
 			vmStateAttrs(sc, "state", "placed", "node", string(p.rec.id)))
 		p.span.Finish("placed")
 		w.answer(p.spec.ID, p.rec.id, true)
@@ -746,9 +841,9 @@ func (m *Manager) startVM(p *placement) {
 
 // wakeOneLocked sends an out-of-band wake to one sleeping LC (deterministic
 // choice: lowest node ID not already waking); asleep reports whether any is.
-func (m *Manager) wakeOneLocked() (asleep bool) {
+func (g *gmStint) wakeOneLocked() (asleep bool) {
 	var best *lcRecord
-	for _, lc := range m.lcs {
+	for _, lc := range g.lcs {
 		asleep = asleep || lc.sleeping
 		if lc.sleeping && !lc.waking {
 			if best == nil || lc.id < best.id {
@@ -761,11 +856,11 @@ func (m *Manager) wakeOneLocked() (asleep bool) {
 	}
 	best.waking = true
 	oob := best.oob
-	m.mark("gm.wakes", 1)
-	sp := m.cfg.Tracer.StartTrace(obs.KindEnergy, telemetry.NodeEntity(best.id))
+	g.mark("gm.wakes", 1)
+	sp := g.cfg.Tracer.StartTrace(obs.KindEnergy, telemetry.NodeEntity(best.id))
 	sp.Annotate("action", "wake")
-	m.rt.After(0, func() {
-		m.bus.Call(m.cfg.Addr, oob, protocol.KindWakeHost, struct{}{}, m.cfg.CallTimeout, func(_ any, err error) {
+	g.rt.After(0, func() {
+		g.bus.Call(g.cfg.Addr, oob, protocol.KindWakeHost, struct{}{}, g.cfg.CallTimeout, func(_ any, err error) {
 			if err != nil {
 				sp.Finish("failed")
 				return
@@ -778,20 +873,22 @@ func (m *Manager) wakeOneLocked() (asleep bool) {
 
 // drainPending retries the queued placements (after a join, monitor report
 // or wake) as one batch, expiring entries past their deadline.
-func (m *Manager) drainPending() {
-	m.mu.Lock()
-	if m.waiting == 0 || m.stopped {
-		m.mu.Unlock()
+func (g *gmStint) drainPending() {
+	if !g.lock() {
 		return
 	}
-	pending := m.pendingLocked()
+	if g.waiting == 0 {
+		g.mu.Unlock()
+		return
+	}
+	pending := g.pendingLocked()
 	batch := make([]placement, len(pending))
 	for i, e := range pending {
 		batch[i] = placement{e: e, spec: e.vm.Spec}
 	}
-	m.placeLocked(batch, true)
-	m.mu.Unlock()
-	m.finishPlacements(batch)
+	g.placeLocked(batch, true)
+	g.mu.Unlock()
+	g.finishPlacements(batch)
 }
 
 // gmOnAnomaly handles an LC overload/underload report. The LC's local
@@ -805,15 +902,17 @@ func (m *Manager) gmOnAnomaly(req *transport.Request) {
 		return
 	}
 	m.mark("gm.anomalies-received", 1)
-	m.mu.Lock()
-	_, known := m.lcs[rep.Status.Spec.ID]
-	active := m.role == RoleGM && !m.stopped
+	g := m.lockGM()
+	if g == nil {
+		return
+	}
+	_, known := g.lcs[rep.Status.Spec.ID]
 	m.mu.Unlock()
-	if !active || !known {
+	if !known {
 		return
 	}
 	if ev, fired := m.tel.DetectNode(m.rt.Now(), rep.Status); fired {
-		m.onTelemetryEvent(ev, rep.Status, rep.VMs)
+		g.onTelemetryEvent(ev, rep.Status, rep.VMs)
 	}
 }
 
@@ -821,37 +920,37 @@ func (m *Manager) gmOnAnomaly(req *transport.Request) {
 // nodes and executes the resulting moves (Section II-C). It is invoked by
 // onTelemetryEvent, never directly from message handlers; status/vms are
 // the reported state that fired the detector.
-func (m *Manager) relocate(kind protocol.AnomalyKind, status types.NodeStatus, srcVMs []types.VMStatus) {
-	if !m.lockGM() {
+func (g *gmStint) relocate(kind protocol.AnomalyKind, status types.NodeStatus, srcVMs []types.VMStatus) {
+	if !g.lock() {
 		return
 	}
-	src, exists := m.lcs[status.Spec.ID]
+	src, exists := g.lcs[status.Spec.ID]
 	if !exists || src.sleeping || src.busy > 0 {
-		m.mu.Unlock()
+		g.mu.Unlock()
 		return
 	}
-	now := m.rt.Now()
+	now := g.rt.Now()
 	// Estimate demand for the source VMs from the store's retained series.
 	vms := make([]types.VMStatus, len(srcVMs))
 	copy(vms, srcVMs)
 	for i := range vms {
-		vms[i].Used = m.estimateVM(now, vms[i])
+		vms[i].Used = g.estimateVM(now, vms[i])
 	}
-	others := make([]types.NodeStatus, 0, len(m.lcs))
-	for _, lc := range m.lcs {
+	others := make([]types.NodeStatus, 0, len(g.lcs))
+	for _, lc := range g.lcs {
 		if lc.id == src.id || lc.sleeping || lc.busy > 0 {
 			continue
 		}
 		others = append(others, lc.status)
 	}
-	var policy = m.cfg.Overload
+	var policy = g.cfg.Overload
 	if kind == protocol.AnomalyUnderload {
-		policy = m.cfg.Underload
+		policy = g.cfg.Underload
 	}
-	srcView := m.views.Node(now, status)
+	srcView := g.views.Node(now, status)
 	// A relocation is trace-root: the detector event, not a user request,
 	// started this chain. Its migrations become child spans.
-	span := m.cfg.Tracer.StartTrace(obs.KindRelocation, telemetry.NodeEntity(status.Spec.ID))
+	span := g.cfg.Tracer.StartTrace(obs.KindRelocation, telemetry.NodeEntity(status.Spec.ID))
 	span.SetPolicy(policy.Name())
 	span.Annotate("anomaly", kind.String())
 	span.SetView(srcView.Stats.Gen, srcView.Stats.Samples, srcView.Stats.Fresh, srcView.Stats.Truncated)
@@ -859,8 +958,8 @@ func (m *Manager) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 		// Deliberate inaction (e.g. trend-relocation judging the spike to be
 		// draining on its own) — in particular, do NOT wake sleeping
 		// capacity for it.
-		m.mark("gm.relocations-skipped", 1)
-		m.mu.Unlock()
+		g.mark("gm.relocations-skipped", 1)
+		g.mu.Unlock()
 		span.Finish("skipped")
 		return
 	}
@@ -868,7 +967,7 @@ func (m *Manager) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 	if span.Enabled() {
 		ex = &scheduling.Explain{}
 	}
-	moves := policy.Relocate(srcView, vms, m.views.Nodes(now, others), ex)
+	moves := policy.Relocate(srcView, vms, g.views.Nodes(now, others), ex)
 	if span.Enabled() {
 		for _, c := range ex.Candidates {
 			span.Candidate(c.ID, c.Chosen, c.Reason)
@@ -878,24 +977,24 @@ func (m *Manager) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 		// An unresolvable overload wakes sleeping capacity (Section III:
 		// "LCs are woken up by the GM in case ... overload situations on
 		// the LCs occur").
-		if kind == protocol.AnomalyOverload && m.cfg.EnergyEnabled {
-			m.wakeOneLocked()
+		if kind == protocol.AnomalyOverload && g.cfg.EnergyEnabled {
+			g.wakeOneLocked()
 		}
-		m.mu.Unlock()
+		g.mu.Unlock()
 		span.Finish("no-moves")
 		return
 	}
-	m.mark("gm.relocations", int64(len(moves)))
+	g.mark("gm.relocations", int64(len(moves)))
 	if kind == protocol.AnomalyOverload {
-		m.mark("gm.overload-events", 1)
+		g.mark("gm.overload-events", 1)
 	} else {
-		m.mark("gm.underload-events", 1)
+		g.mark("gm.underload-events", 1)
 	}
 	for _, mv := range moves {
-		sp := m.cfg.Tracer.StartSpan(obs.KindMigration, telemetry.VMEntity(mv.VM), span.Context())
+		sp := g.cfg.Tracer.StartSpan(obs.KindMigration, telemetry.VMEntity(mv.VM), span.Context())
 		sp.SetTarget(string(mv.To))
 		sp.Annotate("from", string(mv.From))
-		m.migrateLocked(types.Migration{VM: mv.VM, From: mv.From, To: mv.To}, sp.Context(), 1, func(ok bool) {
+		g.migrateLocked(types.Migration{VM: mv.VM, From: mv.From, To: mv.To}, sp.Context(), 1, func(ok bool) {
 			if ok {
 				sp.Finish("migrated")
 			} else {
@@ -903,7 +1002,7 @@ func (m *Manager) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 			}
 		})
 	}
-	m.mu.Unlock()
+	g.mu.Unlock()
 	span.Finish("executing")
 }
 
@@ -935,60 +1034,60 @@ func migrationDelay(vm types.VMID, next int) time.Duration {
 // is retried until gm.migration-abandoned. sc, the decision span's context,
 // rides the request and the vm.state event. done gets the outcome once,
 // never under m.mu.
-func (m *Manager) migrateLocked(mv types.Migration, sc obs.SpanContext, attempt int, done func(ok bool)) {
-	e, src, dst := m.ledger[mv.VM], m.lcs[mv.From], m.lcs[mv.To]
+func (g *gmStint) migrateLocked(mv types.Migration, sc obs.SpanContext, attempt int, done func(ok bool)) {
+	e, src, dst := g.ledger[mv.VM], g.lcs[mv.From], g.lcs[mv.To]
 	if e == nil || e.state != vmRunning || e.node != src || dst == nil {
-		m.rt.After(0, func() { done(false) })
+		g.rt.After(0, func() { done(false) })
 		return
 	}
 	// Reflect the reservation shift optimistically.
 	dst.status.Reserved = dst.status.Reserved.Add(e.vm.Spec.Requested)
-	m.setLocked(e, vmPhase{state: vmMigrating, node: src, dst: dst, from: e.from})
+	g.setLocked(e, vmPhase{state: vmMigrating, node: src, dst: dst, from: e.from})
 	e.attempt = attempt
-	m.bumpViewEpochLocked()
+	g.bumpViewEpochLocked()
 	mreq := protocol.MigrateVMRequest{VM: mv.VM, DestNode: mv.To, DestAddr: string(dst.addr), TraceID: sc.TraceID, ParentSpan: sc.SpanID}
 	srcAddr := src.addr
-	m.rt.After(0, func() {
-		m.bus.Call(m.cfg.Addr, srcAddr, protocol.KindMigrateVM, mreq, m.cfg.CallTimeout,
+	g.rt.After(0, func() {
+		g.bus.Call(g.cfg.Addr, srcAddr, protocol.KindMigrateVM, mreq, g.cfg.CallTimeout,
 			func(reply any, err error) {
 				ack, isAck := reply.(protocol.MigrateVMResponse)
 				ok := err == nil && isAck && ack.OK
-				m.mu.Lock()
-				if m.ledger[mv.VM] == e && e.state == vmMigrating && e.dst == dst && e.attempt == attempt {
+				g.mu.Lock()
+				if g.ledger[mv.VM] == e && e.state == vmMigrating && e.dst == dst && e.attempt == attempt {
 					if ok {
-						m.setLocked(e, vmPhase{state: vmRunning, node: dst, from: src})
+						g.setLocked(e, vmPhase{state: vmRunning, node: dst, from: src})
 						e.grace = true
 					} else {
-						m.setLocked(e, vmPhase{state: vmRunning, node: src, from: e.from})
+						g.setLocked(e, vmPhase{state: vmRunning, node: src, from: e.from})
 					}
 				}
-				m.bumpViewEpochLocked()
-				m.mu.Unlock()
+				g.bumpViewEpochLocked()
+				g.mu.Unlock()
 				if !ok {
-					m.mark("gm.migrations-failed", 1)
+					g.mark("gm.migrations-failed", 1)
 					if attempt < migrationAttempts {
 						// Bounded retry: back off and re-issue. A VM or LC
 						// that left meanwhile aborts the retry.
-						m.mark("gm.migration-retries", 1)
-						m.rt.After(migrationDelay(mv.VM, attempt+1), func() {
-							if !m.lockGM() {
+						g.mark("gm.migration-retries", 1)
+						g.rt.After(migrationDelay(mv.VM, attempt+1), func() {
+							if !g.lock() {
 								done(false)
 								return
 							}
-							m.migrateLocked(mv, sc, attempt+1, done)
-							m.mu.Unlock()
+							g.migrateLocked(mv, sc, attempt+1, done)
+							g.mu.Unlock()
 						})
 						return
 					}
-					m.mark("gm.migration-abandoned", 1)
-					m.emit(telemetry.EventMigrationAbandoned, telemetry.VMEntity(mv.VM),
+					g.mark("gm.migration-abandoned", 1)
+					g.emit(telemetry.EventMigrationAbandoned, telemetry.VMEntity(mv.VM),
 						vmStateAttrs(sc, "from", string(mv.From), "to", string(mv.To),
 							"attempts", strconv.Itoa(attempt)))
 					done(false)
 					return
 				}
-				m.mark("gm.migrations-ok", 1)
-				m.emit(telemetry.EventVMState, telemetry.VMEntity(mv.VM),
+				g.mark("gm.migrations-ok", 1)
+				g.emit(telemetry.EventVMState, telemetry.VMEntity(mv.VM),
 					vmStateAttrs(sc, "state", "migrated", "from", string(mv.From), "to", string(mv.To)))
 				done(true)
 			})
@@ -998,21 +1097,21 @@ func (m *Manager) migrateLocked(mv types.Migration, sc obs.SpanContext, attempt 
 // gmSweepTick detects failed LCs ("GM failures are detected by the GL based
 // on missing heartbeats" — symmetrically, LC heartbeats here) and invalidates
 // them; optionally their VMs are rescheduled from snapshots (Section II-E).
-func (m *Manager) gmSweepTick() {
-	if !m.lockGM() {
+func (g *gmStint) sweepTick() {
+	if !g.lock() {
 		return
 	}
-	now := m.rt.Now()
+	now := g.rt.Now()
 	var lost []*vmEntry
 	var failed []types.NodeID
-	for id, lc := range m.lcs {
+	for id, lc := range g.lcs {
 		if lc.sleeping || lc.waking {
 			continue // deliberate sleep: heartbeat silence is expected
 		}
-		if now-lc.lastSeen > m.cfg.LCTimeout {
-			lost = append(lost, m.dropLCLocked(lc)...)
+		if now-lc.lastSeen > g.cfg.LCTimeout {
+			lost = append(lost, g.dropLCLocked(lc)...)
 			failed = append(failed, id)
-			m.mark("gm.lc-failures", 1)
+			g.mark("gm.lc-failures", 1)
 		}
 	}
 	// A lost VM's entry left the ledger with its LC. Re-placing it takes a
@@ -1021,13 +1120,13 @@ func (m *Manager) gmSweepTick() {
 	for i, e := range lost {
 		batch[i] = placement{e: &vmEntry{vm: e.vm}, spec: e.vm.Spec}
 	}
-	m.mu.Unlock()
+	g.mu.Unlock()
 	slices.SortFunc(batch, func(a, b placement) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
 	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
 	for _, id := range failed {
 		entity := telemetry.NodeEntity(id)
-		m.emit(telemetry.EventLCFailed, entity, telemetry.A("gm", string(m.cfg.ID)))
-		m.tel.ForgetEntity(entity)
+		g.emit(telemetry.EventLCFailed, entity, telemetry.A("gm", string(g.cfg.ID)))
+		g.tel.ForgetEntity(entity)
 	}
 	// VMs that died with the node (no rescheduling) get a terminal vm.state;
 	// the hub drops their series on that event, so dead VMs do not linger in
@@ -1042,23 +1141,23 @@ func (m *Manager) gmSweepTick() {
 	for i, p := range batch {
 		entities[i] = telemetry.VMEntity(p.spec.ID)
 	}
-	if !m.cfg.RescheduleOnLCFailure {
+	if !g.cfg.RescheduleOnLCFailure {
 		evs := make([]telemetry.Event, len(batch))
 		for i, entity := range entities {
 			evs[i] = telemetry.Event{At: now, Type: telemetry.EventVMState,
 				Entity: entity, Attrs: telemetry.A("state", "failed")}
 		}
-		m.tel.EmitBatch(evs)
+		g.tel.EmitBatch(evs)
 		return
 	}
-	m.mark("gm.vm-reschedules", int64(len(batch)))
-	m.reapUnfedLater(entities)
-	if !m.lockGM() {
+	g.mark("gm.vm-reschedules", int64(len(batch)))
+	g.reapUnfedLater(entities)
+	if !g.lock() {
 		return
 	}
-	m.placeLocked(batch, false)
-	m.mu.Unlock()
-	m.finishPlacements(batch)
+	g.placeLocked(batch, false)
+	g.mu.Unlock()
+	g.finishPlacements(batch)
 }
 
 // deadline is the debounce-then-keep-earliest-deadline machine behind the
@@ -1132,25 +1231,25 @@ func (d *deadline) stopLocked() {
 // it through m.energy, and when it finds idle-but-not-yet-ripe nodes it
 // re-arms itself for the exact moment the earliest one ripens — so large idle
 // groups cost no periodic tick work at all.
-func (m *Manager) gmEnergyCheck() {
-	if !m.cfg.EnergyEnabled || !m.lockGM() {
+func (g *gmStint) energyCheck() {
+	if !g.cfg.EnergyEnabled || !g.lock() {
 		return
 	}
-	now := m.rt.Now()
+	now := g.rt.Now()
 	type target struct {
 		addr transport.Address
 		id   types.NodeID
 	}
 	var toSuspend []target
 	var nextRipe time.Duration
-	for _, lc := range m.lcs {
+	for _, lc := range g.lcs {
 		if lc.sleeping || lc.waking || lc.busy > 0 || len(lc.hosted) > 0 {
 			continue
 		}
 		if lc.status.Power != types.PowerOn || !lc.status.Idle {
 			continue
 		}
-		ripe := time.Duration(lc.status.IdleSince) + m.cfg.IdleThreshold
+		ripe := time.Duration(lc.status.IdleSince) + g.cfg.IdleThreshold
 		if now >= ripe {
 			toSuspend = append(toSuspend, target{addr: lc.addr, id: lc.id})
 			lc.sleeping = true
@@ -1163,27 +1262,27 @@ func (m *Manager) gmEnergyCheck() {
 		}
 	}
 	if len(toSuspend) > 0 {
-		m.bumpViewEpochLocked()
+		g.bumpViewEpochLocked()
 	}
-	pendingLeft := m.waiting
+	pendingLeft := g.waiting
 	if pendingLeft > 0 {
 		// Queued placements keep a bounded retry heartbeat alive (a wake
 		// call may have failed); it stops as soon as the queue drains.
-		retry := now + m.cfg.IdleThreshold/2
+		retry := now + g.cfg.IdleThreshold/2
 		if nextRipe == 0 || retry < nextRipe {
 			nextRipe = retry
 		}
 	}
 	if nextRipe > 0 {
-		m.energy.armLocked(nextRipe)
+		g.energy.armLocked(nextRipe)
 	}
-	m.mu.Unlock()
+	g.mu.Unlock()
 	sort.Slice(toSuspend, func(i, j int) bool { return toSuspend[i].id < toSuspend[j].id })
 	for _, t := range toSuspend {
-		m.mark("gm.suspends", 1)
-		sp := m.cfg.Tracer.StartTrace(obs.KindEnergy, telemetry.NodeEntity(t.id))
+		g.mark("gm.suspends", 1)
+		sp := g.cfg.Tracer.StartTrace(obs.KindEnergy, telemetry.NodeEntity(t.id))
 		sp.Annotate("action", "suspend")
-		m.bus.Call(m.cfg.Addr, t.addr, protocol.KindSuspendHost, struct{}{}, m.cfg.CallTimeout,
+		g.bus.Call(g.cfg.Addr, t.addr, protocol.KindSuspendHost, struct{}{}, g.cfg.CallTimeout,
 			func(reply any, err error) {
 				if err != nil {
 					sp.Finish("failed")
@@ -1192,26 +1291,25 @@ func (m *Manager) gmEnergyCheck() {
 					// would stay powered forever — its continuing idle
 					// reports emit no fresh node.idle (the announcement is
 					// latched) and nothing else would retry.
-					m.mu.Lock()
-					if rec, ok := m.lcs[t.id]; ok {
+					if !g.lock() {
+						return
+					}
+					if rec, ok := g.lcs[t.id]; ok {
 						rec.sleeping = false
 						rec.status.Power = types.PowerOn
-						m.bumpViewEpochLocked()
+						g.bumpViewEpochLocked()
 					}
-					if m.role == RoleGM && !m.stopped {
-						m.energy.armLocked(m.rt.Now() + m.cfg.IdleThreshold/2)
-					}
-					m.mu.Unlock()
+					g.energy.armLocked(g.rt.Now() + g.cfg.IdleThreshold/2)
+					g.mu.Unlock()
 					return
 				}
 				sp.Finish("ok")
 			})
 	}
-	if pendingLeft > 0 {
-		m.mu.Lock()
-		m.wakeOneLocked()
-		m.mu.Unlock()
-		m.drainPending()
+	if pendingLeft > 0 && g.lock() {
+		g.wakeOneLocked()
+		g.mu.Unlock()
+		g.drainPending()
 	}
 }
 
@@ -1253,18 +1351,19 @@ func vmIDs(specs []types.VMSpec) []types.VMID {
 	return out
 }
 
-// LCCount returns (active, sleeping) LC counts — experiment instrumentation.
+// LCCount returns the GM stint's (active, sleeping) LC counts, 0 when the
+// manager is not a GM — experiment instrumentation.
 func (m *Manager) LCCount() (active, sleeping int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, lc := range m.lcs {
-		if lc.sleeping {
-			sleeping++
-		} else {
-			active++
+	m.readGM(func(g *gmStint) {
+		for _, lc := range g.lcs {
+			if lc.sleeping {
+				sleeping++
+			} else {
+				active++
+			}
 		}
-	}
-	return
+	})
+	return active, sleeping
 }
 
 // gmOnShed serves the GL's rebalancing request: release up to Count of this
@@ -1277,12 +1376,16 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 		req.RespondErr(errBadPayload)
 		return
 	}
-	if sr.Count <= 0 || !m.lockGM() {
+	var g *gmStint
+	if sr.Count > 0 {
+		g = m.lockGM()
+	}
+	if g == nil {
 		req.Respond(protocol.ShedResponse{})
 		return
 	}
 	var cands []*lcRecord
-	for _, lc := range m.lcs {
+	for _, lc := range g.lcs {
 		if !lc.sleeping && !lc.waking && lc.busy == 0 {
 			cands = append(cands, lc)
 		}
@@ -1295,10 +1398,10 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 	cands = cands[:min(len(cands), sr.Count)]
 	var handed []string
 	for _, c := range cands {
-		m.shedLCs[c.id] = m.rt.Now() + m.cfg.LCTimeout
+		g.shedLCs[c.id] = m.rt.Now() + m.cfg.LCTimeout
 		// The LC keeps its VMs; the GM it rejoins adopts them and feeds
 		// their series from its first report.
-		for _, e := range m.dropLCLocked(c) {
+		for _, e := range g.dropLCLocked(c) {
 			handed = append(handed, telemetry.VMEntity(e.vm.Spec.ID))
 		}
 	}
@@ -1321,7 +1424,11 @@ func (m *Manager) gmOnShed(req *transport.Request) {
 // predates the request type — gets everything.
 func (m *Manager) gmOnInventory(req *transport.Request) {
 	want, _ := req.Payload.(protocol.InventoryRequest)
-	m.mu.Lock()
+	g := m.lockGM()
+	if g == nil {
+		req.Respond(protocol.InventoryResponse{Scheduling: m.schedulingInfo()})
+		return
+	}
 	now := m.rt.Now()
 	var resp protocol.InventoryResponse
 	listed := func(e *vmEntry) bool { // hosted, with a status a report gave
@@ -1331,17 +1438,17 @@ func (m *Manager) gmOnInventory(req *transport.Request) {
 		return protocol.InventoryNode{Status: lc.status, AgeNs: int64(now - lc.lastSeen)}
 	}
 	if want.VM != "" {
-		if e := m.ledger[want.VM]; listed(e) {
+		if e := g.ledger[want.VM]; listed(e) {
 			resp.VMs, resp.Nodes = []types.VMStatus{e.vm}, []protocol.InventoryNode{node(e.node)}
 			resp.VMs[0].Node = e.node.id
 		}
 	} else {
 		// Sized once; Grow leaves an empty list nil, as appending to it did.
-		resp.Nodes = slices.Grow(resp.Nodes, len(m.lcs))
+		resp.Nodes = slices.Grow(resp.Nodes, len(g.lcs))
 		if !want.NodesOnly {
-			resp.VMs = slices.Grow(resp.VMs, len(m.ledger))
+			resp.VMs = slices.Grow(resp.VMs, len(g.ledger))
 		}
-		for _, lc := range m.lcs {
+		for _, lc := range g.lcs {
 			resp.Nodes = append(resp.Nodes, node(lc))
 			if want.NodesOnly {
 				continue
@@ -1390,15 +1497,16 @@ func sortVMsByID(vms []types.VMStatus) {
 	}
 }
 
-// LCBusy exposes the per-LC in-flight migration counts (instrumentation).
+// LCBusy exposes the GM stint's per-LC in-flight migration counts
+// (instrumentation).
 func (m *Manager) LCBusy() map[types.NodeID]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[types.NodeID]int, len(m.lcs))
-	for id, lc := range m.lcs {
-		if lc.busy != 0 {
-			out[id] = lc.busy
+	out := make(map[types.NodeID]int)
+	m.readGM(func(g *gmStint) {
+		for id, lc := range g.lcs {
+			if lc.busy != 0 {
+				out[id] = lc.busy
+			}
 		}
-	}
+	})
 	return out
 }

@@ -14,20 +14,21 @@ import (
 	"snooze/internal/types"
 )
 
-// This file adapts the Manager's GM role to the online consolidation
-// optimizer (internal/consolidation/online): the Host implementation the
-// optimizer plans and executes through, plus the control surface the
-// gm.consolidation protocol message and the api/v1 backends use.
+// This file adapts a GM stint to the online consolidation optimizer
+// (internal/consolidation/online): the Host implementation the optimizer
+// plans and executes through, plus the control surface the gm.consolidation
+// protocol message and the api/v1 backends use.
 
-// optimizerLocked lazily creates the optimizer (not started) so the control
-// surface can report and start it even when Consolidation.Enabled is off.
-func (m *Manager) optimizerLocked() *online.Optimizer {
-	if m.optimizer == nil {
-		cfg := m.cfg.Consolidation
-		cfg.Tracer = m.cfg.Tracer
-		m.optimizer = online.New(m.rt, gmHost{m}, cfg)
+// optimizerLocked lazily creates the stint's optimizer (not started) so the
+// control surface can report and start it even when Consolidation.Enabled is
+// off.
+func (g *gmStint) optimizerLocked() *online.Optimizer {
+	if g.optimizer == nil {
+		cfg := g.cfg.Consolidation
+		cfg.Tracer = g.cfg.Tracer
+		g.optimizer = online.New(g.rt, g, cfg)
 	}
-	return m.optimizer
+	return g.optimizer
 }
 
 // ConsolidationStatus reports the online optimizer's state; ok is false when
@@ -49,10 +50,11 @@ func (m *Manager) StopConsolidation() (online.Status, bool) {
 }
 
 func (m *Manager) consolidationCtl(action string) (online.Status, bool) {
-	if !m.lockGM() {
+	g := m.lockGM()
+	if g == nil {
 		return online.Status{}, false
 	}
-	opt := m.optimizerLocked()
+	opt := g.optimizerLocked()
 	m.mu.Unlock()
 	switch action {
 	case protocol.ConsolidationStart:
@@ -112,37 +114,36 @@ func (m *Manager) gmOnConsolidation(req *transport.Request) {
 	req.Respond(resp)
 }
 
-// gmHost adapts the Manager to the optimizer's Host interface. None of its
-// methods are called with the optimizer's lock held (the optimizer's
-// documented invariant), so they may take m.mu freely.
-type gmHost struct{ m *Manager }
+// A GM stint is its optimizer's online.Host. None of the Host methods are
+// called with the optimizer's lock held (the optimizer's documented
+// invariant), so they may take m.mu freely. Once the stint has closed, it
+// offers nothing to plan on and migrates nothing.
 
 // ConsolidationSnapshot implements online.Host: the schedulable LCs with
 // their reservations and view statistics, and every running VM priced through
 // the shared view helper (p95 windowed demand, snapshot fallback) — the same
 // chain the demand=p95 API dry run uses.
-func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
-	m := h.m
-	if !m.lockGM() {
+func (g *gmStint) ConsolidationSnapshot() (online.Snapshot, bool) {
+	if !g.lock() {
 		return online.Snapshot{}, false
 	}
-	now := m.rt.Now()
-	snap := online.Snapshot{Now: now, Epoch: m.viewEpoch}
-	for _, lc := range m.lcs {
+	now := g.rt.Now()
+	snap := online.Snapshot{Now: now, Epoch: g.viewEpoch}
+	for _, lc := range g.lcs {
 		if schedulable(lc) {
-			snap.Nodes = append(snap.Nodes, m.nodeLoadLocked(now, lc))
+			snap.Nodes = append(snap.Nodes, g.nodeLoadLocked(now, lc))
 		}
 	}
-	for _, e := range m.ledger {
+	for _, e := range g.ledger {
 		if e.state == vmRunning && e.vm.State == types.VMRunning && schedulable(e.node) {
 			snap.VMs = append(snap.VMs, consolidation.LiveVM{
 				Spec:   e.vm.Spec,
 				Node:   e.node.id,
-				Demand: m.views.ConsolidationDemand(now, e.vm),
+				Demand: g.views.ConsolidationDemand(now, e.vm),
 			})
 		}
 	}
-	m.mu.Unlock()
+	g.mu.Unlock()
 	sort.Slice(snap.Nodes, func(i, j int) bool { return snap.Nodes[i].Spec.ID < snap.Nodes[j].Spec.ID })
 	sort.Slice(snap.VMs, func(i, j int) bool { return snap.VMs[i].Spec.ID < snap.VMs[j].Spec.ID })
 	return snap, true
@@ -150,15 +151,16 @@ func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
 
 // NodeLoad implements online.Host: a fresh view of one node for
 // pre-migration re-validation.
-func (h gmHost) NodeLoad(id types.NodeID) (online.NodeLoad, bool) {
-	m := h.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	lc, ok := m.lcs[id]
+func (g *gmStint) NodeLoad(id types.NodeID) (online.NodeLoad, bool) {
+	if !g.lock() {
+		return online.NodeLoad{}, false
+	}
+	defer g.mu.Unlock()
+	lc, ok := g.lcs[id]
 	if !ok || !schedulable(lc) {
 		return online.NodeLoad{}, false
 	}
-	return m.nodeLoadLocked(m.rt.Now(), lc), true
+	return g.nodeLoadLocked(g.rt.Now(), lc), true
 }
 
 // schedulable reports whether the optimizer may plan on an LC: powered on,
@@ -179,23 +181,22 @@ func (m *Manager) nodeLoadLocked(now time.Duration, lc *lcRecord) online.NodeLoa
 	}
 }
 
-// Migrate implements online.Host via the Manager's migration primitive.
-func (h gmHost) Migrate(mig types.Migration, done func(ok bool)) {
-	m := h.m
-	if !m.lockGM() {
-		m.rt.After(0, func() { done(false) })
+// Migrate implements online.Host via the stint's migration primitive.
+func (g *gmStint) Migrate(mig types.Migration, done func(ok bool)) {
+	if !g.lock() {
+		g.rt.After(0, func() { done(false) })
 		return
 	}
-	m.migrateLocked(mig, obs.SpanContext{}, 1, done)
-	m.mu.Unlock()
+	g.migrateLocked(mig, obs.SpanContext{}, 1, done)
+	g.mu.Unlock()
 }
 
 // Emit implements online.Host. The online optimizer's event rate is one per
 // round plus one per migration, so adopting the map via AttrsFromMap (rather
 // than widening the Host interface to the telemetry type) costs nothing.
-func (h gmHost) Emit(typ, entity string, attrs map[string]string) {
-	h.m.emit(typ, entity, telemetry.AttrsFromMap(attrs))
+func (g *gmStint) Emit(typ, entity string, attrs map[string]string) {
+	g.emit(typ, entity, telemetry.AttrsFromMap(attrs))
 }
 
 // Mark implements online.Host.
-func (h gmHost) Mark(name string, delta int64) { h.m.mark(name, delta) }
+func (g *gmStint) Mark(name string, delta int64) { g.mark(name, delta) }

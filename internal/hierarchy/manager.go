@@ -302,8 +302,13 @@ type shedGate struct {
 	until   time.Duration // no shed before this time
 }
 
-// Manager is one GM/GL process. It enrolls in the GL election at Start; the
-// election outcome selects which role's state machine is active.
+// Manager is one manager process. It enrolls in the GL election at Start and
+// runs a sequence of role stints (Sections II-D, II-E): a GM stint (gm) while
+// another manager leads, a GL stint (gl) while this one does. At most one of
+// them is non-nil, and neither is while the manager is idle. A stint holds its
+// role's state, periodic work and exit hand-off, so a new stint starts empty;
+// onElection and halt are the only places one begins or ends. The Manager
+// itself holds only what every role shares.
 type Manager struct {
 	rt    simkernel.Runtime
 	bus   *transport.Bus
@@ -312,68 +317,25 @@ type Manager struct {
 	views view.Builder
 	cand  *election.Candidate
 
-	mu   sync.Mutex
-	role Role
-	// GM state.
-	glAddr transport.Address
-	joined bool
-	lcs    map[types.NodeID]*lcRecord
-	// shedLCs holds each LC this GM shed until LCTimeout after, or until the
-	// LC joins it again: a report the LC sent before it learnt of the shed
-	// does not readmit it.
-	shedLCs map[types.NodeID]time.Duration
-	// ledger is the one record of the group's VMs (vmEntry), written by
-	// setLocked only and emptied when the manager leaves the GM role.
-	ledger  map[types.VMID]*vmEntry
-	waiting int    // pending entries in the ledger
-	seq     uint64 // stamps reports and orders the pending queue
-	// energy is the GM role's journal-armed idle check (event-driven energy
-	// management).
-	energy deadline
-	// optimizer is the online consolidation service (GM role), created
-	// lazily and reused across GM stints. The optimizer never holds its own
-	// lock while calling back into the Manager, so m.mu → optimizer-lock is
-	// the only ordering.
-	optimizer *online.Optimizer
-	// GL state.
-	gms   map[types.GroupManagerID]*gmRecord
-	epoch uint64
-	shed  shedGate
-
-	tickers []*simkernel.Ticker
+	mu      sync.Mutex // guards the fields below and the state of both stints
 	stopped bool
-
-	// lastRollup is the virtual time of the last GM rollup append (GM role,
-	// under mu); 0 means none yet this stint.
-	lastRollup time.Duration
-
-	// viewEpoch is the GM-wide cache epoch (under mu): the O(1) group-level
-	// stand-in for "max of the member series' Store.Generations", bumped by
-	// every state change that can alter the capacity views the GM schedules
-	// over — monitor ingestion (member appends), optimistic reservations and
-	// their rollbacks, migrations, sleep/wake transitions, membership churn.
-	// viewMemo keys whole []view.Node builds on it, and the relocation /
-	// consolidation scans skip outright when it has not moved.
-	viewEpoch uint64
-	viewMemo  view.Memo
+	gm      *gmStint
+	gl      *glStint
 }
 
-// bumpViewEpochLocked advances the GM-wide view epoch; m.mu must be held.
-func (m *Manager) bumpViewEpochLocked() { m.viewEpoch++ }
-
-// ViewEpoch returns the current GM-wide view epoch (instrumentation/tests).
-func (m *Manager) ViewEpoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.viewEpoch
+// ViewEpoch returns the current GM stint's view epoch, 0 when the manager is
+// not a GM (instrumentation/tests).
+func (m *Manager) ViewEpoch() (epoch uint64) {
+	m.readGM(func(g *gmStint) { epoch = g.viewEpoch })
+	return epoch
 }
 
-// ViewMemoCounters returns the lifetime hit/miss counts of the memoized
-// whole-group view builds (instrumentation/tests).
+// ViewMemoCounters returns the hit/miss counts of the current GM stint's
+// memoized whole-group view builds, 0 when the manager is not a GM
+// (instrumentation/tests).
 func (m *Manager) ViewMemoCounters() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.viewMemo.Counters()
+	m.readGM(func(g *gmStint) { hits, misses = g.viewMemo.Counters() })
+	return hits, misses
 }
 
 // NewManager creates a Manager. svc is the coordination service used for
@@ -396,13 +358,7 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 			// dispatch fan-out, GM relocation scans) map lookups.
 			Cache: view.NewCache(),
 		},
-		lcs:     make(map[types.NodeID]*lcRecord),
-		shedLCs: make(map[types.NodeID]time.Duration),
-		ledger:  make(map[types.VMID]*vmEntry),
-		gms:     make(map[types.GroupManagerID]*gmRecord),
 	}
-	m.energy = deadline{m: m, fire: m.gmEnergyCheck,
-		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}
 	if cfg.Metrics != nil {
 		cfg.Metrics.SetGauge("scheduler.view-horizon-ns", float64(cfg.ViewHorizon))
 	}
@@ -421,11 +377,17 @@ func (m *Manager) ID() types.GroupManagerID { return m.cfg.ID }
 // Addr returns the manager's bus address.
 func (m *Manager) Addr() transport.Address { return m.cfg.Addr }
 
-// Role returns the current role.
+// Role returns the role of the current stint.
 func (m *Manager) Role() Role {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.role
+	switch {
+	case m.gl != nil:
+		return RoleGL
+	case m.gm != nil:
+		return RoleGM
+	}
+	return RoleIdle
 }
 
 // Start registers on the bus and joins the GL election ("when a GM first
@@ -452,29 +414,23 @@ func (m *Manager) Crash() {
 	m.bus.SetDown(m.cfg.Addr, true)
 }
 
-// halt idles the manager and stops its periodic work, for Stop and Crash.
+// halt ends the current stint and idles the manager, for Stop and Crash.
 func (m *Manager) halt() {
 	m.mu.Lock()
 	m.stopped = true
-	m.setRoleLocked(RoleIdle)
-	tickers := m.tickers
-	m.tickers = nil
-	m.energy.stopLocked()
+	m.endStintLocked()
 	m.mu.Unlock()
-	for _, t := range tickers {
-		t.Stop()
-	}
 }
 
 // Restart revives a crashed manager: the bus address comes back up, the
 // handler is re-registered and the process re-enters the GL election as a
-// fresh candidate. Its telemetry history is still on the deployment's shared
-// hub. Restart fails while the crashed incarnation's election session has not
-// expired yet; callers retry after the session TTL.
+// fresh candidate, whose first stint starts empty. Its telemetry history is
+// still on the deployment's shared hub. Restart fails while the crashed
+// incarnation's election session has not expired yet; callers retry after the
+// session TTL.
 func (m *Manager) Restart() error {
 	m.mu.Lock()
 	m.stopped = false
-	m.setRoleLocked(RoleIdle)
 	m.mu.Unlock()
 	m.bus.SetDown(m.cfg.Addr, false)
 	m.bus.Register(m.cfg.Addr, m.handle)
@@ -538,75 +494,87 @@ func vmStateAttrs(sc obs.SpanContext, kv ...string) telemetry.Attrs {
 	return attrs
 }
 
-// onElection reacts to election transitions: follower → run the GM role
-// against the new leader; leader → promote to GL (Section II-E: "When an
-// existing GM becomes the new leader it switches to GL mode").
+// onElection is the one place a stint begins, and with halt the one place
+// one ends. A follower runs a GM stint against the leader; the leader closes
+// it and opens a GL stint (Section II-E: "When an existing GM becomes the new
+// leader it switches to GL mode"), whose epoch is its election znode's. A new
+// leader while the manager is a GM stays inside the GM stint, which follows it.
 func (m *Manager) onElection(st election.State, leaderID string) {
+	epoch := m.cand.Epoch()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.stopped {
-		m.mu.Unlock()
 		return
 	}
-	switch st {
-	case election.StateLeader:
-		m.becomeGLLocked()
-		m.mu.Unlock()
-	case election.StateFollower:
-		m.becomeGMLocked(transport.Address(leaderID))
-		m.mu.Unlock()
-	default:
-		m.mu.Unlock()
+	switch {
+	case st == election.StateLeader && m.gl == nil:
+		m.endStintLocked()
+		m.gl = m.newGLStint(epoch)
+	case st == election.StateFollower:
+		if m.gm == nil {
+			m.endStintLocked()
+			m.gm = m.newGMStint()
+		}
+		m.gm.follow(transport.Address(leaderID))
 	}
 }
 
-// lockGM takes m.mu if the manager is an active GM, and reports if it did.
-func (m *Manager) lockGM() bool {
+// endStintLocked closes the current stint, if any.
+func (m *Manager) endStintLocked() {
+	if m.gm != nil {
+		m.gm.close()
+		m.gm = nil
+	}
+	if m.gl != nil {
+		m.gl.close()
+		m.gl = nil
+	}
+}
+
+// lockGM takes m.mu and returns the current GM stint; when the manager is not
+// a GM it returns nil with m.mu released.
+func (m *Manager) lockGM() *gmStint {
 	m.mu.Lock()
-	if m.role != RoleGM || m.stopped {
+	g := m.gm
+	if g == nil {
 		m.mu.Unlock()
-		return false
 	}
-	return true
+	return g
 }
 
-// setRoleLocked switches the active role. Leaving the GM role empties the
-// ledger and answers pending placements unplaced. A manager that leaves the
-// role while it runs on (a promotion) no longer feeds the series of the VMs
-// it had running: it reaps those that no other GM reports again.
-func (m *Manager) setRoleLocked(r Role) {
-	if m.role == RoleGM && r != RoleGM {
-		for _, e := range m.pendingLocked() {
-			m.answerLaterLocked(e, "", false)
-		}
-		var fed []string
-		for _, e := range m.ledger {
-			if !m.stopped && (e.state == vmRunning || e.state == vmMigrating) {
-				fed = append(fed, telemetry.VMEntity(e.vm.Spec.ID))
-			}
-			m.setLocked(e, vmPhase{})
-		}
-		m.reapUnfedLater(fed)
+// readGM runs f on the current GM stint under m.mu, if the manager is a GM.
+func (m *Manager) readGM(f func(g *gmStint)) {
+	if g := m.lockGM(); g != nil {
+		f(g)
+		m.mu.Unlock()
 	}
-	m.role = r
 }
 
-// stopTickersLocked halts the current role's periodic work, including the
-// event-driven energy machinery.
-func (m *Manager) stopTickersLocked() {
-	for _, t := range m.tickers {
+// lockGL takes m.mu and returns the current GL stint; when the manager is not
+// the GL it returns nil with m.mu released.
+func (m *Manager) lockGL() *glStint {
+	m.mu.Lock()
+	l := m.gl
+	if l == nil {
+		m.mu.Unlock()
+	}
+	return l
+}
+
+// tickers are a stint's periodic work.
+type tickers []*simkernel.Ticker
+
+func (ts *tickers) add(rt simkernel.Runtime, period time.Duration, fn func()) {
+	t := simkernel.NewTicker(rt, period, fn)
+	*ts = append(*ts, t)
+	t.Start()
+}
+
+func (ts *tickers) stop() {
+	for _, t := range *ts {
 		t.Stop()
 	}
-	m.tickers = nil
-	m.energy.stopLocked()
-	if m.optimizer != nil {
-		m.optimizer.Stop()
-	}
-}
-
-func (m *Manager) addTicker(period time.Duration, fn func()) {
-	t := simkernel.NewTicker(m.rt, period, fn)
-	m.tickers = append(m.tickers, t)
-	t.Start()
+	*ts = nil
 }
 
 // handle dispatches inbound messages to the active role.

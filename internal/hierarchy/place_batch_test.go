@@ -62,7 +62,7 @@ func placedOnFreshGM(t *testing.T, policy string, requests [][]types.VMSpec) (ma
 	r.settle(1500 * time.Microsecond)
 	reserved := make(map[types.NodeID]types.ResourceVector)
 	gm.mu.Lock()
-	for id, lc := range gm.lcs {
+	for id, lc := range gm.gm.lcs {
 		reserved[id] = lc.status.Reserved
 	}
 	gm.mu.Unlock()
