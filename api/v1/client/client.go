@@ -65,7 +65,7 @@ func New(baseURL string, opts ...Option) *Client {
 func (c *Client) do(ctx context.Context, method, path string, query url.Values, in, dst any) error {
 	var body io.Reader
 	if in != nil {
-		data, err := json.Marshal(in)
+		data, err := encodeRequest(in)
 		if err != nil {
 			return err
 		}
@@ -80,7 +80,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		return err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = contentTypeJSON
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -114,6 +114,36 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPresizedBody = 16 << 20
+
+// contentTypeJSON is every request body's Content-Type, shared rather than
+// made per request as Header.Set would.
+var contentTypeJSON = []string{"application/json"}
+
+// encodeRequest returns the bytes json.Marshal returns for a request body:
+// apiv1.AppendBody writes them into a pooled buffer, without reflection for
+// the bodies it has a codec for, and they are copied out at their size. The
+// request holds the copy, not the pooled buffer, because the transport may
+// read a body after Do returns, and only with a body it knows to be in memory
+// (a *bytes.Reader) does it send the headers and a small body in one write.
+func encodeRequest(in any) ([]byte, error) {
+	buf := requestPool.Get().(*[]byte)
+	defer requestPool.Put(buf)
+	data, err := apiv1.AppendBody((*buf)[:0], in)
+	if err != nil {
+		return nil, err
+	}
+	if cap(data) <= maxPooledRequest {
+		*buf = data[:0]
+	}
+	return bytes.Clone(bytes.TrimSuffix(data, []byte("\n"))), nil // json.Encoder's newline
+}
+
+// requestPool holds the buffers request bodies are encoded into, up to
+// maxPooledRequest bytes: the buffer of a submission of hundreds of VMs is
+// kept for the next one, a larger one is not.
+var requestPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+const maxPooledRequest = 64 << 10
 
 // decodeError rebuilds a typed error from the envelope, so errors.Is against
 // the apiv1 sentinels works across the wire.

@@ -130,10 +130,10 @@ func genNodeList(r *rand.Rand) NodeList {
 	return l
 }
 
-// checkList holds the list codecs against encoding/json for one value: the
+// checkBody holds the body codecs against encoding/json for one value: the
 // same bytes appended after what dst already held, and the same value decoded
 // back from them.
-func checkList[T any](t *testing.T, v T) {
+func checkBody[T any](t *testing.T, v T) {
 	t.Helper()
 	want, err := encodeJSON(v)
 	if err != nil {
@@ -163,8 +163,8 @@ func TestAppendListMatchesEncoder(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < n; i++ {
-		checkList(t, genVMList(r))
-		checkList(t, genNodeList(r))
+		checkBody(t, genVMList(r))
+		checkBody(t, genNodeList(r))
 	}
 }
 
@@ -179,7 +179,7 @@ func TestCleanListsAreScanned(t *testing.T) {
 		fixtureVMs(64),
 	}
 	for _, l := range vms {
-		checkList(t, l)
+		checkBody(t, l)
 		data, _ := encodeJSON(l)
 		if got, ok := scanVMList(data); !ok || !reflect.DeepEqual(got, l) {
 			t.Errorf("scanVMList(%s) = %#v, %v; want %#v", data, got, ok, l)
@@ -195,7 +195,7 @@ func TestCleanListsAreScanned(t *testing.T) {
 		fixtureNodes(4, 8),
 	}
 	for _, l := range nodes {
-		checkList(t, l)
+		checkBody(t, l)
 		data, _ := encodeJSON(l)
 		if got, ok := scanNodeList(data); !ok || !reflect.DeepEqual(got, l) {
 			t.Errorf("scanNodeList(%s) = %#v, %v; want %#v", data, got, ok, l)

@@ -9,10 +9,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -387,14 +389,34 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // Plumbing
 // ---------------------------------------------------------------------------
 
-// readJSON decodes a capped request body; on failure it writes the 400
-// envelope and returns false.
+// readJSON decodes a capped request body; on failure it writes the 400 or
+// 413 envelope and returns false. The body is read whole into a pooled
+// buffer. A submission that is exactly encoding/json's bytes is scanned from
+// there (apiv1.ScanBody); any other body, and any body whose read failed, is
+// decoded by a json.Decoder over the same bytes followed by the same read
+// error, which answers as it would have reading the body itself.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	maxBytes := s.MaxBodyBytes
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBodyBytes
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	data := *buf
+	if n := r.ContentLength; int64(cap(data)) <= n && n < maxBytes {
+		data = make([]byte, 0, n+1) // room for the read that meets EOF
+	}
+	data, readErr := readBody(data, http.MaxBytesReader(w, r.Body, maxBytes))
+	if cap(data) <= maxPooledRequest {
+		*buf = data
+	}
+	if readErr == nil && apiv1.ScanBody(data, dst) {
+		return true
+	}
+	var body io.Reader = bytes.NewReader(data)
+	if readErr != nil {
+		body = io.MultiReader(body, errReader{readErr})
+	}
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -408,6 +430,34 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 	}
 	return true
 }
+
+// maxPooledRequest is the largest buffer a request body may leave in
+// bodyPool: a submission of hundreds of VMs is kept for the next one, a
+// body near the cap is not.
+const maxPooledRequest = 64 << 10
+
+// readBody appends what r yields to b until EOF, and returns the error that
+// ended it otherwise.
+func readBody(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// errReader yields err once the bytes before it are read.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // fail maps backend errors onto status codes + envelope.
 func (s *Server) fail(w http.ResponseWriter, err error) {
@@ -429,21 +479,28 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 
 // Bodies are encoded into pooled buffers before the status line is sent, so
 // a body that cannot be encoded becomes an error the client can read.
+// Request bodies are read into the same buffers.
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+func putBody(buf *[]byte) {
+	*buf = (*buf)[:0]
+	bodyPool.Put(buf)
+}
+
+// contentTypeJSON is every JSON response's Content-Type, shared rather than
+// made per response as Header.Set would.
+var contentTypeJSON = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	buf := bodyPool.Get().(*[]byte)
-	defer func() {
-		*buf = (*buf)[:0]
-		bodyPool.Put(buf)
-	}()
+	defer putBody(buf)
 	var err error
 	if *buf, err = apiv1.AppendBody(*buf, body); err != nil {
 		// The envelope itself always encodes: no recursion past this call.
 		writeError(w, http.StatusInternalServerError, apiv1.CodeInternal, "encode response: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
 	w.WriteHeader(status)
 	_, _ = w.Write(*buf) // a client that has gone away is its own problem
