@@ -3,9 +3,9 @@
 // protocol the hierarchy components use among themselves — GL discovery
 // through the entry points, submission and topology export against the GL,
 // inventory fan-out to the GMs — over the process-local bus, so a snoozed
-// control process can serve /v1 next to its /deliver RPC tunnel. Remote
-// components reached through a rest.Gateway are transparently included: their
-// bus addresses proxy over HTTP.
+// control process can serve /v1 next to its /deliver/stream RPC tunnel.
+// Remote components reached through a rest.Gateway are transparently
+// included: their bus addresses proxy over HTTP.
 //
 // Each read asks the GMs (protocol.InventoryRequest) only for what it
 // returns: ListVMs and Consolidate for the full inventories, ListNodes and

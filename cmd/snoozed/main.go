@@ -6,11 +6,13 @@
 //
 //   - control: hosts the manager processes (GL election happens among
 //     them), the coordination service and the entry points. Control
-//     processes serve two HTTP surfaces: POST /deliver, the inter-component
-//     RPC tunnel (internal/rest), and /v1/*, the versioned typed operator
-//     API (api/v1) that snoozectl and programmatic clients consume.
+//     processes serve two HTTP surfaces: POST /deliver/stream, the
+//     inter-component RPC tunnel (internal/rest), and /v1/*, the versioned
+//     typed operator API (api/v1) that snoozectl and programmatic clients
+//     consume.
 //   - node: hosts one simulated physical node with its Local Controller
-//     (serves /deliver and /metrics; operators talk to a control process).
+//     (serves /deliver/stream and /metrics; operators talk to a control
+//     process).
 //
 // Processes discover each other through a peers file (JSON), standing in
 // for the paper's UDP multicast groups:
@@ -64,11 +66,10 @@ import (
 // date in reg before next renders it: transport.delivered/dropped (messages
 // handed to, or lost before, a local handler), rest.forwards/
 // forward-errors/dials (messages sent to peer processes, those that reached
-// no remote handler, connections opened) and rest.dropped/broken-calls/
-// fallbacks (one-way messages a full stream queue dropped, calls a broken
-// stream failed, peers reached by per-message POST), plus the wall-clock
-// executor's simkernel.workers-started counter and simkernel.workers-idle
-// gauge.
+// no remote handler, connections opened) and rest.dropped/broken-calls
+// (one-way messages a full stream queue dropped, calls a broken stream
+// failed), plus the wall-clock executor's simkernel.workers-started counter
+// and simkernel.workers-idle gauge.
 func withTransportCounters(reg *metrics.Registry, bus *transport.Bus, gw *rest.Gateway, next http.Handler) http.Handler {
 	var mu sync.Mutex // one scrape at a time computes the increments
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +84,6 @@ func withTransportCounters(reg *metrics.Registry, bus *transport.Bus, gw *rest.G
 		set("rest.dials", stats.Dials)
 		set("rest.dropped", stats.Dropped)
 		set("rest.broken-calls", stats.BrokenCalls)
-		set("rest.fallbacks", stats.Fallbacks)
 		started, idle := simkernel.WallWorkers()
 		set("simkernel.workers-started", started)
 		reg.SetGauge("simkernel.workers-idle", float64(idle))

@@ -25,7 +25,7 @@ import (
 // (each a uvarint length and its bytes), and the body. The body of a message
 // is the payload's JSON as protocol.AppendRequest writes it; the body of a
 // reply is the reply's JSON (protocol.AppendReply) or an error text. n is at
-// most maxEnvelopeBytes. The client sends message frames; the server answers
+// most maxFrameBytes. The client sends message frames; the server answers
 // every one of them with exactly one reply-type frame (ID 0 for a one-way
 // message, which is how the client counts what reached a handler) and may
 // send one close frame.
@@ -62,7 +62,7 @@ var (
 	errFrameFormat = errors.New("rest: malformed frame")
 	errStreamEnded = errors.New("stream ended")
 	errClosed      = errors.New("gateway closed")
-	errFallback    = errors.New("peer has no stream route")
+	errNoStream    = errors.New("no " + streamPath + " route (404): a snoozed without the stream is not supported")
 )
 
 // closeFrame is the whole close frame.
@@ -78,7 +78,7 @@ func beginFrame(dst []byte, typ byte, id uint64) []byte {
 // reports false, writing nothing, if the frame is over the cap.
 func endFrame(dst []byte, start int) bool {
 	n := len(dst) - start - 4
-	if n > maxEnvelopeBytes {
+	if n > maxFrameBytes {
 		return false
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(n))
@@ -103,7 +103,7 @@ func appendMessage(dst []byte, id uint64, req *transport.Request) ([]byte, error
 	dst = appendName(dst, req.Kind)
 	dst, err := protocol.AppendRequest(dst, req.Kind, req.Payload)
 	if err == nil && !endFrame(dst, start) {
-		err = fmt.Errorf("rest: %s frame of %d bytes is over the %d-byte cap", req.Kind, len(dst)-start-4, maxEnvelopeBytes)
+		err = fmt.Errorf("rest: %s frame of %d bytes is over the %d-byte cap", req.Kind, len(dst)-start-4, maxFrameBytes)
 	}
 	if err != nil {
 		return dst[:start], err
@@ -182,13 +182,13 @@ func (fr *frameReader) ready() bool {
 
 // next returns the bytes of the next frame after its length, valid until the
 // following call: io.EOF at a clean end between frames, another error for
-// a truncated frame or a length outside 1..maxEnvelopeBytes.
+// a truncated frame or a length outside 1..maxFrameBytes.
 func (fr *frameReader) next() ([]byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
-	if n == 0 || n > maxEnvelopeBytes {
+	if n == 0 || n > maxFrameBytes {
 		return nil, errFrameSize
 	}
 	if n > cap(fr.buf) || cap(fr.buf) > maxPooledBuffer && n <= maxPooledBuffer {
@@ -233,7 +233,7 @@ type serverStream struct {
 // handleStream serves POST /deliver/stream.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeFrame(w, http.StatusMethodNotAllowed, replyFrame{Error: "POST only"})
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	rc := http.NewResponseController(w)
@@ -315,7 +315,7 @@ func (st *serverStream) deliver(f *frame) {
 	from, to := transport.Address(st.name(f.from)), transport.Address(st.name(f.to))
 	if f.typ == frameOneWay {
 		// An unknown destination is the caller's addressing mistake: it is
-		// told, as /deliver answers 404.
+		// told, not silently acknowledged.
 		if err := st.s.bus.Send(from, to, kind, payload); errors.Is(err, transport.ErrUnreachable) {
 			st.answer(0, frameUnreachable, err.Error())
 		} else {
@@ -360,7 +360,7 @@ func (st *serverStream) reply(id uint64, kind string, reply any, err error) {
 		}
 	}
 	if !endFrame(b, 0) {
-		b = append(beginFrame(b[:0], frameFailed, id), fmt.Sprintf("rest: %s reply of %d bytes is over the %d-byte cap", kind, len(b), maxEnvelopeBytes)...)
+		b = append(beginFrame(b[:0], frameFailed, id), fmt.Sprintf("rest: %s reply of %d bytes is over the %d-byte cap", kind, len(b), maxFrameBytes)...)
 		endFrame(b, 0)
 	}
 	st.touch()
@@ -484,9 +484,8 @@ type peerConn struct {
 	g   *Gateway
 	url string
 
-	mu       sync.Mutex
-	st       *clientStream // nil until a frame needs one
-	fallback bool          // the peer has no stream route: per-frame POST
+	mu sync.Mutex
+	st *clientStream // nil until a frame needs one
 }
 
 // stream returns the peer's open stream, dialling one if there is none.
@@ -498,8 +497,6 @@ func (pc *peerConn) stream() (*clientStream, error) {
 		return nil, errClosed
 	case pc.st != nil:
 		return pc.st, nil
-	case pc.fallback:
-		return nil, errFallback
 	}
 	st, err := pc.dial()
 	if err != nil {
@@ -529,8 +526,7 @@ func (pc *peerConn) dial() (*clientStream, error) {
 	}
 	req.Header.Set("Content-Type", streamContentType)
 	// One stream per connection: it closes with the stream instead of idling
-	// in a pool, and an older server answering 404 does not read the body
-	// first.
+	// in a pool, and a server answering 404 does not read the body first.
 	req.Close = true
 	resp, err := g.stream.Do(req)
 	if err != nil {
@@ -541,12 +537,7 @@ func (pc *peerConn) dial() (*clientStream, error) {
 		resp.Body.Close()
 		pw.Close()
 		cancel()
-		if resp.StatusCode == http.StatusNotFound {
-			pc.fallback = true
-			g.fallbacks.Add(1)
-			return nil, errFallback
-		}
-		return nil, fmt.Errorf("rest: %s%s: %s", pc.url, streamPath, resp.Status)
+		return nil, refused(pc.url, resp)
 	}
 	st := &clientStream{pc: pc, pr: pr, pw: pw, resp: resp, cancel: cancel,
 		calls: make(map[uint64]*transport.Request)}
@@ -674,7 +665,7 @@ func (st *clientStream) writeLoop() {
 				return
 			}
 		}
-		if cap(buf) > maxEnvelopeBytes {
+		if cap(buf) > maxFrameBytes {
 			buf = nil
 		}
 		clear(batch)
@@ -768,20 +759,33 @@ func (st *clientStream) answer(f *frame) {
 	if req == nil {
 		return
 	}
+	if reply, err := answerOf(req.Kind, f); err != nil {
+		req.RespondErr(err)
+	} else {
+		req.Respond(reply)
+	}
+}
+
+// answerOf is what a reply-type frame answers a call of kind.
+func answerOf(kind string, f *frame) (any, error) {
 	switch f.typ {
 	case frameReply:
-		if reply, err := protocol.DecodeReply(req.Kind, f.body); err != nil {
-			req.RespondErr(err)
-		} else {
-			req.Respond(reply)
-		}
+		return protocol.DecodeReply(kind, f.body)
 	case frameUnreachable:
 		// Re-typed so that errors.Is works across the hop.
-		req.RespondErr(fmt.Errorf("%w: %s", transport.ErrUnreachable,
-			strings.TrimPrefix(string(f.body), transport.ErrUnreachable.Error()+": ")))
+		return nil, fmt.Errorf("%w: %s", transport.ErrUnreachable,
+			strings.TrimPrefix(string(f.body), transport.ErrUnreachable.Error()+": "))
 	default:
-		req.RespondErr(errors.New(string(f.body)))
+		return nil, errors.New(string(f.body))
 	}
+}
+
+// refused is the error of a stream request that got resp, not 200 OK.
+func refused(baseURL string, resp *http.Response) error {
+	if resp.StatusCode == http.StatusNotFound {
+		return fmt.Errorf("rest: %s: %w", baseURL, errNoStream)
+	}
+	return fmt.Errorf("rest: %s%s: %s", baseURL, streamPath, resp.Status)
 }
 
 // fail ends the stream with err: whatever it holds that is not answered yet

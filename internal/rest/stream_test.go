@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,49 +174,34 @@ func TestGatewayBrokenStreamFailsCallsAtOnce(t *testing.T) {
 	}
 }
 
-// TestGatewayFallsBackToPerFramePOST: a peer without the stream route (an
-// older snoozed) gets one POST /deliver per message, after one probe.
-func TestGatewayFallsBackToPerFramePOST(t *testing.T) {
+// TestGatewayPeerWithoutStreamFails: a peer that answers 404 on the stream
+// route (a snoozed from before the stream) fails the message as unreachable,
+// with an error that names the route, after one probe and no other request.
+func TestGatewayPeerWithoutStreamFails(t *testing.T) {
 	busA, _ := wallBus()
-	busB, _ := wallBus()
-	heard := make(chan protocol.GLHeartbeat, 4)
-	busB.Register("lc:n1", func(req *transport.Request) {
-		if hb, ok := req.Payload.(protocol.GLHeartbeat); ok {
-			heard <- hb
-			return
-		}
-		startVMHandler(req)
-	})
-	deliver := NewServer(busB, 5*time.Second).Handler()
-	var streamProbes atomic.Int64
+	var streamProbes, others atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == streamPath {
 			streamProbes.Add(1)
-			http.NotFound(w, r)
-			return
+		} else {
+			others.Add(1)
 		}
-		deliver.ServeHTTP(w, r)
+		http.NotFound(w, r)
 	}))
 	defer srv.Close()
 	gw := NewGateway(busA, 5*time.Second)
 	defer gw.Close()
 	gw.AddPeer("lc:n1", srv.URL)
 
-	for i := 0; i < 3; i++ {
-		o := await(t, "the call", callAsync(busA, "lc:n1", 5*time.Second))
-		if resp, ok := o.reply.(protocol.StartVMResponse); o.err != nil || !ok || !resp.OK || resp.Error != "vm-1" {
-			t.Fatalf("call %d: %+v", i, o)
-		}
+	o := await(t, "the call", callAsync(busA, "lc:n1", 5*time.Second))
+	if !errors.Is(o.err, transport.ErrUnreachable) || !strings.Contains(fmt.Sprint(o.err), streamPath) {
+		t.Fatalf("err %v, want unreachable naming %s", o.err, streamPath)
 	}
-	if err := busA.Send("gl", "lc:n1", protocol.KindGLHeartbeat, protocol.GLHeartbeat{Addr: "gl", Epoch: 7}); err != nil {
-		t.Fatal(err)
+	if s := gw.Stats(); s.ForwardErrors != 1 || s.Forwards != 1 {
+		t.Fatalf("stats %+v", s)
 	}
-	if hb := <-heard; hb.Epoch != 7 {
-		t.Fatalf("heartbeat %+v", hb)
-	}
-	waitFor(t, "the forwards", func() bool { return gw.Stats().Forwards == 4 })
-	if s := gw.Stats(); s.Fallbacks != 1 || streamProbes.Load() != 1 || s.ForwardErrors != 0 {
-		t.Fatalf("stats %+v after %d probes", s, streamProbes.Load())
+	if streamProbes.Load() != 1 || others.Load() != 0 {
+		t.Fatalf("%d stream probes and %d other requests, want 1 and 0", streamProbes.Load(), others.Load())
 	}
 }
 

@@ -1,13 +1,12 @@
 package rest
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -19,21 +18,6 @@ import (
 	"snooze/internal/transport"
 	"snooze/internal/types"
 )
-
-// marshalEnvelope is the parent's encoder: payload, then envelope, through
-// encoding/json. appendEnvelope must produce its bytes.
-func marshalEnvelope(t testing.TB, from, to, kind string, oneWay bool, payload any) []byte {
-	t.Helper()
-	data, err := json.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(Envelope{From: from, To: to, Kind: kind, OneWay: oneWay, Payload: data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
-}
 
 func report16() protocol.MonitorReport {
 	st := types.NodeStatus{Spec: types.NodeSpec{ID: "n000", Capacity: types.RV(16, 65536, 1000, 1000)}, Generation: 1}
@@ -49,100 +33,10 @@ func report16() protocol.MonitorReport {
 	return r
 }
 
-// TestEnvelopeMatchesMarshal pins wire compatibility: frames are
-// byte-identical to the two-pass encoding/json frames of earlier versions,
-// and the one-pass split reads them back as json.Unmarshal does.
-func TestEnvelopeMatchesMarshal(t *testing.T) {
-	cases := []struct {
-		from, to, kind string
-		oneWay         bool
-		payload        any
-		split          bool // the shape splitEnvelope accepts
-	}{
-		{"lc:n000", "mgr:gm-00", protocol.KindMonitor, true, report16(), true},
-		{"mgr:gm-00", "lc:n000", protocol.KindGMHeartbeat, true, protocol.GMHeartbeat{GM: "gm-00", Addr: "mgr:gm-00"}, true},
-		{"mgr:gm-00", "lc:n000", protocol.KindGLHeartbeat, true, protocol.GLHeartbeat{Addr: "mgr:gm-00", Epoch: 2}, true},
-		{"mgr:gm-00", "lc:n000", protocol.KindStartVM, false, protocol.StartVMRequest{Spec: types.VMSpec{ID: "vm-1"}}, true},
-		{"cli", "ep:0", protocol.KindGLQuery, false, struct{}{}, true},
-		{"cli", "ep:0", protocol.KindRejoin, true, nil, true},
-		{"", "", "", false, struct{}{}, true},
-		{"api", "mgr:gm-00", protocol.KindSubmit, false, protocol.SubmitRequest{VMs: []types.VMSpec{{ID: "<vm&1>"}}}, true},
-		{`lc:"n1"`, "mgr:gm-00", protocol.KindGMHeartbeat, true, protocol.GMHeartbeat{}, false},
-		{"lc:n1", "mgr:<gm>", protocol.KindGMHeartbeat, false, protocol.GMHeartbeat{}, false},
-		{"lc:n1", "mgr:gm\u2028", "k\xff", false, protocol.GMHeartbeat{}, false},
-	}
-	for _, c := range cases {
-		want := marshalEnvelope(t, c.from, c.to, c.kind, c.oneWay, c.payload)
-		got, err := appendEnvelope([]byte("prefix"), c.from, c.to, c.kind, c.oneWay, c.payload)
-		if err != nil || string(got) != "prefix"+string(want) {
-			t.Fatalf("appendEnvelope:\n got %s (err %v)\nwant %s", got, err, want)
-		}
-		var ref, env Envelope
-		if err := json.Unmarshal(want, &ref); err != nil {
-			t.Fatal(err)
-		}
-		ok := splitEnvelope(want, &env)
-		if ok != c.split {
-			t.Fatalf("splitEnvelope(%s) = %v, want %v", want, ok, c.split)
-		}
-		if ok && !reflect.DeepEqual(env, ref) {
-			t.Fatalf("splitEnvelope(%s):\n got %+v\nwant %+v", want, env, ref)
-		}
-	}
-	if _, err := appendEnvelope(nil, "a", "b", protocol.KindPlace, false, make(chan int)); err == nil {
-		t.Fatal("appendEnvelope accepted a payload that does not marshal")
-	}
-}
-
-// sameDelivery fails unless decodeDelivery and its encoding/json reference
-// agree on body: same header and payload, or an error from both.
-func sameDelivery(t *testing.T, body []byte) {
-	t.Helper()
-	pristine := bytes.Clone(body)
-	env, payload, err := decodeDelivery(body)
-	if !bytes.Equal(body, pristine) {
-		t.Fatal("decodeDelivery wrote to its input")
-	}
-	refEnv, refPayload, refErr := decodeDeliveryJSON(body)
-	if (err != nil) != (refErr != nil) {
-		t.Fatalf("%q: error %v, encoding/json error %v", body, err, refErr)
-	}
-	if err == nil && (!reflect.DeepEqual(env, refEnv) || !reflect.DeepEqual(payload, refPayload)) {
-		t.Fatalf("%q:\n got %+v %#v\nwant %+v %#v", body, env, payload, refEnv, refPayload)
-	}
-	// The values must not alias the request buffer.
-	for i := range body {
-		body[i] = 'X'
-	}
-	if err == nil && (!reflect.DeepEqual(env, refEnv) || !reflect.DeepEqual(payload, refPayload)) {
-		t.Fatalf("%q: decoded delivery changed with its input buffer", pristine)
-	}
-}
-
-// FuzzEnvelope: the one-pass split either defers to encoding/json or agrees
-// with it. Seeds: the encoder's own frames; testdata/fuzz holds the foreign
-// shapes (reordered keys, escapes, whitespace, unknown and duplicate fields,
-// trailing garbage).
-func FuzzEnvelope(f *testing.F) {
-	f.Add(marshalEnvelope(f, "lc:n000", "mgr:gm-00", protocol.KindMonitor, true, report16()))
-	f.Add(marshalEnvelope(f, "mgr:gm-00", "lc:n000", protocol.KindGMHeartbeat, true, protocol.GMHeartbeat{GM: "gm-00", Addr: "mgr:gm-00"}))
-	f.Add(marshalEnvelope(f, "mgr:gm-00", "lc:n000", protocol.KindStartVM, false, protocol.StartVMRequest{Spec: types.VMSpec{ID: "vm-1"}}))
-	f.Add(marshalEnvelope(f, "cli", "ep:0", protocol.KindGLQuery, false, struct{}{}))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var env Envelope
-		if splitEnvelope(body, &env) && json.Valid(env.Payload) {
-			var ref Envelope
-			if err := json.Unmarshal(body, &ref); err != nil || !reflect.DeepEqual(env, ref) {
-				t.Fatalf("splitEnvelope(%q) = %+v, json.Unmarshal = %+v (err %v)", body, env, ref, err)
-			}
-		}
-		sameDelivery(t, body)
-	})
-}
-
-// TestDeliverStatusCodes: the answers to frames nobody should send are
-// unchanged, and frames of a foreign shape are delivered like local ones.
-func TestDeliverStatusCodes(t *testing.T) {
+// TestStreamAnswers: the server answers each message frame on a stream with
+// the one reply frame its fate calls for, and a length over the cap ends the
+// stream without a frame.
+func TestStreamAnswers(t *testing.T) {
 	bus, _ := wallBus()
 	got := make(chan protocol.GMHeartbeat, 8)
 	bus.Register("lc:n1", func(req *transport.Request) {
@@ -151,49 +45,82 @@ func TestDeliverStatusCodes(t *testing.T) {
 			req.Respond(struct{}{})
 		}
 	})
+	bus.Register("lc:boom", func(req *transport.Request) { req.RespondErr(errFixture) })
 	srv := httptest.NewServer(NewServer(bus, time.Second).Handler())
 	defer srv.Close()
 
+	// message is a hand-built message frame: a call if id > 0.
+	message := func(id uint64, to, kind, body string) []byte {
+		typ := frameCall
+		if id == 0 {
+			typ = frameOneWay
+		}
+		b := beginFrame(nil, typ, id)
+		for _, name := range []string{"a", to, kind} {
+			b = append(b, byte(len(name)))
+			b = append(b, name...)
+		}
+		b = append(b, body...)
+		endFrame(b, 0)
+		return b
+	}
 	hb := `{"gm":"gm-00","addr":"mgr:gm-00"}`
+	overCap := []byte{0, 0x10, 0, 1, frameOneWay} // a length of maxFrameBytes+1
 	cases := []struct {
 		name      string
-		body      string
-		status    int
-		errPart   string
+		stream    []byte
+		typ       byte // 0: no frame at all
+		id        uint64
+		text      string // the reply body contains it
 		delivered bool
 	}{
-		{"one-way", `{"from":"a","to":"lc:n1","kind":"gm.heartbeat","oneWay":true,"payload":` + hb + `}`, 202, "", true},
-		{"call", `{"from":"a","to":"lc:n1","kind":"gm.heartbeat","payload":` + hb + `}`, 200, "", true},
-		{"reordered keys", `{"payload":{"addr":"mgr:gm-00","gm":"gm-00"},"oneWay":true,"kind":"gm.heartbeat","to":"lc:n1","from":"a"}`, 202, "", true},
-		{"whitespace and escapes", "{ \"from\": \"a\", \"to\": \"lc:n\\u0031\", \"kind\": \"gm.heartbeat\", \"oneWay\": true,\n \"payload\": " + hb + " }\n", 202, "", true},
-		{"unknown fields", `{"from":"a","to":"lc:n1","kind":"gm.heartbeat","oneWay":true,"payload":` + hb + `,"hop":3}`, 202, "", true},
-		{"not json", `{"from":`, 400, "bad envelope", false},
-		{"trailing garbage", `{"from":"a","to":"lc:n1","kind":"gm.heartbeat","oneWay":true,"payload":` + hb + `}}`, 400, "bad envelope", false},
-		{"bad payload", `{"from":"a","to":"lc:n1","kind":"gm.heartbeat","oneWay":true,"payload":{"gm":7}}`, 400, "", false},
-		{"garbage payload of a kind without one", `{"from":"a","to":"lc:n1","kind":"gm.inventory","payload":nope}`, 400, "bad envelope", false},
-		{"unknown kind", `{"from":"a","to":"lc:n1","kind":"bogus","payload":{}}`, 400, "unknown request kind", false},
-		{"unknown destination, one-way", `{"from":"a","to":"ghost","kind":"gm.heartbeat","oneWay":true,"payload":` + hb + `}`, 404, "unreachable", false},
-		{"unknown destination, call", `{"from":"a","to":"ghost","kind":"gm.heartbeat","payload":` + hb + `}`, 404, "unreachable", false},
-		{"too large", `{"from":"a","to":"lc:n1","kind":"gm.heartbeat","payload":"` + strings.Repeat("x", maxEnvelopeBytes) + `"}`, 413, "bad envelope", false},
+		{"one-way", message(0, "lc:n1", protocol.KindGMHeartbeat, hb), frameReply, 0, "", true},
+		{"call", message(7, "lc:n1", protocol.KindGMHeartbeat, hb), frameReply, 7, "{}", true},
+		{"handler error", message(3, "lc:boom", protocol.KindGMHeartbeat, hb), frameFailed, 3, "fixture error", false},
+		{"unknown destination, one-way", message(0, "ghost", protocol.KindGMHeartbeat, hb), frameUnreachable, 0, "unreachable", false},
+		{"unknown destination, call", message(2, "ghost", protocol.KindGMHeartbeat, hb), frameUnreachable, 2, "unreachable", false},
+		{"bad payload", message(0, "lc:n1", protocol.KindGMHeartbeat, `{"gm":7}`), frameRefused, 0, "bad frame", false},
+		{"unknown kind", message(4, "lc:n1", "bogus", `{}`), frameRefused, 4, "unknown request kind", false},
+		{"too large", append(overCap, make([]byte, maxFrameBytes)...), 0, 0, "", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp, err := http.Post(srv.URL+"/deliver", "application/json", strings.NewReader(c.body))
+			resp, err := http.Post(srv.URL+streamPath, streamContentType, bytes.NewReader(c.stream))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			data, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != c.status || !strings.Contains(string(data), c.errPart) {
-				t.Fatalf("status %d body %q, want %d containing %q", resp.StatusCode, data, c.status, c.errPart)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != streamContentType {
+				t.Fatalf("status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
 			}
-			if c.status == http.StatusAccepted {
-				// An empty body is not JSON and says so by saying nothing.
-				if len(data) != 0 || resp.Header.Get("Content-Type") != "" {
-					t.Fatalf("202 carries body %q, Content-Type %q", data, resp.Header.Get("Content-Type"))
+			fr := frameReader{r: bufio.NewReader(resp.Body)}
+			var replies []frame
+			for {
+				b, err := fr.next()
+				if err == io.EOF {
+					break
 				}
-			} else if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Fatalf("Content-Type %q", ct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := parseFrame(b)
+				if err != nil {
+					t.Fatalf("reply %q: %v", b, err)
+				}
+				if f.typ != frameClose {
+					f.body = bytes.Clone(f.body)
+					replies = append(replies, f)
+				}
+			}
+			switch {
+			case c.typ == 0 && len(replies) != 0:
+				t.Fatalf("%d reply frames, want none", len(replies))
+			case c.typ == 0:
+			case len(replies) != 1:
+				t.Fatalf("%d reply frames, want 1", len(replies))
+			case replies[0].typ != c.typ || replies[0].id != c.id || !strings.Contains(string(replies[0].body), c.text):
+				f := replies[0]
+				t.Fatalf("reply type %d ID %d body %q, want type %d ID %d containing %q", f.typ, f.id, f.body, c.typ, c.id, c.text)
 			}
 			if c.delivered {
 				select {
@@ -207,10 +134,10 @@ func TestDeliverStatusCodes(t *testing.T) {
 			}
 		})
 	}
-	// What a client makes of a 202: nothing, without complaint.
-	frame, err := decodeFrame(&http.Response{StatusCode: http.StatusAccepted, Body: http.NoBody})
-	if err != nil || frame.Payload != nil || frame.Error != "" {
-		t.Fatalf("decodeFrame(202, no body) = %+v, %v", frame, err)
+	select {
+	case v := <-got:
+		t.Fatalf("delivered %+v from a frame that should not be", v)
+	default:
 	}
 }
 
@@ -224,9 +151,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestGatewayReusesConnections: bursts as wide as the pool dial about that
-// many connections once, later bursts dial none, and nothing outlives the
-// remote listener and Close.
+// TestGatewayReusesConnections: bursts of 16 concurrent senders to one peer
+// share its stream, so the first dials about once and later bursts, which
+// come before the stream idles, dial none; nothing outlives the remote
+// listener and Close.
 func TestGatewayReusesConnections(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
@@ -238,7 +166,7 @@ func TestGatewayReusesConnections(t *testing.T) {
 	gw := NewGateway(busA, 5*time.Second)
 	gw.AddPeer("lc:n1", srv.URL)
 
-	const senders, rounds = idleConnsPerPeer, 50
+	const senders, rounds = 16, 50
 	wave := func() {
 		base := gw.Stats().Forwards
 		for r := 1; r <= rounds; r++ {
@@ -257,10 +185,10 @@ func TestGatewayReusesConnections(t *testing.T) {
 		}
 	}
 	wave()
-	// Each sender of the first round dials; a dial still in flight when its
-	// sender was handed a freed connection instead can leave the next round
-	// one connection short, so a few more are legitimate. Without the pool it
-	// is one per message beyond the default two (some 700 here).
+	// The first message dials the stream and the others queue on it; a
+	// redial is legitimate only when the stream ended between rounds, which
+	// these rounds, far quicker than the stream's idle limit, do not allow
+	// often. One connection per message would be 800 here.
 	first := gw.Stats()
 	if first.Dials == 0 || first.Dials > 2*senders {
 		t.Fatalf("first wave dialed %d connections, want 1..%d", first.Dials, 2*senders)
@@ -319,19 +247,6 @@ func TestGatewayCountsAndSurvivesErrorFrames(t *testing.T) {
 }
 
 // The micro gate of the wire path's rest layer (BENCH_telemetry.json).
-
-func BenchmarkEnvelopeSplit(b *testing.B) {
-	body := marshalEnvelope(b, "lc:n000", "mgr:gm-00", protocol.KindMonitor, true, report16())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var env Envelope
-		splitOK = splitEnvelope(body, &env) // TestEnvelopeMatchesMarshal checks that it accepts the frame
-	}
-}
-
-// splitOK keeps BenchmarkEnvelopeSplit's call from being optimised away.
-var splitOK bool
 
 // BenchmarkGatewayForward is one one-way monitor report through a gateway
 // proxy to a loopback server and into the remote bus handler.

@@ -2,9 +2,9 @@
 // append encoder that writes exactly the bytes encoding/json writes, and a
 // strict scanner that accepts exactly those bytes and reports a mismatch on
 // anything else, so that its caller can hand the same input to encoding/json.
-// internal/protocol builds the codecs of the hot /deliver message kinds from
-// them and api/v1 those of the /v1 list bodies; encoding/json stays the
-// reference both are fuzzed against.
+// internal/protocol builds the codecs of the hot /deliver/stream message
+// kinds from them and api/v1 those of the /v1 list bodies; encoding/json
+// stays the reference both are fuzzed against.
 package wirejson
 
 import (
