@@ -11,6 +11,7 @@ import (
 	apiclient "snooze/api/v1/client"
 	"snooze/internal/cluster"
 	"snooze/internal/scheduling"
+	"snooze/internal/telemetry"
 	"snooze/internal/workload"
 )
 
@@ -29,7 +30,7 @@ func TestBurstyOverloadObservableViaWatch(t *testing.T) {
 	})
 	cfg.Hypervisor.Traces = reg
 	th := scheduling.Thresholds{Overload: 0.85, Underload: 0}
-	cfg.LC.Thresholds = th
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: th.Overload, Underload: th.Underload, Repeat: 15 * time.Second}
 	cfg.Manager.Overload = scheduling.OverloadRelocation{Thresholds: th}
 	c := cluster.New(cfg)
 	c.Settle(30 * time.Second)

@@ -80,7 +80,7 @@ func onlineRun() {
 	// baseline); the online optimizer then packs them two migrations per
 	// round, planning against the p95 of each VM's windowed demand.
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.99, Underload: 0}
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.99, Underload: 0, Repeat: 15 * time.Second}
 	cfg.Manager.Consolidation = online.Config{
 		Enabled:         true,
 		Period:          2 * time.Minute,

@@ -12,6 +12,7 @@ import (
 	"snooze"
 	"snooze/internal/consolidation/online"
 	"snooze/internal/scheduling"
+	"snooze/internal/telemetry"
 	"snooze/internal/workload"
 )
 
@@ -27,7 +28,7 @@ func run(consolidate bool) (kwh float64, suspended int) {
 	// Round-robin placement spreads the VMs (the anti-consolidation
 	// baseline); energy management is on in both runs.
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0}
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.95, Underload: 0, Repeat: 15 * time.Second}
 	cfg.Manager.EnergyEnabled = true
 	cfg.Manager.IdleThreshold = 2 * time.Minute
 	if consolidate {

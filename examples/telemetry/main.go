@@ -41,12 +41,12 @@ func main() {
 	})
 	cfg.Hypervisor.Traces = reg
 	th := scheduling.Thresholds{Overload: 0.85, Underload: 0}
-	cfg.LC.Thresholds = th
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: th.Overload, Underload: th.Underload, Repeat: 15 * time.Second}
 	cfg.Manager.Overload = scheduling.OverloadRelocation{Thresholds: th}
 	// A raw ring of only 64 samples (~3 minutes at the 3s monitoring
 	// cadence): the 30-minute run below evicts most raw history into the
 	// default 1m/10m retention tiers.
-	cfg.Retention = telemetry.StoreConfig{SeriesCapacity: 64}
+	cfg.Hub.Store = telemetry.StoreConfig{SeriesCapacity: 64}
 	c := snooze.NewCluster(cfg)
 	c.Settle(30 * time.Second)
 

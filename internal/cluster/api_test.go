@@ -251,7 +251,7 @@ func TestMetricsAndTelemetry(t *testing.T) {
 // coverage — the Truncated watermark.
 func TestSeriesRetentionMetadata(t *testing.T) {
 	cfg := DefaultConfig(workload.Grid5000Topology(3, 1), 11)
-	cfg.Retention = telemetry.StoreConfig{SeriesCapacity: 32} // default tiers
+	cfg.Hub.Store = telemetry.StoreConfig{SeriesCapacity: 32} // default tiers
 	c := New(cfg)
 	c.Settle(30 * time.Second)
 	b := c.API(0)

@@ -54,13 +54,13 @@ type Config struct {
 	// on the telemetry hub).
 	Tracer *obs.Tracer
 	// Telemetry is the deployment-wide telemetry hub shared by every manager
-	// (created when nil, with detector thresholds mirroring LC.Thresholds so
-	// the GM-side detector and the LC-side classifier agree).
+	// (created from Hub when nil).
 	Telemetry *telemetry.Hub
-	// Retention sizes the created hub's series store: raw ring capacity and
-	// the downsampled tier ladder (see telemetry.StoreConfig). Ignored when
-	// Telemetry is provided.
-	Retention telemetry.StoreConfig
+	// Hub configures the created hub: the series store's retention (see
+	// telemetry.StoreConfig) and the thresholds of the overload/underload
+	// detector, the deployment's one anomaly classifier. Zero thresholds
+	// take telemetry.DefaultThresholds. Ignored when Telemetry is provided.
+	Hub telemetry.Options
 	// AutoRole, when non-nil, enables autonomic manager-population control
 	// (the paper's Section V future work: the framework, not the
 	// administrator, decides which nodes act as GMs).
@@ -127,31 +127,18 @@ func New(cfg Config) *Cluster {
 
 	// The control plane. Topology.GMs counts group managers; one extra
 	// process is spawned because the election promotes one manager to GL and
-	// "GL and GMs do not host VMs" — the promoted one sheds its LC group. The
-	// hub's detector thresholds mirror LC.Thresholds so the GM-side detector
-	// and the LC-side classifier agree.
-	lcTh := cfg.LC.Thresholds
-	if lcTh.Overload == 0 {
-		lcTh = hierarchy.DefaultLCConfig().Thresholds
-	}
-	cooldown := cfg.LC.AnomalyCooldown
-	if cooldown == 0 {
-		cooldown = hierarchy.DefaultLCConfig().AnomalyCooldown
-	}
+	// "GL and GMs do not host VMs" — the promoted one sheds its LC group.
 	var epAddrs []transport.Address
 	for i := 0; i < max(cfg.Topology.EPs, 1); i++ {
 		epAddrs = append(epAddrs, transport.Address(fmt.Sprintf("ep:%02d", i)))
 	}
 	ctl, err := NewControl(k, bus, ControlConfig{
-		Managers:  max(cfg.Topology.GMs, 1) + 1,
-		Manager:   cfg.Manager,
-		EPs:       epAddrs,
-		Metrics:   cfg.Metrics,
-		Telemetry: cfg.Telemetry,
-		Hub: telemetry.Options{
-			Store:      cfg.Retention,
-			Thresholds: telemetry.Thresholds{Overload: lcTh.Overload, Underload: lcTh.Underload, Repeat: cooldown},
-		},
+		Managers:    max(cfg.Topology.GMs, 1) + 1,
+		Manager:     cfg.Manager,
+		EPs:         epAddrs,
+		Metrics:     cfg.Metrics,
+		Telemetry:   cfg.Telemetry,
+		Hub:         cfg.Hub,
 		Tracer:      cfg.Tracer,
 		CallTimeout: time.Hour,
 		Wait:        c.drive,

@@ -35,7 +35,7 @@ func TestReconfigurationConsolidatesLiveCluster(t *testing.T) {
 	reg.Register("half", workload.FlatTrace{Fraction: 0.5})
 	cfg.Hypervisor.Traces = reg
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0} // isolate reconfig
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.95, Underload: 0, Repeat: 15 * time.Second} // isolate reconfig
 	cfg.Manager.Consolidation = online.Config{Enabled: true, Period: 2 * time.Minute, MigrationBudget: -1}
 	c := New(cfg)
 	c.Settle(30 * time.Second)
@@ -95,7 +95,7 @@ func TestConsolidationPlansAreAdmitted(t *testing.T) {
 	}
 	cfg.Hypervisor.Traces = reg
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0} // isolate consolidation
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.95, Underload: 0, Repeat: 15 * time.Second} // isolate consolidation
 	cfg.Manager.EnergyEnabled = true
 	cfg.Manager.IdleThreshold = 2 * time.Minute
 	cfg.Manager.Consolidation = online.Config{Enabled: true, Period: day / 8, MigrationBudget: -1}
@@ -138,7 +138,7 @@ func TestMigratedVMStaysListed(t *testing.T) {
 	reg.Register("half", workload.FlatTrace{Fraction: 0.5})
 	cfg.Hypervisor.Traces = reg
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0}
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.95, Underload: 0, Repeat: 15 * time.Second}
 	cfg.Manager.Consolidation = online.Config{Enabled: true, Period: time.Minute, MigrationBudget: -1}
 	c := New(cfg)
 	var lcs []types.NodeID
@@ -234,7 +234,7 @@ func TestWakeOnOverload(t *testing.T) {
 	cfg.Manager.EnergyEnabled = true
 	cfg.Manager.IdleThreshold = 30 * time.Second
 	th := scheduling.Thresholds{Overload: 0.8, Underload: 0}
-	cfg.LC.Thresholds = th
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: th.Overload, Underload: th.Underload, Repeat: 15 * time.Second}
 	cfg.Manager.Overload = scheduling.OverloadRelocation{Thresholds: th}
 	c := New(cfg)
 	c.Settle(20 * time.Second)

@@ -45,7 +45,7 @@ func TestOnlineConsolidationImprovesPackingUnderChurn(t *testing.T) {
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
 	// A packed node peaks at 95% measured utilization; keep overload
 	// relocation out of the picture so only the optimizer moves VMs.
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.99, Underload: 0}
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.99, Underload: 0, Repeat: 15 * time.Second}
 	cfg.Manager.Consolidation = online.Config{
 		Enabled:         true,
 		Period:          2 * time.Minute,
@@ -129,7 +129,7 @@ func TestOnlineConsolidationCancelsOnTrendReversal(t *testing.T) {
 	})
 	cfg.Hypervisor.Traces = reg
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.99, Underload: 0}
+	cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.99, Underload: 0, Repeat: 15 * time.Second}
 	// Enabled is off: the test starts the optimizer at a chosen instant via
 	// the control surface. The step down from 90% to 5% utilization yields a
 	// regression slope around -0.001/s over the 5-minute view window, so the

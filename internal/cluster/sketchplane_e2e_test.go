@@ -103,7 +103,7 @@ func TestSummaryCarriesMergedUtilSketch(t *testing.T) {
 func TestGMCrashRestoresSketchQuantiles(t *testing.T) {
 	top := workload.Grid5000Topology(12, 3)
 	cfg := DefaultConfig(top, 77)
-	cfg.Retention = telemetry.StoreConfig{SeriesCapacity: 8, Tiers: telemetry.NoTiers}
+	cfg.Hub.Store = telemetry.StoreConfig{SeriesCapacity: 8, Tiers: telemetry.NoTiers}
 	c := New(cfg)
 	c.Settle(30 * time.Second)
 

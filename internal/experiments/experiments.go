@@ -23,6 +23,7 @@ import (
 	"snooze/internal/power"
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling"
+	"snooze/internal/telemetry"
 	"snooze/internal/types"
 	"snooze/internal/workload"
 )
@@ -455,7 +456,7 @@ func E5EnergySavings(scale Scale) Result {
 		// says reconfiguration targets. (Event-based underload relocation
 		// is exercised in E3 and the cluster tests.)
 		cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-		cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0}
+		cfg.Hub.Thresholds = telemetry.Thresholds{Overload: 0.95, Underload: 0, Repeat: 15 * time.Second}
 		cfg.Manager.EnergyEnabled = v.energy
 		cfg.Manager.IdleThreshold = v.suspend
 		if v.reconf {

@@ -8,6 +8,7 @@ import (
 	"snooze/internal/metrics"
 	"snooze/internal/resource"
 	"snooze/internal/scheduling"
+	"snooze/internal/telemetry"
 	"snooze/internal/types"
 	"snooze/internal/workload"
 )
@@ -35,7 +36,7 @@ func A1EstimatorAblation(scale Scale) Result {
 		resource.Percentile{P: 95},
 		resource.MaxWindow{},
 	}
-	tb := metrics.NewTable("estimator", "anomalies", "overload-events", "relocations", "migrations-ok", "running-VMs")
+	tb := metrics.NewTable("estimator", "overload-events", "relocations", "migrations-ok", "running-VMs")
 	for _, est := range ests {
 		top := workload.Grid5000Topology(nodes, gms)
 		cfg := cluster.DefaultConfig(top, 4100)
@@ -49,10 +50,10 @@ func A1EstimatorAblation(scale Scale) Result {
 		cfg.Hypervisor.Traces = reg
 		// First-fit packs ~4 VMs per node; a 75% threshold makes multi-VM
 		// burst coincidences overload a node a few times per horizon. The
-		// GM relocation policies share the LC thresholds (the target the
-		// moves must restore).
+		// GM relocation policies share the detector's thresholds (the target
+		// the moves must restore).
 		th := scheduling.Thresholds{Overload: 0.75, Underload: 0.1}
-		cfg.LC.Thresholds = th
+		cfg.Hub.Thresholds = telemetry.Thresholds{Overload: th.Overload, Underload: th.Underload, Repeat: 15 * time.Second}
 		cfg.Manager.Overload = scheduling.OverloadRelocation{Thresholds: th}
 		cfg.Manager.Underload = scheduling.UnderloadRelocation{Thresholds: th}
 		cfg.Manager.Estimator = est
@@ -66,12 +67,11 @@ func A1EstimatorAblation(scale Scale) Result {
 			batch[i].TraceID = fmt.Sprintf("b%d", i)
 		}
 		if _, err := c.SubmitAndWait(batch, time.Hour); err != nil {
-			tb.AddRow(est.Name(), "ERROR: "+err.Error(), "-", "-", "-", "-")
+			tb.AddRow(est.Name(), "ERROR: "+err.Error(), "-", "-", "-")
 			continue
 		}
 		c.Settle(horizon)
 		tb.AddRow(est.Name(),
-			c.Metrics.Count("gm.anomalies-received"),
 			c.Metrics.Count("gm.overload-events"),
 			c.Metrics.Count("gm.relocations"),
 			c.Metrics.Count("gm.migrations-ok"),

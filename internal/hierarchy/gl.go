@@ -210,22 +210,19 @@ func (m *Manager) glOnSummary(req *transport.Request) {
 			m.mark("gl.summary-sketch-adoptions", 1)
 		}
 	}
-	// A GM pushing rollups on a hub shared with this GL already appends the
-	// gm/<id> series from its own monitoring flow (gmOnMonitor) at heartbeat
-	// cadence; re-recording the coarser summary here would double-feed the
-	// series. The GM's claim stamp plus an O(1) freshness probe distinguishes
-	// that case from a GM that feeds a hub of its own (a manager built
-	// without one), where this record is the series' only feed. The
-	// staleness bound keeps the GL recording when a claimed rollup went quiet
-	// (a GM whose LCs all left stops ingesting monitor reports, hence stops
-	// rolling up).
-	if up.Rollup {
-		entity := telemetry.GMEntity(up.Summary.GM)
-		if owner, ok := m.tel.Owner(entity); ok && owner == string(up.Summary.GM) {
-			if sm, ok := m.tel.Store().Newest(entity, "util"); ok && m.rt.Now()-sm.At <= 2*m.cfg.SummaryPeriod {
-				m.mark("gl.summary-rollup-skips", 1)
-				return
-			}
+	// Every GM appends its own gm/<id> rollup series from its monitoring
+	// flow (gmOnMonitor) at heartbeat cadence; when it shares this GL's hub,
+	// re-recording the coarser summary here would double-feed the series.
+	// The GM's claim stamp plus an O(1) freshness probe distinguishes that
+	// case from a GM that feeds a hub of its own (a manager built without
+	// one), where this record is the series' only feed. The staleness bound
+	// keeps the GL recording when a claimed rollup went quiet (a GM whose LCs
+	// all left stops ingesting monitor reports, hence stops rolling up).
+	entity := telemetry.GMEntity(up.Summary.GM)
+	if owner, ok := m.tel.Owner(entity); ok && owner == string(up.Summary.GM) {
+		if sm, ok := m.tel.Store().Newest(entity, "util"); ok && m.rt.Now()-sm.At <= 2*m.cfg.SummaryPeriod {
+			m.mark("gl.summary-rollup-skips", 1)
+			return
 		}
 	}
 	m.tel.RecordGroup(m.rt.Now(), up.Summary)

@@ -220,7 +220,6 @@ func (g *gmStint) summaryTick() {
 	up := protocol.SummaryUpdate{
 		Summary:    summary,
 		Addr:       string(g.cfg.Addr),
-		Rollup:     true,
 		Scheduling: &sched,
 	}
 	if enc, ok := g.mergedUtilSketch(nodes); ok {
@@ -406,8 +405,13 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 		m.emit(telemetry.EventNodeIdle, telemetry.NodeEntity(id),
 			telemetry.A("sinceNs", fmt.Sprintf("%d", rep.Status.IdleSince)))
 	}
-	if ev, fired := m.tel.DetectNode(now, rep.Status); fired {
-		g.onTelemetryEvent(ev, rep.Status, rep.VMs)
+	// The detector is the one overload/underload classifier: an anomaly is
+	// acted on at most once per Thresholds.Repeat per node, and recoveries
+	// are journal-only. The report that fired it is fresher than the GM's
+	// cached record when messages reorder.
+	if ev, fired := m.tel.DetectNode(now, rep.Status); fired && ev.Type != telemetry.EventNodeNormal {
+		g.mark("gm.detector-relocations", 1)
+		g.relocate(ev.Type == telemetry.EventNodeOverload, rep.Status, rep.VMs)
 	}
 	g.drainPending()
 }
@@ -574,27 +578,6 @@ func (m *Manager) reapUnfedLater(entities []string) {
 		m.tel.EmitBatch(evs)
 		m.mark("gm.vms-vanished", int64(len(evs)))
 	})
-}
-
-// onTelemetryEvent reacts to a detector event: anomaly events trigger the
-// relocation policies, recoveries are journal-only. This is the single entry
-// point for relocation — the LC anomaly fast path and the monitoring path
-// both funnel through the detector, so an anomaly is acted on at most once
-// per Thresholds.Repeat cooldown per node, regardless of how many reports
-// carry it. status/vms are the report that fired the event — fresher than
-// the GM's cached record when messages reorder.
-func (g *gmStint) onTelemetryEvent(ev telemetry.Event, status types.NodeStatus, vms []types.VMStatus) {
-	var kind protocol.AnomalyKind
-	switch ev.Type {
-	case telemetry.EventNodeOverload:
-		kind = protocol.AnomalyOverload
-	case telemetry.EventNodeUnderload:
-		kind = protocol.AnomalyUnderload
-	default:
-		return
-	}
-	g.mark("gm.detector-relocations", 1)
-	g.relocate(kind, status, vms)
 }
 
 // estimateVM returns the demand estimate for one VM, reconstructed from the
@@ -891,36 +874,11 @@ func (g *gmStint) drainPending() {
 	g.finishPlacements(batch)
 }
 
-// gmOnAnomaly handles an LC overload/underload report. The LC's local
-// classification is advisory: the report's fresh status feeds the shared
-// telemetry detector, and relocation runs iff the detector (which the
-// monitoring path feeds too) confirms a crossing — the GM no longer
-// interprets thresholds ad hoc per message (Section II-C).
-func (m *Manager) gmOnAnomaly(req *transport.Request) {
-	rep, ok := req.Payload.(protocol.AnomalyReport)
-	if !ok {
-		return
-	}
-	m.mark("gm.anomalies-received", 1)
-	g := m.lockGM()
-	if g == nil {
-		return
-	}
-	_, known := g.lcs[rep.Status.Spec.ID]
-	m.mu.Unlock()
-	if !known {
-		return
-	}
-	if ev, fired := m.tel.DetectNode(m.rt.Now(), rep.Status); fired {
-		g.onTelemetryEvent(ev, rep.Status, rep.VMs)
-	}
-}
-
-// relocate runs the relocation policy for an anomaly on one of this GM's
-// nodes and executes the resulting moves (Section II-C). It is invoked by
-// onTelemetryEvent, never directly from message handlers; status/vms are
-// the reported state that fired the detector.
-func (g *gmStint) relocate(kind protocol.AnomalyKind, status types.NodeStatus, srcVMs []types.VMStatus) {
+// relocate runs the overload (or else underload) relocation policy for an
+// anomaly on one of this GM's nodes and executes the resulting moves
+// (Section II-C). Only gmOnMonitor calls it, on a detector event; status/vms
+// are the reported state that fired the detector.
+func (g *gmStint) relocate(overload bool, status types.NodeStatus, srcVMs []types.VMStatus) {
 	if !g.lock() {
 		return
 	}
@@ -943,16 +901,16 @@ func (g *gmStint) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 		}
 		others = append(others, lc.status)
 	}
-	var policy = g.cfg.Overload
-	if kind == protocol.AnomalyUnderload {
-		policy = g.cfg.Underload
+	policy, anomaly := g.cfg.Overload, "overload"
+	if !overload {
+		policy, anomaly = g.cfg.Underload, "underload"
 	}
 	srcView := g.views.Node(now, status)
 	// A relocation is trace-root: the detector event, not a user request,
 	// started this chain. Its migrations become child spans.
 	span := g.cfg.Tracer.StartTrace(obs.KindRelocation, telemetry.NodeEntity(status.Spec.ID))
 	span.SetPolicy(policy.Name())
-	span.Annotate("anomaly", kind.String())
+	span.Annotate("anomaly", anomaly)
 	span.SetView(srcView.Stats.Gen, srcView.Stats.Samples, srcView.Stats.Fresh, srcView.Stats.Truncated)
 	if sk, ok := policy.(scheduling.SkipsAnomaly); ok && sk.SkipAnomaly(srcView) {
 		// Deliberate inaction (e.g. trend-relocation judging the spike to be
@@ -977,7 +935,7 @@ func (g *gmStint) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 		// An unresolvable overload wakes sleeping capacity (Section III:
 		// "LCs are woken up by the GM in case ... overload situations on
 		// the LCs occur").
-		if kind == protocol.AnomalyOverload && g.cfg.EnergyEnabled {
+		if overload && g.cfg.EnergyEnabled {
 			g.wakeOneLocked()
 		}
 		g.mu.Unlock()
@@ -985,7 +943,7 @@ func (g *gmStint) relocate(kind protocol.AnomalyKind, status types.NodeStatus, s
 		return
 	}
 	g.mark("gm.relocations", int64(len(moves)))
-	if kind == protocol.AnomalyOverload {
+	if overload {
 		g.mark("gm.overload-events", 1)
 	} else {
 		g.mark("gm.underload-events", 1)

@@ -20,7 +20,6 @@ import (
 
 	"snooze/internal/hypervisor"
 	"snooze/internal/protocol"
-	"snooze/internal/scheduling"
 	"snooze/internal/simkernel"
 	"snooze/internal/transport"
 	"snooze/internal/types"
@@ -39,10 +38,6 @@ type LCConfig struct {
 	// GMTimeout declares the GM dead when no GM heartbeat arrives for this
 	// long; the LC then rejoins the hierarchy (Section II-E).
 	GMTimeout time.Duration
-	// Thresholds configures local overload/underload detection.
-	Thresholds scheduling.Thresholds
-	// AnomalyCooldown rate-limits repeated anomaly reports.
-	AnomalyCooldown time.Duration
 	// CallTimeout bounds join/assign RPCs.
 	CallTimeout time.Duration
 }
@@ -51,17 +46,15 @@ type LCConfig struct {
 // scales chosen to match the paper's multi-second failure detection).
 func DefaultLCConfig() LCConfig {
 	return LCConfig{
-		MonitorPeriod:   3 * time.Second,
-		GMTimeout:       10 * time.Second,
-		Thresholds:      scheduling.DefaultThresholds(),
-		AnomalyCooldown: 15 * time.Second,
-		CallTimeout:     5 * time.Second,
+		MonitorPeriod: 3 * time.Second,
+		GMTimeout:     10 * time.Second,
+		CallTimeout:   5 * time.Second,
 	}
 }
 
 // LC is a Local Controller: the per-node agent that "enforce[s] VM and host
-// management commands coming from the GM" and "detect[s] local
-// overload/underload anomaly situations" (Section II-A).
+// management commands coming from the GM" (Section II-A) and reports the
+// monitoring data its GM detects overload/underload anomalies from.
 type LC struct {
 	rt      simkernel.Runtime
 	bus     *transport.Bus
@@ -71,15 +64,14 @@ type LC struct {
 	oobAddr transport.Address
 	resolve NodeResolver
 
-	mu          sync.Mutex
-	gmAddr      transport.Address
-	gmID        types.GroupManagerID
-	lastGMBeat  time.Duration
-	joining     bool
-	stopped     bool
-	lastAnomaly time.Duration
-	ticker      *simkernel.Ticker
-	rejoins     uint64
+	mu         sync.Mutex
+	gmAddr     transport.Address
+	gmID       types.GroupManagerID
+	lastGMBeat time.Duration
+	joining    bool
+	stopped    bool
+	ticker     *simkernel.Ticker
+	rejoins    uint64
 	// corrupt, when set, mutates outgoing monitor reports in flight — the
 	// gray-failure injection hook (a sensor gone bad, a broken sender
 	// clock). Production code never sets it.
@@ -378,8 +370,8 @@ func (lc *LC) tick() {
 	lc.livenessTick()
 }
 
-// monitorTick sends monitoring data (doubling as the LC heartbeat) and runs
-// local anomaly detection.
+// monitorTick sends monitoring data, which doubles as the LC heartbeat and
+// feeds the GM's overload/underload detector.
 func (lc *LC) monitorTick() {
 	if lc.node.Power() != types.PowerOn {
 		return
@@ -401,24 +393,6 @@ func (lc *LC) monitorTick() {
 		rep = corrupted(corrupt, rep)
 	}
 	_ = lc.bus.Send(lc.addr, gm, protocol.KindMonitor, rep)
-
-	over, under := lc.cfg.Thresholds.Classify(status)
-	if !over && !under {
-		return
-	}
-	lc.mu.Lock()
-	now := lc.rt.Now()
-	if now-lc.lastAnomaly < lc.cfg.AnomalyCooldown {
-		lc.mu.Unlock()
-		return
-	}
-	lc.lastAnomaly = now
-	lc.mu.Unlock()
-	kind := protocol.AnomalyOverload
-	if under {
-		kind = protocol.AnomalyUnderload
-	}
-	_ = lc.bus.Send(lc.addr, gm, protocol.KindAnomaly, protocol.AnomalyReport{Kind: kind, Status: status, VMs: vms})
 }
 
 // corrupted returns rep as the gray-failure hook fn mutates it. fn gets a

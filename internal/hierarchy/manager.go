@@ -596,8 +596,6 @@ func (m *Manager) handle(req *transport.Request) {
 		m.gmOnLCJoin(req)
 	case protocol.KindMonitor:
 		m.gmOnMonitor(req)
-	case protocol.KindAnomaly:
-		m.gmOnAnomaly(req)
 	case protocol.KindPlace:
 		m.gmOnPlace(req)
 	case protocol.KindShed:

@@ -95,8 +95,6 @@ func DecodeRequest(kind string, data json.RawMessage) (any, error) {
 			return v, nil
 		}
 		return decode[MonitorReport](data)
-	case KindAnomaly:
-		return decode[AnomalyReport](data)
 	case KindSubmit:
 		return decode[SubmitRequest](data)
 	case KindPlace:
@@ -155,7 +153,7 @@ func DecodeReply(kind string, data json.RawMessage) (any, error) {
 		return decode[InventoryResponse](data)
 	case KindConsolidation:
 		return decode[ConsolidationCtlResponse](data)
-	case KindGLHeartbeat, KindGMHeartbeat, KindSummary, KindMonitor, KindAnomaly,
+	case KindGLHeartbeat, KindGMHeartbeat, KindSummary, KindMonitor,
 		KindStopVM, KindSuspendHost, KindWakeHost, KindRejoin:
 		return noPayload(kind, data)
 	default:

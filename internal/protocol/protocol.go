@@ -30,9 +30,6 @@ const (
 	// KindMonitor carries an LC's periodic monitoring data to its GM and
 	// doubles as the LC heartbeat (Section II-B).
 	KindMonitor = "gm.monitor"
-	// KindAnomaly reports a local overload/underload situation to the GM
-	// (Section II-A).
-	KindAnomaly = "gm.anomaly"
 	// KindSubmit is a client VM submission to the GL (via an EP).
 	KindSubmit = "gl.submit"
 	// KindPlace is the GL's placement probe to one candidate GM.
@@ -104,14 +101,9 @@ type GMJoinResponse struct {
 	Accepted bool `json:"accepted"`
 }
 
-// SummaryUpdate is a GM's periodic aggregate (Section II-B). Rollup reports
-// that the sending GM also appends its own gm/<id> rollup series on monitor
-// ingestion, so a GL sharing the sender's telemetry hub need not re-record
-// the summary.
-//
-// UtilSketch carries the mergeable quantile sketch of the group's member
-// node-util distribution: the GM merges its per-node util sketches and ships
-// the result, so the GL's group capacity views answer p50/p95 over the
+// SummaryUpdate is a GM's periodic aggregate (Section II-B). UtilSketch
+// carries the mergeable quantile sketch of the group's member node-util
+// distribution: the GM merges its per-node util sketches and ships the result, so the GL's group capacity views answer p50/p95 over the
 // members' actual utilization instead of over the rollup series of group
 // averages (whose quantiles are quantiles-of-averages). Scheduling carries
 // the sender's own active policy configuration, so a GL fronting a
@@ -119,7 +111,6 @@ type GMJoinResponse struct {
 type SummaryUpdate struct {
 	Summary    types.GroupSummary `json:"summary"`
 	Addr       string             `json:"addr"`
-	Rollup     bool               `json:"rollup,omitempty"`
 	UtilSketch *sketch.Encoded    `json:"utilSketch,omitempty"`
 	Scheduling *SchedulingInfo    `json:"scheduling,omitempty"`
 }
@@ -157,30 +148,6 @@ type MonitorReport struct {
 	Status types.NodeStatus `json:"status"`
 	VMs    []types.VMStatus `json:"vms"`
 	AtNs   int64            `json:"atNs,omitempty"`
-}
-
-// AnomalyKind distinguishes overload from underload events.
-type AnomalyKind int
-
-// Anomaly kinds.
-const (
-	AnomalyOverload AnomalyKind = iota
-	AnomalyUnderload
-)
-
-// String implements fmt.Stringer.
-func (k AnomalyKind) String() string {
-	if k == AnomalyOverload {
-		return "overload"
-	}
-	return "underload"
-}
-
-// AnomalyReport is the LC→GM anomaly event (Section II-A).
-type AnomalyReport struct {
-	Kind   AnomalyKind      `json:"kind"`
-	Status types.NodeStatus `json:"status"`
-	VMs    []types.VMStatus `json:"vms"`
 }
 
 // SubmitRequest is a client VM submission.

@@ -48,7 +48,6 @@ func TestJSONRoundTrips(t *testing.T) {
 		LCJoinRequest{Addr: "lc:n1", OOB: "oob:lc:n1", Status: status, VMs: []types.VMStatus{vmStatus}},
 		LCJoinResponse{Accepted: true},
 		MonitorReport{Status: status, VMs: []types.VMStatus{vmStatus}},
-		AnomalyReport{Kind: AnomalyOverload, Status: status, VMs: []types.VMStatus{vmStatus}},
 		SubmitRequest{VMs: []types.VMSpec{spec}},
 		SubmitResponse{Placed: map[types.VMID]types.NodeID{"vm-1": "n1"}, Unplaced: []types.VMID{"vm-2"}},
 		PlaceRequest{VMs: []types.VMSpec{spec}},
@@ -69,16 +68,10 @@ func TestJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestAnomalyKindString(t *testing.T) {
-	if AnomalyOverload.String() != "overload" || AnomalyUnderload.String() != "underload" {
-		t.Fatal("anomaly kind strings")
-	}
-}
-
 func TestKindNamingConvention(t *testing.T) {
 	kinds := []string{
 		KindGLHeartbeat, KindGMHeartbeat, KindGMJoin, KindSummary, KindLCAssign,
-		KindLCJoin, KindMonitor, KindAnomaly, KindSubmit, KindPlace, KindStartVM,
+		KindLCJoin, KindMonitor, KindSubmit, KindPlace, KindStartVM,
 		KindStopVM, KindMigrateVM, KindSuspendHost, KindWakeHost, KindGLQuery, KindTopology,
 	}
 	seen := map[string]bool{}

@@ -37,7 +37,8 @@
 //
 // A peer that answers 404 on /deliver/stream is a snoozed from before the
 // stream, which is not supported: each message to it fails as unreachable
-// with an error naming the route, and counts as a forward error. A Client
+// with an error naming the route, and counts as a forward error; the
+// Gateway logs the first such failure of each peer. A Client
 // makes one call per stream of one frame.
 package rest
 
@@ -46,8 +47,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"sync"
@@ -155,6 +158,7 @@ type Gateway struct {
 
 	queueLimit int // frames a stream queues before it drops or refuses
 	closed     atomic.Bool
+	logf       func(format string, args ...any) // log.Printf
 
 	mu      sync.Mutex
 	peers   map[transport.Address]string // addr -> base URL
@@ -172,6 +176,7 @@ func NewGateway(bus *transport.Bus, timeout time.Duration) *Gateway {
 	g := &Gateway{
 		bus:        bus,
 		queueLimit: streamQueue,
+		logf:       log.Printf,
 		peers:      make(map[transport.Address]string),
 		conns:      make(map[string]*peerConn),
 		streams:    make(map[*clientStream]struct{}),
@@ -291,6 +296,9 @@ func (g *Gateway) forward(pc *peerConn, req *transport.Request) {
 		st, err := pc.stream()
 		if err != nil {
 			g.failed(1)
+			if errors.Is(err, errNoStream) && pc.noStreamLogged.CompareAndSwap(false, true) {
+				g.logf("rest: peer %s has no %s route: a snoozed without the stream is not supported, every message to it fails", pc.url, streamPath)
+			}
 			// The remote process is not answering: same meaning as an
 			// unregistered bus address, so keep the sentinel for callers.
 			req.RespondErr(fmt.Errorf("%w: %s: %w", transport.ErrUnreachable, req.To, err))

@@ -483,6 +483,8 @@ func (s *Server) shutdown(srv *http.Server) {
 type peerConn struct {
 	g   *Gateway
 	url string
+	// noStreamLogged is set once a 404 on the stream route was logged.
+	noStreamLogged atomic.Bool
 
 	mu sync.Mutex
 	st *clientStream // nil until a frame needs one

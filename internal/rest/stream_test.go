@@ -205,6 +205,39 @@ func TestGatewayPeerWithoutStreamFails(t *testing.T) {
 	}
 }
 
+// TestGatewayLogsPeerWithoutStreamOnce: every message to a peer without
+// the stream route fails, but the gateway logs only the first, naming the
+// peer's URL and the route.
+func TestGatewayLogsPeerWithoutStreamOnce(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
+	busA, _ := wallBus()
+	gw := NewGateway(busA, 5*time.Second)
+	defer gw.Close()
+	var mu sync.Mutex
+	var lines []string
+	gw.logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	gw.AddPeer("lc:n1", srv.URL)
+
+	for i := 0; i < 5; i++ {
+		if o := await(t, "the call", callAsync(busA, "lc:n1", 5*time.Second)); !errors.Is(o.err, transport.ErrUnreachable) {
+			t.Fatalf("call %d: err %v, want unreachable", i, o.err)
+		}
+	}
+	if s := gw.Stats(); s.ForwardErrors != 5 {
+		t.Fatalf("stats %+v, want 5 forward errors", s)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 1 || !strings.Contains(lines[0], srv.URL) || !strings.Contains(lines[0], streamPath) {
+		t.Fatalf("log lines %q, want one naming %s and %s", lines, srv.URL, streamPath)
+	}
+}
+
 // TestGatewayFullQueueDropsOneWayOldestFirst: with the stream's writer
 // stuck, a full queue makes room by dropping its oldest one-way frame, and a
 // queue of calls refuses the next call as unreachable at once.

@@ -3,7 +3,8 @@
 // candidate GMs from (inexact) group summaries; the GL then performs a
 // linear search over the candidates. At the Group Manager, placement
 // policies choose a Local Controller for each incoming VM, and relocation
-// policies react to overload/underload anomaly events from the LCs.
+// policies react to the overload/underload events the GM's detector raises
+// from its LCs' monitoring reports.
 //
 // All policies consume capacity views (internal/scheduling/view): the
 // point-in-time snapshot enriched with windowed utilization statistics from
@@ -298,32 +299,23 @@ func (r *RoundRobinPlacement) Name() string { return "round-robin" }
 // Relocation (overload / underload)
 // ---------------------------------------------------------------------------
 
-// Thresholds define the LC anomaly detectors (Section II-A: LCs "detect
-// local overload/underload anomaly situations and report them to the
-// assigned GM").
+// Thresholds are a relocation policy's restore targets: no move may push a
+// receiver above Overload, and overload relocation moves VMs until the
+// source is back under it. They classify nothing: the GM's telemetry
+// detector (telemetry.Thresholds) is the one overload/underload detector,
+// and a deployment normally gives both the same values.
 type Thresholds struct {
-	// Overload fires when measured utilization exceeds this fraction of
+	// Overload is the bound on measured utilization, as a fraction of
 	// capacity on any dimension.
 	Overload float64
-	// Underload fires when utilization is below this fraction on every
-	// dimension (and the node hosts at least one VM).
+	// Underload is the underload bound of the same scale; the detector's
+	// counterpart decides when underload relocation runs.
 	Underload float64
 }
 
 // DefaultThresholds matches the common 90%/20% split of the adaptive
 // threshold literature the paper cites ([8]).
 func DefaultThresholds() Thresholds { return Thresholds{Overload: 0.9, Underload: 0.2} }
-
-// Classify returns (overloaded, underloaded) for a node status.
-func (t Thresholds) Classify(n types.NodeStatus) (over, under bool) {
-	if n.Power != types.PowerOn {
-		return false, false
-	}
-	u := n.Used.Divide(n.Spec.Capacity)
-	over = u.NormInf() > t.Overload
-	under = len(n.VMs) > 0 && !over && u.NormInf() < t.Underload
-	return over, under
-}
 
 // Move pairs a VM with a relocation destination.
 type Move struct {

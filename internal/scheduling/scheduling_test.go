@@ -152,36 +152,6 @@ func TestRoundRobinPlacementCycles(t *testing.T) {
 	}
 }
 
-func TestThresholdsClassify(t *testing.T) {
-	th := DefaultThresholds()
-	over := node("n1", 7.5, 8) // 93.75% > 90%
-	over.VMs = []types.VMID{"v"}
-	if o, u := th.Classify(over.NodeStatus); !o || u {
-		t.Fatalf("overload: %v %v", o, u)
-	}
-	under := node("n2", 1, 8) // 12.5% < 20%
-	under.VMs = []types.VMID{"v"}
-	if o, u := th.Classify(under.NodeStatus); o || !u {
-		t.Fatalf("underload: %v %v", o, u)
-	}
-	mid := node("n3", 4, 8)
-	mid.VMs = []types.VMID{"v"}
-	if o, u := th.Classify(mid.NodeStatus); o || u {
-		t.Fatalf("moderate: %v %v", o, u)
-	}
-	// Empty node is not "underloaded" (it is idle — energy manager's job).
-	empty := node("n4", 0, 8)
-	if o, u := th.Classify(empty.NodeStatus); o || u {
-		t.Fatalf("empty: %v %v", o, u)
-	}
-	// Non-running node is never anomalous.
-	susp := node("n5", 7.5, 8)
-	susp.Power = types.PowerSuspended
-	if o, u := th.Classify(susp.NodeStatus); o || u {
-		t.Fatalf("suspended: %v %v", o, u)
-	}
-}
-
 func vmStatus(id string, cpu float64, state types.VMState) types.VMStatus {
 	return types.VMStatus{
 		Spec:  types.VMSpec{ID: types.VMID(id), Requested: types.RV(cpu, cpu*1024, 0, 0)},

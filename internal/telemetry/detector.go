@@ -8,16 +8,17 @@ import (
 	"snooze/internal/types"
 )
 
-// Thresholds parameterize the node anomaly detector. They mirror the LC-side
-// scheduling thresholds (Section II-A): a node is overloaded when its L∞
-// utilization exceeds Overload, underloaded when it hosts VMs and sits below
-// Underload.
+// Thresholds parameterize the node anomaly detector, the deployment's one
+// overload/underload classifier (Section II-A's anomaly situations): a
+// powered-on node is overloaded when its L∞ utilization exceeds Overload,
+// underloaded when it hosts VMs and its L∞ utilization sits below
+// Underload. The relocation policies' scheduling.Thresholds are the restore
+// targets and normally carry the same values.
 type Thresholds struct {
 	Overload  float64
 	Underload float64
-	// Repeat is the per-entity anomaly cooldown, mirroring the LC's
-	// AnomalyCooldown: after an anomaly event fires for an entity, further
-	// anomaly events — fresh crossings and persisting conditions alike —
+	// Repeat is the per-entity anomaly cooldown: after an anomaly event
+	// fires for an entity, further anomaly events — fresh crossings and persisting conditions alike —
 	// wait Repeat before firing again. This damps relocation feedback loops
 	// (an underload drained into an empty peer re-crosses immediately on the
 	// peer) while persisting anomalies still re-emit, so a consumer that
@@ -26,8 +27,7 @@ type Thresholds struct {
 	Repeat time.Duration
 }
 
-// DefaultThresholds matches scheduling.DefaultThresholds plus a 15s repeat
-// (the LC anomaly-report cooldown).
+// DefaultThresholds matches scheduling.DefaultThresholds plus a 15s repeat.
 func DefaultThresholds() Thresholds {
 	return Thresholds{Overload: 0.9, Underload: 0.2, Repeat: 15 * time.Second}
 }
@@ -64,11 +64,10 @@ type detectorState struct {
 }
 
 // Detector turns per-node utilization observations into edge-triggered
-// anomaly events with optional periodic re-emission. It is the GM's
-// replacement for interpreting each LC anomaly report ad hoc: both the LC
-// report path and the monitoring ingest path feed the same state machine, so
-// an anomaly is acted on once per crossing (plus every Repeat while it
-// lasts), no matter how many messages carry it.
+// anomaly events with optional periodic re-emission. The GM feeds it every
+// validated monitor report, and its events are the only trigger of
+// relocation: an anomaly is acted on once per crossing (plus every Repeat
+// while it lasts), no matter how many reports carry it.
 type Detector struct {
 	th Thresholds
 
@@ -84,8 +83,8 @@ func NewDetector(th Thresholds) *Detector {
 	return &Detector{th: th, nodes: make(map[string]*detectorState)}
 }
 
-// Classify evaluates a node status against the thresholds.
-func (d *Detector) Classify(st types.NodeStatus) nodeCondition {
+// classify evaluates a node status against the thresholds.
+func (d *Detector) classify(st types.NodeStatus) nodeCondition {
 	if st.Power != types.PowerOn {
 		return condNormal
 	}
@@ -106,7 +105,7 @@ func (d *Detector) Classify(st types.NodeStatus) nodeCondition {
 // stayed anomalous for another Repeat interval. Anomaly events respect the
 // per-entity Repeat cooldown; recoveries are immediate.
 func (d *Detector) Observe(entity string, at time.Duration, st types.NodeStatus) (Event, bool) {
-	cond := d.Classify(st)
+	cond := d.classify(st)
 	d.mu.Lock()
 	state, ok := d.nodes[entity]
 	if !ok {

@@ -91,7 +91,8 @@ type Options struct {
 	Store StoreConfig
 	// JournalCapacity is the event retention window (default 1024).
 	JournalCapacity int
-	// Thresholds configure the node anomaly detector.
+	// Thresholds configure the node anomaly detector, the one
+	// overload/underload classifier (zero Overload: DefaultThresholds).
 	Thresholds Thresholds
 	// Metrics optionally receives ingestion counters
 	// (telemetry.samples, telemetry.events).

@@ -367,6 +367,59 @@ func TestDetectorSuppressedCrossingKeepsEventsPaired(t *testing.T) {
 	}
 }
 
+// TestDetectorObserveClassifies pins the detector's classification, one
+// fresh entity per case observed at t=0: the first observation of an
+// anomalous node fires at once, a normal one is silent. Utilisation is the
+// L∞ norm over every dimension; both bounds are strict.
+func TestDetectorObserveClassifies(t *testing.T) {
+	// Unit capacity makes each Used dimension its utilisation.
+	status := func(power types.PowerState, used types.ResourceVector, vms int) types.NodeStatus {
+		st := types.NodeStatus{
+			Spec:  types.NodeSpec{ID: "n", Capacity: types.RV(1, 1, 1, 1)},
+			Power: power,
+			Used:  used,
+		}
+		for i := 0; i < vms; i++ {
+			st.VMs = append(st.VMs, types.VMID(fmt.Sprintf("v%d", i)))
+		}
+		return st
+	}
+	on := types.PowerOn
+	cases := []struct {
+		name string
+		st   types.NodeStatus
+		want string // event type; "" when nothing fires
+	}{
+		{"overload", status(on, types.RV(0.9375, 0.1, 0.1, 0.1), 1), EventNodeOverload},
+		{"underload with low-utilisation VMs", status(on, types.RV(0.125, 0.1, 0.1, 0.1), 1), EventNodeUnderload},
+		{"moderate", status(on, types.RV(0.5, 0.1, 0.1, 0.1), 1), ""},
+		{"no VMs is idle, not underloaded", status(on, types.RV(0.125, 0.1, 0.1, 0.1), 0), ""},
+		{"empty node", status(on, types.ResourceVector{}, 0), ""},
+		{"exactly at overload", status(on, types.RV(0.9, 0.1, 0.1, 0.1), 1), ""},
+		{"exactly at underload", status(on, types.RV(0.2, 0.1, 0.1, 0.1), 1), ""},
+		{"L∞: one hot dimension overloads", status(on, types.RV(0.1, 0.95, 0.1, 0.1), 1), EventNodeOverload},
+		{"L∞: hot network overloads", status(on, types.RV(0.1, 0.1, 0.1, 0.95), 1), EventNodeOverload},
+		{"L∞: one busy dimension is not underloaded", status(on, types.RV(0.1, 0.5, 0.1, 0.1), 1), ""},
+		{"suspended node is never anomalous", status(types.PowerSuspended, types.RV(0.9375, 0.1, 0.1, 0.1), 1), ""},
+		{"powered-off node is never anomalous", status(types.PowerOff, types.RV(0.125, 0.1, 0.1, 0.1), 1), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDetector(Thresholds{Overload: 0.9, Underload: 0.2, Repeat: 15 * time.Second})
+			ev, fired := d.Observe("node/n", 0, tc.st)
+			if tc.want == "" {
+				if fired {
+					t.Fatalf("fired %+v, want nothing", ev)
+				}
+				return
+			}
+			if !fired || ev.Type != tc.want || ev.At != 0 || ev.Entity != "node/n" {
+				t.Fatalf("got %+v fired=%v, want %s at t=0", ev, fired, tc.want)
+			}
+		})
+	}
+}
+
 func TestStoreRemoveEntity(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	s.Append("node/n1", "util", 0, 1)
