@@ -136,13 +136,14 @@ func BenchmarkPlacementsPerSecond(b *testing.B) {
 }
 
 // BenchmarkFleetConsolidationScan measures the wall cost of running the
-// consolidation optimizer over a populated fleet behind the group-wide view
-// epoch gate. The round period deliberately outpaces monitor ingestion:
-// between report bursts nothing moves, which is exactly the condition the
-// epoch gate detects and skips (skips/simsec, of 64 ticks per simulated second
-// over 16 GMs). The rounds that are not skipped pay in full — snapshot,
-// problem build, four-colony ACO solve and the few migrations the default
-// budget lets through.
+// consolidation optimizer over a populated fleet behind its unchanged-problem
+// skip. The round period deliberately outpaces monitor ingestion: between
+// report bursts nothing moves, so a round's snapshot equals the last solved
+// one and the optimizer skips it (skips/simsec, of 64 ticks per simulated
+// second over 16 GMs). The rounds that are not skipped pay in full —
+// snapshot, problem build, four-colony ACO solve and the few migrations the
+// default budget lets through. A run that skips nothing fails: without the
+// skip every tick solves, and the benchmark would time a different path.
 func BenchmarkFleetConsolidationScan(b *testing.B) {
 	skipInShort(b)
 	cfg := cluster.DefaultConfig(workload.Grid5000Topology(256, 16), 77)
@@ -162,7 +163,11 @@ func BenchmarkFleetConsolidationScan(b *testing.B) {
 	}
 	b.StopTimer()
 	simSecs := float64(b.N) * 10
-	b.ReportMetric(float64(c.Metrics.Count(skipped)-skips0)/simSecs, "skips/simsec")
+	skips := float64(c.Metrics.Count(skipped)-skips0) / simSecs
+	if skips == 0 {
+		b.Fatal("no consolidation round was skipped: the unchanged-problem skip is broken")
+	}
+	b.ReportMetric(skips, "skips/simsec")
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
 	"time"
 
+	apiv1 "snooze/api/v1"
 	"snooze/internal/consolidation/online"
 	"snooze/internal/scheduling"
 	"snooze/internal/telemetry"
@@ -167,14 +169,9 @@ func TestOnlineConsolidationCancelsOnTrendReversal(t *testing.T) {
 		c.Settle(target - c.Kernel.Now())
 	}
 	floor := c.Telemetry.Journal().LastSeq()
-	started := 0
-	for _, m := range c.GroupManagers() {
-		if _, ok := m.StartConsolidation(); ok {
-			started++
-		}
-	}
-	if started == 0 {
-		t.Fatal("no GM accepted the consolidation start")
+	ctx := context.Background()
+	if list, err := c.Backend.StartConsolidation(ctx); err != nil || len(list.Items) == 0 {
+		t.Fatalf("no GM accepted the consolidation start: %+v %v", list, err)
 	}
 	c.Settle(90 * time.Second) // exactly one round
 
@@ -205,9 +202,13 @@ func TestOnlineConsolidationCancelsOnTrendReversal(t *testing.T) {
 	if cancelled < 1 || planned < 1 {
 		t.Fatalf("want a planned migration cancelled in the journal, got planned=%d cancelled=%d", planned, cancelled)
 	}
-	var status online.Status
-	for _, m := range c.GroupManagers() {
-		if st, ok := m.ConsolidationStatus(); ok && st.Rounds > 0 {
+	list, err := c.Backend.ConsolidationStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status apiv1.ConsolidationStatus
+	for _, st := range list.Items {
+		if st.Rounds > 0 {
 			status = st
 		}
 	}
@@ -216,6 +217,14 @@ func TestOnlineConsolidationCancelsOnTrendReversal(t *testing.T) {
 	}
 	if c.RunningVMs() != 4 {
 		t.Fatalf("running VMs: %d", c.RunningVMs())
+	}
+	if list, err = c.Backend.StopConsolidation(ctx); err != nil || len(list.Items) == 0 {
+		t.Fatalf("consolidation stop: %+v %v", list, err)
+	}
+	for _, st := range list.Items {
+		if st.Running {
+			t.Fatalf("optimizer still running after stop: %+v", st)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -204,30 +203,31 @@ func TestUnfedSeriesReapedAfterShedHandoff(t *testing.T) {
 	}
 	c.Settle(20 * time.Second)
 
-	stopped := map[types.VMID]types.NodeID{} // the first VM of each LC, by ID
-	unsub := c.Telemetry.Journal().Observe(func(ev telemetry.Event) {
-		if ev.Type != telemetry.EventRebalance || len(stopped) > 0 {
-			return
-		}
-		done := map[types.NodeID]bool{}
-		for _, spec := range vms {
-			for id, node := range c.Nodes {
-				if node.HasVM(spec.ID) && !done[id] {
-					if err := node.StopVM(spec.ID); err != nil {
-						t.Errorf("silent stop: %v", err)
-					}
-					stopped[spec.ID], done[id] = id, true
-				}
-			}
-		}
-	})
-	defer unsub()
 	before := c.Kernel.Now()
 	newcomer, err := c.addManager("gm-new")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Settle(20*time.Second + 4*cfg.Manager.LCTimeout)
+	// Stop the first VM of each LC within a millisecond of the rebalance.
+	for i := 0; i < 60000 && c.Metrics.Count("gl.rebalances") == 0; i++ {
+		c.Settle(time.Millisecond)
+	}
+	if c.Metrics.Count("gl.rebalances") == 0 {
+		t.Fatal("fixture: the GL never rebalanced")
+	}
+	stopped := map[types.VMID]types.NodeID{} // the first VM of each LC, by ID
+	done := map[types.NodeID]bool{}
+	for _, spec := range vms {
+		for id, node := range c.Nodes {
+			if node.HasVM(spec.ID) && !done[id] {
+				if err := node.StopVM(spec.ID); err != nil {
+					t.Errorf("silent stop: %v", err)
+				}
+				stopped[spec.ID], done[id] = id, true
+			}
+		}
+	}
+	c.Settle(before + 20*time.Second + 4*cfg.Manager.LCTimeout - c.Kernel.Now())
 
 	handed := 0 // stopped VMs whose LC moved to the newcomer
 	for _, node := range stopped {
@@ -261,18 +261,28 @@ func TestRebalanceShedsOnce(t *testing.T) {
 	cfg := DefaultConfig(workload.Grid5000Topology(8, 1), 77)
 	c := New(cfg)
 	c.Settle(30 * time.Second)
-	var sheds []string
-	unsub := c.Telemetry.Journal().Observe(func(ev telemetry.Event) {
-		if ev.Type == telemetry.EventRebalance {
-			sheds = append(sheds, ev.Attrs.Get("shed"))
-		}
-	})
-	defer unsub()
+	journal := c.Telemetry.Journal()
+	sub := journal.Subscribe(journal.LastSeq()+1, 1<<16)
+	defer sub.Close()
 	newcomer, err := c.addManager("gm-new")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Settle(20*time.Second + 4*cfg.Manager.LCTimeout)
+	var sheds []string
+	for drained := false; !drained; {
+		select {
+		case ev := <-sub.Events():
+			if ev.Type == telemetry.EventRebalance {
+				sheds = append(sheds, ev.Attrs.Get("shed"))
+			}
+		default:
+			drained = true
+		}
+	}
+	if err := sub.Err(); err != nil {
+		t.Fatalf("journal subscription: %v", err)
+	}
 	if len(sheds) != 1 || sheds[0] != "4" {
 		t.Fatalf("rebalances: shed=%v, want one of 4", sheds)
 	}
@@ -407,29 +417,30 @@ func TestUnfedSeriesReapedAfterReschedule(t *testing.T) {
 func TestUnfedSeriesReapedAfterPromotion(t *testing.T) {
 	cfg := DefaultConfig(workload.Grid5000Topology(12, 3), 77)
 	c, vms, _, _ := settledWorkload(t, cfg)
-	var gone types.VMID
-	unsub := c.Telemetry.Journal().Observe(func(ev telemetry.Event) {
-		if ev.Type != telemetry.EventGLElected || gone != "" {
-			return
-		}
-		addr := transport.Address("mgr:" + strings.TrimPrefix(ev.Entity, telemetry.EntityGMPrefix))
-		for _, spec := range vms {
-			for id, node := range c.Nodes {
-				if gone == "" && node.HasVM(spec.ID) && c.LCs[id].GM() == addr {
-					if err := node.StopVM(spec.ID); err != nil {
-						t.Errorf("silent stop: %v", err)
-					}
-					gone = spec.ID
-				}
-			}
-		}
-	})
-	defer unsub()
 	crashAt := c.Kernel.Now()
 	if c.CrashLeader() == nil {
 		t.Fatal("no leader to crash")
 	}
-	c.Settle(30*time.Second + 4*cfg.Manager.LCTimeout)
+	// Stop one VM of the promoted manager's group at the event that promotes
+	// it, before any of its LCs can rejoin another GM.
+	for c.Leader() == nil && c.Kernel.Step() {
+	}
+	leader := c.Leader()
+	if leader == nil {
+		t.Fatal("fixture: no manager was promoted")
+	}
+	var gone types.VMID
+	for _, spec := range vms {
+		for id, node := range c.Nodes {
+			if gone == "" && node.HasVM(spec.ID) && c.LCs[id].GM() == leader.Addr() {
+				if err := node.StopVM(spec.ID); err != nil {
+					t.Errorf("silent stop: %v", err)
+				}
+				gone = spec.ID
+			}
+		}
+	}
+	c.Settle(crashAt + 30*time.Second + 4*cfg.Manager.LCTimeout - c.Kernel.Now())
 	if gone == "" {
 		t.Fatal("fixture: the promoted manager hosted no VM")
 	}

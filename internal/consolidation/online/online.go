@@ -26,6 +26,7 @@ package online
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -132,18 +133,13 @@ type NodeLoad struct {
 // Snapshot is the optimizer's per-round input, assembled by the Host from
 // live capacity views: the schedulable nodes and every running VM on them,
 // priced at the demand the round plans against (p95 of the windowed series,
-// snapshot fallback — see Host.ConsolidationSnapshot).
+// snapshot fallback — see Host.ConsolidationSnapshot). Nodes and VMs must
+// come in a deterministic order: a round whose Nodes and VMs equal those of
+// the last solved round is the same problem, and the optimizer skips it.
 type Snapshot struct {
 	Now   time.Duration
 	Nodes []NodeLoad
 	VMs   []consolidation.LiveVM
-	// Epoch is the host's group-wide view epoch at assembly time (0 when the
-	// host does not track one): a counter bumped by every state change that
-	// can alter the views — monitor ingestion, reservations, migrations,
-	// sleep/wake, membership. An unchanged epoch since the last completed
-	// round means nothing moved, and the optimizer skips the round's solve
-	// entirely.
-	Epoch uint64
 }
 
 // Host is the optimizer's interface to the GM: problem input, fresh per-node
@@ -193,7 +189,8 @@ type Status struct {
 
 // Optimizer is the continuous consolidation service: a Start/Stop lifecycle
 // around a periodic round of snapshot → ACO solve → budgeted,
-// trend-revalidated plan execution.
+// trend-revalidated plan execution. A round whose snapshot equals the last
+// solved one skips the solve.
 type Optimizer struct {
 	rt   simkernel.Runtime
 	host Host
@@ -203,9 +200,11 @@ type Optimizer struct {
 	running bool
 	ticker  *simkernel.Ticker
 	gen     uint64 // bumped by Stop; orphans in-flight migration callbacks
-	// lastEpoch is the snapshot epoch of the last round that ran its solve;
-	// a tick whose snapshot carries the same (non-zero) epoch skips outright.
-	lastEpoch uint64
+	// solved is the snapshot of the last round that ran its solve; a tick
+	// whose snapshot has the same nodes and VMs skips outright. Stop and a
+	// failed migration clear it: either leaves the state the plan was made
+	// from, which must be planned again.
+	solved Snapshot
 
 	inRound bool
 	round   uint64 // rounds completed
@@ -254,7 +253,7 @@ func (o *Optimizer) Stop() {
 	}
 	o.running = false
 	o.gen++
-	o.lastEpoch = 0 // a restarted optimizer re-plans unconditionally
+	o.solved = Snapshot{} // a restarted optimizer re-plans unconditionally
 	o.inRound = false
 	o.span = obs.Span{}
 	o.plan = nil
@@ -313,13 +312,10 @@ func (o *Optimizer) tick() {
 		span.Finish("skipped")
 		return
 	}
-	// Epoch gate: an unchanged group-wide view epoch means no monitor
-	// ingestion, placement, migration, sleep/wake or membership change
-	// happened since the last solve — the same problem would be rebuilt and
-	// re-solved. Skip the whole scan (including the ACO solve, the expensive
-	// part) and wait for something to move.
+	// The same nodes and VMs as at the last solve are the same problem:
+	// skip the solve (the expensive part) and wait for something to move.
 	o.mu.Lock()
-	if snap.Epoch != 0 && snap.Epoch == o.lastEpoch {
+	if slices.Equal(snap.Nodes, o.solved.Nodes) && slices.Equal(snap.VMs, o.solved.VMs) {
 		o.inRound = false
 		o.span = obs.Span{}
 		o.mu.Unlock()
@@ -327,7 +323,7 @@ func (o *Optimizer) tick() {
 		o.host.Mark("gm.consolidation-skips-unchanged", 1)
 		return
 	}
-	o.lastEpoch = snap.Epoch
+	o.solved = snap
 	o.mu.Unlock()
 	o.runRound(gen, snap)
 }
@@ -525,6 +521,7 @@ func (o *Optimizer) onMigrationDone(gen uint64, m types.Migration, ok bool) {
 	} else {
 		o.fails++
 		o.info.Failed++
+		o.solved = Snapshot{} // the failed move left the state as planned from
 	}
 	o.mu.Unlock()
 	outcome := "executed"

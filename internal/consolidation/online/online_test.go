@@ -406,3 +406,40 @@ func TestOnlineNoImprovementIsNoOpRound(t *testing.T) {
 		t.Fatalf("migrations: %+v", h.migrations)
 	}
 }
+
+// TestOnlineSkipsUnchangedProblem: a round whose snapshot equals the last
+// solved one skips the solve and is counted; any change to a node or VM, and
+// a restart, plans again.
+func TestOnlineSkipsUnchangedProblem(t *testing.T) {
+	k := simkernel.New(1)
+	h := newFakeHost(k, 2, 1)
+	// Both VMs already on n0: every solve is a no-op round, so only the skip
+	// keeps the problem from being solved again.
+	vm := h.vms["v1-0"]
+	vm.Node = "n0"
+	h.vms["v1-0"] = vm
+	o := New(k, h, testConfig())
+	o.Start()
+	check := func(rounds uint64, skips int64) {
+		t.Helper()
+		if st := o.Status(); st.Rounds != rounds || h.marks["gm.consolidation-skips-unchanged"] != skips {
+			t.Fatalf("at %v: rounds %d skips %d, want %d and %d",
+				k.Now(), st.Rounds, h.marks["gm.consolidation-skips-unchanged"], rounds, skips)
+		}
+	}
+	k.Run(31 * time.Second) // ticks at 10 s, 20 s and 30 s
+	check(1, 2)
+
+	vm = h.vms["v0-0"]
+	vm.Demand = types.RV(2, 2048, 10, 10)
+	h.vms["v0-0"] = vm
+	k.Run(41 * time.Second)
+	check(2, 2)
+	k.Run(51 * time.Second)
+	check(2, 3)
+
+	o.Stop()
+	o.Start()
+	k.Run(62 * time.Second) // the restarted ticker's first tick, at 61 s
+	check(3, 3)
+}

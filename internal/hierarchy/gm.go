@@ -28,12 +28,15 @@ import (
 // management (Sections II-B, II-C, III). The reconfiguration policy family of
 // Section II-C — periodic consolidation — is the online optimizer
 // (gm_consolidation.go) with an unlimited migration budget.
+//
+// The GM acts where its own state changes: an idle report kicks the energy
+// check, and the optimizer skips a round whose snapshot it already solved.
 
 // gmStint is one stint of the Group Manager role: from the election naming
 // another manager leader to this manager's promotion, crash or stop. It holds
 // the group's state — the LCs, the VM ledger and its pending queue, the shed
-// tombstones, the view epoch and memo — and the role's periodic work: its
-// tickers, the event-driven energy check and the consolidation optimizer. A
+// tombstones — and the role's periodic work: its tickers, the energy check
+// its own idle reports kick and the consolidation optimizer. A
 // leader change stays inside the stint (follow); close is its exit hand-off.
 // The manager's mu guards all of it. Callbacks capture their stint, and lock
 // makes a late one from an earlier stint a no-op.
@@ -51,7 +54,8 @@ type gmStint struct {
 	ledger  map[types.VMID]*vmEntry
 	waiting int    // pending entries in the ledger
 	seq     uint64 // stamps reports and orders the pending queue
-	// energy is the journal-armed idle check (event-driven energy management).
+	// energy is the idle check, kicked by idle reports and armed for the
+	// moment the earliest idle node ripens.
 	energy deadline
 	// optimizer is the online consolidation service, created lazily. It never
 	// holds its own lock while calling back into the stint, so m.mu →
@@ -60,16 +64,7 @@ type gmStint struct {
 	// lastRollup is the virtual time of the last GM rollup append; 0 means
 	// none yet since the stint last followed a leader.
 	lastRollup time.Duration
-	// viewEpoch is the GM-wide cache epoch: the O(1) group-level stand-in for
-	// "max of the member series' Store.Generations", bumped by every state
-	// change that can alter the capacity views the GM schedules over —
-	// monitor ingestion (member appends), optimistic reservations and their
-	// rollbacks, migrations, sleep/wake transitions, membership churn.
-	// viewMemo keys whole []view.Node builds on it, and the relocation /
-	// consolidation scans skip outright when it has not moved.
-	viewEpoch uint64
-	viewMemo  view.Memo
-	tickers   tickers
+	tickers    tickers
 }
 
 // newGMStint opens an empty GM stint; m.mu is held. Owner stamps the
@@ -82,8 +77,7 @@ func (m *Manager) newGMStint() *gmStint {
 		shedLCs: make(map[types.NodeID]time.Duration),
 		ledger:  make(map[types.VMID]*vmEntry),
 	}
-	g.energy = deadline{m: m, fire: g.energyCheck,
-		events: []string{telemetry.EventNodeIdle, telemetry.EventNodeNormal, telemetry.EventVMState, telemetry.EventLCJoin}}
+	g.energy = deadline{m: m, fire: g.energyCheck}
 	m.reapUnfedLater(m.tel.Release(string(m.cfg.ID)))
 	return g
 }
@@ -96,18 +90,15 @@ func (g *gmStint) follow(gl transport.Address) {
 		g.mark("gm.gl-changes", 1)
 	}
 	g.glAddr, g.joined, g.lastRollup = gl, false, 0
-	g.bumpViewEpochLocked()
-	g.viewMemo.Invalidate()
 	g.stopLocked()
 	g.tickers.add(g.rt, g.cfg.HeartbeatPeriod, g.heartbeatTick)
 	g.tickers.add(g.rt, g.cfg.SummaryPeriod, g.summaryTick)
 	g.tickers.add(g.rt, g.cfg.LCTimeout/3, g.sweepTick)
 	if g.cfg.EnergyEnabled {
-		// Idle detection is event-driven: the journal observer reacts to
-		// node.idle / node.normal / vm.state / lc-join events, and each check
-		// re-arms itself at the exact moment the earliest idle node ripens.
-		// One bootstrap check covers the LCs the stint already has.
-		g.energy.observeLocked()
+		// Idle detection is event-driven: each idle report or idle joiner
+		// kicks the check, and each check re-arms itself at the exact moment
+		// the earliest idle node ripens. One bootstrap check covers the LCs
+		// the stint already has.
 		g.energy.armLocked(g.rt.Now() + g.cfg.IdleThreshold)
 	}
 	if g.cfg.Consolidation.Enabled {
@@ -136,8 +127,8 @@ func (g *gmStint) close() {
 	g.stopLocked()
 }
 
-// stopLocked halts the stint's periodic work, the event-driven energy
-// machinery and the optimizer included.
+// stopLocked halts the stint's periodic work, the armed energy check and the
+// optimizer included.
 func (g *gmStint) stopLocked() {
 	g.tickers.stop()
 	g.energy.stopLocked()
@@ -155,9 +146,6 @@ func (g *gmStint) lock() bool {
 	}
 	return true
 }
-
-// bumpViewEpochLocked advances the GM-wide view epoch.
-func (g *gmStint) bumpViewEpochLocked() { g.viewEpoch++ }
 
 // joinGL enrolls this GM with the current GL.
 func (g *gmStint) joinGL() {
@@ -293,11 +281,13 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 	rec.lastSeen = m.rt.Now()
 	rec.sleeping = false
 	rec.waking = false
-	g.bumpViewEpochLocked()
 	m.mu.Unlock()
 	m.reclaimLeft(m.rt.Now(), left)
 	m.mark("gm.lc-joins", 1)
 	m.emit(telemetry.EventLCJoin, telemetry.NodeEntity(id), telemetry.A("gm", string(m.cfg.ID)))
+	if join.Status.Idle && m.cfg.EnergyEnabled {
+		g.energy.kick()
+	}
 	req.Respond(protocol.LCJoinResponse{Accepted: true})
 	// Fresh capacity may satisfy queued placements.
 	g.drainPending()
@@ -308,8 +298,8 @@ func (m *Manager) gmOnLCJoin(req *transport.Request) {
 // accepted report feeds the telemetry store — per-node series for capacity
 // views, all four per-VM demand dimensions for store-backed estimation — and
 // the anomaly detector, whose node.overload / node.underload events drive
-// relocation. A report that transitions a node into idleness additionally
-// publishes node.idle, the signal the event-driven energy manager waits on.
+// relocation. A report of an idle node kicks the energy check; the one that
+// transitions it into idleness additionally publishes node.idle.
 // The report's VM list reconciles with the ledger (reconcileLocked): a VM the
 // report omits that the ledger has running on the LC has left it, and its
 // series end here (reclaimLeft).
@@ -371,10 +361,6 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	} else {
 		rec.idleAnnounced = false
 	}
-	// One ingested report = one epoch bump: the member series are about to be
-	// appended below, so every consumer keyed on the epoch re-reads exactly
-	// once per report (the property the epoch test pins down).
-	g.bumpViewEpochLocked()
 	// Rollup: at most once per heartbeat period, aggregate the group and
 	// append the gm/<id> series right here on the monitoring flow — the GL's
 	// group views then track capacity at monitoring cadence, without the GL
@@ -401,6 +387,12 @@ func (m *Manager) gmOnMonitor(req *transport.Request) {
 	// GMs' reclaimLeft away from entities we are feeding.
 	m.tel.RecordReport(now, rep.Status, rep.VMs, string(m.cfg.ID))
 	m.reclaimLeft(now, left)
+	if rep.Status.Idle && m.cfg.EnergyEnabled {
+		// Every idle report kicks the energy check, not only the first: a
+		// start that failed on an idle node rolled its reservation back
+		// without an event, and the next report re-checks that node.
+		g.energy.kick()
+	}
 	if becameIdle {
 		m.emit(telemetry.EventNodeIdle, telemetry.NodeEntity(id),
 			telemetry.A("sinceNs", fmt.Sprintf("%d", rep.Status.IdleSince)))
@@ -488,7 +480,6 @@ func (g *gmStint) reconcileLocked(rec *lcRecord, vms []types.VMStatus) []types.V
 // their source.
 func (g *gmStint) dropLCLocked(rec *lcRecord) []*vmEntry {
 	delete(g.lcs, rec.id)
-	g.bumpViewEpochLocked()
 	var hosted []*vmEntry
 	for _, e := range g.ledger {
 		switch {
@@ -593,17 +584,10 @@ func (m *Manager) estimateVM(now time.Duration, vm types.VMStatus) types.Resourc
 
 // activeViewsLocked builds capacity views over the schedulable LCs (awake,
 // in no migration) in ID order, the order placement policies iterate in —
-// the input every placement decision consumes. Builds are memoized on
-// the GM-wide view epoch: while nothing moved (no monitor ingestion,
-// reservation, migration, sleep/wake or membership change bumped the epoch),
-// the next batch reuses the previous build outright (callers must not modify
-// it) — zero per-entity cache probes, zero store reductions. The heartbeat
-// period bounds the Age drift a reused build may carry.
+// the input every placement decision consumes. Each call builds a fresh
+// slice; the view cache makes a build in a quiet window cost no store
+// reductions.
 func (g *gmStint) activeViewsLocked() []view.Node {
-	now := g.rt.Now()
-	if nodes, ok := g.viewMemo.Get(g.viewEpoch, now, g.cfg.HeartbeatPeriod); ok {
-		return nodes
-	}
 	active := make([]types.NodeStatus, 0, len(g.lcs))
 	for _, lc := range g.lcs {
 		if !lc.sleeping && lc.busy == 0 {
@@ -611,9 +595,7 @@ func (g *gmStint) activeViewsLocked() []view.Node {
 		}
 	}
 	slices.SortFunc(active, func(a, b types.NodeStatus) int { return cmp.Compare(a.Spec.ID, b.Spec.ID) })
-	nodes := g.views.Nodes(now, active)
-	g.viewMemo.Put(g.viewEpoch, now, nodes)
-	return nodes
+	return g.views.Nodes(g.rt.Now(), active)
 }
 
 // placement is one VM of a placement batch, from the decision under m.mu to
@@ -674,7 +656,7 @@ func (m *Manager) gmOnPlace(req *transport.Request) {
 
 // placeLocked runs a batch of VMs through the placement policy against one
 // build of the active views. Each placement charges the VM's reservation to
-// the chosen node, on its LC record and in a local copy of the build, so the
+// the chosen node, on its LC record and in the batch's build, so the
 // next VM of the batch sees what a rebuild would show: Stats are keyed by
 // series generation, and a reservation appends no sample. This is the
 // charge-the-snapshot rule the GL's dispatch applies to group views. A placed
@@ -685,7 +667,6 @@ func (m *Manager) gmOnPlace(req *transport.Request) {
 func (g *gmStint) placeLocked(batch []placement, retry bool) {
 	now := g.rt.Now()
 	nodes := g.activeViewsLocked()
-	shared := true // nodes is the memoized build until the first charge
 	// One evidence buffer serves the batch: Span.Candidate copies what it
 	// keeps, so the next VM may overwrite the entries.
 	var ex *scheduling.Explain
@@ -733,13 +714,7 @@ func (g *gmStint) placeLocked(batch []placement, retry bool) {
 		// Optimistic reservation so concurrent placements see the load.
 		rec.status.Reserved = rec.status.Reserved.Add(p.spec.Requested)
 		g.setLocked(p.e, vmPhase{state: vmStarting, node: rec})
-		g.bumpViewEpochLocked()
-		if i+1 < len(batch) { // charge the build for the VMs still to place
-			if shared {
-				nodes, shared = slices.Clone(nodes), false
-			}
-			nodes[k].NodeStatus = rec.status
-		}
+		nodes[k].NodeStatus = rec.status // charge the build for the VMs still to place
 		p.rec, p.addr = rec, rec.addr
 	}
 }
@@ -757,9 +732,9 @@ func (g *gmStint) noFitLocked(e *vmEntry, retry bool, now time.Duration) string 
 	g.seq++
 	e.deadline, e.seq = now+g.cfg.PendingTimeout, g.seq
 	g.setLocked(e, vmPhase{state: vmPending})
-	// Arm the retry heartbeat: if the wake call is lost, no journal event will
-	// drive the energy check, which retries the wake, enforces the deadline
-	// and keeps re-arming while the queue is non-empty.
+	// Arm the retry heartbeat: if the wake call is lost, no report of the
+	// woken node will kick the energy check, which retries the wake, enforces
+	// the deadline and keeps re-arming while the queue is non-empty.
 	g.energy.armLocked(now + g.cfg.IdleThreshold/2)
 	return "queued"
 }
@@ -802,7 +777,6 @@ func (g *gmStint) startVM(p *placement) {
 			} else {
 				p.rec.status.Reserved = p.rec.status.Reserved.Sub(p.spec.Requested).Max(types.ResourceVector{})
 				g.setLocked(e, vmPhase{})
-				g.bumpViewEpochLocked()
 			}
 		}
 		w := p.e.waiters
@@ -1002,7 +976,6 @@ func (g *gmStint) migrateLocked(mv types.Migration, sc obs.SpanContext, attempt 
 	dst.status.Reserved = dst.status.Reserved.Add(e.vm.Spec.Requested)
 	g.setLocked(e, vmPhase{state: vmMigrating, node: src, dst: dst, from: e.from})
 	e.attempt = attempt
-	g.bumpViewEpochLocked()
 	mreq := protocol.MigrateVMRequest{VM: mv.VM, DestNode: mv.To, DestAddr: string(dst.addr), TraceID: sc.TraceID, ParentSpan: sc.SpanID}
 	srcAddr := src.addr
 	g.rt.After(0, func() {
@@ -1019,7 +992,6 @@ func (g *gmStint) migrateLocked(mv types.Migration, sc obs.SpanContext, attempt 
 						g.setLocked(e, vmPhase{state: vmRunning, node: src, from: e.from})
 					}
 				}
-				g.bumpViewEpochLocked()
 				g.mu.Unlock()
 				if !ok {
 					g.mark("gm.migrations-failed", 1)
@@ -1119,35 +1091,31 @@ func (g *gmStint) sweepTick() {
 }
 
 // deadline is the debounce-then-keep-earliest-deadline machine behind the
-// GM's event-driven idle check (m.energy): journal events of the listed types
-// kick it, a burst of kicks collapses into one runtime event that calls fire,
-// and of the instants it is armed for only the earliest stays scheduled.
+// GM's event-driven idle check (g.energy): the GM's own idle reports kick
+// it, a burst of kicks collapses into one runtime event that calls fire, and
+// of the instants it is armed for only the earliest stays scheduled.
 //
-// The observer runs synchronously on the publishing goroutine — possibly while
-// the publisher holds m.mu — so it touches nothing but the atomic and defers
-// the real work to a runtime event. Everything else is guarded by m.mu.
+// kick touches nothing but the atomic and defers the real work to a runtime
+// event, so it may run with or without m.mu held. Everything else is guarded
+// by m.mu.
 type deadline struct {
-	m      *Manager
-	events []string // journal event types that kick
-	fire   func()   // called without m.mu on a kick and at the armed instant
+	m    *Manager
+	fire func() // called without m.mu on a kick and at the armed instant
 
 	kicked atomic.Bool
 
-	unsub  func() // journal observer's cancel hook; nil when not observing
 	at     time.Duration
 	cancel simkernel.Canceler
 }
 
-// observeLocked subscribes to the journal for the GM stint.
-func (d *deadline) observeLocked() {
-	d.unsub = d.m.tel.Journal().Observe(func(ev telemetry.Event) {
-		if !slices.Contains(d.events, ev.Type) || !d.kicked.CompareAndSwap(false, true) {
-			return
-		}
-		d.m.rt.After(0, func() {
-			d.kicked.Store(false)
-			d.fire()
-		})
+// kick schedules one fire at the current instant unless one already is.
+func (d *deadline) kick() {
+	if !d.kicked.CompareAndSwap(false, true) {
+		return
+	}
+	d.m.rt.After(0, func() {
+		d.kicked.Store(false)
+		d.fire()
 	})
 }
 
@@ -1169,12 +1137,8 @@ func (d *deadline) armLocked(at time.Duration) {
 	})
 }
 
-// stopLocked detaches the observer and cancels the scheduled instant.
+// stopLocked cancels the scheduled instant.
 func (d *deadline) stopLocked() {
-	if d.unsub != nil {
-		d.unsub()
-		d.unsub = nil
-	}
 	if d.cancel != nil {
 		d.cancel.Cancel()
 		d.cancel = nil
@@ -1184,11 +1148,10 @@ func (d *deadline) stopLocked() {
 
 // gmEnergyCheck suspends LCs that have been idle past the administrator's
 // threshold (Section III) and wakes capacity when placements are queued. It
-// is event-driven: any journal event that can change idleness (a node
-// reporting idle, a recovery, a VM lifecycle outcome, an LC joining) triggers
-// it through m.energy, and when it finds idle-but-not-yet-ripe nodes it
-// re-arms itself for the exact moment the earliest one ripens — so large idle
-// groups cost no periodic tick work at all.
+// is event-driven: a monitor report or join of an idle node kicks it through
+// g.energy, and when it finds idle-but-not-yet-ripe nodes it re-arms itself
+// for the exact moment the earliest one ripens — so large idle groups cost no
+// periodic tick work at all.
 func (g *gmStint) energyCheck() {
 	if !g.cfg.EnergyEnabled || !g.lock() {
 		return
@@ -1219,9 +1182,6 @@ func (g *gmStint) energyCheck() {
 			nextRipe = ripe
 		}
 	}
-	if len(toSuspend) > 0 {
-		g.bumpViewEpochLocked()
-	}
 	pendingLeft := g.waiting
 	if pendingLeft > 0 {
 		// Queued placements keep a bounded retry heartbeat alive (a wake
@@ -1245,17 +1205,15 @@ func (g *gmStint) energyCheck() {
 				if err != nil {
 					sp.Finish("failed")
 					// Suspend refused (e.g. a VM landed meanwhile) or lost:
-					// unmark and arm a re-check. Without it a still-idle node
-					// would stay powered forever — its continuing idle
-					// reports emit no fresh node.idle (the announcement is
-					// latched) and nothing else would retry.
+					// unmark and arm a re-check, so a still-idle node is
+					// suspended again on the retry heartbeat rather than at
+					// whichever of its idle reports comes next.
 					if !g.lock() {
 						return
 					}
 					if rec, ok := g.lcs[t.id]; ok {
 						rec.sleeping = false
 						rec.status.Power = types.PowerOn
-						g.bumpViewEpochLocked()
 					}
 					g.energy.armLocked(g.rt.Now() + g.cfg.IdleThreshold/2)
 					g.mu.Unlock()

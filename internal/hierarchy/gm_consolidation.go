@@ -31,24 +31,9 @@ func (g *gmStint) optimizerLocked() *online.Optimizer {
 	return g.optimizer
 }
 
-// ConsolidationStatus reports the online optimizer's state; ok is false when
-// this manager is not currently in the GM role.
-func (m *Manager) ConsolidationStatus() (online.Status, bool) {
-	return m.consolidationCtl(protocol.ConsolidationStatus)
-}
-
-// StartConsolidation starts the online optimizer (idempotent); ok is false
-// when this manager is not currently in the GM role.
-func (m *Manager) StartConsolidation() (online.Status, bool) {
-	return m.consolidationCtl(protocol.ConsolidationStart)
-}
-
-// StopConsolidation stops the online optimizer and abandons any in-flight
-// plan; ok is false when this manager is not currently in the GM role.
-func (m *Manager) StopConsolidation() (online.Status, bool) {
-	return m.consolidationCtl(protocol.ConsolidationStop)
-}
-
+// consolidationCtl applies a gm.consolidation action to the stint's
+// optimizer and returns its state; ok is false when this manager is not
+// currently in the GM role.
 func (m *Manager) consolidationCtl(action string) (online.Status, bool) {
 	g := m.lockGM()
 	if g == nil {
@@ -128,7 +113,7 @@ func (g *gmStint) ConsolidationSnapshot() (online.Snapshot, bool) {
 		return online.Snapshot{}, false
 	}
 	now := g.rt.Now()
-	snap := online.Snapshot{Now: now, Epoch: g.viewEpoch}
+	snap := online.Snapshot{Now: now}
 	for _, lc := range g.lcs {
 		if schedulable(lc) {
 			snap.Nodes = append(snap.Nodes, g.nodeLoadLocked(now, lc))

@@ -323,19 +323,12 @@ type Manager struct {
 	gl      *glStint
 }
 
-// ViewEpoch returns the current GM stint's view epoch, 0 when the manager is
-// not a GM (instrumentation/tests).
-func (m *Manager) ViewEpoch() (epoch uint64) {
-	m.readGM(func(g *gmStint) { epoch = g.viewEpoch })
-	return epoch
-}
-
-// ViewMemoCounters returns the hit/miss counts of the current GM stint's
-// memoized whole-group view builds, 0 when the manager is not a GM
-// (instrumentation/tests).
+// ViewMemoCounters returns the lifetime hit/miss counts of the manager's
+// per-entity view cache (view.Cache), which its GL and GM builds share
+// (instrumentation/tests). The bench's hierarchy.view_memo_hit_ratio is the
+// hit ratio of these counts summed over the managers.
 func (m *Manager) ViewMemoCounters() (hits, misses uint64) {
-	m.readGM(func(g *gmStint) { hits, misses = g.viewMemo.Counters() })
-	return hits, misses
+	return m.views.Cache.Counters()
 }
 
 // NewManager creates a Manager. svc is the coordination service used for

@@ -11,7 +11,7 @@ import (
 // stintState is what a GM stint holds, reduced to comparable counts.
 type stintState struct {
 	lcs, ledger, shed, waiting int
-	seq, viewEpoch             uint64
+	seq                        uint64
 	joined                     bool
 	lastRollup                 time.Duration
 	glAddr                     string
@@ -20,7 +20,7 @@ type stintState struct {
 func stateOf(m *Manager, g *gmStint) stintState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return stintState{len(g.lcs), len(g.ledger), len(g.shedLCs), g.waiting, g.seq, g.viewEpoch, g.joined, g.lastRollup, string(g.glAddr)}
+	return stintState{len(g.lcs), len(g.ledger), len(g.shedLCs), g.waiting, g.seq, g.joined, g.lastRollup, string(g.glAddr)}
 }
 
 // currentGM returns m's GM stint, nil when it has none.

@@ -517,12 +517,6 @@ func (n *Node) Wake() error {
 	return nil
 }
 
-// PowerOff forces the node off immediately, destroying any VMs (used for
-// decommissioning; crash injection uses Fail).
-func (n *Node) PowerOff() {
-	n.setTerminalState(types.PowerOff)
-}
-
 // Fail crash-stops the node: all VMs are lost, pending transitions cancelled.
 func (n *Node) Fail() {
 	n.setTerminalState(types.PowerFailed)

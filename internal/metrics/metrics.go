@@ -59,17 +59,6 @@ func (r *Registry) Gauge(name string) (float64, bool) {
 	return v, ok
 }
 
-// Gauges returns a copy of all gauges.
-func (r *Registry) Gauges() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.gauges))
-	for n, v := range r.gauges {
-		out[n] = v
-	}
-	return out
-}
-
 // ReservoirSize bounds the per-series sample reservoir backing Series and
 // Summarize: a sliding window of the most recent observations. Everything
 // older survives only in the fixed-bucket histogram (count, sum, min, max,

@@ -93,9 +93,6 @@ func TestJournalPublishBatch(t *testing.T) {
 	j := NewJournal(8)
 	j.Publish(Event{Type: "warmup"})
 
-	var observed []uint64
-	cancel := j.Observe(func(ev Event) { observed = append(observed, ev.Seq) })
-	defer cancel()
 	sub := j.Subscribe(0, 64)
 	defer sub.Close()
 	<-sub.Events() // drain the warmup replay
@@ -112,10 +109,6 @@ func TestJournalPublishBatch(t *testing.T) {
 		if ev.Seq != uint64(2+i) {
 			t.Fatalf("batch[%d].Seq = %d", i, ev.Seq)
 		}
-	}
-	// Observers saw the batch in order.
-	if len(observed) != 3 || observed[0] != 2 || observed[2] != 4 {
-		t.Fatalf("observer order: %v", observed)
 	}
 	// Subscribers receive every event in order.
 	for i := 0; i < 3; i++ {

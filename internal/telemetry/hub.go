@@ -69,22 +69,6 @@ func VMEntity(id types.VMID) string { return vmEntities.get(string(id)) }
 // GMEntity returns the canonical (interned) entity name of a group manager.
 func GMEntity(id types.GroupManagerID) string { return gmEntities.get(string(id)) }
 
-// NodeIDFromEntity recovers the node ID from a canonical node entity name.
-func NodeIDFromEntity(entity string) (types.NodeID, bool) {
-	if len(entity) <= len(EntityNodePrefix) || entity[:len(EntityNodePrefix)] != EntityNodePrefix {
-		return "", false
-	}
-	return types.NodeID(entity[len(EntityNodePrefix):]), true
-}
-
-// VMIDFromEntity recovers the VM ID from a canonical VM entity name.
-func VMIDFromEntity(entity string) (types.VMID, bool) {
-	if len(entity) <= len(EntityVMPrefix) || entity[:len(EntityVMPrefix)] != EntityVMPrefix {
-		return "", false
-	}
-	return types.VMID(entity[len(EntityVMPrefix):]), true
-}
-
 // Options parameterize a Hub.
 type Options struct {
 	// Store sizes the time-series side.
@@ -132,9 +116,6 @@ func (h *Hub) Store() *Store { return h.store }
 
 // Journal returns the event journal.
 func (h *Hub) Journal() *Journal { return h.journal }
-
-// Detector returns the node anomaly detector.
-func (h *Hub) Detector() *Detector { return h.detector }
 
 // Record appends one sample. The hot path deliberately skips the metrics
 // registry (a shared mutex); sample volume is published as a gauge by

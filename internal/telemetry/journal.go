@@ -96,8 +96,6 @@ type Journal struct {
 	head, n int
 	nextSeq uint64
 	subs    map[*Subscription]struct{}
-	obs     map[uint64]Observer
-	obsSeq  uint64
 }
 
 // NewJournal creates a journal retaining the last capacity events
@@ -110,50 +108,26 @@ func NewJournal(capacity int) *Journal {
 		buf:     make([]Event, capacity),
 		nextSeq: 1,
 		subs:    make(map[*Subscription]struct{}),
-		obs:     make(map[uint64]Observer),
 	}
 }
 
-// Observer is a synchronous journal consumer: Publish invokes it on the
-// publishing goroutine, after the journal lock is released. Observers must
-// be fast and non-blocking (schedule real work via a runtime timer); unlike
-// channel subscriptions they cannot lag, which makes them the right hook for
-// simulation-deterministic consumers such as the GM's event-driven energy
-// manager.
-type Observer func(Event)
-
-// Observe registers a synchronous observer and returns its cancel function
-// (idempotent).
-func (j *Journal) Observe(fn Observer) (cancel func()) {
-	j.mu.Lock()
-	id := j.obsSeq
-	j.obsSeq++
-	j.obs[id] = fn
-	j.mu.Unlock()
-	return func() {
-		j.mu.Lock()
-		delete(j.obs, id)
-		j.mu.Unlock()
-	}
-}
-
-// publishLocked assigns the next sequence number, retains the event and fans
-// it out to every subscription; the journal lock must be held. Subscribers
-// that cannot keep up are cut off with ErrLagged.
-func (j *Journal) publishLocked(ev Event) Event {
+// publishLocked stamps ev with the next sequence number in place, retains it
+// and fans it out to every subscription; the journal lock must be held.
+// Subscribers that cannot keep up are cut off with ErrLagged.
+func (j *Journal) publishLocked(ev *Event) {
 	ev.Seq = j.nextSeq
 	j.nextSeq++
 	if j.n < len(j.buf) {
-		j.buf[(j.head+j.n)%len(j.buf)] = ev
+		j.buf[(j.head+j.n)%len(j.buf)] = *ev
 		j.n++
 	} else {
-		j.buf[j.head] = ev
+		j.buf[j.head] = *ev
 		j.head = (j.head + 1) % len(j.buf)
 	}
 	var lagged []*Subscription
 	for s := range j.subs {
 		select {
-		case s.ch <- ev:
+		case s.ch <- *ev:
 		default:
 			lagged = append(lagged, s)
 		}
@@ -162,32 +136,14 @@ func (j *Journal) publishLocked(ev Event) Event {
 		delete(j.subs, s)
 		s.closeLocked(ErrLagged)
 	}
-	return ev
-}
-
-// observersLocked snapshots the registered observers (nil when none); the
-// journal lock must be held. Observers are invoked after the lock drops.
-func (j *Journal) observersLocked() []Observer {
-	if len(j.obs) == 0 {
-		return nil
-	}
-	observers := make([]Observer, 0, len(j.obs))
-	for _, fn := range j.obs {
-		observers = append(observers, fn)
-	}
-	return observers
 }
 
 // Publish assigns the next sequence number, retains the event and fans it out
 // to every subscription. It returns the completed event.
 func (j *Journal) Publish(ev Event) Event {
 	j.mu.Lock()
-	ev = j.publishLocked(ev)
-	observers := j.observersLocked()
+	j.publishLocked(&ev)
 	j.mu.Unlock()
-	for _, fn := range observers {
-		fn(ev)
-	}
 	return ev
 }
 
@@ -195,23 +151,16 @@ func (j *Journal) Publish(ev Event) Event {
 // fan-out lock is the per-event cost batching amortizes, so a GM that
 // journals dozens of vm.state transitions at once pays it once. Sequence numbers are
 // assigned contiguously in slice order; evs is updated in place with the
-// completed events. Observers run after the lock drops, seeing the batch in
-// sequence order.
+// completed events.
 func (j *Journal) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
 	}
 	j.mu.Lock()
 	for i := range evs {
-		evs[i] = j.publishLocked(evs[i])
+		j.publishLocked(&evs[i])
 	}
-	observers := j.observersLocked()
 	j.mu.Unlock()
-	for _, fn := range observers {
-		for _, ev := range evs {
-			fn(ev)
-		}
-	}
 }
 
 // Replay returns up to max retained events with Seq >= from, oldest first

@@ -200,22 +200,6 @@ func (s *series) bounds(from, to time.Duration) (lo, hi int) {
 	return lo, l
 }
 
-// window appends the samples with At in [from, to] to dst, oldest first. The
-// window start/end are located by binary search, not a full ring scan.
-func (s *series) window(from, to time.Duration, dst []Sample) []Sample {
-	lo, hi := s.bounds(from, to)
-	if hi <= lo {
-		return dst
-	}
-	if dst == nil {
-		dst = make([]Sample, 0, hi-lo)
-	}
-	for i := lo; i < hi; i++ {
-		dst = append(dst, s.at(i))
-	}
-	return dst
-}
-
 // metricSeries is one series of an entity: its metric name and its data,
 // inline. An entity's series sit side by side in one slice, its record, so a
 // new VM's four series are one allocation and a report's appends to one

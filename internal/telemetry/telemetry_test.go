@@ -519,42 +519,6 @@ func TestValidSample(t *testing.T) {
 	}
 }
 
-func TestJournalObservers(t *testing.T) {
-	j := NewJournal(16)
-	var seen []uint64
-	cancel := j.Observe(func(ev Event) { seen = append(seen, ev.Seq) })
-	j.Publish(Event{Type: EventVMState})
-	j.Publish(Event{Type: EventNodeIdle})
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Fatalf("observed: %v", seen)
-	}
-	cancel()
-	cancel() // idempotent
-	j.Publish(Event{Type: EventVMState})
-	if len(seen) != 2 {
-		t.Fatalf("observer survived cancel: %v", seen)
-	}
-}
-
-func TestJournalObserverRunsOutsideLock(t *testing.T) {
-	// An observer may publish back into the journal (e.g. a reaction event):
-	// the fan-out must happen after the journal lock is released.
-	j := NewJournal(16)
-	reacted := false
-	var cancel func()
-	cancel = j.Observe(func(ev Event) {
-		if ev.Type == EventNodeIdle && !reacted {
-			reacted = true
-			cancel()
-			j.Publish(Event{Type: EventVMState})
-		}
-	})
-	j.Publish(Event{Type: EventNodeIdle})
-	if !reacted || j.LastSeq() != 2 {
-		t.Fatalf("reentrant publish: reacted=%v lastSeq=%d", reacted, j.LastSeq())
-	}
-}
-
 func TestHubForgetsTerminalVMs(t *testing.T) {
 	h := NewHub(Options{})
 	vm := types.VMStatus{Spec: types.VMSpec{ID: "v1"}, Used: types.RV(1, 100, 1, 1)}

@@ -243,18 +243,6 @@ func (b *Bus) BlockDirected(from, to Address) {
 	set[to] = struct{}{}
 }
 
-// UnblockDirected removes one directed block.
-func (b *Bus) UnblockDirected(from, to Address) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if set, ok := b.blocked[from]; ok {
-		delete(set, to)
-		if len(set) == 0 {
-			delete(b.blocked, from)
-		}
-	}
-}
-
 // ClearGrayFailures removes every injected link delay, duplication and
 // directed block (the gray-failure counterpart of ClearPartitions).
 func (b *Bus) ClearGrayFailures() {
