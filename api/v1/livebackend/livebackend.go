@@ -7,6 +7,22 @@
 // Remote components reached through a rest.Gateway are transparently
 // included: their bus addresses proxy over HTTP.
 //
+// Entry points are the discovery service (Section II-A): the backend asks
+// them for the GL only when it knows none. The GL's address lives in one cell
+// that the backend and all its WithCallTimeout copies share. A call to the GL
+// that fails forgets that address, and only that one, so a late failure from
+// an old GL cannot evict a newer answer. When the GL in the cell fails, the
+// backend asks the entry points again and resends the call once:
+//   - a submission only if it was not delivered: a manager that is no longer
+//     the GL refuses GL work with protocol.ErrNotLeader, having dispatched
+//     nothing, and the bus refuses a call to a crashed or unregistered
+//     address before delivering it. A submission that timed out may have
+//     reached the GL, and resending it could place its VMs twice, so that
+//     error is returned. (A broken stream also reads as unreachable, but the
+//     GL shares the backend's process, cluster.NewControl, so its calls never
+//     cross one.)
+//   - a read after any of the three failures.
+//
 // Each read asks the GMs (protocol.InventoryRequest) only for what it
 // returns: ListVMs and Consolidate for the full inventories, ListNodes and
 // GetNode for the node records alone, GetVM for that one VM and the nodes
@@ -32,6 +48,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	apiv1 "snooze/api/v1"
@@ -82,6 +99,35 @@ type Config struct {
 // Backend serves the api/v1 control plane from a live hierarchy.
 type Backend struct {
 	cfg Config
+	gl  *leaderCell // shared with every WithCallTimeout copy
+}
+
+// leaderCell holds the GL address the entry points last named, "" when the
+// backend knows no GL.
+type leaderCell struct {
+	mu   sync.Mutex
+	addr transport.Address
+}
+
+func (c *leaderCell) get() transport.Address {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.addr
+}
+
+func (c *leaderCell) set(addr transport.Address) {
+	c.mu.Lock()
+	c.addr = addr
+	c.mu.Unlock()
+}
+
+// forget clears the cell if it still holds addr.
+func (c *leaderCell) forget(addr transport.Address) {
+	c.mu.Lock()
+	if c.addr == addr {
+		c.addr = ""
+	}
+	c.mu.Unlock()
 }
 
 var _ apiv1.Backend = (*Backend)(nil)
@@ -104,7 +150,7 @@ func New(cfg Config) *Backend {
 		start := time.Now()
 		cfg.Now = func() time.Duration { return time.Since(start) }
 	}
-	b := &Backend{cfg: cfg}
+	b := &Backend{cfg: cfg, gl: &leaderCell{}}
 	cfg.Bus.Register(cfg.Addr, func(req *transport.Request) {
 		req.RespondErr(errors.New("livebackend: unexpected inbound message"))
 	})
@@ -112,11 +158,11 @@ func New(cfg Config) *Backend {
 }
 
 // WithCallTimeout returns a backend on b's bus address and sources whose
-// calls are bounded by d instead.
+// calls are bounded by d instead. It shares b's GL cell.
 func (b *Backend) WithCallTimeout(d time.Duration) *Backend {
 	cfg := b.cfg
 	cfg.CallTimeout = d
-	return &Backend{cfg: cfg}
+	return &Backend{cfg: cfg, gl: b.gl}
 }
 
 // call performs one request/response over the bus, honouring ctx.
@@ -143,15 +189,13 @@ func (b *Backend) call(ctx context.Context, to transport.Address, kind string, p
 	}
 }
 
-// mapBusErr converts transport failures into API sentinels: an unreachable
-// or silent component is a control-plane availability problem, not an
-// internal server fault.
+// mapBusErr converts failures into API sentinels: an unreachable or silent
+// component, or a manager that is not the GL, is a control-plane
+// availability problem, not an internal server fault. The cause stays in the
+// chain.
 func mapBusErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, transport.ErrTimeout) {
-		return fmt.Errorf("%w: %v", apiv1.ErrUnavailable, err)
+	if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, transport.ErrTimeout) || errors.Is(err, protocol.ErrNotLeader) {
+		return fmt.Errorf("%w: %w", apiv1.ErrUnavailable, err)
 	}
 	return err
 }
@@ -175,6 +219,36 @@ func (b *Backend) discoverGL(ctx context.Context) (transport.Address, error) {
 	return "", fmt.Errorf("%w: no group leader known to any entry point", apiv1.ErrUnavailable)
 }
 
+// callGL sends one call to the GL: the one in the cell, or the one the entry
+// points name when the cell is empty. A failure forgets that GL. When the GL
+// came from the cell and the call was not delivered (the GL refused it as not
+// the leader, or it was unreachable), or timed out and idempotent is set, the
+// call is sent once more to the GL the entry points name then.
+func (b *Backend) callGL(ctx context.Context, kind string, payload any, idempotent bool) (any, error) {
+	gl := b.gl.get()
+	cached := gl != ""
+	for {
+		if gl == "" {
+			var err error
+			if gl, err = b.discoverGL(ctx); err != nil {
+				return nil, err
+			}
+			b.gl.set(gl)
+		}
+		reply, err := b.call(ctx, gl, kind, payload)
+		if err == nil {
+			return reply, nil
+		}
+		b.gl.forget(gl)
+		again := errors.Is(err, protocol.ErrNotLeader) || errors.Is(err, transport.ErrUnreachable) ||
+			idempotent && errors.Is(err, transport.ErrTimeout)
+		if !cached || !again {
+			return nil, err
+		}
+		gl, cached = "", false
+	}
+}
+
 // SubmitVMs implements Backend via the EP→GL submission path.
 func (b *Backend) SubmitVMs(ctx context.Context, specs []apiv1.VMSpec) (apiv1.SubmitResult, error) {
 	if err := apiv1.ValidateSubmit(specs); err != nil {
@@ -187,15 +261,11 @@ func (b *Backend) SubmitVMs(ctx context.Context, specs []apiv1.VMSpec) (apiv1.Su
 	return apiv1.FromSubmitResponse(resp), nil
 }
 
-// Submit discovers the GL through the entry points and submits vms to it as
-// they are: SubmitVMs without validation or conversion. Simulated clusters
-// submit through it.
+// Submit submits vms to the GL as they are: SubmitVMs without validation or
+// conversion. It is resent only if it was not delivered (see the package
+// doc). Simulated clusters submit through it.
 func (b *Backend) Submit(ctx context.Context, vms []types.VMSpec) (protocol.SubmitResponse, error) {
-	gl, err := b.discoverGL(ctx)
-	if err != nil {
-		return protocol.SubmitResponse{}, err
-	}
-	reply, err := b.call(ctx, gl, protocol.KindSubmit, protocol.SubmitRequest{VMs: vms})
+	reply, err := b.callGL(ctx, protocol.KindSubmit, protocol.SubmitRequest{VMs: vms}, false)
 	if err != nil {
 		return protocol.SubmitResponse{}, err
 	}
@@ -218,11 +288,7 @@ func (b *Backend) Topology(ctx context.Context, deep bool) (apiv1.Topology, erro
 // Hierarchy asks the GL for its topology export, with per-LC detail when
 // deep: Topology before conversion.
 func (b *Backend) Hierarchy(ctx context.Context, deep bool) (protocol.TopologyResponse, error) {
-	gl, err := b.discoverGL(ctx)
-	if err != nil {
-		return protocol.TopologyResponse{}, err
-	}
-	reply, err := b.call(ctx, gl, protocol.KindTopology, protocol.TopologyRequest{Deep: deep})
+	reply, err := b.callGL(ctx, protocol.KindTopology, protocol.TopologyRequest{Deep: deep}, true)
 	if err != nil {
 		return protocol.TopologyResponse{}, err
 	}

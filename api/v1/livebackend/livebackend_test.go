@@ -3,6 +3,7 @@ package livebackend_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -18,13 +19,12 @@ import (
 	"snooze/internal/types"
 )
 
-// TestLiveHierarchyServesV1 boots a miniature wall-clock deployment — the
-// control plane cmd/snoozed builds, with the node co-hosted on the same bus —
-// and exercises the /v1 routes through the HTTP server and typed client.
-func TestLiveHierarchyServesV1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock test")
-	}
+// liveRig boots a miniature wall-clock deployment: the control plane
+// cmd/snoozed builds, with one node of the given capacity co-hosted on the
+// same bus. It returns once the node's LC has joined a GM and that GM's
+// summary has had time to reach the GL.
+func liveRig(tb testing.TB, capacity types.ResourceVector) (*cluster.Control, *hypervisor.Node) {
+	tb.Helper()
 	rt := simkernel.NewWallRuntime()
 	bus := transport.NewBus(rt, transport.Config{})
 
@@ -39,27 +39,22 @@ func TestLiveHierarchyServesV1(t *testing.T) {
 		CallTimeout: 10 * time.Second,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, m := range ctl.Managers {
-		defer m.Stop()
+		tb.Cleanup(m.Stop)
 	}
 	for _, ep := range ctl.EPs {
-		defer ep.Stop()
+		tb.Cleanup(ep.Stop)
 	}
 
-	node := hypervisor.NewNode(rt, types.NodeSpec{ID: "n1", Capacity: types.RV(8, 16384, 1000, 1000)}, hypervisor.DefaultConfig())
+	node := hypervisor.NewNode(rt, types.NodeSpec{ID: "n1", Capacity: capacity}, hypervisor.DefaultConfig())
 	lcCfg := hierarchy.DefaultLCConfig()
 	lcCfg.MonitorPeriod = 300 * time.Millisecond
 	lcCfg.GMTimeout = 5 * time.Second
 	lc := hierarchy.NewLC(rt, bus, node, "lc:n1", func(types.NodeID) (*hypervisor.Node, bool) { return nil, false }, lcCfg)
 	lc.Start()
-	defer lc.Stop()
-
-	srv := httptest.NewServer(apiserver.New(ctl.Backend).Handler())
-	defer srv.Close()
-	cli := apiclient.New(srv.URL)
-	ctx := context.Background()
+	tb.Cleanup(lc.Stop)
 
 	// Wait for the hierarchy to form: the LC joins a GM and the GM's
 	// summary reaches the GL.
@@ -71,9 +66,23 @@ func TestLiveHierarchyServesV1(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	if lc.GM() == "" {
-		t.Fatal("LC never joined a GM")
+		tb.Fatal("LC never joined a GM")
 	}
 	time.Sleep(time.Second)
+	return ctl, node
+}
+
+// TestLiveHierarchyServesV1 boots a miniature wall-clock deployment (liveRig)
+// and exercises the /v1 routes through the HTTP server and typed client.
+func TestLiveHierarchyServesV1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	ctl, node := liveRig(t, types.RV(8, 16384, 1000, 1000))
+	srv := httptest.NewServer(apiserver.New(ctl.Backend).Handler())
+	defer srv.Close()
+	cli := apiclient.New(srv.URL)
+	ctx := context.Background()
 
 	topo, err := cli.Topology(ctx, true)
 	if err != nil {
@@ -99,7 +108,7 @@ func TestLiveHierarchyServesV1(t *testing.T) {
 
 	// The GM learns the VM from the next monitor report; the listing routes
 	// aggregate GM inventories.
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	var vm apiv1.VM
 	for time.Now().Before(deadline) {
 		vm, err = cli.GetVM(ctx, "vm-live")
@@ -136,5 +145,29 @@ func TestLiveHierarchyServesV1(t *testing.T) {
 	}
 	if snap.Counters["gl.submissions"] == 0 {
 		t.Fatalf("metrics over /v1 missing gl.submissions: %+v", snap.Counters)
+	}
+}
+
+// BenchmarkBackendSubmit times a one-VM Backend.Submit on liveRig's
+// wall-clock deployment: GL dispatch, GM placement and the LC's start of the
+// VM. Each VM is stopped on the node right after it is placed, so that the
+// node and the monitor reports stay small however many operations run.
+func BenchmarkBackendSubmit(b *testing.B) {
+	ctl, node := liveRig(b, types.RV(1024, 1<<24, 1e4, 1e4))
+	vms := make([][]types.VMSpec, b.N)
+	for i := range vms {
+		vms[i] = []types.VMSpec{{ID: types.VMID(fmt.Sprintf("vm-%07d", i)), Requested: types.RV(0.001, 1, 0, 0)}}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range vms {
+		resp, err := ctl.Backend.Submit(ctx, vms[i])
+		if err != nil || len(resp.Placed) != 1 {
+			b.Fatalf("submit %d: %+v (err %v)", i, resp, err)
+		}
+		if err := node.StopVM(vms[i][0].ID); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

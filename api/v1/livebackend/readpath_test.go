@@ -86,22 +86,113 @@ func invVM(id, node string) types.VMStatus {
 	}
 }
 
-// readRig is a backend over a bus holding an entry point, a GL that lists the
-// given GMs in order, and those GMs.
-func readRig(t *testing.T, gms ...*fakeGM) *Backend {
+// rig is a backend over a bus holding a counting entry point ep:0, the GLs
+// it may name and the GMs they list.
+type rig struct {
+	*Backend
+	bus  *transport.Bus
+	topo protocol.TopologyResponse
+	gl   *fakeGL // mgr:gl
+
+	mu     sync.Mutex
+	leader transport.Address // what ep:0 names
+	asked  int               // ep.gl-query calls ep:0 answered
+}
+
+// readRig is a rig whose entry point names mgr:gl, a GL that lists the given
+// GMs in order.
+func readRig(t *testing.T, gms ...*fakeGM) *rig {
 	t.Helper()
-	bus := transport.NewBus(simkernel.NewWallRuntime(), transport.Config{})
-	bus.Register("ep:0", func(req *transport.Request) {
-		req.Respond(protocol.GLQueryResponse{Addr: "mgr:gl", Known: true})
+	r := &rig{bus: transport.NewBus(simkernel.NewWallRuntime(), transport.Config{}), leader: "mgr:gl"}
+	r.bus.Register("ep:0", func(req *transport.Request) {
+		r.mu.Lock()
+		r.asked++
+		gl := r.leader
+		r.mu.Unlock()
+		req.Respond(protocol.GLQueryResponse{Addr: string(gl), Known: true})
 	})
-	var topo protocol.TopologyResponse
 	for i, gm := range gms {
 		addr := fmt.Sprintf("mgr:gm-%02d", i)
-		bus.Register(transport.Address(addr), gm.handle)
-		topo.GMs = append(topo.GMs, protocol.TopologyGM{GM: types.GroupManagerID(addr[4:]), Addr: addr})
+		r.bus.Register(transport.Address(addr), gm.handle)
+		r.topo.GMs = append(r.topo.GMs, protocol.TopologyGM{GM: types.GroupManagerID(addr[4:]), Addr: addr})
 	}
-	bus.Register("mgr:gl", func(req *transport.Request) { req.Respond(topo) })
-	return New(Config{Bus: bus, CallTimeout: 5 * time.Second})
+	r.gl = r.addGL("mgr:gl")
+	r.Backend = New(Config{Bus: r.bus, CallTimeout: 5 * time.Second})
+	return r
+}
+
+// addGL registers a scripted GL at addr.
+func (r *rig) addGL(addr transport.Address) *fakeGL {
+	gl := &fakeGL{addr: addr, topo: r.topo}
+	r.bus.Register(addr, gl.handle)
+	return gl
+}
+
+// name makes ep:0 name gl from now on.
+func (r *rig) name(gl transport.Address) {
+	r.mu.Lock()
+	r.leader = gl
+	r.mu.Unlock()
+}
+
+// epAsks is how many GL queries ep:0 answered.
+func (r *rig) epAsks() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.asked
+}
+
+// fakeGL is a scripted group leader: it answers gl.topology with a fixed
+// topology and places every submitted VM on a node named after itself, and
+// counts what it was sent.
+type fakeGL struct {
+	addr transport.Address
+	topo protocol.TopologyResponse
+
+	mu                  sync.Mutex
+	submits, topologies int
+	// notLeader makes it refuse both as a demoted GL does; hang makes it
+	// not answer a submission at all.
+	notLeader, hang bool
+}
+
+func (l *fakeGL) handle(req *transport.Request) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch req.Kind {
+	case protocol.KindSubmit:
+		l.submits++
+		switch {
+		case l.notLeader:
+			req.RespondErr(protocol.ErrNotLeader)
+		case !l.hang:
+			resp := protocol.SubmitResponse{Placed: make(map[types.VMID]types.NodeID)}
+			for _, vm := range req.Payload.(protocol.SubmitRequest).VMs {
+				resp.Placed[vm.ID] = types.NodeID(l.addr)
+			}
+			req.Respond(resp)
+		}
+	case protocol.KindTopology:
+		l.topologies++
+		if l.notLeader {
+			req.RespondErr(protocol.ErrNotLeader)
+		} else {
+			req.Respond(l.topo)
+		}
+	}
+}
+
+// script sets how the GL answers from now on.
+func (l *fakeGL) script(notLeader, hang bool) {
+	l.mu.Lock()
+	l.notLeader, l.hang = notLeader, hang
+	l.mu.Unlock()
+}
+
+func (l *fakeGL) counts() (submits, topologies int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.submits, l.topologies
 }
 
 func vmIDs(vms []apiv1.VM) []string {
@@ -294,5 +385,164 @@ func TestFailingGMIsSkipped(t *testing.T) {
 	}
 	if len(ok.requests()) != asked {
 		t.Fatal("the listing went on after its context ended")
+	}
+}
+
+// TestOneGLQueryPerLeader: reads and submissions reuse the GL the entry
+// point named once.
+func TestOneGLQueryPerLeader(t *testing.T) {
+	r := readRig(t, &fakeGM{inv: protocol.InventoryResponse{
+		Nodes: []protocol.InventoryNode{invNode("n0", time.Second, "vm-a")},
+		VMs:   []types.VMStatus{invVM("vm-a", "n0")},
+	}})
+	gl := r.gl
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if _, err := r.ListVMs(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ListNodes(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Topology(ctx, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Submit(ctx, []types.VMSpec{{ID: types.VMID(fmt.Sprintf("vm-%d", i))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submits, topologies := gl.counts()
+	if r.epAsks() != 1 || submits != 3 || topologies != 9 {
+		t.Fatalf("9 reads and 3 submits: %d GL queries, the GL got %d submits and %d topology calls; want 1, 3, 9",
+			r.epAsks(), submits, topologies)
+	}
+}
+
+// TestNotLeaderRediscoversOnce: a GL that refuses as not the leader costs one
+// more GL query, and the call lands on the GL the entry point names then. A
+// refusal that persists after that one retry is unavailability.
+func TestNotLeaderRediscoversOnce(t *testing.T) {
+	r := readRig(t)
+	old := r.gl
+	ctx := context.Background()
+	if _, err := r.Submit(ctx, []types.VMSpec{{ID: "vm-1"}}); err != nil {
+		t.Fatal(err)
+	}
+	next := r.addGL("mgr:gl-2")
+	old.script(true, false)
+	r.name(next.addr)
+
+	resp, err := r.Submit(ctx, []types.VMSpec{{ID: "vm-2"}})
+	if err != nil || resp.Placed["vm-2"] != "mgr:gl-2" {
+		t.Fatalf("submit after the demotion: %+v (err %v), want vm-2 placed by mgr:gl-2", resp, err)
+	}
+	if oldSubmits, _ := old.counts(); r.epAsks() != 2 || oldSubmits != 2 {
+		t.Fatalf("%d GL queries, the old GL got %d submits; want 2 and 2", r.epAsks(), oldSubmits)
+	}
+	if _, err := r.Topology(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, topologies := next.counts(); r.epAsks() != 2 || topologies != 1 {
+		t.Fatalf("a read after the rediscovery: %d GL queries, the new GL got %d topology calls; want 2 and 1", r.epAsks(), topologies)
+	}
+
+	// A read is redirected the same way.
+	third := r.addGL("mgr:gl-3")
+	next.script(true, false)
+	r.name(third.addr)
+	if _, err := r.Topology(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, topologies := third.counts(); r.epAsks() != 3 || topologies != 1 {
+		t.Fatalf("a read after the next demotion: %d GL queries, the new GL got %d topology calls; want 3 and 1", r.epAsks(), topologies)
+	}
+
+	// The entry point still names a GL that refuses: one retry, then 503.
+	third.script(true, false)
+	_, err = r.Submit(ctx, []types.VMSpec{{ID: "vm-3"}})
+	if !errors.Is(err, apiv1.ErrUnavailable) || !errors.Is(err, protocol.ErrNotLeader) {
+		t.Fatalf("submit to a GL that keeps refusing: %v, want ErrUnavailable wrapping ErrNotLeader", err)
+	}
+	if submits, _ := third.counts(); r.epAsks() != 4 || submits != 2 {
+		t.Fatalf("%d GL queries, the refusing GL got %d submits; want 4 and 2", r.epAsks(), submits)
+	}
+}
+
+// TestUnreachableGLIsRediscovered: a call the bus refuses because the GL in
+// the cell is gone was never delivered, so even a submission is resent, once,
+// to the GL the entry point names then.
+func TestUnreachableGLIsRediscovered(t *testing.T) {
+	r := readRig(t)
+	ctx := context.Background()
+	if _, err := r.Submit(ctx, []types.VMSpec{{ID: "vm-1"}}); err != nil {
+		t.Fatal(err)
+	}
+	r.bus.Unregister(r.gl.addr)
+	next := r.addGL("mgr:gl-2")
+	r.name(next.addr)
+	resp, err := r.Submit(ctx, []types.VMSpec{{ID: "vm-2"}})
+	if err != nil || resp.Placed["vm-2"] != "mgr:gl-2" {
+		t.Fatalf("submit after the GL went away: %+v (err %v), want vm-2 placed by mgr:gl-2", resp, err)
+	}
+	if r.epAsks() != 2 {
+		t.Fatalf("%d GL queries, want 2", r.epAsks())
+	}
+}
+
+// TestSubmitTimeoutIsNotRetried: a submission whose gl.submit times out may
+// have reached the GL, so it is delivered once and fails; the GL is
+// forgotten, so the next call asks the entry point again.
+func TestSubmitTimeoutIsNotRetried(t *testing.T) {
+	r := readRig(t)
+	gl := r.gl
+	ctx := context.Background()
+	if _, err := r.Submit(ctx, []types.VMSpec{{ID: "vm-1"}}); err != nil {
+		t.Fatal(err)
+	}
+	gl.script(false, true)
+	_, err := r.WithCallTimeout(50*time.Millisecond).Submit(ctx, []types.VMSpec{{ID: "vm-2"}})
+	if !errors.Is(err, apiv1.ErrUnavailable) || !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("submit to a silent GL: %v, want ErrUnavailable wrapping a timeout", err)
+	}
+	if submits, _ := gl.counts(); r.epAsks() != 1 || submits != 2 {
+		t.Fatalf("%d GL queries, the GL got %d submits; want 1 and 2", r.epAsks(), submits)
+	}
+	gl.script(false, false)
+	if _, err := r.Submit(ctx, []types.VMSpec{{ID: "vm-3"}}); err != nil || r.epAsks() != 2 {
+		t.Fatalf("the next submit: err %v, %d GL queries; want nil and 2", err, r.epAsks())
+	}
+}
+
+// TestCallTimeoutCopiesShareTheLeader: a WithCallTimeout copy uses and fills
+// the same GL cell as the backend it came from.
+func TestCallTimeoutCopiesShareTheLeader(t *testing.T) {
+	r := readRig(t, &fakeGM{})
+	ctx := context.Background()
+	if _, err := r.WithCallTimeout(time.Second).Submit(ctx, []types.VMSpec{{ID: "vm-1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ListNodes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.WithCallTimeout(2*time.Second).Hierarchy(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	if r.epAsks() != 1 {
+		t.Fatalf("%d GL queries, want 1", r.epAsks())
+	}
+}
+
+// TestLeaderCellForgetsOnlyTheFailedGL: a late failure from an old GL leaves
+// a newer address in place.
+func TestLeaderCellForgetsOnlyTheFailedGL(t *testing.T) {
+	var c leaderCell
+	c.set("mgr:gl-2")
+	c.forget("mgr:gl")
+	if c.get() != "mgr:gl-2" {
+		t.Fatalf("forgetting the old GL cleared the new one: %q", c.get())
+	}
+	c.forget("mgr:gl-2")
+	if c.get() != "" {
+		t.Fatalf("forgetting the GL left %q", c.get())
 	}
 }

@@ -11,12 +11,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	apiv1 "snooze/api/v1"
 	apiclient "snooze/api/v1/client"
+	"snooze/api/v1/livebackend"
 	"snooze/internal/cluster"
+	"snooze/internal/protocol"
+	"snooze/internal/simkernel"
+	"snooze/internal/transport"
 	"snooze/internal/types"
 	"snooze/internal/workload"
 )
@@ -339,6 +344,60 @@ func TestUnsupportedMapsTo501(t *testing.T) {
 	}
 	if err := apiclient.New(srv.URL).FailNode(context.Background(), "n1"); !errors.Is(err, apiv1.ErrUnsupported) {
 		t.Fatalf("client mapping: %v", err)
+	}
+}
+
+// TestNotLeaderMapsTo503: a submission the GL refuses as not the leader,
+// again after the backend asked the entry point once more, is a 503
+// envelope: the control plane cannot serve now, no server fault.
+func TestNotLeaderMapsTo503(t *testing.T) {
+	bus := transport.NewBus(simkernel.NewWallRuntime(), transport.Config{})
+	var mu sync.Mutex
+	var queries int
+	var demoted bool
+	bus.Register("ep:0", func(req *transport.Request) {
+		mu.Lock()
+		queries++
+		mu.Unlock()
+		req.Respond(protocol.GLQueryResponse{Addr: "mgr:gm-00", Known: true})
+	})
+	bus.Register("mgr:gm-00", func(req *transport.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if demoted {
+			req.RespondErr(protocol.ErrNotLeader)
+			return
+		}
+		req.Respond(protocol.SubmitResponse{Placed: map[types.VMID]types.NodeID{"vm-1": "n1"}})
+	})
+	srv := httptest.NewServer(New(livebackend.New(livebackend.Config{Bus: bus, CallTimeout: 5 * time.Second})).Handler())
+	defer srv.Close()
+	post := func() (*http.Response, apiv1.ErrorBody) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/vms", "application/json", strings.NewReader(`{"vms":[{"id":"vm-1"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env apiv1.ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return resp, env
+	}
+	if resp, _ := post(); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit to the GL: status %d", resp.StatusCode)
+	}
+	mu.Lock()
+	demoted = true
+	mu.Unlock()
+	resp, env := post()
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != apiv1.CodeUnavailable ||
+		!strings.Contains(env.Error.Message, protocol.ErrNotLeader.Error()) {
+		t.Fatalf("submit to a demoted GL: status %d %+v, want 503 naming the refusal", resp.StatusCode, env)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if queries != 2 {
+		t.Fatalf("%d GL queries, want 2: the first submit's and one after the refusal", queries)
 	}
 }
 

@@ -174,6 +174,59 @@ func TestBackendNoGL(t *testing.T) {
 	}
 }
 
+// TestSubmitFollowsDemotedGL: the GL is demoted between two submits (it
+// resigns and comes back as a GM at the same address) and the test waits
+// until an entry point names the new GL. The backend still holds the old
+// address from the first submit; the old GL refuses the second one as not the
+// leader, the backend asks the entry points again, and the submit lands on
+// the new GL with no VM unplaced.
+func TestSubmitFollowsDemotedGL(t *testing.T) {
+	c, b := newAPI(t)
+	if r := submit(t, b, 1); len(r.Placed) != 1 {
+		t.Fatalf("first submit: %+v", r)
+	}
+	old := c.Leader()
+	old.Stop()
+	for step := 0; c.EPs[0].GL() == "" || c.EPs[0].GL() == old.Addr(); step++ {
+		if step == 600 {
+			t.Fatal("no entry point named a new GL within 60s")
+		}
+		c.Settle(100 * time.Millisecond)
+	}
+	if err := old.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	// The hierarchy re-forms under the new GL: every GM joined it and every
+	// LC joined a GM, and the GL has their summaries.
+	gl := c.Leader()
+	for step := 0; ; step++ {
+		lcs := 0
+		for _, gm := range c.GroupManagers() {
+			active, _ := gm.LCCount()
+			lcs += active
+		}
+		if lcs == len(c.Nodes) && gl.GMCount() == len(c.GroupManagers()) {
+			break
+		}
+		if step == 600 {
+			t.Fatalf("%d of %d LCs and %d of %d GMs joined within 60s", lcs, len(c.Nodes), gl.GMCount(), len(c.GroupManagers()))
+		}
+		c.Settle(100 * time.Millisecond)
+	}
+	c.Settle(hierarchy.DefaultManagerConfig("", "").SummaryPeriod)
+	if old.Role() != hierarchy.RoleGM || c.Leader() != gl || c.EPs[0].GL() != gl.Addr() {
+		t.Fatalf("old GL is %v, the leader %v, the entry point names %q", old.Role(), c.Leader(), c.EPs[0].GL())
+	}
+	specs := make([]apiv1.VMSpec, 3)
+	for i := range specs {
+		specs[i] = apiv1.VMSpec{ID: fmt.Sprintf("vm-after-%d", i), Requested: apiv1.Resources{CPU: 1, MemoryMB: 1024}}
+	}
+	r, err := b.SubmitVMs(context.Background(), specs)
+	if err != nil || len(r.Placed) != 3 || len(r.Unplaced) != 0 {
+		t.Fatalf("submit after the demotion: %+v (err %v), want 3 placed", r, err)
+	}
+}
+
 // TestFailNode: fault injection crash-stops the node; the hierarchy then
 // drops it once its GM's LCTimeout passes without a heartbeat.
 func TestFailNode(t *testing.T) {

@@ -262,9 +262,9 @@ func (a simAPI) FailNode(ctx context.Context, id string) error {
 	return nil
 }
 
-// SubmitAndWait submits VMs the way a /v1 client does — GL discovery through
-// the entry points, then the GL's submit — and runs the kernel until the GL
-// answers. The specs go out unvalidated. maxSim bounds each bus call in
+// SubmitAndWait submits VMs the way a /v1 client does — to the GL the
+// backend knows, or the one the entry points name when it knows none — and
+// runs the kernel until the GL answers. The specs go out unvalidated. maxSim bounds each bus call in
 // virtual time, not the whole operation; when no GL is known or one does not
 // answer, the error wraps apiv1.ErrUnavailable.
 func (c *Cluster) SubmitAndWait(vms []types.VMSpec, maxSim time.Duration) (protocol.SubmitResponse, error) {

@@ -265,16 +265,21 @@ func (m *Manager) glOnLCAssign(req *transport.Request) {
 // dispatchChunk caps the VMs one PlaceRequest carries.
 const dispatchChunk = 32
 
-// glOnSubmit serves a VM submission through the dispatcher (Section II-C).
+// glOnSubmit serves a VM submission through the dispatcher (Section II-C). A
+// manager that is not the GL refuses it with protocol.ErrNotLeader, having
+// dispatched nothing.
 func (m *Manager) glOnSubmit(req *transport.Request) {
 	sub, ok := req.Payload.(protocol.SubmitRequest)
 	if !ok {
 		req.RespondErr(errBadPayload)
 		return
 	}
-	m.dispatch(sub.VMs, func(placed map[types.VMID]types.NodeID, unplaced []types.VMID) {
+	err := m.dispatch(sub.VMs, func(placed map[types.VMID]types.NodeID, unplaced []types.VMID) {
 		req.Respond(protocol.SubmitResponse{Placed: placed, Unplaced: unplaced})
 	})
+	if err != nil {
+		req.RespondErr(err)
+	}
 }
 
 // vmDispatch is one VM's progress through the dispatch rounds.
@@ -310,15 +315,15 @@ func (vm *vmDispatch) finish(outcome string, chosen types.GroupManagerID, probed
 // unplaced VM goes to its r-th candidate, VMs bound for one GM share
 // PlaceRequests of up to dispatchChunk VMs, all requests of a round are in
 // flight together, and VMs a GM rejects (or whose request timed out) advance
-// to round r+1. done is invoked exactly once. A one-VM submission is thus the
-// paper's linear probe, traced as one dispatch span on vm/<id> covering every
-// round; a wave of N VMs is traced as one span per PlaceRequest on gm/<id>.
-// The GM's placement spans link back to either.
-func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID]types.NodeID, unplaced []types.VMID)) {
+// to round r+1. done is invoked exactly once, unless the manager is not the
+// GL: dispatch then returns protocol.ErrNotLeader and sends nothing. A one-VM
+// submission is thus the paper's linear probe, traced as one dispatch span on
+// vm/<id> covering every round; a wave of N VMs is traced as one span per
+// PlaceRequest on gm/<id>. The GM's placement spans link back to either.
+func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID]types.NodeID, unplaced []types.VMID)) error {
 	l := m.lockGL()
 	if l == nil {
-		done(nil, vmIDs(specs))
-		return
+		return protocol.ErrNotLeader
 	}
 	start := m.rt.Now()
 	summaries := make([]types.GroupSummary, 0, len(l.gms))
@@ -472,6 +477,7 @@ func (m *Manager) dispatch(specs []types.VMSpec, done func(placed map[types.VMID
 		}
 	}
 	round(0, waiting)
+	return nil
 }
 
 // glOnTopology exports the hierarchy for CLI visualization (Section II-A).
@@ -480,7 +486,7 @@ func (m *Manager) glOnTopology(req *transport.Request) {
 	tr, _ := req.Payload.(protocol.TopologyRequest) // zero value = shallow
 	l := m.lockGL()
 	if l == nil {
-		req.RespondErr(errNotLeader)
+		req.RespondErr(protocol.ErrNotLeader)
 		return
 	}
 	resp := protocol.TopologyResponse{
@@ -533,12 +539,6 @@ func (m *Manager) glOnTopology(req *transport.Request) {
 			})
 	}
 }
-
-var errNotLeader = fmtErr("hierarchy: not the group leader")
-
-type fmtErr string
-
-func (e fmtErr) Error() string { return string(e) }
 
 // GMCount returns the number of GMs the GL stint has enrolled, 0 when the
 // manager is not the GL (instrumentation).

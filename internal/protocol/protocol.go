@@ -6,6 +6,8 @@
 package protocol
 
 import (
+	"errors"
+
 	"snooze/internal/telemetry/sketch"
 	"snooze/internal/types"
 )
@@ -59,6 +61,11 @@ const (
 	// again (it will be assigned to the least-loaded GM).
 	KindRejoin = "lc.rejoin"
 )
+
+// ErrNotLeader is how a manager that is not the group leader answers GL work
+// (KindSubmit, KindTopology). A client that cached the GL's address asks an
+// entry point again, as a Raft client does when a follower refuses it.
+var ErrNotLeader = errors.New("protocol: not the group leader")
 
 // ShedRequest asks a GM to release up to Count LCs.
 type ShedRequest struct {

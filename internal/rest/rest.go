@@ -18,7 +18,9 @@
 //     the from, to and kind names and the payload's JSON (protocol's codecs),
 //     at most maxFrameBytes. The server answers every message frame with
 //     one reply frame; replies match calls by ID, and one-way messages get an
-//     empty acknowledgement, which is how the Gateway counts them.
+//     empty acknowledgement, which is how the Gateway counts them. A one-way
+//     message the server cannot deliver is answered with a text that begins
+//     with its kind.
 //   - FIFO and coalescing. One writer goroutine per stream drains a bounded
 //     queue and writes each drained batch with one write and one flush, so
 //     frames on a stream leave in order and a burst leaves together. The
@@ -38,8 +40,11 @@
 // A peer that answers 404 on /deliver/stream is a snoozed from before the
 // stream, which is not supported: each message to it fails as unreachable
 // with an error naming the route, and counts as a forward error; the
-// Gateway logs the first such failure of each peer. A Client
-// makes one call per stream of one frame.
+// Gateway logs the first such failure of each peer. Otherwise it logs the
+// first failed message of each kind per peer (a refused dial, or a one-way
+// message the peer could not deliver), naming kind and destination, and one
+// line per broken stream that failed messages. A Client makes one call per
+// stream of one frame.
 package rest
 
 import (
@@ -296,8 +301,13 @@ func (g *Gateway) forward(pc *peerConn, req *transport.Request) {
 		st, err := pc.stream()
 		if err != nil {
 			g.failed(1)
-			if errors.Is(err, errNoStream) && pc.noStreamLogged.CompareAndSwap(false, true) {
-				g.logf("rest: peer %s has no %s route: a snoozed without the stream is not supported, every message to it fails", pc.url, streamPath)
+			switch {
+			case errors.Is(err, errNoStream):
+				if pc.noStreamLogged.CompareAndSwap(false, true) {
+					g.logf("rest: peer %s has no %s route: a snoozed without the stream is not supported, every message to it fails", pc.url, streamPath)
+				}
+			case !errors.Is(err, errClosed):
+				pc.lost(req.Kind, fmt.Sprintf("%s: %v", req.To, err))
 			}
 			// The remote process is not answering: same meaning as an
 			// unregistered bus address, so keep the sentinel for callers.

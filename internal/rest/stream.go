@@ -309,7 +309,11 @@ func (st *serverStream) deliver(f *frame) {
 	kind := st.name(f.kind)
 	payload, err := protocol.DecodeRequest(kind, f.body)
 	if err != nil {
-		st.answer(f.id, frameRefused, "bad frame: "+err.Error())
+		text := "bad frame: " + err.Error()
+		if f.typ == frameOneWay {
+			text = oneWayFailure(kind, text)
+		}
+		st.answer(f.id, frameRefused, text)
 		return
 	}
 	from, to := transport.Address(st.name(f.from)), transport.Address(st.name(f.to))
@@ -317,7 +321,7 @@ func (st *serverStream) deliver(f *frame) {
 		// An unknown destination is the caller's addressing mistake: it is
 		// told, not silently acknowledged.
 		if err := st.s.bus.Send(from, to, kind, payload); errors.Is(err, transport.ErrUnreachable) {
-			st.answer(0, frameUnreachable, err.Error())
+			st.answer(0, frameUnreachable, oneWayFailure(kind, err.Error()))
 		} else {
 			st.answer(0, frameReply, "")
 		}
@@ -329,6 +333,11 @@ func (st *serverStream) deliver(f *frame) {
 	id := f.id
 	st.s.bus.Call(from, to, kind, payload, st.s.timeout, func(reply any, err error) { st.reply(id, kind, reply, err) })
 }
+
+// oneWayFailure is the text of a failure answer to a one-way frame. That
+// answer carries no ID, so the text begins with the kind: the client can say
+// which message it lost (peerConn.lost).
+func oneWayFailure(kind, text string) string { return kind + ": " + text }
 
 // answer writes a reply-type frame from the handler goroutine; the flush
 // waits for the next read that could block.
@@ -485,6 +494,8 @@ type peerConn struct {
 	url string
 	// noStreamLogged is set once a 404 on the stream route was logged.
 	noStreamLogged atomic.Bool
+	// lostKinds holds the kinds of the messages whose failure was logged.
+	lostKinds sync.Map
 
 	mu sync.Mutex
 	st *clientStream // nil until a frame needs one
@@ -756,6 +767,10 @@ func (st *clientStream) answer(f *frame) {
 	st.mu.Unlock()
 	if f.typ == frameUnreachable || f.typ == frameRefused {
 		g.forwardErrors.Add(1)
+		if req == nil { // the answer's text begins with the kind (oneWayFailure)
+			kind, why, _ := strings.Cut(string(f.body), ": ")
+			st.pc.lost(kind, why)
+		}
 	}
 	g.forwards.Add(1)
 	if req == nil {
@@ -765,6 +780,13 @@ func (st *clientStream) answer(f *frame) {
 		req.RespondErr(err)
 	} else {
 		req.Respond(reply)
+	}
+}
+
+// lost logs the first message of each kind to the peer that failed, and why.
+func (pc *peerConn) lost(kind, why string) {
+	if _, logged := pc.lostKinds.LoadOrStore(kind, true); !logged {
+		pc.g.logf("rest: a %s message to peer %s failed: %s (later %s failures are only counted)", kind, pc.url, why, kind)
 	}
 }
 
@@ -809,6 +831,9 @@ func (st *clientStream) fail(err error) {
 	st.pw.CloseWithError(err)
 	st.cancel() // the response read returns
 	g := st.pc.g
+	if oneWays+len(calls) > 0 {
+		g.logf("rest: stream to %s broke (%v): %d calls and %d one-way messages failed", st.pc.url, err, len(calls), oneWays)
+	}
 	g.failed(oneWays + len(calls))
 	g.brokenCalls.Add(uint64(len(calls)))
 	for _, req := range calls {

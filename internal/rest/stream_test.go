@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,6 +57,22 @@ func await(t *testing.T, what string, ch <-chan outcome) outcome {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("%s: no outcome", what)
 		return outcome{}
+	}
+}
+
+// captureLogs makes gw log into memory; the returned func reads the lines.
+func captureLogs(gw *Gateway) func() []string {
+	var mu sync.Mutex
+	var lines []string
+	gw.logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(lines)
 	}
 }
 
@@ -156,6 +173,7 @@ func TestGatewayBrokenStreamFailsCallsAtOnce(t *testing.T) {
 	defer srv.Close()
 	gw := NewGateway(busA, 30*time.Second)
 	defer gw.Close()
+	logged := captureLogs(gw)
 	gw.AddPeer("lc:slow", srv.URL)
 
 	ch := callAsync(busA, "lc:slow", 30*time.Second)
@@ -171,6 +189,10 @@ func TestGatewayBrokenStreamFailsCallsAtOnce(t *testing.T) {
 	}
 	if s := gw.Stats(); s.BrokenCalls != 1 || s.ForwardErrors != 1 || s.Forwards != 1 {
 		t.Fatalf("stats %+v", s)
+	}
+	lines := logged()
+	if len(lines) != 1 || !strings.Contains(lines[0], srv.URL) || !strings.Contains(lines[0], "1 calls and 0 one-way messages failed") {
+		t.Fatalf("log lines %q, want one naming the peer and the call it failed", lines)
 	}
 }
 
@@ -214,13 +236,7 @@ func TestGatewayLogsPeerWithoutStreamOnce(t *testing.T) {
 	busA, _ := wallBus()
 	gw := NewGateway(busA, 5*time.Second)
 	defer gw.Close()
-	var mu sync.Mutex
-	var lines []string
-	gw.logf = func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
+	logged := captureLogs(gw)
 	gw.AddPeer("lc:n1", srv.URL)
 
 	for i := 0; i < 5; i++ {
@@ -231,10 +247,90 @@ func TestGatewayLogsPeerWithoutStreamOnce(t *testing.T) {
 	if s := gw.Stats(); s.ForwardErrors != 5 {
 		t.Fatalf("stats %+v, want 5 forward errors", s)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	lines := logged()
 	if len(lines) != 1 || !strings.Contains(lines[0], srv.URL) || !strings.Contains(lines[0], streamPath) {
 		t.Fatalf("log lines %q, want one naming %s and %s", lines, srv.URL, streamPath)
+	}
+}
+
+// TestGatewayLogsLostOneWayOncePerKind: one-way messages the peer cannot
+// deliver each count as a forward error, and the gateway logs the first of
+// each kind, naming the kind and the destination.
+func TestGatewayLogsLostOneWayOncePerKind(t *testing.T) {
+	busA, _ := wallBus()
+	busB, _ := wallBus()
+	srv := httptest.NewServer(NewServer(busB, 5*time.Second).Handler())
+	defer srv.Close()
+	gw := NewGateway(busA, 5*time.Second)
+	defer gw.Close()
+	logged := captureLogs(gw)
+	gw.AddPeer("mgr:gm-07", srv.URL) // neither is registered on the peer's bus
+	gw.AddPeer("lc:n9", srv.URL)
+
+	for i := 0; i < 5; i++ {
+		if err := busA.Send("lc:n1", "mgr:gm-07", protocol.KindMonitor, report16()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := busA.Send("mgr:gm-00", "lc:n9", protocol.KindGLHeartbeat, protocol.GLHeartbeat{Addr: "mgr:gm-00", Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for gw.Stats().Forwards < 7 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if s := gw.Stats(); s.Forwards != 7 || s.ForwardErrors != 7 {
+		t.Fatalf("stats %+v, want 7 forwards, all errors", s)
+	}
+	lines := logged()
+	if len(lines) != 2 {
+		t.Fatalf("log lines %q, want 2", lines)
+	}
+	for _, want := range [][2]string{{protocol.KindMonitor, "mgr:gm-07"}, {protocol.KindGLHeartbeat, "lc:n9"}} {
+		n := 0
+		for _, line := range lines {
+			if strings.Contains(line, want[0]) && strings.Contains(line, want[1]) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("log lines %q: %d name %s and %s, want 1", lines, n, want[0], want[1])
+		}
+	}
+}
+
+// TestGatewayLogsUndialledPeerOncePerKind: messages to a peer whose stream
+// cannot be dialled fail at once, and the gateway logs the first of each
+// kind, naming the kind and the destination.
+func TestGatewayLogsUndialledPeerOncePerKind(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	ln.Close() // nothing listens there now: every dial is refused
+	busA, _ := wallBus()
+	gw := NewGateway(busA, 5*time.Second)
+	defer gw.Close()
+	logged := captureLogs(gw)
+	gw.AddPeer("lc:gone", url)
+	for i := 0; i < 3; i++ {
+		if err := busA.Send("mgr:gm-00", "lc:gone", protocol.KindGLHeartbeat, protocol.GLHeartbeat{Addr: "mgr:gm-00", Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for gw.Stats().Forwards < 3 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if s := gw.Stats(); s.Forwards != 3 || s.ForwardErrors != 3 {
+		t.Fatalf("stats %+v, want 3 forwards, all errors", s)
+	}
+	lines := logged()
+	if len(lines) != 1 || !strings.Contains(lines[0], protocol.KindGLHeartbeat) || !strings.Contains(lines[0], "lc:gone") {
+		t.Fatalf("log lines %q, want one naming %s and lc:gone", lines, protocol.KindGLHeartbeat)
 	}
 }
 

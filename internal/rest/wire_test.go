@@ -77,9 +77,9 @@ func TestStreamAnswers(t *testing.T) {
 		{"one-way", message(0, "lc:n1", protocol.KindGMHeartbeat, hb), frameReply, 0, "", true},
 		{"call", message(7, "lc:n1", protocol.KindGMHeartbeat, hb), frameReply, 7, "{}", true},
 		{"handler error", message(3, "lc:boom", protocol.KindGMHeartbeat, hb), frameFailed, 3, "fixture error", false},
-		{"unknown destination, one-way", message(0, "ghost", protocol.KindGMHeartbeat, hb), frameUnreachable, 0, "unreachable", false},
+		{"unknown destination, one-way", message(0, "ghost", protocol.KindGMHeartbeat, hb), frameUnreachable, 0, protocol.KindGMHeartbeat + ": transport: destination unreachable: ghost", false},
 		{"unknown destination, call", message(2, "ghost", protocol.KindGMHeartbeat, hb), frameUnreachable, 2, "unreachable", false},
-		{"bad payload", message(0, "lc:n1", protocol.KindGMHeartbeat, `{"gm":7}`), frameRefused, 0, "bad frame", false},
+		{"bad payload", message(0, "lc:n1", protocol.KindGMHeartbeat, `{"gm":7}`), frameRefused, 0, protocol.KindGMHeartbeat + ": bad frame", false},
 		{"unknown kind", message(4, "lc:n1", "bogus", `{}`), frameRefused, 4, "unknown request kind", false},
 		{"too large", append(overCap, make([]byte, maxFrameBytes)...), 0, 0, "", false},
 	}
